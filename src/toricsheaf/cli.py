@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_window(p)
     p.set_defaults(func=_cmd_h0_table)
 
-    p = sub.add_parser("cohomology-table", help="Cech h^i over a twist window")
+    p = sub.add_parser("cohomology-table", help="h^i from the fan's cone complex over a twist window")
     add_config(p)
     add_window(p)
     p.add_argument("--i", type=int, required=True, help="cohomology degree")

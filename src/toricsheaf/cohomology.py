@@ -2,9 +2,15 @@
 
 Per character m, the sections over the affine piece of a cone are the
 intersection of the ray filtrations evaluated at the pairings <m, n(rho)>.
-H^0 and H^n come from the intersection / quotient-by-sum formulas, the Euler
-characteristic from the signed sum over all cones, and the full cohomology
-from the Cech complex of the cover by maximal-cone affines.
+H^0 and H^n come from the intersection / quotient-by-sum formulas.  The full
+cohomology is that of Klyachko's complex of the fan, with one term per cone:
+C^k is the sum of the pieces E^sigma over the cones sigma of codimension k,
+and the differential sends E^sigma into E^tau for each facet tau of sigma.
+The fans here are smooth, so every cone is spanned by part of a basis and
+its faces are exactly the subsets of its rays: the cones form a simplicial
+complex on the rays, and the ordinary simplicial signs (-1)^pos, pos the
+position of the dropped ray in the sorted ray list, make d o d = 0.  The
+Euler characteristic is the signed sum of the same chain dimensions.
 
 All global numbers are finite sums over a box of characters.  The box is the
 bounding box (margin 1) of the vertices of the arrangement of jump
@@ -128,24 +134,17 @@ class SheafCohomology:
         self.sheaf = sheaf
         self.variety = sheaf.variety
         self.rank = sheaf.rank
-        self._cones = self.variety.cones()
-        self._max_cones = [c.ray_indices for c in self._cones if c.codim == 0]
+        cones = self.variety.cones()
+        # ray sets of the cones by codimension: the terms C^k of the complex
+        self._chain_cones = [
+            [c.ray_indices for c in cones if c.codim == k]
+            for k in range(self.variety.dim + 1)
+        ]
         self._pieces: dict[tuple, Subspace] = {}
         self._h0: dict[tuple[int, ...], int] = {}
         self._hn: dict[tuple[int, ...], int] = {}
         self._chi: dict[tuple[int, ...], int] = {}
         self._cech: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # Cech cover bookkeeping: subsets of maximal cones and their common rays
-        t = len(self._max_cones)
-        self._cover_subsets: list[list[tuple[int, ...]]] = []
-        for k in range(t):
-            level_sets = []
-            for subset in combinations(range(t), k + 1):
-                common = set(self._max_cones[subset[0]])
-                for i in subset[1:]:
-                    common &= set(self._max_cones[i])
-                level_sets.append(tuple(sorted(common)))
-            self._cover_subsets.append(level_sets)
 
     def levels(self, m: Sequence[int], shifts: Sequence[int] | None = None) -> tuple[int, ...]:
         v = self.variety
@@ -241,8 +240,9 @@ class SheafCohomology:
         cached = self._chi.get(levels)
         if cached is None:
             cached = sum(
-                (-1) ** c.codim * self.piece(c.ray_indices, levels).dim
-                for c in self._cones
+                (-1) ** k * self.piece(rs, levels).dim
+                for k, cones in enumerate(self._chain_cones)
+                for rs in cones
             )
             self._chi[levels] = cached
         return cached
@@ -255,30 +255,29 @@ class SheafCohomology:
         return cached
 
     def _cech_complex(self, levels: tuple[int, ...]) -> tuple[int, ...]:
-        t = len(self._max_cones)
-        # spaces of the complex, grouped by chain degree
-        chain_spaces: list[list[Subspace]] = []
-        for k in range(t):
-            chain_spaces.append([self.piece(rs, levels) for rs in self._cover_subsets[k]])
-        dims = [sum(s.dim for s in spaces) for spaces in chain_spaces]
-        ranks = []
-        for k in range(t - 1):
-            ranks.append(self._differential_rank(k, chain_spaces))
-        h = []
-        for i in range(self.variety.dim + 1):
-            dim_ci = dims[i] if i < t else 0
-            rank_out = ranks[i] if i < t - 1 else 0
-            rank_in = ranks[i - 1] if 0 < i <= t - 1 else 0
-            h.append(dim_ci - rank_out - rank_in)
-        return tuple(h)
+        chain = self._chain_cones
+        spaces = [[self.piece(rs, levels) for rs in cones] for cones in chain]
+        # ranks[k + 1] is the rank of d: C^k -> C^{k+1}; C^{-1} = C^{dim+1} = 0
+        ranks = [0] * (len(chain) + 1)
+        for k in range(len(chain) - 1):
+            ranks[k + 1] = self._differential_rank(
+                chain[k], spaces[k], chain[k + 1], spaces[k + 1]
+            )
+        return tuple(
+            sum(s.dim for s in spaces[i]) - ranks[i] - ranks[i + 1]
+            for i in range(len(chain))
+        )
 
-    def _differential_rank(self, k: int, chain_spaces: list[list[Subspace]]) -> int:
-        """Rank of d: C^k -> C^{k+1} with signed-inclusion blocks."""
-        t = len(self._max_cones)
-        sources = list(combinations(range(t), k + 1))
-        targets = list(combinations(range(t), k + 2))
-        src_spaces = chain_spaces[k]
-        tgt_spaces = chain_spaces[k + 1]
+    def _differential_rank(
+        self,
+        sources: list[tuple[int, ...]],
+        src_spaces: list[Subspace],
+        targets: list[tuple[int, ...]],
+        tgt_spaces: list[Subspace],
+    ) -> int:
+        """Rank of d: C^k -> C^{k+1}, whose blocks are the inclusions of
+        E^sigma into E^tau for the facets tau of sigma, each signed by
+        (-1)^pos for the position of the dropped ray in sigma."""
         src_offset = [0]
         for s in src_spaces:
             src_offset.append(src_offset[-1] + s.dim)
@@ -289,22 +288,18 @@ class SheafCohomology:
         ncols = tgt_offset[-1]
         if nrows == 0 or ncols == 0:
             return 0
-        src_index = {subset: i for i, subset in enumerate(sources)}
+        tgt_index = {rays: j for j, rays in enumerate(targets)}
         # one row per source basis vector, expressed in the target coordinates
         rows = [[Fraction(0)] * ncols for _ in range(nrows)]
-        for j_tgt, target in enumerate(targets):
-            tgt_space = tgt_spaces[j_tgt]
-            if tgt_space.is_zero:
+        for i_src, source in enumerate(sources):
+            src_space = src_spaces[i_src]
+            if src_space.is_zero:
                 continue
-            pivots = tgt_space.pivots
-            for pos in range(k + 2):
-                source = target[:pos] + target[pos + 1:]
-                i_src = src_index[source]
-                src_space = src_spaces[i_src]
-                if src_space.is_zero:
-                    continue
+            for pos in range(len(source)):
+                j_tgt = tgt_index[source[:pos] + source[pos + 1:]]
+                pivots = tgt_spaces[j_tgt].pivots
                 sign = -1 if pos % 2 else 1
-                # src_space is contained in tgt_space; coordinates come off pivots
+                # src_space is contained in the target; coordinates come off pivots
                 for bi, vec in enumerate(src_space.basis):
                     row = rows[src_offset[i_src] + bi]
                     for ci, p in enumerate(pivots):
@@ -328,7 +323,7 @@ def euler_characteristic(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> 
 
 
 def cech_cohomology(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> tuple[int, ...]:
-    """(h^0, ..., h^dim) of the twisted sheaf via the maximal-cone Cech cover."""
+    """(h^0, ..., h^dim) of the twisted sheaf from the fan's cone complex."""
     return SheafCohomology(sheaf).cech_twisted(c)
 
 

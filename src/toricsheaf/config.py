@@ -30,7 +30,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .filtration import EquivariantReflexiveSheaf, KlyachkoFiltration
 from .rational_linalg import Subspace
-from .toric import ToricVariety, build_variety
+from .toric import ToricVariety, build_variety, config_int
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,11 @@ def _parse_space(generators, rank: int, where: str) -> Subspace:
 
 def parse_sheaf(variety: ToricVariety, data: dict) -> EquivariantReflexiveSheaf:
     try:
-        rank = int(data["rank"])
+        rank = data["rank"]
         entries = data["filtrations"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"sheaf section needs 'rank' and 'filtrations': {exc}") from None
+    rank = config_int(rank, "sheaf 'rank'")
     if rank < 1:
         raise ConfigError("sheaf rank must be at least 1")
     if not isinstance(entries, list) or len(entries) != variety.ray_count:
@@ -88,10 +89,7 @@ def parse_sheaf(variety: ToricVariety, data: dict) -> EquivariantReflexiveSheaf:
         jumps = entry["jumps"]
         if not isinstance(jumps, list) or len(jumps) != rank:
             raise ConfigError(f"{where}: 'jumps' must list {rank} integers")
-        try:
-            jumps = tuple(int(j) for j in jumps)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: jumps must be integers") from None
+        jumps = tuple(config_int(j, f"{where}: jump") for j in jumps)
         raw_spaces = entry.get("spaces", [])
         if not isinstance(raw_spaces, list) or len(raw_spaces) > rank:
             raise ConfigError(f"{where}: 'spaces' must list at most {rank} generator lists")

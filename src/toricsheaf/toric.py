@@ -163,6 +163,14 @@ def split_data(variety: ToricVariety) -> tuple[int, tuple[int, ...]]:
     return variety.split_s, variety.split_a
 
 
+def config_int(value, where: str) -> int:
+    """A configuration value that must be a JSON integer; booleans, floats and
+    strings are refused rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def build_variety(descriptor: dict) -> ToricVariety:
     """Build a variety from a configuration mapping.
 
@@ -176,11 +184,17 @@ def build_variety(descriptor: dict) -> ToricVariety:
         raise ConfigError("variety descriptor needs a 'family' key") from None
     try:
         if family == "projective":
-            return projective_space(int(descriptor["n"]))
+            return projective_space(config_int(descriptor["n"], "variety 'n'"))
         if family == "hirzebruch":
-            return hirzebruch(int(descriptor["a"]))
+            return hirzebruch(config_int(descriptor["a"], "variety 'a'"))
         if family == "split_bundle":
-            return split_bundle(int(descriptor["s"]), [int(x) for x in descriptor["a"]])
+            weights = descriptor["a"]
+            if not isinstance(weights, list):
+                raise ConfigError(f"variety 'a' must be a list of integers, got {weights!r}")
+            return split_bundle(
+                config_int(descriptor["s"], "variety 's'"),
+                [config_int(x, "variety 'a' entry") for x in weights],
+            )
     except KeyError as exc:
         raise ConfigError(f"variety descriptor for {family!r} misses key {exc}") from None
     except ValueError as exc:

@@ -71,6 +71,34 @@ def test_config_error_messages():
         })
 
 
+P1 = {"family": "projective", "n": 1}
+
+
+@pytest.mark.parametrize("variety, rank, jump", [
+    ({"family": "projective", "n": 2.9}, 1, 0),
+    ({"family": "projective", "n": True}, 1, 0),
+    ({"family": "projective", "n": "2"}, 1, 0),
+    ({"family": "hirzebruch", "a": 1.0}, 1, 0),
+    ({"family": "split_bundle", "s": 1.5, "a": [1]}, 1, 0),
+    ({"family": "split_bundle", "s": 1, "a": [False]}, 1, 0),
+    ({"family": "split_bundle", "s": 1, "a": 3}, 1, 0),
+    (P1, True, 0),
+    (P1, 1.0, 0),
+    (P1, 1, -2.5),
+    (P1, 1, True),
+], ids=["n-float", "n-bool", "n-string", "a-float", "s-float", "a-entry-bool",
+        "a-not-list", "rank-bool", "rank-float", "jump-float", "jump-bool"])
+def test_config_integers_are_strict(variety, rank, jump, tmp_path):
+    cfg = {"variety": variety,
+           "sheaf": {"rank": rank, "filtrations": [{"jumps": [jump]}, {"jumps": [0]}]}}
+    with pytest.raises(ConfigError, match="integer"):
+        parse_config(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(["validate", "--config", str(path)])
+    assert code == 1 and out == ""
+
+
 def test_cli_validate_ok():
     code, out = run_cli(["validate", "--config", str(CONFIGS / "rank3_h3.json")])
     assert code == 0 and out.strip() == "ok"
