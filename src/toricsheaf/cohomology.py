@@ -17,15 +17,22 @@ bounding box (margin 1) of the vertices of the arrangement of jump
 hyperplanes <m, n(rho)> = jump: dimensions are constant on the chambers of
 that arrangement, and an unbounded chamber with a nonzero dimension would
 contradict finite-dimensionality, so everything outside the box contributes
-zero.  Per-character linear algebra only depends on the tuple of filtration
-levels, which is cached.
+zero.  Local numbers depend only on the tuple of filtration levels, so each
+global number is a sum of count x local over the level-tuple histogram of
+the box.  The histogram is counted in runs along the last coordinate: on a
+line of the box every pairing is affine in that coordinate, so a ray's level
+changes only where the pairing crosses one of its jumps, and between two
+such cut points the level tuple is constant.  Local numbers are cached.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from functools import wraps
+from itertools import combinations, product, repeat
 from math import ceil, floor
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import UnsupportedVarietyError
@@ -94,32 +101,15 @@ def enumeration_box(sheaf: EquivariantReflexiveSheaf) -> CharacterBox:
     return CharacterBox(lower, upper)
 
 
-def sigma_piece(sheaf: EquivariantReflexiveSheaf, cone: Cone, m: Sequence[int]) -> Subspace:
-    """Sections over the cone's affine piece in degree m; full for the zero cone."""
-    v = sheaf.variety
-    if not cone.ray_indices:
-        return Subspace.full(sheaf.rank)
-    pieces = [sheaf.filtrations[k].evaluate(v.pairing(m, k)) for k in cone.ray_indices]
-    return intersect(pieces)
-
-
-def h0_character(sheaf: EquivariantReflexiveSheaf, m: Sequence[int]) -> int:
-    v = sheaf.variety
-    pieces = [f.evaluate(v.pairing(m, k)) for k, f in enumerate(sheaf.filtrations)]
-    return intersect(pieces).dim
-
-
-def hn_character(sheaf: EquivariantReflexiveSheaf, m: Sequence[int]) -> int:
-    v = sheaf.variety
-    pieces = [f.evaluate(v.pairing(m, k)) for k, f in enumerate(sheaf.filtrations)]
-    return sheaf.rank - subspace_sum(pieces).dim
-
-
-def euler_character(sheaf: EquivariantReflexiveSheaf, m: Sequence[int]) -> int:
-    chi = 0
-    for cone in sheaf.variety.cones():
-        chi += (-1) ** cone.codim * sigma_piece(sheaf, cone, m).dim
-    return chi
+def _cached_by_levels(local):
+    """Cache a local number of the engine per level tuple."""
+    @wraps(local)
+    def cached(self, levels: tuple[int, ...]):
+        cache = self._local.setdefault(local.__name__, {})
+        if levels not in cache:
+            cache[levels] = local(self, levels)
+        return cache[levels]
+    return cached
 
 
 class SheafCohomology:
@@ -140,67 +130,71 @@ class SheafCohomology:
             [c.ray_indices for c in cones if c.codim == k]
             for k in range(self.variety.dim + 1)
         ]
+        self._jumps = tuple(f.jumps for f in sheaf.filtrations)
         self._pieces: dict[tuple, Subspace] = {}
-        self._h0: dict[tuple[int, ...], int] = {}
-        self._hn: dict[tuple[int, ...], int] = {}
-        self._chi: dict[tuple[int, ...], int] = {}
-        self._cech: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._local: dict[str, dict[tuple[int, ...], object]] = {}
 
     def levels(self, m: Sequence[int], shifts: Sequence[int] | None = None) -> tuple[int, ...]:
-        v = self.variety
-        if shifts is None:
-            return tuple(
-                f.level(v.pairing(m, k)) for k, f in enumerate(self.sheaf.filtrations)
-            )
+        """Per ray, the number of jumps <= <m, n(ray)> + shift; 0 is the zero space."""
+        if len(m) != self.variety.dim:
+            raise ValueError(f"character must have length {self.variety.dim}")
         return tuple(
-            f.level(v.pairing(m, k) + shifts[k])
-            for k, f in enumerate(self.sheaf.filtrations)
+            bisect_right(jumps, sum(map(mul, m, ray)) + shift)
+            for jumps, ray, shift in zip(self._jumps, self.variety.rays, shifts or repeat(0))
         )
+
+    def histogram(self, c: Sequence[int]) -> dict[tuple[int, ...], int]:
+        """How many characters of the twisted box have each level tuple."""
+        box, shifts = self._twist_setup(c)
+        lo, hi = box.lower[-1], box.upper[-1]
+        counts: dict[tuple[int, ...], int] = {}
+        for prefix in CharacterBox(box.lower[:-1], box.upper[:-1]).points():
+            # on the line prefix + (t,) the pairing with a ray is a*t + b; its
+            # level changes at the first t with a*t + b >= j (a > 0) or < j (a < 0)
+            cuts = {lo, hi + 1}
+            for jumps, ray, shift in zip(self._jumps, self.variety.rays, shifts):
+                if a := ray[-1]:
+                    b = sum(map(mul, prefix, ray)) + shift  # map stops at the prefix
+                    cuts.update((j - b) // a + 1 if a < 0 else -((b - j) // a) for j in jumps)
+            run_starts = sorted(t for t in cuts if lo <= t <= hi + 1)
+            for t0, t1 in zip(run_starts, run_starts[1:]):
+                lv = self.levels(prefix + (t0,), shifts)
+                counts[lv] = counts.get(lv, 0) + t1 - t0
+        return counts
 
     def _twist_setup(self, c: Sequence[int]) -> tuple[CharacterBox, tuple[int, ...]]:
         shifts = self.variety.twist_divisor(c)
         return enumeration_box(twist(self.sheaf, c)), shifts
 
+    def _total(self, c: Sequence[int], local) -> int:
+        return sum(n * local(lv) for lv, n in self.histogram(c).items())
+
     def h0_twisted(self, c: Sequence[int]) -> int:
-        box, shifts = self._twist_setup(c)
-        return sum(self.h0(self.levels(m, shifts)) for m in box.points())
+        return self._total(c, self.h0)
 
     def hn_twisted(self, c: Sequence[int]) -> int:
-        box, shifts = self._twist_setup(c)
-        return sum(self.hn(self.levels(m, shifts)) for m in box.points())
+        return self._total(c, self.hn)
 
     def chi_twisted(self, c: Sequence[int]) -> int:
-        box, shifts = self._twist_setup(c)
-        return sum(self.chi(self.levels(m, shifts)) for m in box.points())
+        return self._total(c, self.chi)
 
     def cech_twisted(self, c: Sequence[int]) -> tuple[int, ...]:
-        box, shifts = self._twist_setup(c)
         totals = [0] * (self.variety.dim + 1)
-        for m in box.points():
-            for i, hi in enumerate(self.cech(self.levels(m, shifts))):
-                totals[i] += hi
+        for lv, n in self.histogram(c).items():
+            for i, hi in enumerate(self.cech(lv)):
+                totals[i] += n * hi
         return tuple(totals)
 
     def h1_identity_twisted(self, c: Sequence[int]) -> int:
         """h^0 + h^n - chi, which is h^1 on a surface."""
-        box, shifts = self._twist_setup(c)
-        total = 0
-        for m in box.points():
-            lv = self.levels(m, shifts)
-            total += self.h0(lv) + self.hn(lv) - self.chi(lv)
-        return total
+        return self._total(c, lambda lv: self.h0(lv) + self.hn(lv) - self.chi(lv))
 
     def h0_supported(self, c: Sequence[int]) -> int:
         """Same value as h0_twisted, summing only over the characters whose
         ray pieces are all nonzero (the rest contribute zero sections)."""
-        v = self.variety
-        shifts = v.twist_divisor(c)
-        lower = tuple(
-            f.jumps[0] - sh for f, sh in zip(self.sheaf.filtrations, shifts)
-        )
-        system = IntervalConstraintSystem(
-            v.rays, lower, (None,) * v.ray_count
-        )
+        shifts = self.variety.twist_divisor(c)
+        lower = tuple(jumps[0] - sh for jumps, sh in zip(self._jumps, shifts))
+        system = IntervalConstraintSystem(self.variety.rays, lower, (None,) * len(lower))
         return sum(self.h0(self.levels(m, shifts)) for m in psi_points(system))
 
     def piece(self, rayset: tuple[int, ...], levels: tuple[int, ...]) -> Subspace:
@@ -219,42 +213,25 @@ class SheafCohomology:
         self._pieces[key] = result
         return result
 
+    @_cached_by_levels
     def h0(self, levels: tuple[int, ...]) -> int:
-        cached = self._h0.get(levels)
-        if cached is None:
-            cached = self.piece(tuple(range(self.variety.ray_count)), levels).dim
-            self._h0[levels] = cached
-        return cached
+        return self.piece(tuple(range(self.variety.ray_count)), levels).dim
 
+    @_cached_by_levels
     def hn(self, levels: tuple[int, ...]) -> int:
-        cached = self._hn.get(levels)
-        if cached is None:
-            spaces = [
-                f.space_at_level(lv) for f, lv in zip(self.sheaf.filtrations, levels)
-            ]
-            cached = self.rank - subspace_sum(spaces).dim
-            self._hn[levels] = cached
-        return cached
+        spaces = [f.space_at_level(lv) for f, lv in zip(self.sheaf.filtrations, levels)]
+        return self.rank - subspace_sum(spaces).dim
 
+    @_cached_by_levels
     def chi(self, levels: tuple[int, ...]) -> int:
-        cached = self._chi.get(levels)
-        if cached is None:
-            cached = sum(
-                (-1) ** k * self.piece(rs, levels).dim
-                for k, cones in enumerate(self._chain_cones)
-                for rs in cones
-            )
-            self._chi[levels] = cached
-        return cached
+        return sum(
+            (-1) ** k * self.piece(rs, levels).dim
+            for k, cones in enumerate(self._chain_cones)
+            for rs in cones
+        )
 
+    @_cached_by_levels
     def cech(self, levels: tuple[int, ...]) -> tuple[int, ...]:
-        cached = self._cech.get(levels)
-        if cached is None:
-            cached = self._cech_complex(levels)
-            self._cech[levels] = cached
-        return cached
-
-    def _cech_complex(self, levels: tuple[int, ...]) -> tuple[int, ...]:
         chain = self._chain_cones
         spaces = [[self.piece(rs, levels) for rs in cones] for cones in chain]
         # ranks[k + 1] is the rank of d: C^k -> C^{k+1}; C^{-1} = C^{dim+1} = 0
@@ -306,6 +283,28 @@ class SheafCohomology:
                         if vec[p]:
                             row[tgt_offset[j_tgt] + ci] += sign * vec[p]
         return matrix_rank(rows, ncols)
+
+
+def _at(sheaf: EquivariantReflexiveSheaf, m: Sequence[int], local):
+    engine = SheafCohomology(sheaf)
+    return local(engine, engine.levels(m))
+
+
+def sigma_piece(sheaf: EquivariantReflexiveSheaf, cone: Cone, m: Sequence[int]) -> Subspace:
+    """Sections over the cone's affine piece in degree m; full for the zero cone."""
+    return _at(sheaf, m, lambda engine, lv: engine.piece(cone.ray_indices, lv))
+
+
+def h0_character(sheaf: EquivariantReflexiveSheaf, m: Sequence[int]) -> int:
+    return _at(sheaf, m, SheafCohomology.h0)
+
+
+def hn_character(sheaf: EquivariantReflexiveSheaf, m: Sequence[int]) -> int:
+    return _at(sheaf, m, SheafCohomology.hn)
+
+
+def euler_character(sheaf: EquivariantReflexiveSheaf, m: Sequence[int]) -> int:
+    return _at(sheaf, m, SheafCohomology.chi)
 
 
 def h0_dim(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:

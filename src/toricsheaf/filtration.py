@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import UnsupportedVarietyError
 from .rational_linalg import Subspace
-from .toric import ToricVariety
+from .toric import ToricVariety, strict_int
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class KlyachkoFiltration:
     spaces: tuple[Subspace, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "jumps", tuple(int(j) for j in self.jumps))
+        object.__setattr__(self, "jumps", tuple(strict_int(j, "jump") for j in self.jumps))
         object.__setattr__(self, "spaces", tuple(self.spaces))
         if len(self.jumps) != len(self.spaces):
             raise ValueError("need one subspace per jump")
@@ -93,7 +93,7 @@ class EquivariantReflexiveSheaf:
 
 def line_bundle(variety: ToricVariety, divisor_coeffs: Sequence[int]) -> EquivariantReflexiveSheaf:
     """O(D) for D = sum a_ray D_ray: rank 1, jump -a_ray, full space, per ray."""
-    coeffs = [int(a) for a in divisor_coeffs]
+    coeffs = [strict_int(a, "divisor coefficient") for a in divisor_coeffs]
     if len(coeffs) != variety.ray_count:
         raise ValueError("need one divisor coefficient per ray")
     full = Subspace.full(1)

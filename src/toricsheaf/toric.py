@@ -91,7 +91,7 @@ class ToricVariety:
         return [c for c in self.cones() if c.codim == 0]
 
     def check_class(self, c: Sequence[int]) -> tuple[int, ...]:
-        c = tuple(int(x) for x in c)
+        c = tuple(strict_int(x, "class element entry") for x in c)
         if len(c) != self.class_rank:
             raise ValueError(f"class element must have length {self.class_rank}")
         return c
@@ -163,12 +163,17 @@ def split_data(variety: ToricVariety) -> tuple[int, tuple[int, ...]]:
     return variety.split_s, variety.split_a
 
 
-def config_int(value, where: str) -> int:
-    """A configuration value that must be a JSON integer; booleans, floats and
-    strings are refused rather than coerced."""
+def strict_int(value, where: str, error: type[ValueError] = ValueError) -> int:
+    """A value that must be an integer; booleans, floats and strings are
+    refused rather than coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
+        raise error(f"{where} must be an integer, got {value!r}")
     return value
+
+
+def config_int(value, where: str) -> int:
+    """A configuration value that must be a JSON integer."""
+    return strict_int(value, where, ConfigError)
 
 
 def build_variety(descriptor: dict) -> ToricVariety:

@@ -7,6 +7,7 @@ from toricsheaf import (
     EquivariantReflexiveSheaf,
     KlyachkoFiltration,
     PresentationDegrees,
+    SheafCohomology,
     Subspace,
     delta_normalization,
     hirzebruch,
@@ -209,3 +210,17 @@ def test_structural_errors():
         KlyachkoFiltration((0,), (full, full))          # length mismatch
     with pytest.raises(ValueError):
         EquivariantReflexiveSheaf(h, 3, (f, f, f, f))   # ambient != rank
+
+
+@pytest.mark.parametrize("bad", [2.9, 1.0, True, "2"])
+@pytest.mark.parametrize("entry_point", ["twist class", "divisor", "jump"])
+def test_library_integers_are_strict(entry_point, bad):
+    p2 = projective_space(2)
+    full = Subspace.full(1)
+    build = {
+        "twist class": lambda: SheafCohomology(structure_sheaf(p2)).h0_twisted((bad,)),
+        "divisor": lambda: line_bundle(p2, [bad, 0, 0]),
+        "jump": lambda: KlyachkoFiltration((bad,), (full,)),
+    }[entry_point]
+    with pytest.raises(ValueError, match=f"must be an integer, got {bad!r}"):
+        build()
