@@ -7,18 +7,31 @@ and for -infinity below).  For a complete fan the rays positively span, so a
 system whose lower bounds are all finite cuts out a (possibly empty)
 polytope; its integer points are enumerated by walking the bounding box of
 the polytope's vertices.
+
+Every vertex is the intersection of n of the fixed row hyperplanes, and
+only the right-hand side b moves with the bounds (and, for the character
+boxes of ``cohomology.enumeration_box``, with the jumps and the twist).  So
+the inverse of each nonsingular n-subset of rows is computed once per row
+tuple, exactly, and kept as an integer matrix N over a positive integer D.
+A vertex is then N.b / D: feasibility and the floor/ceiling bounds of the
+box are integer comparisons with multiples of D, and no vertex is solved
+on its own.  The lattice-point systems and the character boxes share these
+cached inverses.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
-from math import ceil, floor
-from typing import Sequence
+from math import lcm
+from operator import mul
+from typing import Iterator, Sequence
 
 from .errors import UnboundedSystemError
 from .filtration import EquivariantReflexiveSheaf
 from .rational_linalg import solve_square
-from .toric import split_data
+from .toric import split_data, strict_int
 
 MultiIndex = tuple[int, ...]
 
@@ -30,9 +43,14 @@ class IntervalConstraintSystem:
     upper: tuple[int | None, ...]   # exclusive; None = +infinity
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(int(x) for x in r) for r in self.rows))
-        object.__setattr__(self, "lower", tuple(self.lower))
-        object.__setattr__(self, "upper", tuple(self.upper))
+        def checked(values, where):
+            return tuple(None if x is None else strict_int(x, where) for x in values)
+
+        object.__setattr__(self, "rows", tuple(
+            tuple(strict_int(x, "constraint row entry") for x in r) for r in self.rows
+        ))
+        object.__setattr__(self, "lower", checked(self.lower, "lower bound"))
+        object.__setattr__(self, "upper", checked(self.upper, "upper bound"))
         if not (len(self.rows) == len(self.lower) == len(self.upper)):
             raise ValueError("rows, lower and upper must have equal lengths")
         if self.rows:
@@ -89,36 +107,62 @@ def omega_system(
     return IntervalConstraintSystem(v.rays, tuple(lower), tuple(upper))
 
 
-def _vertices(sys: IntervalConstraintSystem) -> list[tuple]:
-    """All vertices of the system's polytope, by exact pairwise intersection."""
-    n = sys.nvars
+@lru_cache(maxsize=64)
+def _rowset_inverses(
+    rows: tuple[tuple[int, ...], ...],
+) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int], ...]:
+    """(rowset, N, D) for every nonsingular n-subset of the rows, n their
+    width: N is an integer matrix and D > 0 an integer with rows[rowset]^-1 = N / D."""
+    n = len(rows[0]) if rows else 0
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    inverses = []
+    for rowset in combinations(range(len(rows)), n):
+        square = [rows[k] for k in rowset]
+        columns = []
+        for e in unit:
+            column = solve_square(square, e)
+            if column is None:
+                break  # singular rows: no right-hand side gives a vertex
+            columns.append(column)
+        else:
+            d = lcm(*(x.denominator for column in columns for x in column))
+            inverse = tuple(tuple(int(col[i] * d) for col in columns) for i in range(n))
+            inverses.append((rowset, inverse, d))
+    return tuple(inverses)
+
+
+def arrangement_vertices(
+    rows: tuple[tuple[int, ...], ...], values: Sequence[Sequence[int]]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every point where n hyperplanes row_k . m = b_k with linearly
+    independent rows meet, b_k running over values[k], as the pair (x, D)
+    of the vertex x / D."""
+    for rowset, inverse, d in _rowset_inverses(rows):
+        for rhs in product(*(values[k] for k in rowset)):
+            yield tuple(sum(map(mul, line, rhs)) for line in inverse), d
+
+
+def _scaled_vertices(sys: IntervalConstraintSystem) -> list[tuple[tuple[int, ...], int]]:
+    """The vertices (x, D) of the system's polytope: the arrangement
+    vertices of its bounds that satisfy every row."""
+    # the integer points satisfy row . m <= upper - 1; None is unbounded
+    tops = [None if up is None else up - 1 for up in sys.upper]
+    values = [[b for b in bounds if b is not None] for bounds in zip(sys.lower, tops)]
+    checks = list(zip(sys.rows, sys.lower, tops))
     vertices = []
-    for rowset in combinations(range(len(sys.rows)), n):
-        rows = [sys.rows[k] for k in rowset]
-        bound_choices = []
-        for k in rowset:
-            choices = []
-            if sys.lower[k] is not None:
-                choices.append(sys.lower[k])
-            if sys.upper[k] is not None:
-                choices.append(sys.upper[k] - 1)
-            bound_choices.append(choices)
-        for rhs in product(*bound_choices):
-            sol = solve_square(rows, rhs)
-            if sol is None:
-                break  # singular rows: no rhs can work
-            vertices.append(sol)
-    return [v for v in vertices if _satisfied_rational(sys, v)]
+    for x, d in arrangement_vertices(sys.rows, values):
+        for row, lo, top in checks:
+            value = sum(map(mul, row, x))
+            if (lo is not None and value < lo * d) or (top is not None and value > top * d):
+                break
+        else:
+            vertices.append((x, d))
+    return vertices
 
 
-def _satisfied_rational(sys: IntervalConstraintSystem, point: Sequence) -> bool:
-    for row, lo, up in zip(sys.rows, sys.lower, sys.upper):
-        value = sum(a * x for a, x in zip(row, point))
-        if lo is not None and value < lo:
-            return False
-        if up is not None and value > up - 1:
-            return False
-    return True
+def _vertices(sys: IntervalConstraintSystem) -> list[tuple[Fraction, ...]]:
+    """All vertices of the system's polytope, as exact fractions."""
+    return [tuple(Fraction(xi, d) for xi in x) for x, d in _scaled_vertices(sys)]
 
 
 def psi_points(sys: IntervalConstraintSystem) -> list[tuple[int, ...]]:
@@ -133,12 +177,12 @@ def psi_points(sys: IntervalConstraintSystem) -> list[tuple[int, ...]]:
         raise UnboundedSystemError("every lower bound must be finite for enumeration")
     if sys.has_empty_row():
         return []
-    vertices = _vertices(sys)
+    vertices = _scaled_vertices(sys)
     if not vertices:
         return []
     n = sys.nvars
-    box_lo = [ceil(min(v[i] for v in vertices)) for i in range(n)]
-    box_hi = [floor(max(v[i] for v in vertices)) for i in range(n)]
+    box_lo = [min(-(-x[i] // d) for x, d in vertices) for i in range(n)]
+    box_hi = [max(x[i] // d for x, d in vertices) for i in range(n)]
     if any(lo > hi for lo, hi in zip(box_lo, box_hi)):
         return []
     rows = sys.rows

@@ -5,15 +5,18 @@ complex instead.  Here the term C^k sums the pieces of the cones shared by
 each (k+1)-subset of the t maximal cones, so the complex has 2^t - 1 terms
 (63 on V_1(1,2), 511 on V_2(a1,a2)) against one term per cone.  It only
 reads ``engine.piece`` and ``engine.levels``, so it shares the per-cone
-linear algebra with the engine but none of its complex.
+linear algebra with the engine but none of its complex, and it takes its
+character boxes from ``vertex_oracle``, not from the engine.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
 
-from toricsheaf import enumeration_box, twist
+from toricsheaf import twist
 from toricsheaf.rational_linalg import matrix_rank
+
+from vertex_oracle import fraction_enumeration_box
 
 
 def cover_subsets(engine) -> list[list[tuple[int, ...]]]:
@@ -56,7 +59,7 @@ def maximal_cone_cech_twisted(engine, c, per_levels=None) -> tuple[int, ...]:
     dict that collects those values, so a caller can compare them too.
     """
     shifts = engine.variety.twist_divisor(c)
-    box = enumeration_box(twist(engine.sheaf, c))
+    box = fraction_enumeration_box(twist(engine.sheaf, c))
     if per_levels is None:
         per_levels = {}
     totals = [0] * (engine.variety.dim + 1)

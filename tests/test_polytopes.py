@@ -110,6 +110,20 @@ def test_psi_points_unbounded_error():
         psi_points(sys)
 
 
+@pytest.mark.parametrize("rows, lower, upper, bad", [
+    (((1.7,), (-1,)), (0, 0), (None, None), 1.7),
+    (((True,), (-1,)), (0, 0), (None, None), True),
+    (((1,), ("-1",)), (0, 0), (None, None), "-1"),
+    (((1, 0), (0, 1)), (0.5, -3), (None, None), 0.5),
+    (((1, 0), (0, 1)), (0, -3.9), (None, None), -3.9),
+    (((1,), (-1,)), (0, 0), (2.0, None), 2.0),
+    (((1,), (-1,)), (False, 0), (None, None), False),
+])
+def test_interval_system_integers_are_strict(rows, lower, upper, bad):
+    with pytest.raises(ValueError, match=f"must be an integer, got {bad!r}"):
+        IntervalConstraintSystem(rows, lower, upper)
+
+
 def test_psi_points_matches_naive_box_filter():
     """The pruned recursive walk returns exactly the box-filtered points."""
     from math import ceil, floor

@@ -1,0 +1,93 @@
+"""Cached integer vertex enumeration against per-vertex Fraction solves."""
+from __future__ import annotations
+
+import random
+from operator import mul
+
+import pytest
+
+from toricsheaf import (
+    IntervalConstraintSystem,
+    SheafCohomology,
+    enumeration_box,
+    hirzebruch,
+    projective_space,
+    split_bundle,
+    twist,
+)
+from toricsheaf.polytopes import _rowset_inverses, _vertices
+
+from conftest import random_sheaf
+from vertex_oracle import fraction_enumeration_box, fraction_vertices
+
+# negative, zero and positive twists per variety
+VARIETIES = {
+    "P1": (projective_space(1), ((-4,), (0,), (5,))),
+    "P2": (projective_space(2), ((-3,), (0,), (4,))),
+    "P3": (projective_space(3), ((-2,), (0,), (2,))),
+    "H0": (hirzebruch(0), ((-2, 1), (0, 0), (3, 2))),
+    "H1": (hirzebruch(1), ((-3, -1), (0, 0), (2, 3))),
+    "H2": (hirzebruch(2), ((1, -3), (0, 0), (4, 1))),
+    "H3": (hirzebruch(3), ((1, -2), (0, 0), (4, 2))),
+    "V1_12": (split_bundle(1, (1, 2)), ((-1, 1), (0, 0), (2, 1))),
+    "V1_13": (split_bundle(1, (1, 3)), ((1, -1), (0, 0), (2, 2))),
+    "V2_1": (split_bundle(2, (1,)), ((-1, 0), (0, 0), (1, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VARIETIES))
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_boxes_match_fraction_oracle(name, rank):
+    variety, twists = VARIETIES[name]
+    rng = random.Random(f"box-{name}-{rank}")
+    for _ in range(3):
+        sheaf = random_sheaf(rng, variety, rank, -6, 0)
+        assert enumeration_box(sheaf) == fraction_enumeration_box(sheaf)
+        engine = SheafCohomology(sheaf)
+        for c in twists:
+            box, _ = engine._twist_setup(c)
+            assert box == fraction_enumeration_box(twist(sheaf, c))
+
+
+# fan rays (H_3's (1, 0) and (-1, 3) give D = 3, H_0's (1, 0) and (-1, 0) are
+# singular) and the row shapes of psi_n / psi_m_sliced: (-1, ..., -1), e_1, ...
+ROW_SHAPES = {
+    "H3": hirzebruch(3).rays,
+    "H0": hirzebruch(0).rays,
+    "V1_12": split_bundle(1, (1, 2)).rays,
+    "sliced_1": ((-1,), (1,)),
+    "sliced_2": ((-1, -1), (1, 0), (0, 1)),
+    "sliced_3": ((-1, -1, -1), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+}
+
+
+def test_rowset_inverses_drop_singular_and_keep_denominators():
+    rows = ROW_SHAPES["H3"]
+    assert rows[:2] == ((-1, 3), (1, 0))
+    h3 = {rowset: (inverse, d) for rowset, inverse, d in _rowset_inverses(rows)}
+    inverse, d = h3[(0, 1)]
+    assert d == 3
+    # rows[:2] . N = D . identity
+    product = [[sum(map(mul, row, col)) for col in zip(*inverse)] for row in rows[:2]]
+    assert product == [[3, 0], [0, 3]]
+    h0 = [rowset for rowset, _, _ in _rowset_inverses(ROW_SHAPES["H0"])]
+    assert (0, 1) not in h0 and (2, 3) not in h0 and len(h0) == 4
+
+
+@pytest.mark.parametrize("shape", sorted(ROW_SHAPES))
+def test_vertices_match_fraction_oracle(shape):
+    rows = ROW_SHAPES[shape]
+    rng = random.Random(f"vertices-{shape}")
+    fractional = 0
+    for _ in range(60):
+        lower = [None if rng.random() < 0.2 else rng.randint(-6, 3) for _ in rows]
+        upper = [
+            None if rng.random() < 0.3 else (lo if lo is not None else 0) + rng.randint(0, 5)
+            for lo in lower
+        ]
+        system = IntervalConstraintSystem(rows, tuple(lower), tuple(upper))
+        vertices = _vertices(system)
+        assert vertices == fraction_vertices(system)
+        fractional += any(x.denominator > 1 for v in vertices for x in v)
+    if shape in ("H3", "V1_12"):
+        assert fractional

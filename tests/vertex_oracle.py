@@ -1,0 +1,74 @@
+"""Vertices and character boxes solved one vertex at a time.
+
+An independent oracle for the cached integer inverses of
+``toricsheaf.polytopes``: every vertex here is a fresh exact ``Fraction``
+elimination of its own square system, and a system's vertices are filtered
+by rational comparisons with its bounds.  It shares only ``solve_square``
+with the program.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations, product
+from math import ceil, floor
+
+from toricsheaf import CharacterBox
+from toricsheaf.rational_linalg import solve_square
+
+
+def fraction_vertices(sys) -> list[tuple[Fraction, ...]]:
+    """All vertices of the system's polytope, in ``_vertices`` order."""
+    n = sys.nvars
+    vertices = []
+    for rowset in combinations(range(len(sys.rows)), n):
+        rows = [sys.rows[k] for k in rowset]
+        bound_choices = []
+        for k in rowset:
+            choices = []
+            if sys.lower[k] is not None:
+                choices.append(sys.lower[k])
+            if sys.upper[k] is not None:
+                choices.append(sys.upper[k] - 1)
+            bound_choices.append(choices)
+        for rhs in product(*bound_choices):
+            sol = solve_square(rows, rhs)
+            if sol is None:
+                break  # singular rows: no rhs can work
+            vertices.append(sol)
+    return [v for v in vertices if _satisfied_rational(sys, v)]
+
+
+def _satisfied_rational(sys, point) -> bool:
+    for row, lo, up in zip(sys.rows, sys.lower, sys.upper):
+        value = sum(a * x for a, x in zip(row, point))
+        if lo is not None and value < lo:
+            return False
+        if up is not None and value > up - 1:
+            return False
+    return True
+
+
+def fraction_enumeration_box(sheaf) -> CharacterBox:
+    """Bounding box of the jump-hyperplane arrangement vertices, margin 1."""
+    v = sheaf.variety
+    dim = v.dim
+    values = [sorted(set(f.jumps)) for f in sheaf.filtrations]
+    mins = [Fraction(0)] * dim
+    maxs = [Fraction(0)] * dim
+    seen_vertex = False
+    for rayset in combinations(range(v.ray_count), dim):
+        rows = [v.rays[k] for k in rayset]
+        for rhs in product(*(values[k] for k in rayset)):
+            sol = solve_square(rows, rhs)
+            if sol is None:
+                break  # singular for every rhs with these rows
+            if not seen_vertex:
+                mins = list(sol)
+                maxs = list(sol)
+                seen_vertex = True
+            else:
+                mins = [min(a, b) for a, b in zip(mins, sol)]
+                maxs = [max(a, b) for a, b in zip(maxs, sol)]
+    lower = tuple(floor(x) - 1 for x in mins)
+    upper = tuple(ceil(x) + 1 for x in maxs)
+    return CharacterBox(lower, upper)
