@@ -22,18 +22,21 @@ to the box directly, and the vertices come from the integer inverses of the
 ray sets that polytopes caches once per fan, the same ones the lattice-point
 systems use.  Local numbers depend only on the tuple of filtration levels,
 so each global number is a sum of count x local over the level-tuple
-histogram of the box.  The histogram is counted in runs along the last
-coordinate: on a line of the box every pairing is affine in that
-coordinate, so a ray's level changes only where the pairing crosses one of
-its jumps, and between two such cut points the level tuple is constant.
-Local numbers are cached.
+histogram of the box.  The histogram is counted one line of the box at a
+time along the last coordinate.  On a line every pairing is affine in that
+coordinate, so a ray's level changes only at the cut points where its
+pairing crosses one of its jumps, by +1 or -1 with the sign of the slope
+(a repeated jump gives two steps at one cut).  The levels are computed once
+at the start of the line; sorting the cut points and applying their steps
+then gives each run of constant level tuple and its length.  Local numbers
+are cached.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
+from functools import lru_cache, wraps
 from itertools import product, repeat
 from operator import mul
 from typing import Iterator, Sequence
@@ -121,6 +124,13 @@ class SheafCohomology:
             for k in range(self.variety.dim + 1)
         ]
         self._jumps = tuple(f.jumps for f in sheaf.filtrations)
+        # rays whose pairing moves along the last coordinate: index, ray,
+        # slope, the level step at each jump crossed, jumps
+        self._sloped = tuple(
+            (k, ray, ray[-1], 1 if ray[-1] > 0 else -1, jumps)
+            for k, (ray, jumps) in enumerate(zip(self.variety.rays, self._jumps))
+            if ray[-1]
+        )
         self._pieces: dict[tuple, Subspace] = {}
         self._local: dict[str, dict[tuple[int, ...], object]] = {}
 
@@ -128,9 +138,13 @@ class SheafCohomology:
         """Per ray, the number of jumps <= <m, n(ray)> + shift; 0 is the zero space."""
         if len(m) != self.variety.dim:
             raise ValueError(f"character must have length {self.variety.dim}")
+        if shifts is None:
+            shifts = repeat(0)
+        elif len(shifts) != self.variety.ray_count:
+            raise ValueError(f"shifts must have length {self.variety.ray_count}")
         return tuple(
             bisect_right(jumps, sum(map(mul, m, ray)) + shift)
-            for jumps, ray, shift in zip(self._jumps, self.variety.rays, shifts or repeat(0))
+            for jumps, ray, shift in zip(self._jumps, self.variety.rays, shifts)
         )
 
     def histogram(self, c: Sequence[int]) -> dict[tuple[int, ...], int]:
@@ -139,17 +153,24 @@ class SheafCohomology:
         lo, hi = box.lower[-1], box.upper[-1]
         counts: dict[tuple[int, ...], int] = {}
         for prefix in CharacterBox(box.lower[:-1], box.upper[:-1]).points():
-            # on the line prefix + (t,) the pairing with a ray is a*t + b; its
-            # level changes at the first t with a*t + b >= j (a > 0) or < j (a < 0)
-            cuts = {lo, hi + 1}
-            for jumps, ray, shift in zip(self._jumps, self.variety.rays, shifts):
-                if a := ray[-1]:
-                    b = sum(map(mul, prefix, ray)) + shift  # map stops at the prefix
-                    cuts.update((j - b) // a + 1 if a < 0 else -((b - j) // a) for j in jumps)
-            run_starts = sorted(t for t in cuts if lo <= t <= hi + 1)
-            for t0, t1 in zip(run_starts, run_starts[1:]):
-                lv = self.levels(prefix + (t0,), shifts)
-                counts[lv] = counts.get(lv, 0) + t1 - t0
+            # on the line prefix + (t,) a sloped ray's pairing is a*t + b; its
+            # level moves by step at the first t with a*t + b >= j (a > 0) or
+            # < j (a < 0); lo's cuts are in the start tuple, hi + 1 ends the line
+            cuts = [(hi + 1, 0, 0)]
+            for k, ray, a, step, jumps in self._sloped:
+                b = sum(map(mul, prefix, ray)) + shifts[k]  # map stops at the prefix
+                for j in jumps:
+                    t = -((b - j) // a) if a > 0 else (j - b) // a + 1
+                    if lo < t <= hi:
+                        cuts.append((t, k, step))
+            lv = list(self.levels(prefix + (lo,), shifts))
+            prev = lo
+            for t, k, step in sorted(cuts):
+                if t > prev:
+                    key = tuple(lv)
+                    counts[key] = counts.get(key, 0) + t - prev
+                    prev = t
+                lv[k] += step
         return counts
 
     def _twist_setup(self, c: Sequence[int]) -> tuple[CharacterBox, tuple[int, ...]]:
@@ -275,8 +296,15 @@ class SheafCohomology:
         return matrix_rank(rows, ncols)
 
 
+@lru_cache(maxsize=64)
+def _engine(sheaf: EquivariantReflexiveSheaf) -> SheafCohomology:
+    """One engine per sheaf for the module-level functions, so repeated
+    calls share its cached cone pieces and local numbers."""
+    return SheafCohomology(sheaf)
+
+
 def _at(sheaf: EquivariantReflexiveSheaf, m: Sequence[int], local):
-    engine = SheafCohomology(sheaf)
+    engine = _engine(sheaf)
     return local(engine, engine.levels(m))
 
 
@@ -299,25 +327,25 @@ def euler_character(sheaf: EquivariantReflexiveSheaf, m: Sequence[int]) -> int:
 
 def h0_dim(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:
     """dim H^0 of the sheaf twisted by the class c (the Hilbert function value)."""
-    return SheafCohomology(sheaf).h0_twisted(c)
+    return _engine(sheaf).h0_twisted(c)
 
 
 def hn_dim(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:
     """dim H^dim of the twisted sheaf, summed from the per-character quotients."""
-    return SheafCohomology(sheaf).hn_twisted(c)
+    return _engine(sheaf).hn_twisted(c)
 
 
 def euler_characteristic(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:
-    return SheafCohomology(sheaf).chi_twisted(c)
+    return _engine(sheaf).chi_twisted(c)
 
 
 def cech_cohomology(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> tuple[int, ...]:
     """(h^0, ..., h^dim) of the twisted sheaf from the fan's cone complex."""
-    return SheafCohomology(sheaf).cech_twisted(c)
+    return _engine(sheaf).cech_twisted(c)
 
 
 def h1_surface(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:
     """h^1 on a surface from the identity h^1 = h^0 + h^2 - chi."""
     if sheaf.variety.dim != 2:
         raise UnsupportedVarietyError("h1_surface needs a 2-dimensional variety")
-    return SheafCohomology(sheaf).h1_identity_twisted(c)
+    return _engine(sheaf).h1_identity_twisted(c)

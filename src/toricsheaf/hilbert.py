@@ -21,7 +21,7 @@ from .errors import InternalConsistencyError
 from .filtration import EquivariantReflexiveSheaf
 from .polytopes import MultiIndex, omega_system, psi_points
 from .rational_linalg import intersect, solve_square
-from .toric import split_data
+from .toric import split_data, strict_int
 
 
 class RationalPolynomial:
@@ -287,7 +287,7 @@ def _index_table(sheaf: EquivariantReflexiveSheaf) -> tuple[tuple[MultiIndex, in
 
 def intersection_dim(sheaf: EquivariantReflexiveSheaf, idx: Sequence[int]) -> int:
     """Dimension of the intersection of the indexed filtration spaces."""
-    idx = tuple(int(i) for i in idx)
+    idx = tuple(strict_int(i, "multi-index entry") for i in idx)
     if len(idx) != sheaf.variety.ray_count or any(
         i < 1 or i > sheaf.rank for i in idx
     ):

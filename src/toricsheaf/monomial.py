@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .toric import Cone, ToricVariety, projective_space
+from .toric import Cone, ToricVariety, projective_space, strict_int
 
 
 @dataclass(frozen=True)
@@ -21,9 +21,10 @@ class MonomialIdeal:
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "generators", tuple(tuple(int(e) for e in g) for g in self.generators)
-        )
+        strict_int(self.n, "projective dimension")
+        object.__setattr__(self, "generators", tuple(
+            tuple(strict_int(e, "generator exponent") for e in g) for g in self.generators
+        ))
         if self.n < 1:
             raise ValueError("need projective dimension n >= 1")
         if not self.generators:

@@ -20,8 +20,10 @@ from toricsheaf import (
     validate,
 )
 from toricsheaf.errors import UnsupportedVarietyError
+from toricsheaf.hilbert import intersection_dim
+from toricsheaf.monomial import MonomialIdeal
 
-from conftest import random_sheaf, tangent_sheaf_h3
+from conftest import random_sheaf, rank3_example_sheaf, tangent_sheaf_h3
 
 
 def test_evaluate_line_bundle_rule():
@@ -223,4 +225,28 @@ def test_library_integers_are_strict(entry_point, bad):
         "jump": lambda: KlyachkoFiltration((bad,), (full,)),
     }[entry_point]
     with pytest.raises(ValueError, match=f"must be an integer, got {bad!r}"):
+        build()
+
+
+@pytest.mark.parametrize("entry_point, bad, message", [
+    ("shifts", (1,), "shifts must have length 4"),
+    ("shifts", (0, 0, 0, 0, 1), "shifts must have length 4"),
+    ("shifts", (), "shifts must have length 4"),
+    ("multi-index", (1.9, True, 1, 1.2), "must be an integer, got 1.9"),
+    ("multi-index", (1, True, 1, 1), "must be an integer, got True"),
+    ("multi-index", (1, 1, "2", 1), "must be an integer, got '2'"),
+    ("monomial", (1.0, 0, 1), "must be an integer, got 1.0"),
+    ("monomial", (0, False, 2), "must be an integer, got False"),
+    ("projective dimension", 2.0, "must be an integer, got 2.0"),
+])
+def test_more_library_input_is_strict(entry_point, bad, message):
+    """Wrong-length shifts and non-integer indices or exponents are refused,
+    not truncated or coerced."""
+    build = {
+        "shifts": lambda: SheafCohomology(rank3_example_sheaf()).levels((0, 0), bad),
+        "multi-index": lambda: intersection_dim(rank3_example_sheaf(), bad),
+        "monomial": lambda: MonomialIdeal(2, ((0, 0, 2), bad)),
+        "projective dimension": lambda: MonomialIdeal(bad, ((0, 0, 2),)),
+    }[entry_point]
+    with pytest.raises(ValueError, match=message):
         build()

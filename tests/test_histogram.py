@@ -1,15 +1,35 @@
-"""The run-counted level-tuple histogram against a visit of every character."""
+"""The level-tuple histogram, walked line by line through its cut points,
+against a visit of every character."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import Counter
 from math import prod
 
 import pytest
 
-from toricsheaf import SheafCohomology, hirzebruch, projective_space, split_bundle
+from toricsheaf import (
+    CharacterBox,
+    EquivariantReflexiveSheaf,
+    KlyachkoFiltration,
+    SheafCohomology,
+    cech_cohomology,
+    euler_character,
+    euler_characteristic,
+    h0_character,
+    h0_dim,
+    h1_surface,
+    hirzebruch,
+    hn_character,
+    hn_dim,
+    projective_space,
+    span,
+    split_bundle,
+)
+from toricsheaf.cohomology import _engine
 
-from conftest import random_sheaf
+from conftest import random_filtration, random_invertible_rows, random_sheaf, rank3_example_sheaf
 
 # V_1(1, 2) and V_1(1, 3) give the last coordinate slopes 2 and 3
 VARIETIES = {
@@ -41,3 +61,92 @@ def test_histogram_matches_per_character_count(name, rank):
         assert hist == per_character_histogram(engine, c)
         box, _ = engine._twist_setup(c)
         assert sum(hist.values()) == prod(hi - lo + 1 for lo, hi in zip(box.lower, box.upper))
+
+
+def twists_of(name):
+    return [c if isinstance(c, tuple) else (c,) for c in VARIETIES[name][1]]
+
+
+def lines_cut_at_the_ends(engine: SheafCohomology, c) -> tuple[int, int]:
+    """How many lines of the twisted box change level tuple between lo - 1
+    and lo, and between hi and hi + 1: cut points that land exactly on lo
+    (already in the start tuple) and on hi + 1 (past the line)."""
+    box, shifts = engine._twist_setup(c)
+    lo, hi = box.lower[-1], box.upper[-1]
+    at_lo = at_end = 0
+    for prefix in CharacterBox(box.lower[:-1], box.upper[:-1]).points():
+        def at(t):
+            return engine.levels(prefix + (t,), shifts)
+        at_lo += at(lo - 1) != at(lo)
+        at_end += at(hi) != at(hi + 1)
+    return at_lo, at_end
+
+
+@pytest.mark.parametrize("name", ["P2", "V1_12", "V1_13"])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_histogram_with_cuts_on_the_line_ends(name, rank):
+    engine = SheafCohomology(
+        random_sheaf(random.Random(f"ends-{name}-{rank}"), VARIETIES[name][0], rank, -3, 0)
+    )
+    for c in twists_of(name):
+        at_lo, at_end = lines_cut_at_the_ends(engine, c)
+        assert at_lo and at_end
+        assert engine.histogram(c) == per_character_histogram(engine, c)
+
+
+def repeated_jump_filtration(rng: random.Random, rank: int) -> KlyachkoFiltration:
+    """A filtration with one jump of multiplicity at least 2."""
+    j = rng.randint(-3, 0)
+    jumps = sorted([j, j] + [rng.randint(-3, 0) for _ in range(rank - 2)])
+    rows = random_invertible_rows(rng, rank)
+    spaces = tuple(span(rows[:bisect_right(jumps, i)], rank) for i in jumps)
+    return KlyachkoFiltration(tuple(jumps), spaces)
+
+
+def double_steps(engine: SheafCohomology, c) -> int:
+    """How many characters of the twisted box, past the start of their line,
+    have some ray's level 2 or more away from the previous character's."""
+    box, shifts = engine._twist_setup(c)
+    return sum(
+        any(abs(x - y) >= 2 for x, y in zip(
+            engine.levels(m, shifts), engine.levels(m[:-1] + (m[-1] - 1,), shifts)
+        ))
+        for m in box.points() if m[-1] > box.lower[-1]
+    )
+
+
+@pytest.mark.parametrize("name", ["P1", "V1_12", "V1_13"])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_histogram_with_repeated_jumps_on_sloped_rays(name, rank):
+    """Slopes -1 and 1 on P^1 (one line, empty prefix), and -1, 1 and 2 or 3
+    on V_1(1, 2) and V_1(1, 3): each sloped ray crosses two jumps at one
+    cut point."""
+    variety = VARIETIES[name][0]
+    rng = random.Random(f"repeated-{name}-{rank}")
+    filtrations = tuple(
+        repeated_jump_filtration(rng, rank) if ray[-1] else random_filtration(rng, rank, -3, 0)
+        for ray in variety.rays
+    )
+    engine = SheafCohomology(EquivariantReflexiveSheaf(variety, rank, filtrations))
+    for c in twists_of(name):
+        assert double_steps(engine, c)
+        assert engine.histogram(c) == per_character_histogram(engine, c)
+
+
+def test_module_functions_share_one_engine_per_sheaf():
+    sheaf = rank3_example_sheaf()
+    assert _engine(sheaf) is _engine(rank3_example_sheaf())
+    for _ in range(2):
+        for c in [(2, 0), (5, -3), (-1, 1)]:
+            fresh = SheafCohomology(sheaf)
+            assert h0_dim(sheaf, c) == fresh.h0_twisted(c)
+            assert hn_dim(sheaf, c) == fresh.hn_twisted(c)
+            assert euler_characteristic(sheaf, c) == fresh.chi_twisted(c)
+            assert cech_cohomology(sheaf, c) == fresh.cech_twisted(c)
+            assert h1_surface(sheaf, c) == fresh.h1_identity_twisted(c)
+        for m in [(0, 0), (-3, 1), (2, -1)]:
+            fresh = SheafCohomology(sheaf)
+            levels = fresh.levels(m)
+            assert h0_character(sheaf, m) == fresh.h0(levels)
+            assert hn_character(sheaf, m) == fresh.hn(levels)
+            assert euler_character(sheaf, m) == fresh.chi(levels)
