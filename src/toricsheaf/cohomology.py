@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import product, repeat
 from operator import mul
@@ -44,7 +43,7 @@ from typing import Iterator, Sequence
 from .errors import UnsupportedVarietyError
 from .filtration import EquivariantReflexiveSheaf
 from .polytopes import IntervalConstraintSystem, arrangement_vertices, psi_points
-from .rational_linalg import Subspace, intersect, matrix_rank, subspace_sum
+from .rational_linalg import Subspace, integer_row, intersect, matrix_rank, subspace_sum
 # not called here; bench/selftest.py checks that the tracer patches this binding
 from .rational_linalg import solve_square
 from .toric import Cone
@@ -265,7 +264,9 @@ class SheafCohomology:
     ) -> int:
         """Rank of d: C^k -> C^{k+1}, whose blocks are the inclusions of
         E^sigma into E^tau for the facets tau of sigma, each signed by
-        (-1)^pos for the position of the dropped ray in sigma."""
+        (-1)^pos for the position of the dropped ray in sigma.  The matrix
+        has one integer row per source basis vector: the vector is scaled
+        by the lcm of its denominators, which leaves the rank unchanged."""
         src_offset = [0]
         for s in src_spaces:
             src_offset.append(src_offset[-1] + s.dim)
@@ -278,17 +279,15 @@ class SheafCohomology:
             return 0
         tgt_index = {rays: j for j, rays in enumerate(targets)}
         # one row per source basis vector, expressed in the target coordinates
-        rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+        rows = [[0] * ncols for _ in range(nrows)]
         for i_src, source in enumerate(sources):
-            src_space = src_spaces[i_src]
-            if src_space.is_zero:
-                continue
+            vectors = [integer_row(vec) for vec in src_spaces[i_src].basis]
             for pos in range(len(source)):
                 j_tgt = tgt_index[source[:pos] + source[pos + 1:]]
                 pivots = tgt_spaces[j_tgt].pivots
                 sign = -1 if pos % 2 else 1
-                # src_space is contained in the target; coordinates come off pivots
-                for bi, vec in enumerate(src_space.basis):
+                # the source space lies in the target; coordinates come off pivots
+                for bi, vec in enumerate(vectors):
                     row = rows[src_offset[i_src] + bi]
                     for ci, p in enumerate(pivots):
                         if vec[p]:

@@ -30,13 +30,13 @@ class RationalPolynomial:
     __slots__ = ("nvars", "coeffs")
 
     def __init__(self, nvars: int, coeffs: dict[tuple[int, ...], Fraction] | None = None):
-        self.nvars = nvars
+        self.nvars = strict_int(nvars, "number of variables")
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, c in (coeffs or {}).items():
             c = Fraction(c)
             if c == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(strict_int(e, "exponent") for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError("exponent tuples must be non-negative and match nvars")
             clean[exps] = clean.get(exps, Fraction(0)) + c

@@ -79,7 +79,7 @@ class IntervalConstraintSystem:
 
 
 def _multi_index(sheaf: EquivariantReflexiveSheaf, idx: Sequence[int]) -> MultiIndex:
-    idx = tuple(int(i) for i in idx)
+    idx = tuple(strict_int(i, "multi-index entry") for i in idx)
     if len(idx) != sheaf.variety.ray_count:
         raise ValueError("multi-index needs one entry per ray")
     if any(i < 1 or i > sheaf.rank for i in idx):
@@ -265,8 +265,8 @@ def feasible_metasystem(
     B = -mu_0 - ... - mu_r.
     """
     a = _checked_weights(a_list)
-    lambdas = [int(x) for x in lambdas]
-    mus = [int(x) for x in mus]
+    lambdas = [strict_int(x, "lambda") for x in lambdas]
+    mus = [strict_int(x, "mu") for x in mus]
     if len(mus) != len(a) + 1:
         raise ValueError("need one mu per eta ray (mu_0 .. mu_r)")
     B = -sum(mus)
@@ -275,7 +275,7 @@ def feasible_metasystem(
 
 
 def _checked_weights(a_list: Sequence[int]) -> list[int]:
-    a = [int(x) for x in a_list]
+    a = [strict_int(x, "twist weight") for x in a_list]
     if not a:
         raise ValueError("need at least one weight")
     if any(x < 0 for x in a) or any(a[i] > a[i + 1] for i in range(len(a) - 1)):
@@ -296,7 +296,7 @@ def psi_n(
     s, a = split_data(sheaf.variety)
     r = len(a)
     etas = sheaf.eta_filtrations()
-    n_idx = tuple(int(i) for i in n_idx)
+    n_idx = tuple(strict_int(i, "eta multi-index entry") for i in n_idx)
     if len(n_idx) != r + 1 or any(i < 1 or i > sheaf.rank for i in n_idx):
         raise ValueError(f"eta multi-index needs {r + 1} entries in 1..{sheaf.rank}")
     rows = [tuple(-1 for _ in range(r))]
@@ -319,10 +319,10 @@ def psi_m_sliced(
     """Integer solutions d in Z^s of the rho-ray block, for a fixed eta slice."""
     s, a = split_data(sheaf.variety)
     rhos = sheaf.rho_filtrations()
-    m_idx = tuple(int(i) for i in m_idx)
+    m_idx = tuple(strict_int(i, "rho multi-index entry") for i in m_idx)
     if len(m_idx) != s + 1 or any(i < 1 or i > sheaf.rank for i in m_idx):
         raise ValueError(f"rho multi-index needs {s + 1} entries in 1..{sheaf.rank}")
-    c_vec = tuple(int(x) for x in c_vec)
+    c_vec = tuple(strict_int(x, "slice vector entry") for x in c_vec)
     if len(c_vec) != len(a):
         raise ValueError("slice vector needs one entry per twist weight")
     weighted = sum(au * cu for au, cu in zip(a, c_vec))

@@ -1,77 +1,149 @@
 """Exact linear algebra over the rationals.
 
 Subspaces of Q^n are stored by their reduced row echelon basis, so two
-subspaces are equal exactly when their stored data agree.  Everything is
-computed with ``fractions.Fraction``; no floating point enters anywhere.
+subspaces are equal exactly when their stored data agree.
+
+All elimination runs on integer rows (fraction-free, in the manner of
+Bareiss).  Each input row is scaled by the lcm of its denominators, which
+changes neither its span nor the rank.  The forward pass replaces a row by
+``p*row - f*lead``, p the lead's pivot and f the row's entry in the pivot
+column, and divides the result by the gcd of its entries, so the numbers
+stay small and no ``Fraction`` is built; ``matrix_rank`` stops there.  The
+reduced form also clears the entries above each pivot the same way, and
+only then divides each pivot row by its pivot.  Every step is an invertible
+row operation, so the result spans the same space with a 1 at each pivot
+and zeros above and below it: the reduced row echelon form, which is unique
+and therefore the same ``Fraction`` tuple that elimination over
+``fractions.Fraction`` gives.  No floating point or modular arithmetic
+enters anywhere, and floats and booleans are refused as input.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Scalar = int | Fraction
 Vector = tuple[Fraction, ...]
 
 
+def _scalar(x: Scalar | str) -> Fraction:
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (bool, float)):
+        raise ValueError(f"vector entries must be ints, Fractions or 'p/q' strings, got {x!r}")
+    return Fraction(x)
+
+
 def as_vector(entries: Iterable[Scalar | str], length: int | None = None) -> Vector:
     """Coerce entries (ints, Fractions or 'p/q' strings) to an exact vector."""
-    v = tuple(Fraction(x) for x in entries)
+    v = tuple(map(_scalar, entries))
     if length is not None and len(v) != length:
         raise ValueError(f"expected vector of length {length}, got {len(v)}")
     return v
 
 
+def integer_row(entries: Iterable[Scalar | str], length: int | None = None) -> list[int]:
+    """The entries scaled by the lcm of their denominators: integers with
+    the same span."""
+    row = list(entries)
+    if not all(type(x) is int for x in row):
+        v = as_vector(row)
+        scale = lcm(*(x.denominator for x in v))
+        row = [x.numerator * (scale // x.denominator) for x in v]
+    if length is not None and len(row) != length:
+        raise ValueError(f"expected vector of length {length}, got {len(row)}")
+    return row
+
+
+def _cleared(row: list[int], lead: list[int], col: int) -> list[int]:
+    """p*row - f*lead, which is 0 in the lead's pivot column col, divided by
+    the gcd of its entries."""
+    p, f = lead[col], row[col]
+    new = [p * a - f * b for a, b in zip(row, lead)]
+    g = gcd(*new)
+    return [a // g for a in new] if g > 1 else new
+
+
+def _forward(rows: Sequence[Sequence[Scalar]], width: int) -> tuple[list[list[int]], list[int]]:
+    """Integer row echelon form: the nonzero pivot rows and their pivot columns."""
+    rest = [r for r in (integer_row(r, width) for r in rows) if any(r)]
+    done: list[list[int]] = []
+    cols: list[int] = []
+    for col in range(width):
+        if not rest:
+            break
+        for i, lead in enumerate(rest):
+            if lead[col]:
+                break
+        else:
+            continue
+        del rest[i]
+        kept = []
+        for r in rest:
+            if r[col]:
+                r = _cleared(r, lead, col)
+                if not any(r):
+                    continue
+            kept.append(r)
+        rest = kept
+        done.append(lead)
+        cols.append(col)
+    return done, cols
+
+
+def _reduce(done: list[list[int]], cols: list[int]) -> None:
+    """Clear the entries above each pivot of an integer echelon form, in place."""
+    for k in range(len(done) - 1, 0, -1):
+        lead, col = done[k], cols[k]
+        for i in range(k):
+            if done[i][col]:
+                done[i] = _cleared(done[i], lead, col)
+
+
+def _canonical(rows: Sequence[Sequence[Scalar]], width: int) -> tuple[list[Vector], list[int]]:
+    """Reduced row echelon basis of the rows and its pivot columns."""
+    done, cols = _forward(rows, width)
+    _reduce(done, cols)
+    basis = [tuple(Fraction(a, row[col]) for a in row) for row, col in zip(done, cols)]
+    return basis, cols
+
+
 def reduced_echelon(rows: Sequence[Sequence[Scalar]], width: int) -> list[Vector]:
     """Reduced row echelon form of the given rows; zero rows are dropped."""
-    mat = [list(as_vector(r, width)) for r in rows]
-    nrows = len(mat)
-    pivot_row = 0
-    for col in range(width):
-        pivot = None
-        for i in range(pivot_row, nrows):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
-        inv = Fraction(1, 1) / mat[pivot_row][col]
-        mat[pivot_row] = [x * inv for x in mat[pivot_row]]
-        lead = mat[pivot_row]
-        for i in range(nrows):
-            if i != pivot_row and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], lead)]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return [tuple(r) for r in mat[:pivot_row]]
+    return _canonical(rows, width)[0]
 
 
 def matrix_rank(rows: Sequence[Sequence[Scalar]], width: int) -> int:
-    return len(reduced_echelon(rows, width))
+    return len(_forward(rows, width)[0])
 
 
 def solve_square(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Vector | None:
     """Solve the square system rows . x = rhs exactly; None if singular."""
     n = len(rows)
-    aug = [list(as_vector(r, n)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    ech = reduced_echelon(aug, n + 1)
-    if len(ech) != n or any(ech[i][i] != 1 for i in range(n)):
+    if len(rhs) != n:
+        raise ValueError(f"right-hand side must have length {n}, got {len(rhs)}")
+    aug = [as_vector(r, n) + (_scalar(b),) for r, b in zip(rows, rhs)]
+    done, cols = _forward(aug, n + 1)
+    if cols != list(range(n)):
         return None
-    return tuple(row[n] for row in ech)
+    _reduce(done, cols)
+    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(done))
 
 
 class Subspace:
     """A linear subspace of Q^ambient_dim, canonicalized at construction."""
 
-    __slots__ = ("ambient_dim", "basis", "_hash")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_hash")
 
     def __init__(self, ambient_dim: int, rows: Sequence[Sequence[Scalar]] = ()):
         if ambient_dim < 0:
             raise ValueError("ambient dimension must be non-negative")
         self.ambient_dim = ambient_dim
-        self.basis: tuple[Vector, ...] = tuple(reduced_echelon(rows, ambient_dim))
+        basis, cols = _canonical(rows, ambient_dim)
+        self.basis: tuple[Vector, ...] = tuple(basis)
+        # the pivot column of each basis row
+        self.pivots: tuple[int, ...] = tuple(cols)
         self._hash = hash((self.ambient_dim, self.basis))
 
     @classmethod
@@ -94,16 +166,6 @@ class Subspace:
     @property
     def is_full(self) -> bool:
         return len(self.basis) == self.ambient_dim
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        cols = []
-        for row in self.basis:
-            for j, x in enumerate(row):
-                if x != 0:
-                    cols.append(j)
-                    break
-        return tuple(cols)
 
     def contains(self, vector: Iterable[Scalar]) -> bool:
         v = as_vector(vector, self.ambient_dim)
@@ -150,20 +212,20 @@ def span(vectors: Sequence[Sequence[Scalar]], ambient_dim: int) -> Subspace:
 
 def nullspace(rows: Sequence[Sequence[Scalar]], width: int) -> Subspace:
     """Canonical subspace {x : rows . x = 0}."""
-    ech = reduced_echelon(rows, width)
-    pivot_cols = []
-    for row in ech:
-        for j, x in enumerate(row):
-            if x != 0:
-                pivot_cols.append(j)
-                break
-    free_cols = [j for j in range(width) if j not in pivot_cols]
+    done, cols = _forward(rows, width)
+    _reduce(done, cols)
+    # row i reads p_i x_{cols[i]} + sum over free f of row[f] x_f = 0; each
+    # free column gives one solution, scaled by the lcm of the pivots
+    scale = lcm(*(row[col] for row, col in zip(done, cols)))
+    pivot_cols = set(cols)
     basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * width
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivot_cols):
-            v[p] = -ech[i][f]
+    for f in range(width):
+        if f in pivot_cols:
+            continue
+        v = [0] * width
+        v[f] = scale
+        for row, col in zip(done, cols):
+            v[col] = -row[f] * (scale // row[col])
         basis.append(v)
     return Subspace(width, basis)
 

@@ -123,7 +123,8 @@ def projective_space(n: int) -> ToricVariety:
 
 
 def split_bundle(s: int, a_list: Sequence[int]) -> ToricVariety:
-    a = tuple(int(x) for x in a_list)
+    s = strict_int(s, "split bundle s")
+    a = tuple(strict_int(x, "twist weight") for x in a_list)
     r = len(a)
     if s < 1 or r < 1:
         raise ValueError("split bundle needs s >= 1 and at least one twist weight")

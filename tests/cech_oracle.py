@@ -5,8 +5,9 @@ complex instead.  Here the term C^k sums the pieces of the cones shared by
 each (k+1)-subset of the t maximal cones, so the complex has 2^t - 1 terms
 (63 on V_1(1,2), 511 on V_2(a1,a2)) against one term per cone.  It only
 reads ``engine.piece`` and ``engine.levels``, so it shares the per-cone
-linear algebra with the engine but none of its complex, and it takes its
-character boxes from ``vertex_oracle``, not from the engine.
+subspaces with the engine but none of its complex.  It takes its character
+boxes from ``vertex_oracle`` and its ranks from the Fraction elimination of
+``linalg_oracle``, so it shares no box or elimination code with the engine.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from toricsheaf import twist
-from toricsheaf.rational_linalg import matrix_rank
 
+from linalg_oracle import matrix_rank
 from vertex_oracle import fraction_enumeration_box
 
 

@@ -18,6 +18,7 @@ from toricsheaf import (
     line_bundle,
     projective_space,
     sigma_piece,
+    split_bundle,
     structure_sheaf,
     twist,
 )
@@ -284,3 +285,43 @@ def test_euler_characteristic_is_polynomial_everywhere(rank3_sheaf):
     for q in range(0, 3):
         row = [values[(p, q)] for p in range(0, 3)]
         assert row[2] - 2 * row[1] + row[0] == 0  # chi linear in p here
+
+
+
+def assert_rank_nullity_at_ends(sheaf, twists) -> int:
+    """At every level tuple of the twists' histograms, ker d_0 is H^0, the
+    intersection of all ray spaces, and im d_{n-1} is the sum of the ray
+    spaces, whose cokernel in E is H^n.  So the ranks that matrix_rank finds
+    must agree with the subspace arithmetic of h0 and hn.  Returns the
+    number of level tuples checked."""
+    engine = SheafCohomology(sheaf)
+    chain = engine._chain_cones
+    tuples = {lv for c in twists for lv in engine.histogram(c)}
+    nonzero = [0, 0]
+    for lv in tuples:
+        spaces = [[engine.piece(rs, lv) for rs in cones] for cones in chain]
+        first = engine._differential_rank(chain[0], spaces[0], chain[1], spaces[1])
+        last = engine._differential_rank(chain[-2], spaces[-2], chain[-1], spaces[-1])
+        assert first == sum(s.dim for s in spaces[0]) - engine.h0(lv)
+        assert last == engine.rank - engine.hn(lv)
+        nonzero[0] += first > 0
+        nonzero[1] += last > 0
+    assert all(nonzero)
+    return len(tuples)
+
+
+@pytest.mark.parametrize("variety, twists", [
+    (projective_space(2), ((-3,), (0,), (2,))),
+    (hirzebruch(3), ((-2, 0), (0, 0), (1, 1))),
+    (split_bundle(1, (1, 2)), ((0, 0), (1, 0), (-1, 1))),
+    (split_bundle(2, (1,)), ((0, 0), (1, 1))),
+])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_rank_nullity_at_the_ends_of_the_cone_complex(variety, twists, rank):
+    sheaf = random_sheaf(random.Random(100 * rank + variety.ray_count), variety, rank, -4, 0)
+    assert assert_rank_nullity_at_ends(sheaf, twists) >= 3
+
+
+def test_rank_nullity_at_the_ends_for_the_example_sheaves(rank3_sheaf, tangent_sheaf):
+    assert assert_rank_nullity_at_ends(rank3_sheaf, ((0, 0), (2, -1), (-3, 1))) >= 20
+    assert assert_rank_nullity_at_ends(tangent_sheaf, ((0, 0), (-1, 2))) >= 5

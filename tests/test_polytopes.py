@@ -1,5 +1,6 @@
 """Unit tests for interval systems, point enumeration and the feasibility lemmas."""
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -17,10 +18,12 @@ from toricsheaf import (
     psi_m_sliced,
     psi_n,
     psi_points,
+    span,
     split_bundle,
     structure_sheaf,
 )
 from toricsheaf.errors import UnboundedSystemError, UnsupportedVarietyError
+from toricsheaf.hilbert import RationalPolynomial
 
 from conftest import random_sheaf, rank3_example_sheaf
 from toricsheaf import EquivariantReflexiveSheaf, KlyachkoFiltration, Subspace
@@ -122,6 +125,47 @@ def test_psi_points_unbounded_error():
 def test_interval_system_integers_are_strict(rows, lower, upper, bad):
     with pytest.raises(ValueError, match=f"must be an integer, got {bad!r}"):
         IntervalConstraintSystem(rows, lower, upper)
+
+
+@pytest.mark.parametrize("entry_point, bad, value", [
+    ("vector", (0.5, 1), 0.5),
+    ("vector", (1, True), True),
+    ("vector", (Fraction(1, 3), 0.1), 0.1),
+    ("omega multi-index", (1.9, 1, 1, 1), 1.9),
+    ("omega multi-index", (1, True, 1, 1), True),
+    ("eta multi-index", (3.0, 3), 3.0),
+    ("rho multi-index", (3, True), True),
+    ("slice vector", (0.5,), 0.5),
+    ("lambdas", (0, 1.5), 1.5),
+    ("mus", (0, 0, False), False),
+    ("metasystem weights", (1, 2.0), 2.0),
+    ("split bundle weights", (1.7, 2), 1.7),
+    ("split bundle s", True, True),
+    ("polynomial exponent", (1.5,), 1.5),
+    ("polynomial exponent", (True,), True),
+    ("polynomial variables", 1.0, 1.0),
+])
+def test_kernel_and_polytope_input_is_strict(entry_point, bad, value):
+    """Floats and booleans are refused where vectors, multi-indices, bounds,
+    weights, exponents and variable counts are read, never coerced to a
+    nearby integer or rational."""
+    sheaf = rank3_example_sheaf()
+    build = {
+        "vector": lambda: span([bad], 2),
+        "omega multi-index": lambda: omega_system(sheaf, bad, (0, 0)),
+        "eta multi-index": lambda: psi_n(sheaf, bad, 3),
+        "rho multi-index": lambda: psi_m_sliced(sheaf, bad, 30, (0,)),
+        "slice vector": lambda: psi_m_sliced(sheaf, (3, 1), 30, bad),
+        "lambdas": lambda: feasible_metasystem((1, 2), bad, (0, 0, 0)),
+        "mus": lambda: feasible_metasystem((1, 2), (0, 0), bad),
+        "metasystem weights": lambda: feasible_metasystem(bad, (0, 0), (0, 0, 0)),
+        "split bundle weights": lambda: split_bundle(1, bad),
+        "split bundle s": lambda: split_bundle(bad, (1, 2)),
+        "polynomial exponent": lambda: RationalPolynomial(1, {bad: 1}),
+        "polynomial variables": lambda: RationalPolynomial(bad, {(2,): 1}),
+    }[entry_point]
+    with pytest.raises(ValueError, match=f"got {value!r}"):
+        build()
 
 
 def test_psi_points_matches_naive_box_filter():

@@ -80,6 +80,14 @@ def test_solve_square():
     assert solve_square([(1, 2), (2, 4)], (1, 3)) is None
 
 
+@pytest.mark.parametrize("rhs", [(1,), (1, 2, 3), ()])
+def test_solve_square_rejects_wrong_length_rhs(rhs):
+    """A short right-hand side is not a singular system, and a long one is
+    not truncated."""
+    with pytest.raises(ValueError, match="right-hand side must have length 2"):
+        solve_square([(1, 0), (0, 1)], rhs)
+
+
 def test_fraction_string_parsing():
     assert as_vector(["1/3", 2, "-5/7"]) == (Fraction(1, 3), Fraction(2), Fraction(-5, 7))
 
