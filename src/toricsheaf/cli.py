@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import hilbert
@@ -98,54 +99,48 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _table_command(args, cell) -> int:
+def _table_command(args, make_cell, omega: bool = False) -> int:
+    """Load the config once, build the cell function from it, and render the
+    table over the twist window; ``omega`` adds the regularity-corner mask
+    on split-bundle varieties."""
     cfg = _load_validated(args)
+    cell = make_cell(cfg)
     p_list, q_list = _class_axes(cfg, args)
-    engine = SheafCohomology(cfg.sheaf)
-    rows = [[cell(cfg, engine, _class_of(p, q)) for p in p_list] for q in q_list]
+    rows = [[cell(_class_of(p, q)) for p in p_list] for q in q_list]
+    extra = {}
+    if omega and cfg.variety.is_split_bundle:
+        region = hilbert.regularity_region(cfg.sheaf)
+        extra["in_omega"] = [[region.contains(p, q) for p in p_list] for q in q_list]
     _write_output(
-        _render_table(p_list, q_list, rows, args.format, args.command), args.out
+        _render_table(p_list, q_list, rows, args.format, args.command, extra), args.out
     )
     return 0
 
 
 def _cmd_h0_table(args) -> int:
-    return _table_command(args, lambda cfg, eng, c: eng.h0_twisted(c))
+    return _table_command(args, lambda cfg: SheafCohomology(cfg.sheaf).h0_twisted)
 
 
 def _cmd_cohomology_table(args) -> int:
-    def cell(cfg, eng, c):
-        return eng.cech_twisted(c)[args.i]
+    def make_cell(cfg):
+        if not 0 <= args.i <= cfg.variety.dim:
+            raise UnsupportedVarietyError(
+                f"cohomology degree {args.i} out of range 0..{cfg.variety.dim}"
+            )
+        engine = SheafCohomology(cfg.sheaf)
+        return lambda c: engine.cech_twisted(c)[args.i]
 
-    cfg = _load_validated(args)
-    if not 0 <= args.i <= cfg.variety.dim:
-        raise UnsupportedVarietyError(
-            f"cohomology degree {args.i} out of range 0..{cfg.variety.dim}"
-        )
-    return _table_command(args, cell)
+    return _table_command(args, make_cell)
 
 
 def _cmd_euler_table(args) -> int:
-    return _table_command(args, lambda cfg, eng, c: eng.chi_twisted(c))
+    return _table_command(args, lambda cfg: SheafCohomology(cfg.sheaf).chi_twisted)
 
 
 def _cmd_hilbert_table(args) -> int:
-    cfg = _load_validated(args)
-    p_list, q_list = _class_axes(cfg, args)
-    rows = [
-        [hilbert.hilbert_function(cfg.sheaf, _class_of(p, q)) for p in p_list]
-        for q in q_list
-    ]
-    extra = {}
-    if cfg.variety.is_split_bundle:
-        omega = hilbert.regularity_region(cfg.sheaf)
-        extra["in_omega"] = [
-            [omega.contains(p, q) for p in p_list] for q in q_list
-        ]
-    _write_output(
-        _render_table(p_list, q_list, rows, args.format, args.command, extra), args.out
+    return _table_command(
+        args, lambda cfg: partial(hilbert.hilbert_function, cfg.sheaf), omega=True
     )
-    return 0
 
 
 def _cmd_bounds(args) -> int:

@@ -62,12 +62,6 @@ class CharacterBox:
         if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("lower bound exceeds upper bound")
 
-    def expand(self, margin: int) -> "CharacterBox":
-        return CharacterBox(
-            tuple(lo - margin for lo in self.lower),
-            tuple(hi + margin for hi in self.upper),
-        )
-
     def points(self) -> Iterator[tuple[int, ...]]:
         ranges = [range(lo, hi + 1) for lo, hi in zip(self.lower, self.upper)]
         return product(*ranges)

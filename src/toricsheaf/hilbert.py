@@ -20,7 +20,7 @@ from . import cohomology
 from .errors import InternalConsistencyError
 from .filtration import EquivariantReflexiveSheaf
 from .polytopes import MultiIndex, omega_system, psi_points
-from .rational_linalg import intersect, solve_square
+from .rational_linalg import solve_square
 from .toric import split_data, strict_int
 
 
@@ -277,22 +277,19 @@ def _valid_levels(filtration, rank: int) -> list[int]:
 def _index_table(sheaf: EquivariantReflexiveSheaf) -> tuple[tuple[MultiIndex, int], ...]:
     """Pruned multi-indices with positive intersection dimension."""
     level_lists = [_valid_levels(f, sheaf.rank) for f in sheaf.filtrations]
-    table = []
-    for idx in product(*level_lists):
-        d = intersect([f.spaces[j - 1] for f, j in zip(sheaf.filtrations, idx)]).dim
-        if d:
-            table.append((idx, d))
-    return tuple(table)
+    h0 = cohomology._engine(sheaf).h0
+    return tuple((idx, d) for idx in product(*level_lists) if (d := h0(idx)))
 
 
 def intersection_dim(sheaf: EquivariantReflexiveSheaf, idx: Sequence[int]) -> int:
-    """Dimension of the intersection of the indexed filtration spaces."""
+    """Dimension of the intersection of the indexed filtration spaces, read
+    from the shared engine's h0 at those levels."""
     idx = tuple(strict_int(i, "multi-index entry") for i in idx)
     if len(idx) != sheaf.variety.ray_count or any(
         i < 1 or i > sheaf.rank for i in idx
     ):
         raise ValueError("multi-index must pick one level in 1..rank per ray")
-    return intersect([f.spaces[j - 1] for f, j in zip(sheaf.filtrations, idx)]).dim
+    return cohomology._engine(sheaf).h0(idx)
 
 
 def hilbert_function(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:

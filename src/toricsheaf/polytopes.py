@@ -5,8 +5,13 @@ integer interval per ray: lower_k <= row_k . m < upper_k, the strict upper
 bound encoding the next-jump convention (None stands for +infinity above,
 and for -infinity below).  For a complete fan the rays positively span, so a
 system whose lower bounds are all finite cuts out a (possibly empty)
-polytope; its integer points are enumerated by walking the bounding box of
-the polytope's vertices.
+polytope.  Its integer points all lie in the bounding box of its vertices,
+which is walked one line at a time along the last coordinate, as the
+level-tuple histogram of ``cohomology`` walks its character boxes.  On a
+line every row is affine in the last coordinate t, so each row's bounds
+cut the line to one interval of t, computed exactly by floor division, and
+the line's integer points are the intersection of those intervals: no point
+of the box is tested on its own and none is missed.
 
 Every vertex is the intersection of n of the fixed row hyperplanes, and
 only the right-hand side b moves with the bounds (and, for the character
@@ -87,24 +92,26 @@ def _multi_index(sheaf: EquivariantReflexiveSheaf, idx: Sequence[int]) -> MultiI
     return idx
 
 
+def _split_interval(f, j: int, shift: int) -> tuple[int, int | None]:
+    """The pairing interval [i_j - shift, i_{j+1} - shift) of level j; the
+    past-the-top jump is +infinity."""
+    lo = f.jumps[j - 1] - shift
+    up = f.jumps[j] - shift if j < len(f.jumps) else None
+    return lo, up
+
+
 def omega_system(
     sheaf: EquivariantReflexiveSheaf, idx: Sequence[int], c: Sequence[int]
 ) -> IntervalConstraintSystem:
     """The double-inequality system selecting characters at the given levels.
 
-    Row k constrains <m, n(rho_k)> to [i_{idx_k} - shift_k, i_{idx_k + 1} - shift_k)
-    where shift is the twist-divisor coefficient of c on ray k and the
-    past-the-top jump is +infinity.
+    Row k constrains <m, n(rho_k)> to the interval of level idx_k shifted by
+    the twist-divisor coefficient of c on ray k.
     """
     idx = _multi_index(sheaf, idx)
     v = sheaf.variety
-    shifts = v.twist_divisor(c)
-    lower = []
-    upper = []
-    for f, j, shift in zip(sheaf.filtrations, idx, shifts):
-        lower.append(f.jumps[j - 1] - shift)
-        upper.append(f.jumps[j] - shift if j < sheaf.rank else None)
-    return IntervalConstraintSystem(v.rays, tuple(lower), tuple(upper))
+    lower, upper = zip(*map(_split_interval, sheaf.filtrations, idx, v.twist_divisor(c)))
+    return IntervalConstraintSystem(v.rays, lower, upper)
 
 
 @lru_cache(maxsize=64)
@@ -168,10 +175,11 @@ def _vertices(sys: IntervalConstraintSystem) -> list[tuple[Fraction, ...]]:
 def psi_points(sys: IntervalConstraintSystem) -> list[tuple[int, ...]]:
     """The integer solutions, in lexicographic order.
 
-    Coordinates are walked recursively inside the vertex bounding box; at
-    each level the still-possible range of the tail coordinates narrows the
-    interval for the current one, so simplex-shaped solution sets are not
-    swamped by their bounding box.
+    The vertex bounding box is walked one line at a time along the last
+    coordinate.  On the line prefix + (t,) a row reads a*t + b, so its
+    bounds cut the line to one interval of t by floor division, with the
+    cuts swapped for a < 0; a row with a = 0 keeps or drops the whole line.
+    The intersection of these intervals is exactly the line's solutions.
     """
     if any(lo is None for lo in sys.lower):
         raise UnboundedSystemError("every lower bound must be finite for enumeration")
@@ -181,60 +189,32 @@ def psi_points(sys: IntervalConstraintSystem) -> list[tuple[int, ...]]:
     if not vertices:
         return []
     n = sys.nvars
+    if n == 0:
+        return [()]  # the one point of Z^0, which every row holds at 0
     box_lo = [min(-(-x[i] // d) for x, d in vertices) for i in range(n)]
     box_hi = [max(x[i] // d for x, d in vertices) for i in range(n)]
-    if any(lo > hi for lo, hi in zip(box_lo, box_hi)):
-        return []
-    rows = sys.rows
-    nrows = len(rows)
-    # extreme possible values of the tail sum_{j >= i} row[j] * x_j over the box
-    tail_lo = [[0] * (n + 1) for _ in range(nrows)]
-    tail_hi = [[0] * (n + 1) for _ in range(nrows)]
-    for r in range(nrows):
-        for i in range(n - 1, -1, -1):
-            a = rows[r][i] * box_lo[i]
-            b = rows[r][i] * box_hi[i]
-            tail_lo[r][i] = tail_lo[r][i + 1] + min(a, b)
-            tail_hi[r][i] = tail_hi[r][i + 1] + max(a, b)
-
+    # per row: the prefix part, the slope a, and the bounds on a*t + b in the
+    # order (ceiling cut, floor cut); the integer points satisfy <= upper - 1
+    lines = []
+    for row, lo, up in zip(sys.rows, sys.lower, sys.upper):
+        top = None if up is None else up - 1
+        a = row[-1]
+        lines.append((row[:-1], a, *((lo, top) if a >= 0 else (top, lo))))
     out: list[tuple[int, ...]] = []
-    point = [0] * n
-
-    def walk(i: int, partial: list[int]) -> None:
-        if i == n:
-            out.append(tuple(point))
-            return
-        lo, hi = box_lo[i], box_hi[i]
-        for r in range(nrows):
-            c = rows[r][i]
-            t_lo, t_hi = tail_lo[r][i + 1], tail_hi[r][i + 1]
-            base = partial[r]
-            row_lo = sys.lower[r]
-            row_up = sys.upper[r]
-            if c == 0:
-                if base + t_hi < row_lo:
-                    return
-                if row_up is not None and base + t_lo > row_up - 1:
-                    return
+    for prefix in product(*(range(lo, hi + 1) for lo, hi in zip(box_lo[:-1], box_hi[:-1]))):
+        t_lo, t_hi = box_lo[-1], box_hi[-1]
+        for head, a, first, last in lines:
+            b = sum(map(mul, prefix, head))
+            if a == 0:
+                if b < first or (last is not None and b > last):
+                    break
                 continue
-            num = row_lo - base - t_hi
-            if c > 0:
-                lo = max(lo, -((-num) // c))
-            else:
-                hi = min(hi, num // c)
-            if row_up is not None:
-                num = row_up - 1 - base - t_lo
-                if c > 0:
-                    hi = min(hi, num // c)
-                else:
-                    lo = max(lo, -((-num) // c))
-            if lo > hi:
-                return
-        for x in range(lo, hi + 1):
-            point[i] = x
-            walk(i + 1, [partial[r] + rows[r][i] * x for r in range(nrows)])
-
-    walk(0, [0] * nrows)
+            if first is not None:
+                t_lo = max(t_lo, -((b - first) // a))
+            if last is not None:
+                t_hi = min(t_hi, (last - b) // a)
+        else:
+            out.extend(prefix + (t,) for t in range(t_lo, t_hi + 1))
     return out
 
 
@@ -283,10 +263,13 @@ def _checked_weights(a_list: Sequence[int]) -> list[int]:
     return a
 
 
-def _split_interval(f, j: int, rank: int, shift: int) -> tuple[int, int | None]:
-    lo = f.jumps[j - 1] - shift
-    up = f.jumps[j] - shift if j < rank else None
-    return lo, up
+def _simplex_block(filtrations, idx: MultiIndex, shift: int) -> list[tuple[int, ...]]:
+    """Integer points of the block system with rows (-1, ..., -1) and the unit
+    rows, at the given levels; only the first interval is shifted."""
+    n = len(filtrations) - 1
+    rows = ((-1,) * n,) + tuple(tuple(int(k == u) for k in range(n)) for u in range(n))
+    lower, upper = zip(*map(_split_interval, filtrations, idx, (shift,) + (0,) * n))
+    return psi_points(IntervalConstraintSystem(rows, lower, upper))
 
 
 def psi_n(
@@ -295,22 +278,10 @@ def psi_n(
     """Integer solutions c in Z^r of the eta-ray block of the sliced system."""
     s, a = split_data(sheaf.variety)
     r = len(a)
-    etas = sheaf.eta_filtrations()
     n_idx = tuple(strict_int(i, "eta multi-index entry") for i in n_idx)
     if len(n_idx) != r + 1 or any(i < 1 or i > sheaf.rank for i in n_idx):
         raise ValueError(f"eta multi-index needs {r + 1} entries in 1..{sheaf.rank}")
-    rows = [tuple(-1 for _ in range(r))]
-    rows += [tuple(1 if k == u else 0 for k in range(r)) for u in range(r)]
-    lower = []
-    upper = []
-    lo, up = _split_interval(etas[0], n_idx[0], sheaf.rank, q)
-    lower.append(lo)
-    upper.append(up)
-    for u in range(1, r + 1):
-        lo, up = _split_interval(etas[u], n_idx[u], sheaf.rank, 0)
-        lower.append(lo)
-        upper.append(up)
-    return psi_points(IntervalConstraintSystem(tuple(rows), tuple(lower), tuple(upper)))
+    return _simplex_block(sheaf.eta_filtrations(), n_idx, q)
 
 
 def psi_m_sliced(
@@ -318,7 +289,6 @@ def psi_m_sliced(
 ) -> list[tuple[int, ...]]:
     """Integer solutions d in Z^s of the rho-ray block, for a fixed eta slice."""
     s, a = split_data(sheaf.variety)
-    rhos = sheaf.rho_filtrations()
     m_idx = tuple(strict_int(i, "rho multi-index entry") for i in m_idx)
     if len(m_idx) != s + 1 or any(i < 1 or i > sheaf.rank for i in m_idx):
         raise ValueError(f"rho multi-index needs {s + 1} entries in 1..{sheaf.rank}")
@@ -326,18 +296,7 @@ def psi_m_sliced(
     if len(c_vec) != len(a):
         raise ValueError("slice vector needs one entry per twist weight")
     weighted = sum(au * cu for au, cu in zip(a, c_vec))
-    rows = [tuple(-1 for _ in range(s))]
-    rows += [tuple(1 if k == t else 0 for k in range(s)) for t in range(s)]
-    lower = []
-    upper = []
-    lo, up = _split_interval(rhos[0], m_idx[0], sheaf.rank, p + weighted)
-    lower.append(lo)
-    upper.append(up)
-    for t in range(1, s + 1):
-        lo, up = _split_interval(rhos[t], m_idx[t], sheaf.rank, 0)
-        lower.append(lo)
-        upper.append(up)
-    return psi_points(IntervalConstraintSystem(tuple(rows), tuple(lower), tuple(upper)))
+    return _simplex_block(sheaf.rho_filtrations(), m_idx, p + weighted)
 
 
 def assemble_slices(

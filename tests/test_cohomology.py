@@ -22,9 +22,16 @@ from toricsheaf import (
     structure_sheaf,
     twist,
 )
+from toricsheaf.cohomology import CharacterBox
 from toricsheaf.errors import UnsupportedVarietyError
 
 from conftest import random_sheaf
+
+
+def widened(box: CharacterBox, margin: int) -> CharacterBox:
+    return CharacterBox(
+        tuple(lo - margin for lo in box.lower), tuple(hi + margin for hi in box.upper)
+    )
 
 
 def p1_bundle(a0: int) -> tuple:
@@ -118,7 +125,7 @@ def test_box_margin_invariance(rank3_sheaf):
     for c in ((0, 0), (3, -2), (-4, 1)):
         shifts = rank3_sheaf.variety.twist_divisor(c)
         box = enumeration_box(twist(rank3_sheaf, c))
-        wide = box.expand(3)
+        wide = widened(box, 3)
         for fn in (eng.h0, eng.hn, eng.chi):
             tight = sum(fn(eng.levels(m, shifts)) for m in box.points())
             loose = sum(fn(eng.levels(m, shifts)) for m in wide.points())
@@ -190,7 +197,7 @@ def test_line_bundle_character_dims_are_01():
     h = hirzebruch(2)
     sheaf = line_bundle(h, (1, -1, 2, 0))
     eng = SheafCohomology(sheaf)
-    box = enumeration_box(sheaf).expand(2)
+    box = widened(enumeration_box(sheaf), 2)
     for m in box.points():
         lv = eng.levels(m)
         assert eng.h0(lv) in (0, 1)

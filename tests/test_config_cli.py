@@ -166,6 +166,34 @@ def test_cli_cohomology_table_csv_golden():
     assert out == golden
 
 
+@pytest.mark.parametrize("command", [
+    ["h0-table"], ["cohomology-table", "--i", "1"], ["euler-table"], ["hilbert-table"],
+])
+def test_cli_table_commands_load_the_config_once(command, monkeypatch):
+    from toricsheaf import cli
+
+    loads = []
+
+    def counting(path):
+        loads.append(path)
+        return load_config(path)
+
+    monkeypatch.setattr(cli, "load_config", counting)
+    code, out = run_cli(command + [
+        "--config", str(CONFIGS / "rank3_h3.json"), "--p=5:6", "--q=0:1",
+    ])
+    assert code == 0 and out.startswith("q\\p,5,6\n")
+    assert len(loads) == 1
+
+
+def test_cli_cohomology_degree_out_of_range_exit_code():
+    code, out = run_cli([
+        "cohomology-table", "--i", "3",
+        "--config", str(CONFIGS / "rank3_h3.json"), "--p=0:1", "--q=0:1",
+    ])
+    assert code == 2 and out == ""
+
+
 def test_cli_empty_window():
     code, out = run_cli([
         "h0-table", "--config", str(CONFIGS / "line_bundle_p2.json"), "--p=3:2",

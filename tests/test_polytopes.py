@@ -169,7 +169,17 @@ def test_kernel_and_polytope_input_is_strict(entry_point, bad, value):
 
 
 def test_psi_points_matches_naive_box_filter():
-    """The pruned recursive walk returns exactly the box-filtered points."""
+    """The line walk returns exactly the box-filtered points, in order.
+
+    The systems are the omega systems of random sheaves on Hirzebruch
+    surfaces, P^1 (where the prefix of a line is empty), P^3, V_1(1,3)
+    (whose first ray has slope 3 along the last coordinate) and V_2(1,2);
+    the lower-bounds-only systems of ``h0_supported``; and random systems on
+    V_2(1,2) with some infinite upper bounds.  Among the drawn lines, some is
+    dropped whole by a row of slope 0, and some ends exactly on a row bound
+    of slope other than +-1, so both cuts are checked where floor division
+    matters.
+    """
     from math import ceil, floor
 
     from toricsheaf.polytopes import _vertices
@@ -177,13 +187,33 @@ def test_psi_points_matches_naive_box_filter():
     def naive(sys):
         vertices = _vertices(sys)
         if not vertices:
-            return []
+            return [], []
         n = sys.nvars
         ranges = [
             range(ceil(min(v[i] for v in vertices)), floor(max(v[i] for v in vertices)) + 1)
             for i in range(n)
         ]
-        return [m for m in product(*ranges) if sys.satisfied_by(m)]
+        return [m for m in product(*ranges) if sys.satisfied_by(m)], ranges
+
+    dropped_by_flat_row = ended_on_steep_bound = False
+
+    def check(system):
+        nonlocal dropped_by_flat_row, ended_on_steep_bound
+        points, ranges = naive(system)
+        assert psi_points(system) == points
+        bounds = list(zip(system.rows, system.lower, system.upper))
+        for prefix in product(*ranges[:-1]):
+            for row, lo, up in bounds:
+                b = sum(x * y for x, y in zip(prefix, row))
+                if row[-1] == 0 and (b < lo or (up is not None and b >= up)):
+                    dropped_by_flat_row = True
+        ends = {m[:-1]: m for m in points}  # the last point of each line
+        for m in ends.values():
+            for row, lo, up in bounds:
+                a = row[-1]
+                top = None if up is None else up - 1
+                if abs(a) > 1 and sum(x * y for x, y in zip(m, row)) == (lo if a < 0 else top):
+                    ended_on_steep_bound = True
 
     rng = random.Random(4)
     for trial in range(40):
@@ -194,7 +224,31 @@ def test_psi_points_matches_naive_box_filter():
         system = omega_system(sheaf, idx, c)
         if system.has_empty_row():
             continue
-        assert psi_points(system) == naive(system)
+        check(system)
+
+    rng = random.Random(40)
+    varieties = (projective_space(1), projective_space(3), split_bundle(1, (1, 3)))
+    for trial in range(60):
+        variety = varieties[trial % 3]
+        sheaf = random_sheaf(rng, variety, rng.randint(1, 3), -4, 0)
+        c = tuple(rng.randint(-4, 4) for _ in range(variety.class_rank))
+        idx = tuple(rng.randint(1, sheaf.rank) for _ in range(variety.ray_count))
+        system = omega_system(sheaf, idx, c)
+        if not system.has_empty_row():
+            check(system)
+        # the lower-bounds-only system of h0_supported
+        shifts = variety.twist_divisor(c)
+        lower = tuple(f.jumps[0] - sh for f, sh in zip(sheaf.filtrations, shifts))
+        check(IntervalConstraintSystem(variety.rays, lower, (None,) * len(lower)))
+
+    v22 = split_bundle(2, (1, 2))
+    for _ in range(40):
+        lower = tuple(rng.randint(-4, 1) for _ in v22.rays)
+        upper = tuple(None if rng.random() < 0.4 else lo + rng.randint(1, 5) for lo in lower)
+        check(IntervalConstraintSystem(v22.rays, lower, upper))
+
+    check(IntervalConstraintSystem((), (), ()))  # no variables: the one point of Z^0
+    assert dropped_by_flat_row and ended_on_steep_bound
 
 
 def test_psi_points_monotone_in_bounds():
