@@ -202,16 +202,14 @@ def _cmd_monomial_sigma(args) -> int:
         ]
     except ValueError:
         raise ConfigError("generators must look like '0,0,2;1,0,1;1,1,0'") from None
-    ideal = MonomialIdeal(args.n, tuple(generators))
-    variety = projective_space(args.n)
-    if args.cone:
-        try:
-            indices = tuple(variety.ray_index(name.strip()) for name in args.cone.split(","))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    else:
-        indices = ()
-    cone = Cone(indices, variety.dim - len(indices))
+    names = [name.strip() for name in args.cone.split(",")] if args.cone else []
+    try:
+        ideal = MonomialIdeal(args.n, tuple(generators))
+        variety = projective_space(args.n)
+        indices = tuple(variety.ray_index(name) for name in names)
+        cone = Cone(indices, variety.dim - len(indices))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     spans = [_parse_span(text) for text in args.d]
     if len(spans) == 1 and variety.dim > 1:
         spans = spans * variety.dim

@@ -43,10 +43,10 @@ from typing import Iterator, Sequence
 from .errors import UnsupportedVarietyError
 from .filtration import EquivariantReflexiveSheaf
 from .polytopes import IntervalConstraintSystem, arrangement_vertices, psi_points
-from .rational_linalg import Subspace, integer_row, intersect, matrix_rank, subspace_sum
+from .rational_linalg import Subspace, intersect, matrix_rank, subspace_sum
 # not called here; bench/selftest.py checks that the tracer patches this binding
 from .rational_linalg import solve_square
-from .toric import Cone
+from .toric import Cone, strict_int
 
 
 @dataclass(frozen=True)
@@ -259,8 +259,7 @@ class SheafCohomology:
         """Rank of d: C^k -> C^{k+1}, whose blocks are the inclusions of
         E^sigma into E^tau for the facets tau of sigma, each signed by
         (-1)^pos for the position of the dropped ray in sigma.  The matrix
-        has one integer row per source basis vector: the vector is scaled
-        by the lcm of its denominators, which leaves the rank unchanged."""
+        has one row per stored integer row of a source space."""
         src_offset = [0]
         for s in src_spaces:
             src_offset.append(src_offset[-1] + s.dim)
@@ -272,10 +271,10 @@ class SheafCohomology:
         if nrows == 0 or ncols == 0:
             return 0
         tgt_index = {rays: j for j, rays in enumerate(targets)}
-        # one row per source basis vector, expressed in the target coordinates
+        # one row per source row, expressed in the target coordinates
         rows = [[0] * ncols for _ in range(nrows)]
         for i_src, source in enumerate(sources):
-            vectors = [integer_row(vec) for vec in src_spaces[i_src].basis]
+            vectors = src_spaces[i_src].rows
             for pos in range(len(source)):
                 j_tgt = tgt_index[source[:pos] + source[pos + 1:]]
                 pivots = tgt_spaces[j_tgt].pivots
@@ -298,7 +297,7 @@ def _engine(sheaf: EquivariantReflexiveSheaf) -> SheafCohomology:
 
 def _at(sheaf: EquivariantReflexiveSheaf, m: Sequence[int], local):
     engine = _engine(sheaf)
-    return local(engine, engine.levels(m))
+    return local(engine, engine.levels([strict_int(x, "character entry") for x in m]))
 
 
 def sigma_piece(sheaf: EquivariantReflexiveSheaf, cone: Cone, m: Sequence[int]) -> Subspace:

@@ -1,20 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Subspaces of Q^n are stored by their reduced row echelon basis, so two
-subspaces are equal exactly when their stored data agree.
+A subspace of Q^n is stored as its reduced row echelon form in primitive
+integer rows: each row has gcd 1, a positive pivot and zeros in the other
+pivot columns.  That form is unique, so two subspaces are equal exactly when
+their stored rows agree.
 
 All elimination runs on integer rows (fraction-free, in the manner of
 Bareiss).  Each input row is scaled by the lcm of its denominators, which
 changes neither its span nor the rank.  The forward pass replaces a row by
 ``p*row - f*lead``, p the lead's pivot and f the row's entry in the pivot
 column, and divides the result by the gcd of its entries, so the numbers
-stay small and no ``Fraction`` is built; ``matrix_rank`` stops there.  The
-reduced form also clears the entries above each pivot the same way, and
-only then divides each pivot row by its pivot.  Every step is an invertible
-row operation, so the result spans the same space with a 1 at each pivot
-and zeros above and below it: the reduced row echelon form, which is unique
-and therefore the same ``Fraction`` tuple that elimination over
-``fractions.Fraction`` gives.  No floating point or modular arithmetic
+stay small; ``matrix_rank`` stops there.  The reduced form also clears the
+entries above each pivot the same way, then divides each row by its gcd,
+signed as its pivot.  ``Fraction``s are built only for the public views
+(``Subspace.basis``, ``reduced_echelon``, ``Subspace.coordinates`` and
+``solve_square``): each row divided by its pivot is the reduced row echelon
+form over ``fractions.Fraction``.  No floating point or modular arithmetic
 enters anywhere, and floats and booleans are refused as input.
 """
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Iterable, Sequence
 
 Scalar = int | Fraction
 Vector = tuple[Fraction, ...]
+Row = tuple[int, ...]
 
 
 def _scalar(x: Scalar | str) -> Fraction:
@@ -43,7 +45,7 @@ def as_vector(entries: Iterable[Scalar | str], length: int | None = None) -> Vec
     return v
 
 
-def integer_row(entries: Iterable[Scalar | str], length: int | None = None) -> list[int]:
+def _integer_row(entries: Iterable[Scalar | str], length: int | None = None) -> list[int]:
     """The entries scaled by the lcm of their denominators: integers with
     the same span."""
     row = list(entries)
@@ -67,7 +69,7 @@ def _cleared(row: list[int], lead: list[int], col: int) -> list[int]:
 
 def _forward(rows: Sequence[Sequence[Scalar]], width: int) -> tuple[list[list[int]], list[int]]:
     """Integer row echelon form: the nonzero pivot rows and their pivot columns."""
-    rest = [r for r in (integer_row(r, width) for r in rows) if any(r)]
+    rest = [r for r in (_integer_row(r, width) for r in rows) if any(r)]
     done: list[list[int]] = []
     cols: list[int] = []
     for col in range(width):
@@ -101,17 +103,20 @@ def _reduce(done: list[list[int]], cols: list[int]) -> None:
                 done[i] = _cleared(done[i], lead, col)
 
 
-def _canonical(rows: Sequence[Sequence[Scalar]], width: int) -> tuple[list[Vector], list[int]]:
-    """Reduced row echelon basis of the rows and its pivot columns."""
+def _canonical(
+    rows: Sequence[Sequence[Scalar]], width: int
+) -> tuple[tuple[Row, ...], tuple[int, ...]]:
+    """Reduced row echelon form as primitive integer rows with positive
+    pivots, and its pivot columns."""
     done, cols = _forward(rows, width)
     _reduce(done, cols)
-    basis = [tuple(Fraction(a, row[col]) for a in row) for row, col in zip(done, cols)]
-    return basis, cols
+    signed = [gcd(*row) if row[col] > 0 else -gcd(*row) for row, col in zip(done, cols)]
+    return tuple(tuple(a // g for a in row) for row, g in zip(done, signed)), tuple(cols)
 
 
 def reduced_echelon(rows: Sequence[Sequence[Scalar]], width: int) -> list[Vector]:
     """Reduced row echelon form of the given rows; zero rows are dropped."""
-    return _canonical(rows, width)[0]
+    return list(Subspace(width, rows).basis)
 
 
 def matrix_rank(rows: Sequence[Sequence[Scalar]], width: int) -> int:
@@ -134,17 +139,15 @@ def solve_square(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Vec
 class Subspace:
     """A linear subspace of Q^ambient_dim, canonicalized at construction."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_hash")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_hash")
 
     def __init__(self, ambient_dim: int, rows: Sequence[Sequence[Scalar]] = ()):
         if ambient_dim < 0:
             raise ValueError("ambient dimension must be non-negative")
         self.ambient_dim = ambient_dim
-        basis, cols = _canonical(rows, ambient_dim)
-        self.basis: tuple[Vector, ...] = tuple(basis)
-        # the pivot column of each basis row
-        self.pivots: tuple[int, ...] = tuple(cols)
-        self._hash = hash((self.ambient_dim, self.basis))
+        # the canonical integer rows and the pivot column of each
+        self.rows, self.pivots = _canonical(rows, ambient_dim)
+        self._hash = hash((self.ambient_dim, self.rows))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -156,46 +159,42 @@ class Subspace:
         return cls(ambient_dim, rows)
 
     @property
+    def basis(self) -> tuple[Vector, ...]:
+        """The reduced row echelon basis: each row divided by its pivot."""
+        return tuple(tuple(Fraction(a, row[p]) for a in row) for row, p in zip(self.rows, self.pivots))
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
     @property
     def is_full(self) -> bool:
-        return len(self.basis) == self.ambient_dim
+        return len(self.rows) == self.ambient_dim
 
     def contains(self, vector: Iterable[Scalar]) -> bool:
-        v = as_vector(vector, self.ambient_dim)
-        return matrix_rank(list(self.basis) + [v], self.ambient_dim) == self.dim
+        v = _integer_row(vector, self.ambient_dim)
+        return matrix_rank([*self.rows, v], self.ambient_dim) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        rows = list(self.basis) + list(other.basis)
-        return matrix_rank(rows, self.ambient_dim) == self.dim
+        return matrix_rank([*self.rows, *other.rows], self.ambient_dim) == self.dim
 
     def coordinates(self, vector: Iterable[Scalar]) -> Vector:
-        """Coordinates of a member vector in the canonical basis.
-
-        Rows of an echelon basis carry a 1 in their own pivot column and 0 in
-        the other pivot columns, so coordinates are read off the pivots.
-        """
+        """Coordinates of a member vector in ``basis``, read off the pivots."""
         v = as_vector(vector, self.ambient_dim)
-        coords = tuple(v[p] for p in self.pivots)
-        residual = list(v)
-        for c, row in zip(coords, self.basis):
-            residual = [a - c * b for a, b in zip(residual, row)]
-        if any(x != 0 for x in residual):
+        if not self.contains(v):
             raise ValueError("vector does not lie in the subspace")
-        return coords
+        return tuple(v[p] for p in self.pivots)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self.rows == other.rows
 
     def __hash__(self) -> int:
         return self._hash
@@ -232,7 +231,7 @@ def nullspace(rows: Sequence[Sequence[Scalar]], width: int) -> Subspace:
 
 def perp(s: Subspace) -> Subspace:
     """Orthogonal complement for the standard bilinear form."""
-    return nullspace(s.basis, s.ambient_dim)
+    return nullspace(s.rows, s.ambient_dim)
 
 
 def _check_common_ambient(subspaces: Sequence[Subspace]) -> int:
@@ -248,11 +247,11 @@ def _check_common_ambient(subspaces: Sequence[Subspace]) -> int:
 def intersect(subspaces: Sequence[Subspace]) -> Subspace:
     """Intersection, via the nullspace of the stacked dual constraints."""
     ambient = _check_common_ambient(subspaces)
-    constraints: list[Vector] = []
+    constraints: list[Row] = []
     for s in subspaces:
         if s.is_full:
             continue
-        constraints.extend(perp(s).basis)
+        constraints.extend(perp(s).rows)
     if not constraints:
         return Subspace.full(ambient)
     return nullspace(constraints, ambient)
@@ -261,5 +260,5 @@ def intersect(subspaces: Sequence[Subspace]) -> Subspace:
 def subspace_sum(subspaces: Sequence[Subspace]) -> Subspace:
     """Subspace spanned by the union of the bases."""
     ambient = _check_common_ambient(subspaces)
-    rows = [row for s in subspaces for row in s.basis]
+    rows = [row for s in subspaces for row in s.rows]
     return Subspace(ambient, rows)

@@ -31,7 +31,10 @@ class Cone:
     codim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "ray_indices", tuple(sorted(self.ray_indices)))
+        rays = tuple(sorted(self.ray_indices))
+        if len(set(rays)) != len(rays):
+            raise ValueError(f"cone rays must be distinct, got {self.ray_indices}")
+        object.__setattr__(self, "ray_indices", rays)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import toricsheaf
 from toricsheaf import (
     EquivariantReflexiveSheaf,
     KlyachkoFiltration,
@@ -13,6 +16,12 @@ from toricsheaf import (
     span,
 )
 from toricsheaf.rational_linalg import matrix_rank
+
+# tests that run ``python -m toricsheaf.cli`` in a subprocess import the
+# same package as this process, also when only pytest's pythonpath finds it
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(toricsheaf.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+)
 
 
 def chain_filtration(jumps, generator_chain, rank):

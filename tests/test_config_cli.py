@@ -282,6 +282,20 @@ def test_cli_monomial_sigma_grid():
     assert row0 == "0,0,0,0,1,1"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--n", "2", "--generators", "1,2"], "generator exponents must have length 3"),
+    (["--n", "2", "--generators=-1,0,0"], "must be non-negative"),
+    (["--n", "0", "--generators", "1"], "projective dimension n >= 1"),
+    (["--n", "2", "--generators", "1,0,0", "--cone", "rho0,rho0"], "cone rays must be distinct"),
+])
+def test_cli_monomial_sigma_bad_input(args, message, capsys):
+    """Bad generators, dimensions and cones end in an error line and exit 1."""
+    code = main(["monomial-sigma", *args, "--d=0:1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_cli_internal_consistency_exit_code(monkeypatch):
     from toricsheaf import cli
     from toricsheaf.errors import InternalConsistencyError

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from toricsheaf import (
+    Cone,
     EquivariantReflexiveSheaf,
     KlyachkoFiltration,
     PresentationDegrees,
@@ -19,6 +20,7 @@ from toricsheaf import (
     twist,
     validate,
 )
+from toricsheaf.cohomology import h0_character, sigma_piece
 from toricsheaf.errors import UnsupportedVarietyError
 from toricsheaf.hilbert import intersection_dim
 from toricsheaf.monomial import MonomialIdeal
@@ -238,6 +240,9 @@ def test_library_integers_are_strict(entry_point, bad):
     ("monomial", (1.0, 0, 1), "must be an integer, got 1.0"),
     ("monomial", (0, False, 2), "must be an integer, got False"),
     ("projective dimension", 2.0, "must be an integer, got 2.0"),
+    ("h0 character", (0.5, 0), "must be an integer, got 0.5"),
+    ("h0 character", (True, 0), "must be an integer, got True"),
+    ("sigma character", (-0.5, 0), "must be an integer, got -0.5"),
 ])
 def test_more_library_input_is_strict(entry_point, bad, message):
     """Wrong-length shifts and non-integer indices or exponents are refused,
@@ -247,6 +252,10 @@ def test_more_library_input_is_strict(entry_point, bad, message):
         "multi-index": lambda: intersection_dim(rank3_example_sheaf(), bad),
         "monomial": lambda: MonomialIdeal(2, ((0, 0, 2), bad)),
         "projective dimension": lambda: MonomialIdeal(bad, ((0, 0, 2),)),
+        "h0 character": lambda: h0_character(structure_sheaf(projective_space(2)), bad),
+        "sigma character": lambda: sigma_piece(
+            structure_sheaf(projective_space(2)), Cone((0,), 1), bad
+        ),
     }[entry_point]
     with pytest.raises(ValueError, match=message):
         build()

@@ -1,10 +1,12 @@
 """The integer elimination kernel against the Fraction Gauss-Jordan oracle.
 
 Every comparison is exact equality of the returned tuples, and every entry
-the engine returns must be a ``Fraction``.
+the engine returns must be a ``Fraction``.  A subspace stores primitive
+integer rows, and its ``basis`` must be the oracle's reduced echelon form.
 """
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,31 @@ def assert_fraction_rows(rows):
     assert all(type(x) is Fraction for row in rows for x in row)
 
 
+def assert_canonical(space, expected):
+    """The stored rows are the oracle's reduced echelon basis scaled to
+    primitive integer rows with a positive pivot and zeros in the other
+    pivot columns."""
+    assert space.basis == tuple(expected)
+    assert_fraction_rows(space.basis)
+    assert len(space.rows) == len(space.pivots) == space.dim
+    for row, p in zip(space.rows, space.pivots):
+        assert all(type(x) is int for x in row)
+        assert gcd(*row) == 1 and row[p] > 0 and not any(row[:p])
+        assert all(row[q] == 0 for q in space.pivots if q != p)
+
+
+def assert_rescaled_span_is_identical(rows, width, rng):
+    """Scaling each generator by a nonzero rational and reordering them
+    gives the same stored rows and the same hash."""
+    space = span(rows, width)
+    scales = [Fraction(rng.choice((-7, -1, 2, 10**20)), rng.choice((1, 3, 10**12))) for _ in rows]
+    rescaled = [[Fraction(x) * s for x in row] for row, s in zip(rows, scales)]
+    rng.shuffle(rescaled)
+    other = span(rescaled, width)
+    assert other.rows == space.rows and other.pivots == space.pivots
+    assert other == space and hash(other) == hash(space)
+
+
 def assert_matches_oracle(rows, width):
     """reduced_echelon, matrix_rank and nullspace of the rows equal the oracle's."""
     expected = oracle.reduced_echelon(rows, width)
@@ -35,9 +62,9 @@ def assert_matches_oracle(rows, width):
     assert got == expected
     assert_fraction_rows(got)
     assert matrix_rank(rows, width) == len(expected)
+    assert_canonical(span(rows, width), expected)
     kernel = nullspace(rows, width)
-    assert kernel.basis == oracle.nullspace(rows, width)
-    assert_fraction_rows(kernel.basis)
+    assert_canonical(kernel, oracle.nullspace(rows, width))
     assert kernel.dim == width - len(expected)
 
 
@@ -87,6 +114,7 @@ def test_random_matrices_match_oracle(seed):
     for _ in range(60):
         rows, width = random_matrix(rng)
         assert_matches_oracle(rows, width)
+        assert_rescaled_span_is_identical(rows, width, rng)
 
 
 @pytest.mark.parametrize("rows, width", [
@@ -113,9 +141,11 @@ def test_random_intersections_match_oracle():
             nrows = rng.randint(0, width)
             rows = [[random_entry(rng) for _ in range(width)] for _ in range(nrows)]
             bases.append(oracle.reduced_echelon(rows, width))
-        meet = intersect([span(b, width) for b in bases])
-        assert meet.basis == oracle.intersect(bases, width)
-        assert_fraction_rows(meet.basis)
+            assert_rescaled_span_is_identical(rows, width, rng)
+        spaces = [span(b, width) for b in bases]
+        for space, basis in zip(spaces, bases):
+            assert_canonical(space, basis)
+        assert_canonical(intersect(spaces), oracle.intersect(bases, width))
 
 
 def test_random_square_systems_match_oracle():
@@ -190,5 +220,6 @@ def test_cech_differentials_match_oracle(variety, rank, seed, monkeypatch):
     for c in ((0, 0), (1, 0), (-1, 1)):
         engine.cech_twisted(c)
     assert sum(oracle.matrix_rank(rows, width) > 0 for rows, width in matrices_seen) >= 5
+    assert all(type(x) is int for rows, _ in matrices_seen for row in rows for x in row)
     for rows, width in matrices_seen:
         assert_matches_oracle(rows, width)

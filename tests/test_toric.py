@@ -1,7 +1,7 @@
 """Unit tests for the fan and class-group data."""
 import pytest
 
-from toricsheaf import build_variety, hirzebruch, projective_space, split_bundle
+from toricsheaf import Cone, build_variety, hirzebruch, projective_space, split_bundle
 from toricsheaf.errors import ConfigError
 
 
@@ -132,3 +132,9 @@ def test_ray_index_lookup():
     assert v.ray_index("eta0") == 2
     with pytest.raises(ValueError):
         v.ray_index("sigma")
+
+
+def test_cone_rejects_repeated_rays():
+    assert Cone((2, 0), 1).ray_indices == (0, 2)
+    with pytest.raises(ValueError, match="cone rays must be distinct"):
+        Cone((0, 0), 1)
