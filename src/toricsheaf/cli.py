@@ -3,9 +3,11 @@
 Commands: validate, h0-table, cohomology-table, euler-table, hilbert-table,
 bounds, hilbert-poly, monomial-sigma.  Tables are indexed by the twisting
 class: rows run over q descending, columns over p ascending (varieties with
-a rank-1 class group produce a single row over p).  Exit codes: 0 success,
-1 validation or input failure, 2 unsupported computation, 3 internal
-consistency failure.
+a rank-1 class group produce a single row over p and refuse ``--q``).  Every
+command ends in one writer, which prints the CSV or text form, or the JSON
+payload under ``--format json``, to stdout or to the ``--out`` file.  Exit
+codes: 0 success, 1 validation or input failure (an unwritable ``--out``
+too), 2 unsupported computation, 3 internal consistency failure.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import argparse
 import json
 import sys
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 from . import hilbert
@@ -34,13 +37,26 @@ def _parse_span(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
+def _emit(args, text: str, payload) -> int:
+    """Write a command's result: ``payload`` as JSON under ``--format json``,
+    ``text`` otherwise, to the ``--out`` file or to stdout."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    if args.out:
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    return 0
+
+
+def _grid(corner: str, columns, labels, rows) -> str:
+    """CSV grid: ``corner`` and the column values, then one labelled line per row."""
+    lines = [f"{corner}," + ",".join(map(str, columns))]
+    lines += [f"{label}," + ",".join(map(str, row)) for label, row in zip(labels, rows)]
+    return "\n".join(lines) + "\n"
 
 
 def _load_validated(args) -> JobConfig:
@@ -54,6 +70,8 @@ def _load_validated(args) -> JobConfig:
 def _class_axes(cfg: JobConfig, args) -> tuple[list[int], list[int | None]]:
     p_list = _parse_span(args.p) if args.p else []
     if cfg.variety.class_rank == 1:
+        if args.q is not None:
+            raise ConfigError("--q needs a variety whose class group has rank 2")
         return p_list, [None]
     q_list = _parse_span(args.q) if args.q else []
     return p_list, list(reversed(q_list))
@@ -63,58 +81,35 @@ def _class_of(p: int, q: int | None) -> tuple[int, ...]:
     return (p,) if q is None else (p, q)
 
 
-def _render_table(
-    p_list, q_list, rows, fmt, command, extra: dict | None = None
-) -> str:
-    if fmt == "json":
-        payload = {
-            "command": command,
-            "p": p_list,
-            "q": [q for q in q_list if q is not None] or None,
-            "values": rows,
-        }
-        payload.update(extra or {})
-        return json.dumps(payload, indent=2) + "\n"
-    lines = ["q\\p," + ",".join(str(p) for p in p_list)]
-    for q, row in zip(q_list, rows):
-        label = "h" if q is None else str(q)
-        lines.append(label + "," + ",".join(str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if extra and "in_omega" in extra:
-        lines = ["in_omega", "q\\p," + ",".join(str(p) for p in p_list)]
-        for q, row in zip(q_list, extra["in_omega"]):
-            label = "h" if q is None else str(q)
-            lines.append(label + "," + ",".join("1" if v else "0" for v in row))
-        text += "\n" + "\n".join(lines) + "\n"
-    return text
-
-
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
     problems = validate_sheaf(cfg.sheaf)
-    if problems:
-        _write_output("\n".join(problems), args.out)
-        return 1
-    _write_output("ok", args.out)
-    return 0
+    _emit(args, "\n".join(problems) or "ok", {"problems": problems})
+    return 1 if problems else 0
 
 
 def _table_command(args, make_cell, omega: bool = False) -> int:
-    """Load the config once, build the cell function from it, and render the
+    """Load the config once, build the cell function from it, and write the
     table over the twist window; ``omega`` adds the regularity-corner mask
     on split-bundle varieties."""
     cfg = _load_validated(args)
-    cell = make_cell(cfg)
     p_list, q_list = _class_axes(cfg, args)
+    cell = make_cell(cfg)
     rows = [[cell(_class_of(p, q)) for p in p_list] for q in q_list]
-    extra = {}
+    labels = ["h" if q is None else q for q in q_list]
+    text = _grid("q\\p", p_list, labels, rows)
+    payload = {
+        "command": args.command,
+        "p": p_list,
+        "q": [q for q in q_list if q is not None] or None,
+        "values": rows,
+    }
     if omega and cfg.variety.is_split_bundle:
         region = hilbert.regularity_region(cfg.sheaf)
-        extra["in_omega"] = [[region.contains(p, q) for p in p_list] for q in q_list]
-    _write_output(
-        _render_table(p_list, q_list, rows, args.format, args.command, extra), args.out
-    )
-    return 0
+        mask = [[region.contains(p, q) for p in p_list] for q in q_list]
+        text += "\nin_omega\n" + _grid("q\\p", p_list, labels, [map(int, m) for m in mask])
+        payload["in_omega"] = mask
+    return _emit(args, text, payload)
 
 
 def _cmd_h0_table(args) -> int:
@@ -143,54 +138,44 @@ def _cmd_hilbert_table(args) -> int:
     )
 
 
+def _region_json(region) -> dict:
+    return {
+        "kind": region.kind,
+        "index": region.index,
+        "planes": [[pl.p_coeff, pl.q_coeff, pl.bound] for pl in region.planes],
+    }
+
+
 def _cmd_bounds(args) -> int:
     cfg = _load_validated(args)
     lower = hilbert.lower_support_region(cfg.sheaf)
     uppers = hilbert.upper_support_regions(cfg.sheaf)
     omega = hilbert.regularity_region(cfg.sheaf)
-    if args.format == "json":
-        def encode(region):
-            return {
-                "kind": region.kind,
-                "index": region.index,
-                "planes": [
-                    [pl.p_coeff, pl.q_coeff, pl.bound] for pl in region.planes
-                ],
-            }
-
-        payload = {
-            "L": encode(lower),
-            "upper_components": [encode(r) for r in uppers],
-            "omega": encode(omega),
-        }
-        _write_output(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [str(lower)]
-        lines += [str(r) for r in uppers]
-        lines.append(str(omega))
-        _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    payload = {
+        "L": _region_json(lower),
+        "upper_components": [_region_json(r) for r in uppers],
+        "omega": _region_json(omega),
+    }
+    return _emit(args, "\n".join(map(str, [lower, *uppers, omega])) + "\n", payload)
 
 
 def _cmd_hilbert_poly(args) -> int:
     cfg = _load_validated(args)
     poly = hilbert.hilbert_polynomial(cfg.sheaf)
-    if args.format == "json":
-        def key(exps):
-            return (-sum(exps), tuple(-e for e in exps))
+    text = format_polynomial(poly, ("p", "q"))
 
-        payload = {
-            "variables": ["p", "q"],
-            "terms": [
-                {"exponents": list(exps), "coefficient": str(poly.coeffs[exps])}
-                for exps in sorted(poly.coeffs, key=key)
-            ],
-            "text": format_polynomial(poly, ("p", "q")),
-        }
-        _write_output(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _write_output("P(p, q) = " + format_polynomial(poly, ("p", "q")) + "\n", args.out)
-    return 0
+    def key(exps):
+        return (-sum(exps), tuple(-e for e in exps))
+
+    payload = {
+        "variables": ["p", "q"],
+        "terms": [
+            {"exponents": list(exps), "coefficient": str(poly.coeffs[exps])}
+            for exps in sorted(poly.coeffs, key=key)
+        ],
+        "text": text,
+    }
+    return _emit(args, f"P(p, q) = {text}\n", payload)
 
 
 def _cmd_monomial_sigma(args) -> int:
@@ -222,27 +207,14 @@ def _cmd_monomial_sigma(args) -> int:
             [sigma_piece_dim(ideal, cone, (d1, d2)) for d1 in d1_list]
             for d2 in d2_list
         ]
-        if args.format == "json":
-            payload = {"d1": d1_list, "d2": d2_list, "values": rows}
-            _write_output(json.dumps(payload, indent=2) + "\n", args.out)
-        else:
-            lines = ["d2\\d1," + ",".join(str(d) for d in d1_list)]
-            for d2, row in zip(d2_list, rows):
-                lines.append(str(d2) + "," + ",".join(str(v) for v in row))
-            _write_output("\n".join(lines) + "\n", args.out)
-        return 0
-    from itertools import product as iproduct
-
+        payload = {"d1": d1_list, "d2": d2_list, "values": rows}
+        return _emit(args, _grid("d2\\d1", d1_list, d2_list, rows), payload)
     records = [
         {"character": list(m), "value": sigma_piece_dim(ideal, cone, m)}
-        for m in iproduct(*spans)
+        for m in product(*spans)
     ]
-    if args.format == "json":
-        _write_output(json.dumps(records, indent=2) + "\n", args.out)
-    else:
-        lines = [",".join(str(x) for x in rec["character"]) + f",{rec['value']}" for rec in records]
-        _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    lines = [",".join(map(str, [*rec["character"], rec["value"]])) for rec in records]
+    return _emit(args, "\n".join(lines) + "\n", records)
 
 
 def build_parser() -> argparse.ArgumentParser:

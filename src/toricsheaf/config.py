@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import ConfigError
@@ -39,32 +38,16 @@ class JobConfig:
     sheaf: EquivariantReflexiveSheaf
 
 
-def _parse_entry(value, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ConfigError(f"{where}: booleans are not numbers")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{where}: cannot parse {value!r} as an exact rational") from None
-    raise ConfigError(f"{where}: expected an integer or a 'p/q' string, got {value!r}")
-
-
 def _parse_space(generators, rank: int, where: str) -> Subspace:
     if not isinstance(generators, list):
         raise ConfigError(f"{where}: expected a list of generator vectors")
-    rows = []
     for gi, gen in enumerate(generators):
         if not isinstance(gen, list):
             raise ConfigError(f"{where}, generator {gi}: expected a vector")
-        if len(gen) != rank:
-            raise ConfigError(
-                f"{where}, generator {gi}: expected length {rank}, got {len(gen)}"
-            )
-        rows.append([_parse_entry(x, f"{where}, generator {gi}") for x in gen])
-    return Subspace(rank, rows)
+    try:
+        return Subspace(rank, generators)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_sheaf(variety: ToricVariety, data: dict) -> EquivariantReflexiveSheaf:

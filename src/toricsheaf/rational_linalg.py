@@ -16,7 +16,8 @@ signed as its pivot.  ``Fraction``s are built only for the public views
 (``Subspace.basis``, ``reduced_echelon``, ``Subspace.coordinates`` and
 ``solve_square``): each row divided by its pivot is the reduced row echelon
 form over ``fractions.Fraction``.  No floating point or modular arithmetic
-enters anywhere, and floats and booleans are refused as input.
+enters anywhere.  Input entries are ints, Fractions or 'p/q' strings;
+floats, booleans, 'p/0' and anything else are refused with a ValueError.
 """
 from __future__ import annotations
 
@@ -24,17 +25,24 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .toric import strict_int
+
 Scalar = int | Fraction
 Vector = tuple[Fraction, ...]
 Row = tuple[int, ...]
 
 
 def _scalar(x: Scalar | str) -> Fraction:
+    """An exact number; anything but an int, a Fraction or a 'p/q' string
+    with q != 0 is refused."""
     if type(x) is Fraction:
         return x
-    if isinstance(x, (bool, float)):
-        raise ValueError(f"vector entries must be ints, Fractions or 'p/q' strings, got {x!r}")
-    return Fraction(x)
+    if not isinstance(x, (bool, float)):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"vector entries must be ints, Fractions or 'p/q' strings, got {x!r}")
 
 
 def as_vector(entries: Iterable[Scalar | str], length: int | None = None) -> Vector:
@@ -142,7 +150,7 @@ class Subspace:
     __slots__ = ("ambient_dim", "rows", "pivots", "_hash")
 
     def __init__(self, ambient_dim: int, rows: Sequence[Sequence[Scalar]] = ()):
-        if ambient_dim < 0:
+        if strict_int(ambient_dim, "ambient dimension") < 0:
             raise ValueError("ambient dimension must be non-negative")
         self.ambient_dim = ambient_dim
         # the canonical integer rows and the pivot column of each

@@ -17,7 +17,7 @@ for the bundle families), so twisting is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 from .errors import ConfigError, UnsupportedVarietyError
@@ -68,24 +68,15 @@ class ToricVariety:
         return tuple(self.pairing(m, k) for k in range(self.ray_count))
 
     def cones(self) -> list[Cone]:
-        """Every cone of the fan, including the zero cone."""
-        if self.family == "projective":
-            index_sets = [
-                c
-                for size in range(self.ray_count)
-                for c in combinations(range(self.ray_count), size)
-            ]
-        else:
-            s, r = self.split_s, len(self.split_a)
-            rho_idx = list(range(s + 1))
-            eta_idx = list(range(s + 1, s + r + 2))
-            rho_parts = [
-                c for size in range(s + 1) for c in combinations(rho_idx, size)
-            ]
-            eta_parts = [
-                c for size in range(r + 1) for c in combinations(eta_idx, size)
-            ]
-            index_sets = [rp + ep for rp in rho_parts for ep in eta_parts]
+        """Every cone of the fan, including the zero cone.
+
+        A ray set spans a cone exactly when it omits a ray of each primitive
+        collection: all rays on P^n, the rho rays and the eta rays on V_s(a).
+        """
+        cut = self.split_s + 1 if self.is_split_bundle else self.ray_count
+        blocks = [b for b in (range(cut), range(cut, self.ray_count)) if b]
+        proper = [[c for size in range(len(b)) for c in combinations(b, size)] for b in blocks]
+        index_sets = [sum(parts, ()) for parts in product(*proper)]
         cones = [Cone(c, self.dim - len(c)) for c in index_sets]
         cones.sort(key=lambda c: (len(c.ray_indices), c.ray_indices))
         return cones

@@ -9,6 +9,7 @@ import pytest
 from toricsheaf import load_config, parse_config
 from toricsheaf.cli import main
 from toricsheaf.errors import ConfigError
+from toricsheaf.filtration import validate as validate_sheaf
 
 from conftest import rank3_example_sheaf, tangent_sheaf_h3
 
@@ -117,6 +118,25 @@ def test_cli_validate_decreasing_jumps(tmp_path):
     assert "rho0" in out and "weakly increasing" in out
 
 
+def test_cli_validate_json_lists_the_problems(tmp_path):
+    """``validate --format json`` writes the problems as JSON; exit codes
+    stay 0 for a valid sheaf and 1 otherwise."""
+    code, out = run_cli(["validate", "--config", str(CONFIGS / "rank3_h3.json"),
+                         "--format", "json"])
+    assert code == 0 and json.loads(out) == {"problems": []}
+    cfg = {
+        "variety": {"family": "hirzebruch", "a": 1},
+        "sheaf": {"rank": 2, "filtrations": [
+            {"jumps": [0, -1]}, {"jumps": [0, 0]}, {"jumps": [0, 0]}, {"jumps": [0, 0]}]},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(["validate", "--config", str(path), "--format", "json"])
+    problems = json.loads(out)["problems"]
+    assert code == 1 and problems == validate_sheaf(load_config(path).sheaf)
+    assert "rho0" in problems[0] and "weakly increasing" in problems[0]
+
+
 def test_cli_validate_wrong_ambient(tmp_path):
     cfg = {
         "variety": {"family": "hirzebruch", "a": 1},
@@ -199,6 +219,37 @@ def test_cli_empty_window():
         "h0-table", "--config", str(CONFIGS / "line_bundle_p2.json"), "--p=3:2",
     ])
     assert code == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "--config", str(CONFIGS / "rank3_h3.json")],
+    ["h0-table", "--config", str(CONFIGS / "line_bundle_p2.json"), "--p=0:1"],
+    ["bounds", "--config", str(CONFIGS / "rank3_h3.json"), "--format", "json"],
+    ["hilbert-poly", "--config", str(CONFIGS / "rank3_h3.json")],
+    ["monomial-sigma", "--n", "1", "--generators", "1,0", "--d=0:1"],
+])
+def test_cli_out_into_missing_directory_is_input_error(command, tmp_path, capsys):
+    """An ``--out`` path that cannot be written ends in an error line and
+    exit 1, not a traceback."""
+    target = tmp_path / "missing" / "x.txt"
+    code = main(command + ["--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["h0-table"], ["cohomology-table", "--i", "0"], ["euler-table"], ["hilbert-table"],
+])
+def test_cli_q_window_on_rank_one_class_group_is_refused(command, capsys):
+    """P^2 has a rank-1 class group, so a q range cannot apply to it."""
+    code = main(command + [
+        "--config", str(CONFIGS / "line_bundle_p2.json"), "--p=0:1", "--q=5:6",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "--q" in captured.err
 
 
 def test_cli_json_roundtrip(tmp_path):

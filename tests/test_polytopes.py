@@ -1,5 +1,6 @@
 """Unit tests for interval systems, point enumeration and the feasibility lemmas."""
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -144,14 +145,22 @@ def test_interval_system_integers_are_strict(rows, lower, upper, bad):
     ("polynomial exponent", (1.5,), 1.5),
     ("polynomial exponent", (True,), True),
     ("polynomial variables", 1.0, 1.0),
+    ("vector", ("1/0", 1), "1/0"),
+    ("vector", (None, 1), None),
+    ("vector", ([1], 0), [1]),
+    ("vector", (1j, 0), 1j),
+    ("ambient dimension", True, True),
+    ("ambient dimension", 2.0, 2.0),
 ])
 def test_kernel_and_polytope_input_is_strict(entry_point, bad, value):
-    """Floats and booleans are refused where vectors, multi-indices, bounds,
-    weights, exponents and variable counts are read, never coerced to a
-    nearby integer or rational."""
+    """Floats and booleans are refused where vectors, ambient dimensions,
+    multi-indices, bounds, weights, exponents and variable counts are read,
+    never coerced to a nearby integer or rational; so are vector entries
+    that are no exact number at all ('1/0', None, a list, a complex)."""
     sheaf = rank3_example_sheaf()
     build = {
         "vector": lambda: span([bad], 2),
+        "ambient dimension": lambda: Subspace(bad, [[1]]),
         "omega multi-index": lambda: omega_system(sheaf, bad, (0, 0)),
         "eta multi-index": lambda: psi_n(sheaf, bad, 3),
         "rho multi-index": lambda: psi_m_sliced(sheaf, bad, 30, (0,)),
@@ -164,7 +173,7 @@ def test_kernel_and_polytope_input_is_strict(entry_point, bad, value):
         "polynomial exponent": lambda: RationalPolynomial(1, {bad: 1}),
         "polynomial variables": lambda: RationalPolynomial(bad, {(2,): 1}),
     }[entry_point]
-    with pytest.raises(ValueError, match=f"got {value!r}"):
+    with pytest.raises(ValueError, match=re.escape(f"got {value!r}")):
         build()
 
 
