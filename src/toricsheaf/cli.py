@@ -2,8 +2,9 @@
 
 Commands: validate, h0-table, cohomology-table, euler-table, hilbert-table,
 bounds, hilbert-poly, monomial-sigma.  Tables are indexed by the twisting
-class: rows run over q descending, columns over p ascending (varieties with
-a rank-1 class group produce a single row over p and refuse ``--q``).  Every
+class: rows run over q descending, columns over p ascending.  ``--p`` is
+required, and so is ``--q`` on a rank-2 class group; varieties with a rank-1
+class group produce a single row over p and refuse ``--q``.  Every
 command ends in one writer, which prints the CSV or text form, or the JSON
 payload under ``--format json``, to stdout or to the ``--out`` file.  Exit
 codes: 0 success, 1 validation or input failure (an unwritable ``--out``
@@ -68,13 +69,16 @@ def _load_validated(args) -> JobConfig:
 
 
 def _class_axes(cfg: JobConfig, args) -> tuple[list[int], list[int | None]]:
-    p_list = _parse_span(args.p) if args.p else []
+    if args.p is None:
+        raise ConfigError("--p is required: give the p range as --p=lo:hi")
+    p_list = _parse_span(args.p)
     if cfg.variety.class_rank == 1:
         if args.q is not None:
             raise ConfigError("--q needs a variety whose class group has rank 2")
         return p_list, [None]
-    q_list = _parse_span(args.q) if args.q else []
-    return p_list, list(reversed(q_list))
+    if args.q is None:
+        raise ConfigError("--q is required on a rank-2 class group: give the q range as --q=lo:hi")
+    return p_list, list(reversed(_parse_span(args.q)))
 
 
 def _class_of(p: int, q: int | None) -> tuple[int, ...]:
@@ -101,7 +105,7 @@ def _table_command(args, make_cell, omega: bool = False) -> int:
     payload = {
         "command": args.command,
         "p": p_list,
-        "q": [q for q in q_list if q is not None] or None,
+        "q": None if cfg.variety.class_rank == 1 else q_list,
         "values": rows,
     }
     if omega and cfg.variety.is_split_bundle:
@@ -230,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     def add_window(p):
-        p.add_argument("--p", help="p range lo:hi (use --p=lo:hi for negatives)")
-        p.add_argument("--q", help="q range lo:hi")
+        p.add_argument("--p", help="p range lo:hi, required (use --p=lo:hi for negatives)")
+        p.add_argument("--q", help="q range lo:hi, required on a rank-2 class group")
 
     p = sub.add_parser("validate", help="check the filtration invariants")
     add_config(p)

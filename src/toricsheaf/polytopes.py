@@ -5,13 +5,28 @@ integer interval per ray: lower_k <= row_k . m < upper_k, the strict upper
 bound encoding the next-jump convention (None stands for +infinity above,
 and for -infinity below).  For a complete fan the rays positively span, so a
 system whose lower bounds are all finite cuts out a (possibly empty)
-polytope.  Its integer points all lie in the bounding box of its vertices,
-which is walked one line at a time along the last coordinate, as the
-level-tuple histogram of ``cohomology`` walks its character boxes.  On a
-line every row is affine in the last coordinate t, so each row's bounds
-cut the line to one interval of t, computed exactly by floor division, and
-the line's integer points are the intersection of those intervals: no point
-of the box is tested on its own and none is missed.
+polytope.  Its integer points all lie in the bounding box of its vertices.
+
+``psi_points`` walks that box one plane at a time.  Write a point as
+m = outer + (u, t), with u the second-to-last coordinate; a plane fixes
+outer, and its lines run along t.  One Fourier-Motzkin step eliminates t:
+every bound free of t is kept, and every pair of a bound that cuts t from
+below with one that cuts it from above gives their positive combination in
+which t cancels.  By Fourier-Motzkin, (outer, u) satisfies these bounds
+exactly when some real t puts (outer, u, t) in the polytope: they cut out
+the real shadow of the polytope on (outer, u).  A line that holds an
+integer point holds a real one, so its u lies in the shadow, and, being an
+integer, between the ceiling of the shadow's lower end and the floor of its
+upper end on that plane.  That interval is what the plane walks: a superset
+of the lines that hold a point, so none is lost, while the lines outside
+it, most of the box on simplex-shaped polytopes, are skipped.  In two
+variables the one plane's shadow is the polygon's projection, whose rounded
+ends make the vertex box's u range, so no bound is combined.  On a line
+every bound is affine in t, so it cuts the line to one interval of t by
+floor division, and the line's integer points are the intersection of those
+intervals.  A bound's value at t = 0 moves by its u coefficient from one
+line to the next, so a line costs one addition per bound, and no point is
+tested on its own.
 
 Every vertex is the intersection of n of the fixed row hyperplanes, and
 only the right-hand side b moves with the bounds (and, for the character
@@ -30,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
-from operator import mul
+from operator import add, floordiv, mul
 from typing import Iterator, Sequence
 
 from .errors import UnboundedSystemError
@@ -175,11 +190,17 @@ def _vertices(sys: IntervalConstraintSystem) -> list[tuple[Fraction, ...]]:
 def psi_points(sys: IntervalConstraintSystem) -> list[tuple[int, ...]]:
     """The integer solutions, in lexicographic order.
 
-    The vertex bounding box is walked one line at a time along the last
-    coordinate.  On the line prefix + (t,) a row reads a*t + b, so its
-    bounds cut the line to one interval of t by floor division, with the
-    cuts swapped for a < 0; a row with a = 0 keeps or drops the whole line.
-    The intersection of these intervals is exactly the line's solutions.
+    Each bound row . m >= k (a strict upper bound reads -row . m >= 1 - upper)
+    is kept as h = (-k, row), with h . (1, m) >= 0.  With m = outer + (u, t),
+    the vertex box is walked one plane, one value of outer, at a time.  The
+    shadow bounds, from one Fourier-Motzkin step that eliminates t, cut the
+    plane's u to one interval by floor and ceiling division; it holds every
+    line with a point (see the module docstring).  On the line at u, a
+    bound reads g + a*t >= 0, which cuts t from below (a > 0) or above
+    (a < 0) by floor division; each g starts at the plane's first u and
+    moves by the bound's u coefficient per line.  The intersection of the
+    cuts is exactly the line's solutions.  With one variable the vertices
+    are the two ends of the one line.
     """
     if any(lo is None for lo in sys.lower):
         raise UnboundedSystemError("every lower bound must be finite for enumeration")
@@ -193,28 +214,53 @@ def psi_points(sys: IntervalConstraintSystem) -> list[tuple[int, ...]]:
         return [()]  # the one point of Z^0, which every row holds at 0
     box_lo = [min(-(-x[i] // d) for x, d in vertices) for i in range(n)]
     box_hi = [max(x[i] // d for x, d in vertices) for i in range(n)]
-    # per row: the prefix part, the slope a, and the bounds on a*t + b in the
-    # order (ceiling cut, floor cut); the integer points satisfy <= upper - 1
-    lines = []
-    for row, lo, up in zip(sys.rows, sys.lower, sys.upper):
-        top = None if up is None else up - 1
-        a = row[-1]
-        lines.append((row[:-1], a, *((lo, top) if a >= 0 else (top, lo))))
+    if n == 1:
+        return [(t,) for t in range(box_lo[0], box_hi[0] + 1)]  # the ends are vertices
+    # every bound row . m >= k as h = (-k, row) with h . (1, m) >= 0
+    bounds = [(-lo,) + row for row, lo in zip(sys.rows, sys.lower)]
+    bounds += [
+        (up - 1,) + tuple(-a for a in row)
+        for row, up in zip(sys.rows, sys.upper) if up is not None
+    ]
+    rising = [h for h in bounds if h[-1] > 0]    # cut t from below
+    falling = [h for h in bounds if h[-1] < 0]   # cut t from above
+    # the shadow on (1, outer, u): one Fourier-Motzkin step eliminates t; in
+    # two variables the box's u range is the rounded shadow already
+    shadow = []
+    if n > 2:
+        shadow = [h[:-1] for h in bounds if h[-1] == 0]
+        shadow += [
+            tuple(-q[-1] * x + p[-1] * y for x, y in zip(p[:-1], q[:-1]))
+            for p in rising for q in falling
+        ]
+    outer_only = [c for c in shadow if c[-1] == 0]
+    u_rising = [c for c in shadow if c[-1] > 0]
+    u_falling = [c for c in shadow if c[-1] < 0]
+    # the box closes every line, so no line lacks a cut
+    rising.append((-box_lo[-1],) + (0,) * (n - 1) + (1,))
+    falling.append((box_hi[-1],) + (0,) * (n - 1) + (-1,))
+    rise, rise_step = [h[-1] for h in rising], [h[-2] for h in rising]
+    fall, fall_step = [-h[-1] for h in falling], [h[-2] for h in falling]
     out: list[tuple[int, ...]] = []
-    for prefix in product(*(range(lo, hi + 1) for lo, hi in zip(box_lo[:-1], box_hi[:-1]))):
-        t_lo, t_hi = box_lo[-1], box_hi[-1]
-        for head, a, first, last in lines:
-            b = sum(map(mul, prefix, head))
-            if a == 0:
-                if b < first or (last is not None and b > last):
-                    break
-                continue
-            if first is not None:
-                t_lo = max(t_lo, -((b - first) // a))
-            if last is not None:
-                t_hi = min(t_hi, (last - b) // a)
-        else:
-            out.extend(prefix + (t,) for t in range(t_lo, t_hi + 1))
+    for outer in product(*(range(lo, hi + 1) for lo, hi in zip(box_lo[:-2], box_hi[:-2]))):
+        base = (1,) + outer
+        if any(sum(map(mul, c, base)) < 0 for c in outer_only):
+            continue
+        u_lo = max([box_lo[-2]] + [-(sum(map(mul, c, base)) // c[-1]) for c in u_rising])
+        u_hi = min([box_hi[-2]] + [sum(map(mul, c, base)) // -c[-1] for c in u_falling])
+        if u_lo > u_hi:
+            continue
+        first = base + (u_lo,)
+        g_rise = [sum(map(mul, h, first)) for h in rising]
+        g_fall = [sum(map(mul, h, first)) for h in falling]
+        for u in range(u_lo, u_hi + 1):
+            t_lo = -min(map(floordiv, g_rise, rise))
+            t_hi = min(map(floordiv, g_fall, fall))
+            if t_lo <= t_hi:
+                prefix = outer + (u,)
+                out.extend([prefix + (t,) for t in range(t_lo, t_hi + 1)])
+            g_rise = list(map(add, g_rise, rise_step))
+            g_fall = list(map(add, g_fall, fall_step))
     return out
 
 

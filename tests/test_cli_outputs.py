@@ -2,13 +2,13 @@
 
 ``cli_outputs.json`` lists command lines (config paths relative to the
 repository root, ``{out}`` standing for an ``--out`` file) with the exact
-stdout and, for ``--out``, the exact file they produce.  It covers every
-command in both formats, the empty window, the ``in_omega`` block and
+stdout and, for ``--out``, the exact file they produce.  A record that
+fails also gives its exit code and stderr; every other one exits 0 with
+nothing on stderr.  It covers every command in both formats, the empty
+window, a table without its window, the ``in_omega`` block and
 ``monomial-sigma`` in one, two and three dimensions.
 """
-import io
 import json
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -20,13 +20,13 @@ CASES = json.loads(Path(__file__).with_name("cli_outputs.json").read_text())
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["args"]) for c in CASES])
-def test_cli_output_replays(case, tmp_path, monkeypatch):
+def test_cli_output_replays(case, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     out_file = tmp_path / "out.txt"
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = main([str(out_file) if a == "{out}" else a for a in case["args"]])
-    assert code == 0
-    assert buf.getvalue() == case["stdout"]
+    code = main([str(out_file) if a == "{out}" else a for a in case["args"]])
+    captured = capsys.readouterr()
+    assert code == case.get("exit", 0)
+    assert captured.out == case["stdout"]
+    assert captured.err == case.get("stderr", "")
     if "out" in case:
         assert out_file.read_text() == case["out"]

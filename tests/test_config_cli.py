@@ -222,6 +222,23 @@ def test_cli_empty_window():
 
 
 @pytest.mark.parametrize("command", [
+    ["h0-table"], ["cohomology-table", "--i", "0"], ["euler-table"], ["hilbert-table"],
+])
+@pytest.mark.parametrize("config, window, missing", [
+    ("rank3_h3.json", ["--p=0:1"], "--q"),
+    ("rank3_h3.json", ["--q=0:1"], "--p"),
+    ("line_bundle_p2.json", [], "--p"),
+])
+def test_cli_table_without_its_window_is_refused(command, config, window, missing, capsys):
+    """A table needs its p range, and its q range on a rank-2 class group;
+    leaving one out is an input error, not an empty table."""
+    code = main(command + ["--config", str(CONFIGS / config)] + window)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {missing} is required")
+
+
+@pytest.mark.parametrize("command", [
     ["validate", "--config", str(CONFIGS / "rank3_h3.json")],
     ["h0-table", "--config", str(CONFIGS / "line_bundle_p2.json"), "--p=0:1"],
     ["bounds", "--config", str(CONFIGS / "rank3_h3.json"), "--format", "json"],

@@ -4,9 +4,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricsheaf import (
     RationalPolynomial,
+    SheafCohomology,
     bernoulli_number,
     bernoulli_polynomial,
     delta_normalization,
@@ -19,6 +22,7 @@ from toricsheaf import (
     hirzebruch,
     in_support_lower_bound,
     in_support_upper_bound,
+    intersect,
     intersection_dim,
     line_bundle,
     lower_support_region,
@@ -27,6 +31,7 @@ from toricsheaf import (
     regularity_region,
     regularity_thresholds,
     simplex_sum,
+    split_bundle,
     structure_sheaf,
     upper_support_regions,
 )
@@ -234,6 +239,56 @@ def test_hilbert_polynomial_final_example(rank3_sheaf):
         for q in range(-1, 5):
             assert poly.evaluate((p, q)) == hilbert_function(rank3_sheaf, (p, q))
     assert poly.evaluate((7, 2)) == euler_characteristic(rank3_sheaf, (7, 2))
+
+
+def splits_on_every_maximal_cone(sheaf) -> bool:
+    """False when some maximal cone's filtration spaces and their pairwise
+    intersections hold more lines than the rank.  A basis that split them
+    all would make each of those lines one of its coordinate lines, so then
+    no basis does and, by Klyachko's criterion, the sheaf is not locally
+    free; True says only that this count does not rule it out."""
+    for cone in sheaf.variety.maximal_cones():
+        spaces = {s for k in cone.ray_indices for s in sheaf.filtrations[k].spaces}
+        spaces |= {intersect([x, y]) for x in spaces for y in spaces}
+        if sum(s.dim == 1 for s in spaces) > sheaf.rank:
+            return False
+    return True
+
+
+# (variety, rank, seed): a line bundle and a rank-3 sheaf on H_3; sheaves of
+# rank 2 and 3 on V_1(1,2) and of rank 1 and 2 on V_2(1), the threefolds'
+# rank-2 and rank-3 ones not locally free
+SNAPPER_SHEAVES = (
+    (hirzebruch(3), 1, 1), (hirzebruch(3), 3, 2),
+    (split_bundle(1, (1, 2)), 2, 3), (split_bundle(1, (1, 2)), 3, 4),
+    (split_bundle(2, (1,)), 1, 5), (split_bundle(2, (1,)), 2, 6),
+)
+
+
+@pytest.fixture(scope="module")
+def snapper_cases():
+    """Each sheaf's engine and Hilbert polynomial, computed once."""
+    cases = []
+    for variety, rank, seed in SNAPPER_SHEAVES:
+        sheaf = random_sheaf(random.Random(seed), variety, rank, -4, 0)
+        if rank > 1 and variety.dim == 3:
+            assert not splits_on_every_maximal_cone(sheaf)
+        cases.append((SheafCohomology(sheaf), hilbert_polynomial(sheaf)))
+    return cases
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.integers(0, len(SNAPPER_SHEAVES) - 1),
+    c=st.tuples(st.integers(-12, 8), st.integers(-12, 8)),
+)
+def test_euler_characteristic_is_the_hilbert_polynomial(snapper_cases, case, c):
+    """Snapper: chi(E(c)) is a polynomial in c.  Deep in the ample cone the
+    higher cohomology vanishes, so there it equals h^0(E(c)), which the
+    Hilbert polynomial matches; two polynomials that agree there agree at
+    every twist, also where h^0 and chi differ."""
+    engine, poly = snapper_cases[case]
+    assert engine.chi_twisted(c) == poly.evaluate(c)
 
 
 def test_hilbert_polynomial_sharpness(rank3_sheaf):

@@ -178,16 +178,22 @@ def test_kernel_and_polytope_input_is_strict(entry_point, bad, value):
 
 
 def test_psi_points_matches_naive_box_filter():
-    """The line walk returns exactly the box-filtered points, in order.
+    """The plane walk returns exactly the box-filtered points, in order.
 
     The systems are the omega systems of random sheaves on Hirzebruch
     surfaces, P^1 (where the prefix of a line is empty), P^3, V_1(1,3)
     (whose first ray has slope 3 along the last coordinate) and V_2(1,2);
-    the lower-bounds-only systems of ``h0_supported``; and random systems on
-    V_2(1,2) with some infinite upper bounds.  Among the drawn lines, some is
+    the lower-bounds-only systems of ``h0_supported``; random systems on
+    V_2(1,2) with some infinite upper bounds; and simplices in 1 to 4
+    variables cut by random rows.  Among the drawn lines, some is
     dropped whole by a row of slope 0, and some ends exactly on a row bound
     of slope other than +-1, so both cuts are checked where floor division
-    matters.
+    matters.  The shadow of each plane is recomputed here line by line with
+    exact fractions, as the integer u whose real line meets the polytope.
+    Among the drawn planes, some has an empty shadow; some shadow ends
+    exactly on a Fourier-Motzkin bound whose u coefficient is not +-1, where
+    floor and ceiling division meet; and some V_2(1,2) system (a 3-D prefix)
+    has non-empty planes of different widths.
     """
     from math import ceil, floor
 
@@ -204,10 +210,27 @@ def test_psi_points_matches_naive_box_filter():
         ]
         return [m for m in product(*ranges) if sys.satisfied_by(m)], ranges
 
+    def dot(x, y):
+        return sum(a * b for a, b in zip(x, y))
+
+    def line_meets(bounds, prefix):
+        """Whether the real line prefix + (t,) meets {m : row . m >= k}."""
+        t_lo, t_hi = [], []
+        for row, k in bounds:
+            a, rest = row[-1], k - dot(prefix, row)
+            if a == 0 and rest > 0:
+                return False
+            if a:
+                (t_lo if a > 0 else t_hi).append(Fraction(rest, a))
+        return max(t_lo, default=-float("inf")) <= min(t_hi, default=float("inf"))
+
+    v22 = split_bundle(2, (1, 2))
     dropped_by_flat_row = ended_on_steep_bound = False
+    empty_shadow = shadow_on_steep_bound = uneven_planes = False
 
     def check(system):
         nonlocal dropped_by_flat_row, ended_on_steep_bound
+        nonlocal empty_shadow, shadow_on_steep_bound, uneven_planes
         points, ranges = naive(system)
         assert psi_points(system) == points
         bounds = list(zip(system.rows, system.lower, system.upper))
@@ -223,6 +246,28 @@ def test_psi_points_matches_naive_box_filter():
                 top = None if up is None else up - 1
                 if abs(a) > 1 and sum(x * y for x, y in zip(m, row)) == (lo if a < 0 else top):
                     ended_on_steep_bound = True
+        if len(ranges) < 3:
+            return  # a system in two variables has one plane, walked over its box
+        # every bound as row . m >= k, and the shadow bounds on (outer, u)
+        geq = [(row, lo) for row, lo, _ in bounds]
+        geq += [(tuple(-a for a in row), 1 - up) for row, _, up in bounds if up is not None]
+        shadow = [(row, k) for row, k in geq if row[-1] == 0]
+        shadow += [
+            (tuple(-q[-1] * x + p[-1] * y for x, y in zip(p, q)), -q[-1] * kp + p[-1] * kq)
+            for p, kp in geq if p[-1] > 0 for q, kq in geq if q[-1] < 0
+        ]
+        widths = set()
+        for outer in product(*ranges[:-2]):
+            us = [u for u in ranges[-2] if line_meets(geq, outer + (u,))]
+            if not us:
+                empty_shadow = True
+                continue
+            widths.add(len(us))
+            for u in (us[0], us[-1]):
+                if any(abs(c[-2]) > 1 and dot(c, outer + (u,)) == k for c, k in shadow):
+                    shadow_on_steep_bound = True
+        if system.rows == v22.rays and len(widths) > 1:
+            uneven_planes = True
 
     rng = random.Random(4)
     for trial in range(40):
@@ -250,14 +295,27 @@ def test_psi_points_matches_naive_box_filter():
         lower = tuple(f.jumps[0] - sh for f, sh in zip(sheaf.filtrations, shifts))
         check(IntervalConstraintSystem(variety.rays, lower, (None,) * len(lower)))
 
-    v22 = split_bundle(2, (1, 2))
     for _ in range(40):
         lower = tuple(rng.randint(-4, 1) for _ in v22.rays)
         upper = tuple(None if rng.random() < 0.4 else lo + rng.randint(1, 5) for lo in lower)
         check(IntervalConstraintSystem(v22.rays, lower, upper))
 
+    # a simplex in 1 to 4 variables cut by random rows; in 3 and 4 variables
+    # one of them is free of the last two coordinates
+    for trial in range(40):
+        n = trial % 4 + 1
+        rows = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+        rows += [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(2)]
+        if n > 2:
+            rows.append(tuple(rng.randint(-2, 2) for _ in range(n - 2)) + (0, 0))
+        lower = [0] * n + [-rng.randint(3, 6)] + [rng.randint(-4, 2) for _ in rows[n + 1:]]
+        upper = [None] * (n + 1) + [None if rng.random() < 0.3 else lo + rng.randint(1, 3)
+                                    for lo in lower[n + 1:]]
+        check(IntervalConstraintSystem(rows, lower, upper))
+
     check(IntervalConstraintSystem((), (), ()))  # no variables: the one point of Z^0
     assert dropped_by_flat_row and ended_on_steep_bound
+    assert empty_shadow and shadow_on_steep_bound and uneven_planes
 
 
 def test_psi_points_monotone_in_bounds():
