@@ -2,18 +2,13 @@
 reflexive sheaves on smooth complete toric varieties, described by their
 ray filtrations."""
 
+import types as _types
+
 from .cohomology import (
     CharacterBox,
     SheafCohomology,
-    cech_cohomology,
     enumeration_box,
-    euler_character,
     euler_characteristic,
-    h0_character,
-    h0_dim,
-    h1_surface,
-    hn_character,
-    hn_dim,
     sigma_piece,
 )
 from .config import JobConfig, load_config, parse_config
@@ -76,5 +71,9 @@ from .toric import (
     split_data,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules the imports above also bind
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)
 __version__ = "0.1.0"

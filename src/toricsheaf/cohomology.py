@@ -40,7 +40,6 @@ from itertools import product, repeat
 from operator import mul
 from typing import Iterator, Sequence
 
-from .errors import UnsupportedVarietyError
 from .filtration import EquivariantReflexiveSheaf
 from .polytopes import IntervalConstraintSystem, arrangement_vertices, psi_points
 from .rational_linalg import Subspace, intersect, matrix_rank, subspace_sum
@@ -290,54 +289,17 @@ class SheafCohomology:
 
 @lru_cache(maxsize=64)
 def _engine(sheaf: EquivariantReflexiveSheaf) -> SheafCohomology:
-    """One engine per sheaf for the module-level functions, so repeated
-    calls share its cached cone pieces and local numbers."""
+    """One engine per sheaf for the module-level functions here and in
+    hilbert, so repeated calls share its cached cone pieces and local numbers."""
     return SheafCohomology(sheaf)
-
-
-def _at(sheaf: EquivariantReflexiveSheaf, m: Sequence[int], local):
-    engine = _engine(sheaf)
-    return local(engine, engine.levels([strict_int(x, "character entry") for x in m]))
 
 
 def sigma_piece(sheaf: EquivariantReflexiveSheaf, cone: Cone, m: Sequence[int]) -> Subspace:
     """Sections over the cone's affine piece in degree m; full for the zero cone."""
-    return _at(sheaf, m, lambda engine, lv: engine.piece(cone.ray_indices, lv))
-
-
-def h0_character(sheaf: EquivariantReflexiveSheaf, m: Sequence[int]) -> int:
-    return _at(sheaf, m, SheafCohomology.h0)
-
-
-def hn_character(sheaf: EquivariantReflexiveSheaf, m: Sequence[int]) -> int:
-    return _at(sheaf, m, SheafCohomology.hn)
-
-
-def euler_character(sheaf: EquivariantReflexiveSheaf, m: Sequence[int]) -> int:
-    return _at(sheaf, m, SheafCohomology.chi)
-
-
-def h0_dim(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:
-    """dim H^0 of the sheaf twisted by the class c (the Hilbert function value)."""
-    return _engine(sheaf).h0_twisted(c)
-
-
-def hn_dim(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:
-    """dim H^dim of the twisted sheaf, summed from the per-character quotients."""
-    return _engine(sheaf).hn_twisted(c)
+    engine = _engine(sheaf)
+    levels = engine.levels([strict_int(x, "character entry") for x in m])
+    return engine.piece(cone.ray_indices, levels)
 
 
 def euler_characteristic(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:
     return _engine(sheaf).chi_twisted(c)
-
-
-def cech_cohomology(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> tuple[int, ...]:
-    """(h^0, ..., h^dim) of the twisted sheaf from the fan's cone complex."""
-    return _engine(sheaf).cech_twisted(c)
-
-
-def h1_surface(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:
-    """h^1 on a surface from the identity h^1 = h^0 + h^2 - chi."""
-    if sheaf.variety.dim != 2:
-        raise UnsupportedVarietyError("h1_surface needs a 2-dimensional variety")
-    return _engine(sheaf).h1_identity_twisted(c)

@@ -12,9 +12,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import UnsupportedVarietyError
 from .rational_linalg import Subspace
-from .toric import ToricVariety, strict_int
+from .toric import ToricVariety, split_data, strict_int
 
 
 @dataclass(frozen=True)
@@ -76,19 +75,12 @@ class EquivariantReflexiveSheaf:
                 raise ValueError("filtration length and ambient must equal the rank")
 
     def rho_filtrations(self) -> tuple[KlyachkoFiltration, ...]:
-        s = self._split_s()
+        s, _ = split_data(self.variety)
         return self.filtrations[: s + 1]
 
     def eta_filtrations(self) -> tuple[KlyachkoFiltration, ...]:
-        s = self._split_s()
+        s, _ = split_data(self.variety)
         return self.filtrations[s + 1:]
-
-    def _split_s(self) -> int:
-        if not self.variety.is_split_bundle:
-            raise UnsupportedVarietyError(
-                f"operation requires a split-bundle variety, got {self.variety.family}"
-            )
-        return self.variety.split_s
 
 
 def line_bundle(variety: ToricVariety, divisor_coeffs: Sequence[int]) -> EquivariantReflexiveSheaf:
@@ -123,8 +115,7 @@ def delta_normalization(
     re-indexing the characters, so all class-graded dimensions agree.
     """
     v = sheaf.variety
-    s = sheaf._split_s()
-    a = v.split_a
+    _, a = split_data(v)
     i_top = [f.jumps[-1] for f in sheaf.rho_filtrations()]
     j_top = [f.jumps[-1] for f in sheaf.eta_filtrations()]
     delta = (

@@ -19,7 +19,7 @@ from typing import Sequence
 from . import cohomology
 from .errors import InternalConsistencyError
 from .filtration import EquivariantReflexiveSheaf
-from .polytopes import MultiIndex, omega_system, psi_points
+from .polytopes import MultiIndex, _multi_index, omega_system, psi_points
 from .rational_linalg import solve_square
 from .toric import split_data, strict_int
 
@@ -284,12 +284,7 @@ def _index_table(sheaf: EquivariantReflexiveSheaf) -> tuple[tuple[MultiIndex, in
 def intersection_dim(sheaf: EquivariantReflexiveSheaf, idx: Sequence[int]) -> int:
     """Dimension of the intersection of the indexed filtration spaces, read
     from the shared engine's h0 at those levels."""
-    idx = tuple(strict_int(i, "multi-index entry") for i in idx)
-    if len(idx) != sheaf.variety.ray_count or any(
-        i < 1 or i > sheaf.rank for i in idx
-    ):
-        raise ValueError("multi-index must pick one level in 1..rank per ray")
-    return cohomology._engine(sheaf).h0(idx)
+    return cohomology._engine(sheaf).h0(_multi_index(sheaf, idx))
 
 
 def hilbert_function(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:

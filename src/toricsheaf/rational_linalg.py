@@ -221,6 +221,11 @@ def nullspace(rows: Sequence[Sequence[Scalar]], width: int) -> Subspace:
     """Canonical subspace {x : rows . x = 0}."""
     done, cols = _forward(rows, width)
     _reduce(done, cols)
+    return _kernel(done, cols, width)
+
+
+def _kernel(done: Sequence[Sequence[int]], cols: Sequence[int], width: int) -> Subspace:
+    """Kernel of an integer reduced echelon form with pivot columns cols."""
     # row i reads p_i x_{cols[i]} + sum over free f of row[f] x_f = 0; each
     # free column gives one solution, scaled by the lcm of the pivots
     scale = lcm(*(row[col] for row, col in zip(done, cols)))
@@ -239,7 +244,7 @@ def nullspace(rows: Sequence[Sequence[Scalar]], width: int) -> Subspace:
 
 def perp(s: Subspace) -> Subspace:
     """Orthogonal complement for the standard bilinear form."""
-    return nullspace(s.rows, s.ambient_dim)
+    return _kernel(s.rows, s.pivots, s.ambient_dim)
 
 
 def _check_common_ambient(subspaces: Sequence[Subspace]) -> int:

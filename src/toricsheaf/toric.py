@@ -107,7 +107,7 @@ class ToricVariety:
 
 
 def projective_space(n: int) -> ToricVariety:
-    if n < 1:
+    if strict_int(n, "projective space n") < 1:
         raise ValueError("projective space needs n >= 1")
     rays = [tuple(-1 for _ in range(n))]
     rays += [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
@@ -144,7 +144,7 @@ def split_bundle(s: int, a_list: Sequence[int]) -> ToricVariety:
 
 def hirzebruch(a: int) -> ToricVariety:
     """The Hirzebruch surface H_a; identical data to split_bundle(1, (a,))."""
-    if a < 0:
+    if strict_int(a, "Hirzebruch parameter") < 0:
         raise ValueError("Hirzebruch parameter must be non-negative")
     return split_bundle(1, (a,))
 

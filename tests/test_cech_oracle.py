@@ -10,7 +10,6 @@ import pytest
 
 from toricsheaf import (
     SheafCohomology,
-    cech_cohomology,
     hirzebruch,
     line_bundle,
     projective_space,
@@ -71,8 +70,8 @@ def test_serre_duality_on_line_bundles(variety):
     middle = 0
     for _ in range(12):
         d = [rng.randint(-4, 3) for _ in range(variety.ray_count)]
-        h = cech_cohomology(line_bundle(variety, d), zero)
-        dual = cech_cohomology(line_bundle(variety, [-a - 1 for a in d]), zero)
+        h = SheafCohomology(line_bundle(variety, d)).cech_twisted(zero)
+        dual = SheafCohomology(line_bundle(variety, [-a - 1 for a in d])).cech_twisted(zero)
         assert h == tuple(reversed(dual)), d
         middle += any(h[1:-1])
     # line bundles on P^n have no middle cohomology

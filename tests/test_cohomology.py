@@ -3,18 +3,12 @@ import random
 
 import pytest
 
+import toricsheaf
 from toricsheaf import (
     SheafCohomology,
-    cech_cohomology,
     enumeration_box,
-    euler_character,
     euler_characteristic,
-    h0_character,
-    h0_dim,
-    h1_surface,
     hirzebruch,
-    hn_character,
-    hn_dim,
     line_bundle,
     projective_space,
     sigma_piece,
@@ -23,7 +17,6 @@ from toricsheaf import (
     twist,
 )
 from toricsheaf.cohomology import CharacterBox
-from toricsheaf.errors import UnsupportedVarietyError
 
 from conftest import random_sheaf
 
@@ -34,9 +27,8 @@ def widened(box: CharacterBox, margin: int) -> CharacterBox:
     )
 
 
-def p1_bundle(a0: int) -> tuple:
-    p1 = projective_space(1)
-    return p1, line_bundle(p1, (a0, 0))
+def p1_bundle(a0: int):
+    return line_bundle(projective_space(1), (a0, 0))
 
 
 def test_sigma_piece_zero_cone(tangent_sheaf):
@@ -67,46 +59,48 @@ def test_sigma_piece_line_bundle_rule():
 
 def test_h0_character_examples(tangent_sheaf):
     p2 = projective_space(2)
-    o2 = line_bundle(p2, (2, 0, 0))
-    assert h0_character(o2, (0, 0)) == 1
+    o2 = SheafCohomology(line_bundle(p2, (2, 0, 0)))
+    assert o2.h0(o2.levels((0, 0))) == 1
+    eng = SheafCohomology(tangent_sheaf)
     for d1 in range(-6, 7):
         for d2 in range(-6, 7):
             if 3 * d2 - d1 <= -2:
-                assert h0_character(tangent_sheaf, (d1, d2)) == 0
-    assert h0_character(tangent_sheaf, (0, 0)) == 2  # all pieces full there
+                assert eng.h0(eng.levels((d1, d2))) == 0
+    assert eng.h0(eng.levels((0, 0))) == 2  # all pieces full there
 
 
 def test_h0_character_bounded_by_pieces(rank3_sheaf):
     v = rank3_sheaf.variety
+    eng = SheafCohomology(rank3_sheaf)
     for m in ((0, 0), (-1, -1), (2, 1), (-3, 2)):
         bound = min(
             f.evaluate(v.pairing(m, k)).dim
             for k, f in enumerate(rank3_sheaf.filtrations)
         )
-        assert h0_character(rank3_sheaf, m) <= bound
+        assert eng.h0(eng.levels(m)) <= bound
 
 
 def test_hn_character_examples():
     p2 = projective_space(2)
-    om3 = line_bundle(p2, (-3, 0, 0))
-    assert hn_character(om3, (-1, -1)) == 1
-    assert hn_character(om3, (0, 0)) == 0   # rho1, rho2 pieces full
-    _, om2 = p1_bundle(-2)
+    om3 = SheafCohomology(line_bundle(p2, (-3, 0, 0)))
+    assert om3.hn(om3.levels((-1, -1))) == 1
+    assert om3.hn(om3.levels((0, 0))) == 0   # rho1, rho2 pieces full
+    om2 = SheafCohomology(p1_bundle(-2))
     # rho0 = -e1, so both pieces vanish at the character -1, not at +1
-    assert hn_character(om2, (-1,)) == 1
-    assert hn_character(om2, (1,)) == 0
+    assert om2.hn(om2.levels((-1,))) == 1
+    assert om2.hn(om2.levels((1,))) == 0
 
 
 def test_euler_character_examples():
-    _, om2 = p1_bundle(-2)
-    assert euler_character(om2, (-1,)) == -1
-    p1, o = p1_bundle(0)
-    assert euler_character(o, (5,)) == 0
-    assert euler_character(o, (0,)) == 1 == h0_character(o, (0,))
+    om2 = SheafCohomology(p1_bundle(-2))
+    assert om2.chi(om2.levels((-1,))) == -1
+    o = SheafCohomology(p1_bundle(0))
+    assert o.chi(o.levels((5,))) == 0
+    assert o.chi(o.levels((0,))) == 1 == o.h0(o.levels((0,)))
 
 
 def test_enumeration_box_p1():
-    _, o = p1_bundle(0)
+    o = p1_bundle(0)
     box = enumeration_box(o)
     assert box.lower == (-1,) and box.upper == (1,)
 
@@ -141,31 +135,29 @@ def test_box_margin_invariance(rank3_sheaf):
 
 def test_h0_dim_binomials():
     p2 = projective_space(2)
-    o = structure_sheaf(p2)
+    o = SheafCohomology(structure_sheaf(p2))
     for d in range(0, 5):
-        assert h0_dim(o, (d,)) == (d + 1) * (d + 2) // 2
-    assert h0_dim(o, (-1,)) == 0
+        assert o.h0_twisted((d,)) == (d + 1) * (d + 2) // 2
+    assert o.h0_twisted((-1,)) == 0
 
 
 def test_h0_dim_final_example(rank3_sheaf):
     # frozen from the direct character-enumeration oracle over a wide box
-    assert h0_dim(rank3_sheaf, (10, 4)) == 512
+    assert SheafCohomology(rank3_sheaf).h0_twisted((10, 4)) == 512
 
 
 def test_cech_p2_canonical():
     p2 = projective_space(2)
-    om3 = line_bundle(p2, (-3, 0, 0))
-    assert cech_cohomology(om3, (0,)) == (0, 0, 1)
-    assert hn_dim(om3, (0,)) == 1
-    o1 = line_bundle(p2, (1, 0, 0))
-    assert cech_cohomology(o1, (0,)) == (3, 0, 0)
+    om3 = SheafCohomology(line_bundle(p2, (-3, 0, 0)))
+    assert om3.cech_twisted((0,)) == (0, 0, 1)
+    assert om3.hn_twisted((0,)) == 1
+    o1 = SheafCohomology(line_bundle(p2, (1, 0, 0)))
+    assert o1.cech_twisted((0,)) == (3, 0, 0)
 
 
 def test_cech_p1_values():
-    p1, om2 = p1_bundle(-2)
-    assert cech_cohomology(om2, (0,)) == (0, 1)
-    _, o = p1_bundle(0)
-    assert cech_cohomology(o, (3,)) == (4, 0)
+    assert SheafCohomology(p1_bundle(-2)).cech_twisted((0,)) == (0, 1)
+    assert SheafCohomology(p1_bundle(0)).cech_twisted((3,)) == (4, 0)
 
 
 def test_cech_final_example_entries(rank3_sheaf):
@@ -173,24 +165,18 @@ def test_cech_final_example_entries(rank3_sheaf):
     assert eng.cech_twisted((2, 4))[1] == 3
     assert eng.cech_twisted((10, -4))[1] == 47
     assert eng.cech_twisted((5, -1))[1] == 0
+    for c in ((2, 4), (10, -4), (5, -1)):
+        assert eng.h1_identity_twisted(c) == eng.cech_twisted(c)[1]
 
 
-def test_h1_surface_matches_cech(rank3_sheaf):
-    assert h1_surface(rank3_sheaf, (2, 4)) == 3
-    assert h1_surface(rank3_sheaf, (5, -1)) == 0
+def test_h1_identity_matches_cech_on_hirzebruch():
     h3 = hirzebruch(3)
-    assert h1_surface(structure_sheaf(h3), (0, 0)) == 0
+    assert SheafCohomology(structure_sheaf(h3)).h1_identity_twisted((0, 0)) == 0
     rng = random.Random(11)
     sheaf = random_sheaf(rng, h3, 2)
     eng = SheafCohomology(sheaf)
     for c in ((0, 0), (2, -1), (-3, 2)):
         assert eng.h1_identity_twisted(c) == eng.cech_twisted(c)[1]
-
-
-def test_h1_surface_unsupported():
-    p3 = projective_space(3)
-    with pytest.raises(UnsupportedVarietyError):
-        h1_surface(structure_sheaf(p3), (0,))
 
 
 def test_line_bundle_character_dims_are_01():
@@ -230,7 +216,7 @@ def test_three_paths_agree_on_projective_plane():
         assert cech[0] == eng.h0_twisted(c)
         assert cech[-1] == eng.hn_twisted(c)
         assert sum((-1) ** i * h for i, h in enumerate(cech)) == eng.chi_twisted(c)
-        assert h1_surface(sheaf, c) == cech[1]
+        assert eng.h1_identity_twisted(c) == cech[1]
 
 
 def test_h0_supported_equals_boxed():
@@ -273,7 +259,7 @@ def test_tangent_sheaf_cohomology_matches_deformation_theory():
             KlyachkoFiltration((-1, 0), (span([(1, 0)], 2), full)),
             KlyachkoFiltration((-1, 0), (span([(1, 0)], 2), full)),
         ))
-        assert cech_cohomology(tangent, (0, 0)) == (a + 5, a - 1, 0)
+        assert SheafCohomology(tangent).cech_twisted((0, 0)) == (a + 5, a - 1, 0)
 
 
 def test_cech_at_canonical_class_of_surface():
@@ -332,3 +318,29 @@ def test_rank_nullity_at_the_ends_of_the_cone_complex(variety, twists, rank):
 def test_rank_nullity_at_the_ends_for_the_example_sheaves(rank3_sheaf, tangent_sheaf):
     assert assert_rank_nullity_at_ends(rank3_sheaf, ((0, 0), (2, -1), (-3, 1))) >= 20
     assert assert_rank_nullity_at_ends(tangent_sheaf, ((0, 0), (-1, 2))) >= 5
+
+
+def test_public_surface_is_pinned():
+    """The package exports exactly these names and no submodule; a change
+    to the library surface has to change this list."""
+    assert sorted(toricsheaf.__all__) == [
+        "CharacterBox", "Cone", "ConfigError", "EquivariantReflexiveSheaf",
+        "HalfPlane", "InternalConsistencyError", "IntervalConstraintSystem",
+        "JobConfig", "KlyachkoFiltration", "MonomialIdeal", "PresentationDegrees",
+        "RationalPolynomial", "SheafCohomology", "Subspace", "SupportRegion",
+        "ToricVariety", "UnboundedSystemError", "UnsupportedVarietyError",
+        "assemble_slices", "bernoulli_number", "bernoulli_polynomial",
+        "build_variety", "delta_normalization", "enumeration_box",
+        "euler_characteristic", "faulhaber_sum", "feasible_metasystem",
+        "feasible_system1", "format_polynomial", "hilbert_function",
+        "hilbert_polynomial", "hirzebruch", "in_support_lower_bound",
+        "in_support_upper_bound", "intersect", "intersection_dim",
+        "jump_bounds_from_presentation", "line_bundle", "load_config",
+        "lower_support_region", "omega_system", "parse_config",
+        "projective_space", "psi_m_sliced", "psi_n", "psi_points",
+        "rank1_hilbert_polynomial", "regularity_region", "regularity_thresholds",
+        "sigma_piece", "sigma_piece_dim", "simplex_sum", "span", "split_bundle",
+        "split_data", "structure_sheaf", "subspace_sum", "twist",
+        "upper_support_regions", "validate",
+    ]
+    assert all(hasattr(toricsheaf, name) for name in toricsheaf.__all__)

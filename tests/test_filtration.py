@@ -20,7 +20,7 @@ from toricsheaf import (
     twist,
     validate,
 )
-from toricsheaf.cohomology import h0_character, sigma_piece
+from toricsheaf.cohomology import sigma_piece
 from toricsheaf.errors import UnsupportedVarietyError
 from toricsheaf.hilbert import intersection_dim
 from toricsheaf.monomial import MonomialIdeal
@@ -240,9 +240,11 @@ def test_library_integers_are_strict(entry_point, bad):
     ("monomial", (1.0, 0, 1), "must be an integer, got 1.0"),
     ("monomial", (0, False, 2), "must be an integer, got False"),
     ("projective dimension", 2.0, "must be an integer, got 2.0"),
-    ("h0 character", (0.5, 0), "must be an integer, got 0.5"),
-    ("h0 character", (True, 0), "must be an integer, got True"),
     ("sigma character", (-0.5, 0), "must be an integer, got -0.5"),
+    ("projective space", True, "must be an integer, got True"),
+    ("projective space", 2.0, "must be an integer, got 2.0"),
+    ("projective space", "2", "must be an integer, got '2'"),
+    ("hirzebruch", "2", "must be an integer, got '2'"),
 ])
 def test_more_library_input_is_strict(entry_point, bad, message):
     """Wrong-length shifts and non-integer indices or exponents are refused,
@@ -252,7 +254,8 @@ def test_more_library_input_is_strict(entry_point, bad, message):
         "multi-index": lambda: intersection_dim(rank3_example_sheaf(), bad),
         "monomial": lambda: MonomialIdeal(2, ((0, 0, 2), bad)),
         "projective dimension": lambda: MonomialIdeal(bad, ((0, 0, 2),)),
-        "h0 character": lambda: h0_character(structure_sheaf(projective_space(2)), bad),
+        "projective space": lambda: projective_space(bad),
+        "hirzebruch": lambda: hirzebruch(bad),
         "sigma character": lambda: sigma_piece(
             structure_sheaf(projective_space(2)), Cone((0,), 1), bad
         ),

@@ -14,16 +14,10 @@ from toricsheaf import (
     EquivariantReflexiveSheaf,
     KlyachkoFiltration,
     SheafCohomology,
-    cech_cohomology,
-    euler_character,
     euler_characteristic,
-    h0_character,
-    h0_dim,
-    h1_surface,
     hirzebruch,
-    hn_character,
-    hn_dim,
     projective_space,
+    sigma_piece,
     span,
     split_bundle,
 )
@@ -138,15 +132,9 @@ def test_module_functions_share_one_engine_per_sheaf():
     assert _engine(sheaf) is _engine(rank3_example_sheaf())
     for _ in range(2):
         for c in [(2, 0), (5, -3), (-1, 1)]:
-            fresh = SheafCohomology(sheaf)
-            assert h0_dim(sheaf, c) == fresh.h0_twisted(c)
-            assert hn_dim(sheaf, c) == fresh.hn_twisted(c)
-            assert euler_characteristic(sheaf, c) == fresh.chi_twisted(c)
-            assert cech_cohomology(sheaf, c) == fresh.cech_twisted(c)
-            assert h1_surface(sheaf, c) == fresh.h1_identity_twisted(c)
+            assert euler_characteristic(sheaf, c) == SheafCohomology(sheaf).chi_twisted(c)
         for m in [(0, 0), (-3, 1), (2, -1)]:
             fresh = SheafCohomology(sheaf)
             levels = fresh.levels(m)
-            assert h0_character(sheaf, m) == fresh.h0(levels)
-            assert hn_character(sheaf, m) == fresh.hn(levels)
-            assert euler_character(sheaf, m) == fresh.chi(levels)
+            for cone in sheaf.variety.cones():
+                assert sigma_piece(sheaf, cone, m) == fresh.piece(cone.ray_indices, levels)

@@ -8,10 +8,10 @@ import pytest
 
 from toricsheaf import (
     IntervalConstraintSystem,
+    SheafCohomology,
     assemble_slices,
     feasible_metasystem,
     feasible_system1,
-    h0_dim,
     hirzebruch,
     in_support_lower_bound,
     omega_system,
@@ -455,7 +455,7 @@ def test_assemble_slices_line_bundle_h0():
     o = structure_sheaf(h3)
     count = assemble_slices(o, (1, 1, 1, 1), 3, 1)
     assert count == 11
-    assert count == h0_dim(o, (3, 1))
+    assert count == SheafCohomology(o).h0_twisted((3, 1))
 
 
 def test_assemble_final_example_matches_direct():
