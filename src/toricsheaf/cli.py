@@ -24,7 +24,7 @@ from .cohomology import SheafCohomology
 from .config import JobConfig, load_config
 from .errors import ConfigError, InternalConsistencyError, UnsupportedVarietyError
 from .filtration import validate as validate_sheaf
-from .hilbert import format_polynomial
+from .hilbert import format_polynomial, graded_exponents
 from .monomial import MonomialIdeal, sigma_piece_dim
 from .toric import Cone, projective_space
 
@@ -167,15 +167,11 @@ def _cmd_hilbert_poly(args) -> int:
     cfg = _load_validated(args)
     poly = hilbert.hilbert_polynomial(cfg.sheaf)
     text = format_polynomial(poly, ("p", "q"))
-
-    def key(exps):
-        return (-sum(exps), tuple(-e for e in exps))
-
     payload = {
         "variables": ["p", "q"],
         "terms": [
             {"exponents": list(exps), "coefficient": str(poly.coeffs[exps])}
-            for exps in sorted(poly.coeffs, key=key)
+            for exps in graded_exponents(poly)
         ],
         "text": text,
     }

@@ -19,17 +19,16 @@ that arrangement, and an unbounded chamber with a nonzero dimension would
 contradict finite-dimensionality, so everything outside the box contributes
 zero.  A twist only moves the jumps, so the engine hands the shifted jumps
 to the box directly, and the vertices come from the integer inverses of the
-ray sets that polytopes caches once per fan, the same ones the lattice-point
-systems use.  Local numbers depend only on the tuple of filtration levels,
-so each global number is a sum of count x local over the level-tuple
-histogram of the box.  The histogram is counted one line of the box at a
-time along the last coordinate.  On a line every pairing is affine in that
-coordinate, so a ray's level changes only at the cut points where its
-pairing crosses one of its jumps, by +1 or -1 with the sign of the slope
-(a repeated jump gives two steps at one cut).  The levels are computed once
-at the start of the line; sorting the cut points and applying their steps
-then gives each run of constant level tuple and its length.  Local numbers
-are cached.
+ray sets that polytopes caches once per fan.  Local numbers depend only on
+the tuple of filtration levels, so each global number is a sum of count x
+local over the level-tuple histogram of the box.  The histogram is counted
+one line of the box at a time along the last coordinate.  On a line every
+pairing is affine in that coordinate, so a ray's level changes only at the
+cut points where its pairing crosses one of its jumps, by +1 or -1 with the
+sign of the slope (a repeated jump gives two steps at one cut).  The
+levels are computed once at the start of the line; sorting the cut points
+and applying their steps then gives each run of constant level tuple and
+its length.  Local numbers are cached.
 """
 from __future__ import annotations
 
@@ -130,6 +129,9 @@ class SheafCohomology:
         """Per ray, the number of jumps <= <m, n(ray)> + shift; 0 is the zero space."""
         if len(m) != self.variety.dim:
             raise ValueError(f"character must have length {self.variety.dim}")
+        if not {int}.issuperset(map(type, m)):
+            for x in m:
+                strict_int(x, "character entry")
         if shifts is None:
             shifts = repeat(0)
         elif len(shifts) != self.variety.ray_count:
@@ -297,8 +299,7 @@ def _engine(sheaf: EquivariantReflexiveSheaf) -> SheafCohomology:
 def sigma_piece(sheaf: EquivariantReflexiveSheaf, cone: Cone, m: Sequence[int]) -> Subspace:
     """Sections over the cone's affine piece in degree m; full for the zero cone."""
     engine = _engine(sheaf)
-    levels = engine.levels([strict_int(x, "character entry") for x in m])
-    return engine.piece(cone.ray_indices, levels)
+    return engine.piece(cone.ray_indices, engine.levels(m))
 
 
 def euler_characteristic(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:

@@ -6,7 +6,8 @@ class UnsupportedVarietyError(ValueError):
 
 
 class UnboundedSystemError(ValueError):
-    """Raised when asked to enumerate an interval system with a -inf lower bound."""
+    """Raised when asked to enumerate an interval system that does not cut out
+    a bounded polytope."""
 
 
 class InternalConsistencyError(RuntimeError):

@@ -173,18 +173,20 @@ def compose_univariate(
     return result
 
 
+def graded_exponents(poly: RationalPolynomial) -> list[tuple[int, ...]]:
+    """The exponent tuples of the terms in degree-lexicographic order:
+    higher degree first, then higher powers of earlier variables."""
+    return sorted(poly.coeffs, key=lambda exps: (-sum(exps), tuple(-e for e in exps)))
+
+
 def format_polynomial(poly: RationalPolynomial, names: Sequence[str]) -> str:
     """Degree-lexicographic rendering, earlier names first within a degree."""
     if len(names) != poly.nvars:
         raise ValueError("need one name per variable")
     if poly.is_zero():
         return "0"
-
-    def key(exps):
-        return (-sum(exps), tuple(-e for e in exps))
-
     terms = []
-    for exps in sorted(poly.coeffs, key=key):
+    for exps in graded_exponents(poly):
         c = poly.coeffs[exps]
         factors = []
         for name, e in zip(names, exps):

@@ -5,47 +5,41 @@ integer interval per ray: lower_k <= row_k . m < upper_k, the strict upper
 bound encoding the next-jump convention (None stands for +infinity above,
 and for -infinity below).  For a complete fan the rays positively span, so a
 system whose lower bounds are all finite cuts out a (possibly empty)
-polytope.  Its integer points all lie in the bounding box of its vertices.
+polytope.
 
-``psi_points`` walks that box one plane at a time.  Write a point as
-m = outer + (u, t), with u the second-to-last coordinate; a plane fixes
-outer, and its lines run along t.  One Fourier-Motzkin step eliminates t:
-every bound free of t is kept, and every pair of a bound that cuts t from
-below with one that cuts it from above gives their positive combination in
-which t cancels.  By Fourier-Motzkin, (outer, u) satisfies these bounds
-exactly when some real t puts (outer, u, t) in the polytope: they cut out
-the real shadow of the polytope on (outer, u).  A line that holds an
-integer point holds a real one, so its u lies in the shadow, and, being an
-integer, between the ceiling of the shadow's lower end and the floor of its
-upper end on that plane.  That interval is what the plane walks: a superset
-of the lines that hold a point, so none is lost, while the lines outside
-it, most of the box on simplex-shaped polytopes, are skipped.  In two
-variables the one plane's shadow is the polygon's projection, whose rounded
-ends make the vertex box's u range, so no bound is combined.  On a line
-every bound is affine in t, so it cuts the line to one interval of t by
-floor division, and the line's integer points are the intersection of those
-intervals.  A bound's value at t = 0 moves by its u coefficient from one
-line to the next, so a line costs one addition per bound, and no point is
-tested on its own.
+``psi_points`` counts by Fourier-Motzkin elimination alone.  Each bound is
+kept as h = (-k, row) with h . (1, m) >= 0.  ``_eliminate_last`` drops the
+last coordinate t: every bound free of t is kept, and every pair of a bound
+that cuts t from below with one that cuts it from above gives their
+positive combination in which t cancels.  By Fourier-Motzkin, a point
+satisfies the new bounds exactly when some real t extends it to a point of
+the old ones: they cut out the real shadow of the polytope.  Eliminating
+every coordinate in turn gives the shadow on m_1..m_i for each i, and the
+last shadow, on no coordinate at all, is a list of constants: one of them
+is negative exactly when the polytope is empty.  Otherwise the walk fixes
+m_1, ..., m_n in turn.  With m_1..m_(i-1) fixed, every bound of the shadow
+on m_1..m_i that involves m_i cuts it to one interval by ceiling and floor
+division, and the bounds free of m_i already hold one level up.  An integer
+point lies in every shadow, so the walk loses none, and it never enters a
+value whose real shadow is empty.  A shadow with no bound on its last
+coordinate from one side makes a non-empty polytope unbounded, which is an
+error.
 
-Every vertex is the intersection of n of the fixed row hyperplanes, and
-only the right-hand side b moves with the bounds (and, for the character
-boxes of ``cohomology.enumeration_box``, with the jumps and the twist).  So
-the inverse of each nonsingular n-subset of rows is computed once per row
-tuple, exactly, and kept as an integer matrix N over a positive integer D.
-A vertex is then N.b / D: feasibility and the floor/ceiling bounds of the
-box are integer comparisons with multiples of D, and no vertex is solved
-on its own.  The lattice-point systems and the character boxes share these
-cached inverses.
+Every vertex of a hyperplane arrangement is the intersection of n of its
+fixed row hyperplanes, and only the right-hand side b moves (for the
+character boxes of ``cohomology.enumeration_box``, with the jumps and the
+twist).  So the inverse of each nonsingular n-subset of rows is computed
+once per row tuple, exactly, and kept as an integer matrix N over a
+positive integer D; ``arrangement_vertices`` gives each vertex as N.b / D
+without solving it on its own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import lcm
-from operator import add, floordiv, mul
+from math import gcd, lcm
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import UnboundedSystemError
@@ -164,103 +158,72 @@ def arrangement_vertices(
             yield tuple(sum(map(mul, line, rhs)) for line in inverse), d
 
 
-def _scaled_vertices(sys: IntervalConstraintSystem) -> list[tuple[tuple[int, ...], int]]:
-    """The vertices (x, D) of the system's polytope: the arrangement
-    vertices of its bounds that satisfy every row."""
-    # the integer points satisfy row . m <= upper - 1; None is unbounded
-    tops = [None if up is None else up - 1 for up in sys.upper]
-    values = [[b for b in bounds if b is not None] for bounds in zip(sys.lower, tops)]
-    checks = list(zip(sys.rows, sys.lower, tops))
-    vertices = []
-    for x, d in arrangement_vertices(sys.rows, values):
-        for row, lo, top in checks:
-            value = sum(map(mul, row, x))
-            if (lo is not None and value < lo * d) or (top is not None and value > top * d):
-                break
-        else:
-            vertices.append((x, d))
-    return vertices
+def _eliminate_last(bounds: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """One Fourier-Motzkin step: the bounds h . (1, m) >= 0 on m without its
+    last coordinate t that hold exactly where some real t satisfies the given
+    ones, each divided by the gcd of its entries, without repeats."""
+    shadow = [h[:-1] for h in bounds if h[-1] == 0]
+    shadow += [
+        tuple(-q[-1] * x + p[-1] * y for x, y in zip(p[:-1], q[:-1]))
+        for p in bounds if p[-1] > 0 for q in bounds if q[-1] < 0
+    ]
+    distinct = {}
+    for h in shadow:
+        g = gcd(*h)
+        distinct[tuple(x // g for x in h) if g > 1 else h] = None
+    return list(distinct)
 
 
-def _vertices(sys: IntervalConstraintSystem) -> list[tuple[Fraction, ...]]:
-    """All vertices of the system's polytope, as exact fractions."""
-    return [tuple(Fraction(xi, d) for xi in x) for x, d in _scaled_vertices(sys)]
+def _walk(cuts, prefix: tuple[int, ...], out: list[tuple[int, ...]]) -> None:
+    """Append to out, in lexicographic order, the integer points that extend
+    prefix; cuts[i] holds, for the shadow bounds on m_1..m_(i+1) that rise
+    and that fall in m_(i+1), the pairs (rest, |coefficient of m_(i+1)|)."""
+    rising, falling = cuts[len(prefix)]
+    point = (1,) + prefix
+    lo = max([-(sum(map(mul, rest, point)) // a) for rest, a in rising])
+    hi = min([sum(map(mul, rest, point)) // a for rest, a in falling])
+    if len(prefix) + 1 == len(cuts):
+        out.extend([prefix + (t,) for t in range(lo, hi + 1)])
+    else:
+        for t in range(lo, hi + 1):
+            _walk(cuts, prefix + (t,), out)
 
 
 def psi_points(sys: IntervalConstraintSystem) -> list[tuple[int, ...]]:
     """The integer solutions, in lexicographic order.
 
     Each bound row . m >= k (a strict upper bound reads -row . m >= 1 - upper)
-    is kept as h = (-k, row), with h . (1, m) >= 0.  With m = outer + (u, t),
-    the vertex box is walked one plane, one value of outer, at a time.  The
-    shadow bounds, from one Fourier-Motzkin step that eliminates t, cut the
-    plane's u to one interval by floor and ceiling division; it holds every
-    line with a point (see the module docstring).  On the line at u, a
-    bound reads g + a*t >= 0, which cuts t from below (a > 0) or above
-    (a < 0) by floor division; each g starts at the plane's first u and
-    moves by the bound's u coefficient per line.  The intersection of the
-    cuts is exactly the line's solutions.  With one variable the vertices
-    are the two ends of the one line.
+    is kept as h = (-k, row), with h . (1, m) >= 0.  Eliminating the
+    coordinates from the last gives the shadow on each m_1..m_i, and the
+    walk cuts m_i to the integers between the ends of its shadow (see the
+    module docstring).  Raises ``UnboundedSystemError`` on a lower bound of
+    None, or on rows that leave a non-empty polytope unbounded.
     """
     if any(lo is None for lo in sys.lower):
         raise UnboundedSystemError("every lower bound must be finite for enumeration")
     if sys.has_empty_row():
         return []
-    vertices = _scaled_vertices(sys)
-    if not vertices:
-        return []
-    n = sys.nvars
-    if n == 0:
-        return [()]  # the one point of Z^0, which every row holds at 0
-    box_lo = [min(-(-x[i] // d) for x, d in vertices) for i in range(n)]
-    box_hi = [max(x[i] // d for x, d in vertices) for i in range(n)]
-    if n == 1:
-        return [(t,) for t in range(box_lo[0], box_hi[0] + 1)]  # the ends are vertices
-    # every bound row . m >= k as h = (-k, row) with h . (1, m) >= 0
     bounds = [(-lo,) + row for row, lo in zip(sys.rows, sys.lower)]
     bounds += [
         (up - 1,) + tuple(-a for a in row)
         for row, up in zip(sys.rows, sys.upper) if up is not None
     ]
-    rising = [h for h in bounds if h[-1] > 0]    # cut t from below
-    falling = [h for h in bounds if h[-1] < 0]   # cut t from above
-    # the shadow on (1, outer, u): one Fourier-Motzkin step eliminates t; in
-    # two variables the box's u range is the rounded shadow already
-    shadow = []
-    if n > 2:
-        shadow = [h[:-1] for h in bounds if h[-1] == 0]
-        shadow += [
-            tuple(-q[-1] * x + p[-1] * y for x, y in zip(p[:-1], q[:-1]))
-            for p in rising for q in falling
-        ]
-    outer_only = [c for c in shadow if c[-1] == 0]
-    u_rising = [c for c in shadow if c[-1] > 0]
-    u_falling = [c for c in shadow if c[-1] < 0]
-    # the box closes every line, so no line lacks a cut
-    rising.append((-box_lo[-1],) + (0,) * (n - 1) + (1,))
-    falling.append((box_hi[-1],) + (0,) * (n - 1) + (-1,))
-    rise, rise_step = [h[-1] for h in rising], [h[-2] for h in rising]
-    fall, fall_step = [-h[-1] for h in falling], [h[-2] for h in falling]
+    shadows = [bounds]
+    for _ in range(sys.nvars):
+        shadows.append(_eliminate_last(shadows[-1]))
+    if any(h[0] < 0 for h in shadows[-1]):
+        return []  # a negative constant: the polytope is empty
+    cuts = []
+    for shadow in reversed(shadows[:-1]):
+        rising = [(h[:-1], h[-1]) for h in shadow if h[-1] > 0]
+        falling = [(h[:-1], -h[-1]) for h in shadow if h[-1] < 0]
+        if not (rising and falling):
+            raise UnboundedSystemError("the rows do not cut out a bounded polytope")
+        cuts.append((rising, falling))
+    if not cuts:
+        return [()]  # the one point of Z^0
     out: list[tuple[int, ...]] = []
-    for outer in product(*(range(lo, hi + 1) for lo, hi in zip(box_lo[:-2], box_hi[:-2]))):
-        base = (1,) + outer
-        if any(sum(map(mul, c, base)) < 0 for c in outer_only):
-            continue
-        u_lo = max([box_lo[-2]] + [-(sum(map(mul, c, base)) // c[-1]) for c in u_rising])
-        u_hi = min([box_hi[-2]] + [sum(map(mul, c, base)) // -c[-1] for c in u_falling])
-        if u_lo > u_hi:
-            continue
-        first = base + (u_lo,)
-        g_rise = [sum(map(mul, h, first)) for h in rising]
-        g_fall = [sum(map(mul, h, first)) for h in falling]
-        for u in range(u_lo, u_hi + 1):
-            t_lo = -min(map(floordiv, g_rise, rise))
-            t_hi = min(map(floordiv, g_fall, fall))
-            if t_lo <= t_hi:
-                prefix = outer + (u,)
-                out.extend([prefix + (t,) for t in range(t_lo, t_hi + 1)])
-            g_rise = list(map(add, g_rise, rise_step))
-            g_fall = list(map(add, g_fall, fall_step))
+    _walk(cuts, (), out)
     return out
 
 

@@ -241,6 +241,8 @@ def test_library_integers_are_strict(entry_point, bad):
     ("monomial", (0, False, 2), "must be an integer, got False"),
     ("projective dimension", 2.0, "must be an integer, got 2.0"),
     ("sigma character", (-0.5, 0), "must be an integer, got -0.5"),
+    ("levels character", (0.5, 0), "character entry must be an integer, got 0.5"),
+    ("levels character", (0, True), "character entry must be an integer, got True"),
     ("projective space", True, "must be an integer, got True"),
     ("projective space", 2.0, "must be an integer, got 2.0"),
     ("projective space", "2", "must be an integer, got '2'"),
@@ -259,6 +261,9 @@ def test_more_library_input_is_strict(entry_point, bad, message):
         "sigma character": lambda: sigma_piece(
             structure_sheaf(projective_space(2)), Cone((0,), 1), bad
         ),
+        "levels character": lambda: SheafCohomology(
+            structure_sheaf(projective_space(2))
+        ).levels(bad),
     }[entry_point]
     with pytest.raises(ValueError, match=message):
         build()

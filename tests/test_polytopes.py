@@ -1,4 +1,5 @@
 """Unit tests for interval systems, point enumeration and the feasibility lemmas."""
+import gc
 import random
 import re
 from fractions import Fraction
@@ -27,6 +28,7 @@ from toricsheaf.errors import UnboundedSystemError, UnsupportedVarietyError
 from toricsheaf.hilbert import RationalPolynomial
 
 from conftest import random_sheaf, rank3_example_sheaf
+from vertex_oracle import box_filtered_points
 from toricsheaf import EquivariantReflexiveSheaf, KlyachkoFiltration, Subspace
 
 
@@ -114,6 +116,38 @@ def test_psi_points_unbounded_error():
         psi_points(sys)
 
 
+@pytest.mark.parametrize("rows, lower, upper", [
+    (((1, 0), (0, 1)), (0, 0), (None, None)),                # the quadrant
+    (((1, 0), (0, 1)), (0, 0), (3, None)),                   # a half-strip
+    (((1,),), (0,), (None,)),                                # the half-line
+    (((1, -1), (-1, 1), (1, 0)), (0, 0, 0), (None, None, None)),  # y = x, x >= 0
+])
+def test_psi_points_refuses_unbounded_polytopes(rows, lower, upper):
+    """Finite lower bounds that leave a non-empty polytope unbounded are an
+    error, not a truncated answer."""
+    with pytest.raises(UnboundedSystemError, match="bounded polytope"):
+        psi_points(IntervalConstraintSystem(rows, lower, upper))
+
+
+def test_psi_points_leaves_no_reference_cycle():
+    """With the cycle collector off, the walk leaves nothing for it to free,
+    so each point list goes as soon as its last reference does."""
+    p2 = projective_space(2)
+    systems = [
+        omega_system(structure_sheaf(p2), (1, 1, 1), (4,)),
+        omega_system(rank3_example_sheaf(), (3, 3, 3, 3), (6, 0)),
+        omega_system(structure_sheaf(split_bundle(2, (1, 2))), (1,) * 6, (3, 2)),
+        IntervalConstraintSystem(((1,), (-1,)), (0, 0), (None, None)),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        assert all(len(psi_points(system)) > 0 for system in systems)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("rows, lower, upper, bad", [
     (((1.7,), (-1,)), (0, 0), (None, None), 1.7),
     (((True,), (-1,)), (0, 0), (None, None), True),
@@ -178,60 +212,40 @@ def test_kernel_and_polytope_input_is_strict(entry_point, bad, value):
 
 
 def test_psi_points_matches_naive_box_filter():
-    """The plane walk returns exactly the box-filtered points, in order.
+    """The Fourier-Motzkin walk returns exactly the box-filtered points, in order.
 
-    The systems are the omega systems of random sheaves on Hirzebruch
-    surfaces, P^1 (where the prefix of a line is empty), P^3, V_1(1,3)
-    (whose first ray has slope 3 along the last coordinate) and V_2(1,2);
-    the lower-bounds-only systems of ``h0_supported``; random systems on
-    V_2(1,2) with some infinite upper bounds; and simplices in 1 to 4
-    variables cut by random rows.  Among the drawn lines, some is
-    dropped whole by a row of slope 0, and some ends exactly on a row bound
-    of slope other than +-1, so both cuts are checked where floor division
-    matters.  The shadow of each plane is recomputed here line by line with
-    exact fractions, as the integer u whose real line meets the polytope.
-    Among the drawn planes, some has an empty shadow; some shadow ends
-    exactly on a Fourier-Motzkin bound whose u coefficient is not +-1, where
-    floor and ceiling division meet; and some V_2(1,2) system (a 3-D prefix)
-    has non-empty planes of different widths.
+    The box is that of the vertices solved one at a time by
+    ``vertex_oracle.fraction_vertices``.  The systems are the omega systems
+    of random sheaves on Hirzebruch surfaces, P^1 (one coordinate, so the
+    walk has no outer depth), P^3, V_1(1,3) (whose first ray has slope 3
+    along the last coordinate) and V_2(1,2); the lower-bounds-only systems
+    of ``h0_supported``; random systems on V_2(1,2) with some infinite upper
+    bounds; and simplices in 1 to 4 variables cut by random rows.  Among
+    the drawn lines, some is dropped whole by a row of slope 0, and some
+    ends exactly on a row bound of slope other than +-1, so both cuts are
+    checked where floor division matters.  Some outer coordinate, not the
+    innermost, has its range end exactly on a bound of its shadow whose
+    coefficient on that coordinate is not +-1, where the ceiling and floor
+    division of the walk meet.
     """
-    from math import ceil, floor
-
-    from toricsheaf.polytopes import _vertices
-
-    def naive(sys):
-        vertices = _vertices(sys)
-        if not vertices:
-            return [], []
-        n = sys.nvars
-        ranges = [
-            range(ceil(min(v[i] for v in vertices)), floor(max(v[i] for v in vertices)) + 1)
-            for i in range(n)
-        ]
-        return [m for m in product(*ranges) if sys.satisfied_by(m)], ranges
-
-    def dot(x, y):
-        return sum(a * b for a, b in zip(x, y))
-
-    def line_meets(bounds, prefix):
-        """Whether the real line prefix + (t,) meets {m : row . m >= k}."""
-        t_lo, t_hi = [], []
-        for row, k in bounds:
-            a, rest = row[-1], k - dot(prefix, row)
-            if a == 0 and rest > 0:
-                return False
-            if a:
-                (t_lo if a > 0 else t_hi).append(Fraction(rest, a))
-        return max(t_lo, default=-float("inf")) <= min(t_hi, default=float("inf"))
+    from toricsheaf.polytopes import _eliminate_last
 
     v22 = split_bundle(2, (1, 2))
-    dropped_by_flat_row = ended_on_steep_bound = False
-    empty_shadow = shadow_on_steep_bound = uneven_planes = False
+    dropped_by_flat_row = ended_on_steep_bound = outer_on_steep_shadow = False
+
+    def shadows(system):
+        """The walk's shadow bounds h . (1, m_1..m_i) >= 0, for i = 1..n."""
+        bounds = [(-lo,) + row for row, lo in zip(system.rows, system.lower)]
+        bounds += [(up - 1,) + tuple(-a for a in row)
+                   for row, up in zip(system.rows, system.upper) if up is not None]
+        out = [bounds]
+        while len(out[0][0]) > 2:
+            out.insert(0, _eliminate_last(out[0]))
+        return out
 
     def check(system):
-        nonlocal dropped_by_flat_row, ended_on_steep_bound
-        nonlocal empty_shadow, shadow_on_steep_bound, uneven_planes
-        points, ranges = naive(system)
+        nonlocal dropped_by_flat_row, ended_on_steep_bound, outer_on_steep_shadow
+        points, ranges = box_filtered_points(system)
         assert psi_points(system) == points
         bounds = list(zip(system.rows, system.lower, system.upper))
         for prefix in product(*ranges[:-1]):
@@ -246,28 +260,13 @@ def test_psi_points_matches_naive_box_filter():
                 top = None if up is None else up - 1
                 if abs(a) > 1 and sum(x * y for x, y in zip(m, row)) == (lo if a < 0 else top):
                     ended_on_steep_bound = True
-        if len(ranges) < 3:
-            return  # a system in two variables has one plane, walked over its box
-        # every bound as row . m >= k, and the shadow bounds on (outer, u)
-        geq = [(row, lo) for row, lo, _ in bounds]
-        geq += [(tuple(-a for a in row), 1 - up) for row, _, up in bounds if up is not None]
-        shadow = [(row, k) for row, k in geq if row[-1] == 0]
-        shadow += [
-            (tuple(-q[-1] * x + p[-1] * y for x, y in zip(p, q)), -q[-1] * kp + p[-1] * kq)
-            for p, kp in geq if p[-1] > 0 for q, kq in geq if q[-1] < 0
-        ]
-        widths = set()
-        for outer in product(*ranges[:-2]):
-            us = [u for u in ranges[-2] if line_meets(geq, outer + (u,))]
-            if not us:
-                empty_shadow = True
-                continue
-            widths.add(len(us))
-            for u in (us[0], us[-1]):
-                if any(abs(c[-2]) > 1 and dot(c, outer + (u,)) == k for c, k in shadow):
-                    shadow_on_steep_bound = True
-        if system.rows == v22.rays and len(widths) > 1:
-            uneven_planes = True
+        if system.nvars < 2 or not points:
+            return
+        for i, shadow in enumerate(shadows(system)[:-1], start=1):
+            steep = [h for h in shadow if abs(h[-1]) > 1]
+            for m in {m[:i] for m in points}:
+                if any(sum(x * y for x, y in zip(h, (1,) + m)) == 0 for h in steep):
+                    outer_on_steep_shadow = True
 
     rng = random.Random(4)
     for trial in range(40):
@@ -314,8 +313,7 @@ def test_psi_points_matches_naive_box_filter():
         check(IntervalConstraintSystem(rows, lower, upper))
 
     check(IntervalConstraintSystem((), (), ()))  # no variables: the one point of Z^0
-    assert dropped_by_flat_row and ended_on_steep_bound
-    assert empty_shadow and shadow_on_steep_bound and uneven_planes
+    assert dropped_by_flat_row and ended_on_steep_bound and outer_on_steep_shadow
 
 
 def test_psi_points_monotone_in_bounds():

@@ -1,4 +1,5 @@
-"""Cached integer vertex enumeration against per-vertex Fraction solves."""
+"""Cached integer vertex enumeration and lattice points against per-vertex
+Fraction solves."""
 from __future__ import annotations
 
 import random
@@ -12,13 +13,15 @@ from toricsheaf import (
     enumeration_box,
     hirzebruch,
     projective_space,
+    psi_points,
     split_bundle,
     twist,
 )
-from toricsheaf.polytopes import _rowset_inverses, _vertices
+from toricsheaf.errors import UnboundedSystemError
+from toricsheaf.polytopes import _rowset_inverses
 
 from conftest import random_sheaf
-from vertex_oracle import fraction_enumeration_box, fraction_vertices
+from vertex_oracle import box_filtered_points, fraction_enumeration_box, fraction_vertices
 
 # negative, zero and positive twists per variety
 VARIETIES = {
@@ -75,7 +78,10 @@ def test_rowset_inverses_drop_singular_and_keep_denominators():
 
 
 @pytest.mark.parametrize("shape", sorted(ROW_SHAPES))
-def test_vertices_match_fraction_oracle(shape):
+def test_psi_points_match_vertex_box_filter(shape):
+    """On every row shape, psi_points finds the points of the vertex box
+    that satisfy the system, and refuses a lower bound of None; the random
+    bounds give non-integral vertices on the fans with denominators."""
     rows = ROW_SHAPES[shape]
     rng = random.Random(f"vertices-{shape}")
     fractional = 0
@@ -86,8 +92,11 @@ def test_vertices_match_fraction_oracle(shape):
             for lo in lower
         ]
         system = IntervalConstraintSystem(rows, tuple(lower), tuple(upper))
-        vertices = _vertices(system)
-        assert vertices == fraction_vertices(system)
-        fractional += any(x.denominator > 1 for v in vertices for x in v)
+        if None in lower:
+            with pytest.raises(UnboundedSystemError):
+                psi_points(system)
+        else:
+            assert psi_points(system) == box_filtered_points(system)[0]
+        fractional += any(x.denominator > 1 for v in fraction_vertices(system) for x in v)
     if shape in ("H3", "V1_12"):
         assert fractional

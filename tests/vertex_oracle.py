@@ -3,8 +3,9 @@
 An independent oracle for the cached integer inverses of
 ``toricsheaf.polytopes``: every vertex here is a fresh exact ``Fraction``
 elimination of its own square system, and a system's vertices are filtered
-by rational comparisons with its bounds.  It shares only ``solve_square``
-with the program.
+by rational comparisons with its bounds.  The box of those vertices, filtered
+point by point, is the naive oracle for ``psi_points``.  It shares only
+``solve_square`` with the program.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ from toricsheaf.rational_linalg import solve_square
 
 
 def fraction_vertices(sys) -> list[tuple[Fraction, ...]]:
-    """All vertices of the system's polytope, in ``_vertices`` order."""
+    """All vertices of the system's polytope, row subsets in lexicographic
+    order and, within one, lower bounds before upper ones."""
     n = sys.nvars
     vertices = []
     for rowset in combinations(range(len(sys.rows)), n):
@@ -36,6 +38,20 @@ def fraction_vertices(sys) -> list[tuple[Fraction, ...]]:
                 break  # singular rows: no rhs can work
             vertices.append(sol)
     return [v for v in vertices if _satisfied_rational(sys, v)]
+
+
+def box_filtered_points(sys) -> tuple[list[tuple[int, ...]], list[range]]:
+    """The system's integer points in lexicographic order, found by testing
+    every point of its vertex box, and that box's integer ranges (none when
+    the polytope is empty)."""
+    vertices = fraction_vertices(sys)
+    if not vertices:
+        return [], []
+    ranges = [
+        range(ceil(min(v[i] for v in vertices)), floor(max(v[i] for v in vertices)) + 1)
+        for i in range(sys.nvars)
+    ]
+    return [m for m in product(*ranges) if sys.satisfied_by(m)], ranges
 
 
 def _satisfied_rational(sys, point) -> bool:
