@@ -12,23 +12,31 @@ complex on the rays, and the ordinary simplicial signs (-1)^pos, pos the
 position of the dropped ray in the sorted ray list, make d o d = 0.  The
 Euler characteristic is the signed sum of the same chain dimensions.
 
-All global numbers are finite sums over a box of characters.  The box is the
+All global numbers are finite sums over a box of characters.  Local numbers
+depend only on the tuple of filtration levels, so each global number is a
+sum of count x local over the level-tuple histogram of its box.  A twist
+only moves the jumps, so the engine hands the shifted jumps to the box
+directly, and the vertices come from the integer inverses of the ray sets
+that polytopes caches once per fan.  Chi, the Cech numbers and h^1 walk the
 bounding box (margin 1) of the vertices of the arrangement of jump
 hyperplanes <m, n(rho)> = jump: dimensions are constant on the chambers of
 that arrangement, and an unbounded chamber with a nonzero dimension would
 contradict finite-dimensionality, so everything outside the box contributes
-zero.  A twist only moves the jumps, so the engine hands the shifted jumps
-to the box directly, and the vertices come from the integer inverses of the
-ray sets that polytopes caches once per fan.  Local numbers depend only on
-the tuple of filtration levels, so each global number is a sum of count x
-local over the level-tuple histogram of the box.  The histogram is counted
-one line of the box at a time along the last coordinate.  On a line every
-pairing is affine in that coordinate, so a ray's level changes only at the
-cut points where its pairing crosses one of its jumps, by +1 or -1 with the
-sign of the slope (a repeated jump gives two steps at one cut).  The
-levels are computed once at the start of the line; sorting the cut points
-and applying their steps then gives each run of constant level tuple and
-its length.  Local numbers are cached.
+zero.  H^0 and H^n walk the smaller box of their support polytope.  The local
+h^0 is 0 as soon as one ray is at level 0, so every section lies in
+<m, n(rho)> >= i_1(rho) - shift; the local h^n is 0 as soon as one ray is at
+its top level, whose space is the whole fibre, so h^n lives in
+<m, n(rho)> <= i_top(rho) - shift - 1.  The rays of a complete fan
+positively span, so each polytope is bounded and its box is the floor and
+ceiling of its vertices: the arrangement vertices of its own bounds that
+satisfy all of them; with none, the polytope is empty and the number 0.  The
+histogram is counted one line of the box at a time along the last
+coordinate.  On a line every pairing is affine in that coordinate, so a
+ray's level changes only at the cut points where its pairing crosses one of
+its jumps, by +1 or -1 with the sign of the slope (a repeated jump gives two
+steps at one cut).  The levels are computed once at the start of the line;
+sorting the cut points and applying their steps then gives each run of
+constant level tuple and its length.  Local numbers are cached.
 """
 from __future__ import annotations
 
@@ -65,6 +73,8 @@ class CharacterBox:
         return product(*ranges)
 
     def __contains__(self, m: Sequence[int]) -> bool:
+        if len(m) != len(self.lower):
+            raise ValueError(f"character must have length {len(self.lower)}")
         return all(lo <= x <= hi for x, lo, hi in zip(m, self.lower, self.upper))
 
 
@@ -78,10 +88,25 @@ def enumeration_box(
         sorted({j - shift for j in f.jumps})
         for f, shift in zip(sheaf.filtrations, shifts or repeat(0))
     ]
-    dim = sheaf.variety.dim
-    vertices = list(arrangement_vertices(sheaf.variety.rays, values))
-    lower = tuple(min(x[i] // d for x, d in vertices) - 1 for i in range(dim))
-    upper = tuple(max(-(-x[i] // d) for x, d in vertices) + 1 for i in range(dim))
+    return _vertex_box(list(arrangement_vertices(sheaf.variety.rays, values)), margin=1)
+
+
+def _support_box(rows: tuple[tuple[int, ...], ...], bounds: Sequence[int]) -> CharacterBox | None:
+    """Bounding box of the polytope row_k . m >= bounds_k, None when it is
+    empty; the rows must positively span, so the polytope is bounded and its
+    box is that of its vertices."""
+    vertices = [
+        (x, d) for x, d in arrangement_vertices(rows, [[b] for b in bounds])
+        if all(sum(map(mul, row, x)) >= b * d for row, b in zip(rows, bounds))
+    ]
+    return _vertex_box(vertices, margin=0) if vertices else None
+
+
+def _vertex_box(vertices: list[tuple[tuple[int, ...], int]], margin: int) -> CharacterBox:
+    """Integer bounding box of the vertices x / D, widened by margin."""
+    dim = len(vertices[0][0])
+    lower = tuple(min(x[i] // d for x, d in vertices) - margin for i in range(dim))
+    upper = tuple(max(-(-x[i] // d) for x, d in vertices) + margin for i in range(dim))
     return CharacterBox(lower, upper)
 
 
@@ -115,6 +140,7 @@ class SheafCohomology:
             for k in range(self.variety.dim + 1)
         ]
         self._jumps = tuple(f.jumps for f in sheaf.filtrations)
+        self._negated_rays = tuple(tuple(-a for a in ray) for ray in self.variety.rays)
         # rays whose pairing moves along the last coordinate: index, ray,
         # slope, the level step at each jump crossed, jumps
         self._sloped = tuple(
@@ -143,7 +169,10 @@ class SheafCohomology:
 
     def histogram(self, c: Sequence[int]) -> dict[tuple[int, ...], int]:
         """How many characters of the twisted box have each level tuple."""
-        box, shifts = self._twist_setup(c)
+        return self._walk(*self._twist_setup(c))
+
+    def _walk(self, box: CharacterBox, shifts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """How many characters of the box have each level tuple at these shifts."""
         lo, hi = box.lower[-1], box.upper[-1]
         counts: dict[tuple[int, ...], int] = {}
         for prefix in CharacterBox(box.lower[:-1], box.upper[:-1]).points():
@@ -171,17 +200,31 @@ class SheafCohomology:
         shifts = self.variety.twist_divisor(c)
         return enumeration_box(self.sheaf, shifts), shifts
 
-    def _total(self, c: Sequence[int], local) -> int:
-        return sum(n * local(lv) for lv, n in self.histogram(c).items())
+    @staticmethod
+    def _total(counts: dict[tuple[int, ...], int], local) -> int:
+        return sum(n * local(lv) for lv, n in counts.items())
+
+    def _support_total(self, c: Sequence[int], rows, bound, local) -> int:
+        """Sum of local over the box of the polytope row_k . m >= bound(jumps_k,
+        shift_k), outside which local is 0."""
+        shifts = self.variety.twist_divisor(c)
+        box = _support_box(rows, [bound(j, sh) for j, sh in zip(self._jumps, shifts)])
+        return 0 if box is None else self._total(self._walk(box, shifts), local)
 
     def h0_twisted(self, c: Sequence[int]) -> int:
-        return self._total(c, self.h0)
+        # the local h0 is 0 wherever some ray is at level 0
+        return self._support_total(
+            c, self.variety.rays, lambda jumps, shift: jumps[0] - shift, self.h0
+        )
 
     def hn_twisted(self, c: Sequence[int]) -> int:
-        return self._total(c, self.hn)
+        # the local hn is 0 wherever some ray is at its top level, whose space is Q^rank
+        return self._support_total(
+            c, self._negated_rays, lambda jumps, shift: shift - jumps[-1] + 1, self.hn
+        )
 
     def chi_twisted(self, c: Sequence[int]) -> int:
-        return self._total(c, self.chi)
+        return self._total(self.histogram(c), self.chi)
 
     def cech_twisted(self, c: Sequence[int]) -> tuple[int, ...]:
         totals = [0] * (self.variety.dim + 1)
@@ -192,11 +235,14 @@ class SheafCohomology:
 
     def h1_identity_twisted(self, c: Sequence[int]) -> int:
         """h^0 + h^n - chi, which is h^1 on a surface."""
-        return self._total(c, lambda lv: self.h0(lv) + self.hn(lv) - self.chi(lv))
+        return self._total(
+            self.histogram(c), lambda lv: self.h0(lv) + self.hn(lv) - self.chi(lv)
+        )
 
     def h0_supported(self, c: Sequence[int]) -> int:
-        """Same value as h0_twisted, summing only over the characters whose
-        ray pieces are all nonzero (the rest contribute zero sections)."""
+        """Same value as h0_twisted over the same support polytope, counted
+        point by point: psi_points lists its characters and each gets its
+        own levels call (criterion 6's per-character oracle)."""
         shifts = self.variety.twist_divisor(c)
         lower = tuple(jumps[0] - sh for jumps, sh in zip(self._jumps, shifts))
         system = IntervalConstraintSystem(self.variety.rays, lower, (None,) * len(lower))

@@ -27,11 +27,11 @@ error.
 
 Every vertex of a hyperplane arrangement is the intersection of n of its
 fixed row hyperplanes, and only the right-hand side b moves (for the
-character boxes of ``cohomology.enumeration_box``, with the jumps and the
-twist).  So the inverse of each nonsingular n-subset of rows is computed
-once per row tuple, exactly, and kept as an integer matrix N over a
-positive integer D; ``arrangement_vertices`` gives each vertex as N.b / D
-without solving it on its own.
+character boxes of ``cohomology``, with the jumps and the twist).  So the
+inverse of each nonsingular n-subset of rows is computed once per row
+tuple, exactly, and kept as an integer matrix N over a positive integer D;
+``arrangement_vertices`` gives each vertex as N.b / D without solving it on
+its own.
 """
 from __future__ import annotations
 
