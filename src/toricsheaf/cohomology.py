@@ -30,13 +30,18 @@ its top level, whose space is the whole fibre, so h^n lives in
 positively span, so each polytope is bounded and its box is the floor and
 ceiling of its vertices: the arrangement vertices of its own bounds that
 satisfy all of them; with none, the polytope is empty and the number 0.  The
-histogram is counted one line of the box at a time along the last
-coordinate.  On a line every pairing is affine in that coordinate, so a
-ray's level changes only at the cut points where its pairing crosses one of
-its jumps, by +1 or -1 with the sign of the slope (a repeated jump gives two
-steps at one cut).  The levels are computed once at the start of the line;
-sorting the cut points and applying their steps then gives each run of
-constant level tuple and its length.  Local numbers are cached.
+histogram is counted one line of the box at a time along its longest axis,
+which gives the fewest lines (the highest index on a tie).  On a line every
+pairing is affine in that coordinate, so a ray's level changes only at the
+cut points where its pairing crosses one of its jumps, by +1 or -1 with the
+sign of the slope (a repeated jump gives two steps at one cut).  A plane
+fixes every coordinate but the line axis and one stepping axis.  Its first
+line takes its start tuple from one checked levels call and each ray's
+pairing from one dot product; each later line moves those pairings by the
+rays' coordinates along the stepping axis and bisects the jumps for its
+start tuple.  Sorting a line's cut points and applying their steps then
+gives each run of constant level tuple and its length.  Local numbers are
+cached.
 """
 from __future__ import annotations
 
@@ -44,7 +49,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import product, repeat
-from operator import mul
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from .filtration import EquivariantReflexiveSheaf
@@ -63,6 +68,9 @@ class CharacterBox:
     upper: tuple[int, ...]
 
     def __post_init__(self):
+        for name in ("lower", "upper"):
+            bounds = tuple(strict_int(x, "box bound") for x in getattr(self, name))
+            object.__setattr__(self, name, bounds)
         if len(self.lower) != len(self.upper):
             raise ValueError("bound tuples must have equal length")
         if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
@@ -110,6 +118,13 @@ def _vertex_box(vertices: list[tuple[tuple[int, ...], int]], margin: int) -> Cha
     return CharacterBox(lower, upper)
 
 
+def _line_axis(box: CharacterBox) -> int:
+    """The axis the histogram walk runs its lines along: the longest one,
+    which gives the fewest lines, the highest index on a tie."""
+    extents = [hi - lo for lo, hi in zip(box.lower, box.upper)]
+    return max(range(len(extents)), key=lambda i: (extents[i], i))
+
+
 def _cached_by_levels(local):
     """Cache a local number of the engine per level tuple."""
     @wraps(local)
@@ -141,13 +156,6 @@ class SheafCohomology:
         ]
         self._jumps = tuple(f.jumps for f in sheaf.filtrations)
         self._negated_rays = tuple(tuple(-a for a in ray) for ray in self.variety.rays)
-        # rays whose pairing moves along the last coordinate: index, ray,
-        # slope, the level step at each jump crossed, jumps
-        self._sloped = tuple(
-            (k, ray, ray[-1], 1 if ray[-1] > 0 else -1, jumps)
-            for k, (ray, jumps) in enumerate(zip(self.variety.rays, self._jumps))
-            if ray[-1]
-        )
         self._pieces: dict[tuple, Subspace] = {}
         self._local: dict[str, dict[tuple[int, ...], object]] = {}
 
@@ -173,27 +181,57 @@ class SheafCohomology:
 
     def _walk(self, box: CharacterBox, shifts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """How many characters of the box have each level tuple at these shifts."""
-        lo, hi = box.lower[-1], box.upper[-1]
+        rays = self.variety.rays
+        axis = _line_axis(box)
+        outer = [i for i in range(len(box.lower)) if i != axis]
+        # a plane fixes every coordinate but the stepping axis and the line
+        # axis; in dimension 1 there is no stepping axis and one line
+        stepping = outer.pop() if outer else None
+        if stepping is None:
+            lines, advance = 1, None
+        else:
+            lines = box.upper[stepping] - box.lower[stepping] + 1
+            advance = [ray[stepping] for ray in rays]
+        length = box.upper[axis] - box.lower[axis] + 1
+        # rays whose pairing moves along the line: index, slope, the level step
+        # at each jump crossed, jumps
+        sloped = [
+            (k, ray[axis], 1 if ray[axis] > 0 else -1, jumps)
+            for k, (ray, jumps) in enumerate(zip(rays, self._jumps))
+            if ray[axis]
+        ]
+        m = list(box.lower)
         counts: dict[tuple[int, ...], int] = {}
-        for prefix in CharacterBox(box.lower[:-1], box.upper[:-1]).points():
-            # on the line prefix + (t,) a sloped ray's pairing is a*t + b; its
-            # level moves by step at the first t with a*t + b >= j (a > 0) or
-            # < j (a < 0); lo's cuts are in the start tuple, hi + 1 ends the line
-            cuts = [(hi + 1, 0, 0)]
-            for k, ray, a, step, jumps in self._sloped:
-                b = sum(map(mul, prefix, ray)) + shifts[k]  # map stops at the prefix
-                for j in jumps:
-                    t = -((b - j) // a) if a > 0 else (j - b) // a + 1
-                    if lo < t <= hi:
-                        cuts.append((t, k, step))
-            lv = list(self.levels(prefix + (lo,), shifts))
-            prev = lo
-            for t, k, step in sorted(cuts):
-                if t > prev:
-                    key = tuple(lv)
-                    counts[key] = counts.get(key, 0) + t - prev
-                    prev = t
-                lv[k] += step
+        for fixed in product(*(range(box.lower[i], box.upper[i] + 1) for i in outer)):
+            for i, x in zip(outer, fixed):
+                m[i] = x
+            start = self.levels(tuple(m), shifts)
+            # each ray's pairing at the start of the plane's first line
+            pairings = [sum(map(mul, m, ray)) + shift for ray, shift in zip(rays, shifts)]
+            for line in range(lines):
+                if line:
+                    pairings = list(map(add, pairings, advance))
+                    lv = list(map(bisect_right, self._jumps, pairings))
+                else:
+                    lv = list(start)
+                # u steps into the line, the pairing is slope*u + b; a level
+                # moves by step at the first u with slope*u + b >= j (slope
+                # > 0) or < j (slope < 0); cuts at u = 0 are in the start
+                # tuple, and u = length ends the line
+                cuts = [(length, 0, 0)]
+                for k, slope, step, js in sloped:
+                    b = pairings[k]
+                    for j in js:
+                        u = -((b - j) // slope) if slope > 0 else (j - b) // slope + 1
+                        if 0 < u < length:
+                            cuts.append((u, k, step))
+                prev = 0
+                for u, k, step in sorted(cuts):
+                    if u > prev:
+                        key = tuple(lv)
+                        counts[key] = counts.get(key, 0) + u - prev
+                        prev = u
+                    lv[k] += step
         return counts
 
     def _twist_setup(self, c: Sequence[int]) -> tuple[CharacterBox, tuple[int, ...]]:

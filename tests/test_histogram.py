@@ -24,11 +24,10 @@ from toricsheaf import (
     span,
     split_bundle,
 )
-from toricsheaf.cohomology import _engine, _support_box
+from toricsheaf.cohomology import _engine, _line_axis, _support_box
 
 from conftest import (
     chain_filtration,
-    random_filtration,
     random_invertible_rows,
     random_sheaf,
     rank3_example_sheaf,
@@ -71,18 +70,25 @@ def twists_of(name):
     return [c if isinstance(c, tuple) else (c,) for c in VARIETIES[name][1]]
 
 
+def at_coordinate(m: tuple[int, ...], axis: int, t: int) -> tuple[int, ...]:
+    return m[:axis] + (t,) + m[axis + 1:]
+
+
 def lines_cut_at_the_ends(engine: SheafCohomology, c) -> tuple[int, int]:
-    """How many lines of the twisted box change level tuple between lo - 1
-    and lo, and between hi and hi + 1: cut points that land exactly on lo
-    (already in the start tuple) and on hi + 1 (past the line)."""
+    """How many lines of the twisted box, along the walk's line axis, change
+    level tuple between lo - 1 and lo, and between hi and hi + 1: cut points
+    that land exactly on lo (already in the start tuple) and on hi + 1 (past
+    the line)."""
     box, shifts = engine._twist_setup(c)
-    lo, hi = box.lower[-1], box.upper[-1]
+    axis = _line_axis(box)
+    lo, hi = box.lower[axis], box.upper[axis]
     at_lo = at_end = 0
-    for prefix in CharacterBox(box.lower[:-1], box.upper[:-1]).points():
-        def at(t):
-            return engine.levels(prefix + (t,), shifts)
-        at_lo += at(lo - 1) != at(lo)
-        at_end += at(hi) != at(hi + 1)
+    for m in box.points():
+        if m[axis] == lo:
+            def at(t):
+                return engine.levels(at_coordinate(m, axis, t), shifts)
+            at_lo += at(lo - 1) != at(lo)
+            at_end += at(hi) != at(hi + 1)
     return at_lo, at_end
 
 
@@ -107,15 +113,25 @@ def repeated_jump_filtration(rng: random.Random, rank: int) -> KlyachkoFiltratio
     return KlyachkoFiltration(tuple(jumps), spaces)
 
 
-def double_steps(engine: SheafCohomology, c) -> int:
-    """How many characters of the twisted box, past the start of their line,
-    have some ray's level 2 or more away from the previous character's."""
+def repeated_jump_sheaf(rng: random.Random, variety, rank: int) -> EquivariantReflexiveSheaf:
+    """A sheaf with a repeated jump on every ray.  The jumps move the box and
+    the box picks the line axis, so every ray gets one: the rays sloped along
+    whichever axis the walk picks have theirs."""
+    return EquivariantReflexiveSheaf(
+        variety, rank, tuple(repeated_jump_filtration(rng, rank) for _ in variety.rays)
+    )
+
+
+def double_steps(engine: SheafCohomology, c, axis: int) -> int:
+    """How many characters of the twisted box, past the start of their line
+    along the axis, have some ray's level 2 or more away from the previous
+    character's."""
     box, shifts = engine._twist_setup(c)
     return sum(
         any(abs(x - y) >= 2 for x, y in zip(
-            engine.levels(m, shifts), engine.levels(m[:-1] + (m[-1] - 1,), shifts)
+            engine.levels(m, shifts), engine.levels(at_coordinate(m, axis, m[axis] - 1), shifts)
         ))
-        for m in box.points() if m[-1] > box.lower[-1]
+        for m in box.points() if m[axis] > box.lower[axis]
     )
 
 
@@ -123,18 +139,100 @@ def double_steps(engine: SheafCohomology, c) -> int:
 @pytest.mark.parametrize("rank", [2, 3])
 def test_histogram_with_repeated_jumps_on_sloped_rays(name, rank):
     """Slopes -1 and 1 on P^1 (one line, empty prefix), and -1, 1 and 2 or 3
-    on V_1(1, 2) and V_1(1, 3): each sloped ray crosses two jumps at one
-    cut point."""
+    on V_1(1, 2) and V_1(1, 3): each ray sloped along the line axis crosses
+    two jumps at one cut point."""
     variety = VARIETIES[name][0]
     rng = random.Random(f"repeated-{name}-{rank}")
-    filtrations = tuple(
-        repeated_jump_filtration(rng, rank) if ray[-1] else random_filtration(rng, rank, -3, 0)
-        for ray in variety.rays
-    )
-    engine = SheafCohomology(EquivariantReflexiveSheaf(variety, rank, filtrations))
+    engine = SheafCohomology(repeated_jump_sheaf(rng, variety, rank))
     for c in twists_of(name):
-        assert double_steps(engine, c)
+        assert double_steps(engine, c, _line_axis(engine._twist_setup(c)[0]))
         assert engine.histogram(c) == per_character_histogram(engine, c)
+
+
+# box shapes for the walk: one axis strictly longest, every extent tied, two
+# axes tied for the longest, one line, one point, and a longest axis whose
+# stepping axis (the highest other index) has extent 0 or 1
+SHAPES = ["longest", "tied", "two-tied", "line", "point", "thin-step"]
+
+
+def shaped_box(shape: str, axis: int, lower: list[int], sizes: list[int]) -> CharacterBox:
+    """A box of the shape at lower, whose extents (upper - lower) come from
+    sizes, each in 0..4, and whose named axis is longest where the shape
+    has one."""
+    dim = len(lower)
+    top = max(sizes) + 1
+    if shape == "longest":
+        extents = [min(s, top - 1) for s in sizes]
+        extents[axis] = top
+    elif shape == "tied":
+        extents = [sizes[0]] * dim
+    elif shape == "two-tied":
+        extents = list(sizes)
+        extents[axis] = extents[(axis + 1) % dim] = top
+    elif shape == "line":
+        extents = [0] * dim
+        extents[axis] = sizes[axis]
+    elif shape == "point":
+        extents = [0] * dim
+    else:  # thin-step
+        extents = list(sizes)
+        extents[axis] = top
+        stepping = [i for i in range(dim) if i != axis][-1:]
+        for i in stepping:
+            extents[i] = sizes[i] % 2
+    return CharacterBox(tuple(lower), tuple(lo + e for lo, e in zip(lower, extents)))
+
+
+def check_walk(engine: SheafCohomology, box: CharacterBox, shifts: tuple[int, ...]) -> None:
+    assert engine._walk(box, shifts) == Counter(engine.levels(m, shifts) for m in box.points())
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("name", sorted(VARIETIES))
+def test_walk_matches_per_character_count_on_every_box_shape(name, shape):
+    """Every shape with every axis as the named one, on every variety: the
+    slopes -1, 1, 2 and 3 of H_3, V_1(1, 2) and V_1(1, 3) lie along the line
+    for one axis and along the stepping axis for another."""
+    variety = VARIETIES[name][0]
+    rng = random.Random(f"walk-{name}-{shape}")
+    for axis in range(variety.dim):
+        for rank in (1, 2, 3):
+            engine = SheafCohomology(random_sheaf(rng, variety, rank, -3, 0))
+            box = shaped_box(
+                shape, axis,
+                [rng.randint(-5, 3) for _ in range(variety.dim)],
+                [rng.randint(0, 4) for _ in range(variety.dim)],
+            )
+            extents = [hi - lo for lo, hi in zip(box.lower, box.upper)]
+            longest = [i for i, e in enumerate(extents) if e == max(extents)]
+            if shape in ("longest", "thin-step"):
+                assert longest == [axis]
+            # the walk's lines run along the longest axis, the highest on a tie
+            assert _line_axis(box) == longest[-1]
+            shifts = tuple(rng.randint(-5, 5) for _ in variety.rays)
+            check_walk(engine, box, shifts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(VARIETIES)),
+    st.integers(1, 3),
+    st.sampled_from(SHAPES),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_walk_matches_per_character_count_on_any_box(name, rank, shape, seed, data):
+    variety = VARIETIES[name][0]
+    dim = variety.dim
+    engine = SheafCohomology(random_sheaf(random.Random(seed), variety, rank, -3, 0))
+    box = shaped_box(
+        shape,
+        data.draw(st.integers(0, dim - 1)),
+        data.draw(st.lists(st.integers(-6, 4), min_size=dim, max_size=dim)),
+        data.draw(st.lists(st.integers(0, 4), min_size=dim, max_size=dim)),
+    )
+    shifts = data.draw(st.tuples(*[st.integers(-6, 6)] * variety.ray_count))
+    check_walk(engine, box, shifts)
 
 
 def test_module_functions_share_one_engine_per_sheaf():
@@ -156,6 +254,18 @@ def test_character_box_rejects_a_character_of_the_wrong_length():
     for m in [(0, 0, 5), (0,), ()]:
         with pytest.raises(ValueError, match="character must have length 2"):
             m in box
+
+
+@pytest.mark.parametrize("lower, upper", [((0.5,), (2,)), ((True,), (2,)), ((0,), (2.0,))])
+def test_character_box_rejects_bounds_that_are_not_integers(lower, upper):
+    with pytest.raises(ValueError, match="box bound must be an integer"):
+        CharacterBox(lower, upper)
+
+
+def test_character_box_stores_its_bounds_as_tuples():
+    box = CharacterBox([0, -1], [2, 1])
+    assert box.lower == (0, -1) and box.upper == (2, 1)
+    assert {box: 1}[CharacterBox((0, -1), (2, 1))] == 1
 
 
 # twists on both sides of the jumps: the support polytopes of h^0 and h^n
