@@ -53,9 +53,10 @@ from operator import add, mul
 from typing import Iterator, Sequence
 
 from .filtration import EquivariantReflexiveSheaf
-from .polytopes import IntervalConstraintSystem, arrangement_vertices, psi_points
+from .polytopes import arrangement_vertices
 from .rational_linalg import Subspace, intersect, matrix_rank, subspace_sum
-# not called here; bench/selftest.py checks that the tracer patches this binding
+# not called here; bench/selftest.py checks that the tracer patches these bindings
+from .polytopes import psi_points
 from .rational_linalg import solve_square
 from .toric import Cone, strict_int
 
@@ -170,6 +171,9 @@ class SheafCohomology:
             shifts = repeat(0)
         elif len(shifts) != self.variety.ray_count:
             raise ValueError(f"shifts must have length {self.variety.ray_count}")
+        elif not {int}.issuperset(map(type, shifts)):
+            for x in shifts:
+                strict_int(x, "shift")
         return tuple(
             bisect_right(jumps, sum(map(mul, m, ray)) + shift)
             for jumps, ray, shift in zip(self._jumps, self.variety.rays, shifts)
@@ -277,15 +281,6 @@ class SheafCohomology:
             self.histogram(c), lambda lv: self.h0(lv) + self.hn(lv) - self.chi(lv)
         )
 
-    def h0_supported(self, c: Sequence[int]) -> int:
-        """Same value as h0_twisted over the same support polytope, counted
-        point by point: psi_points lists its characters and each gets its
-        own levels call (criterion 6's per-character oracle)."""
-        shifts = self.variety.twist_divisor(c)
-        lower = tuple(jumps[0] - sh for jumps, sh in zip(self._jumps, shifts))
-        system = IntervalConstraintSystem(self.variety.rays, lower, (None,) * len(lower))
-        return sum(self.h0(self.levels(m, shifts)) for m in psi_points(system))
-
     def piece(self, rayset: tuple[int, ...], levels: tuple[int, ...]) -> Subspace:
         if not rayset:
             return Subspace.full(self.rank)
@@ -382,6 +377,8 @@ def _engine(sheaf: EquivariantReflexiveSheaf) -> SheafCohomology:
 
 def sigma_piece(sheaf: EquivariantReflexiveSheaf, cone: Cone, m: Sequence[int]) -> Subspace:
     """Sections over the cone's affine piece in degree m; full for the zero cone."""
+    if cone not in sheaf.variety.cones():
+        raise ValueError(f"{cone} is not a cone of the fan of the sheaf's variety")
     engine = _engine(sheaf)
     return engine.piece(cone.ray_indices, engine.levels(m))
 

@@ -115,13 +115,8 @@ def delta_normalization(
     re-indexing the characters, so all class-graded dimensions agree.
     """
     v = sheaf.variety
-    _, a = split_data(v)
-    i_top = [f.jumps[-1] for f in sheaf.rho_filtrations()]
-    j_top = [f.jumps[-1] for f in sheaf.eta_filtrations()]
-    delta = (
-        sum(i_top) - sum(au * ju for au, ju in zip(a, j_top[1:])),
-        sum(j_top),
-    )
+    split_data(v)  # raises UnsupportedVarietyError off the split bundles
+    delta = v.divisor_class([f.jumps[-1] for f in sheaf.filtrations])
     filts = tuple(f.shifted(f.jumps[-1]) for f in sheaf.filtrations)
     return delta, EquivariantReflexiveSheaf(v, sheaf.rank, filts)
 

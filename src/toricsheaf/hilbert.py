@@ -4,8 +4,10 @@ The Hilbert function of the twisted-section module is the sum, over all
 multi-indices, of (number of integer points of the index's interval system)
 times (dimension of the intersection of the indexed filtration spaces).
 On split-bundle varieties the support is sandwiched between explicit
-half-plane regions, and past an explicit corner the Hilbert function is a
-polynomial, recovered here by exact interpolation and cross-validated.
+regions, each the class (p_D, q_D) of a divisor D of jumps (from
+``ToricVariety.divisor_class``) plus the effective cone {q >= 0, p + a_r q >= 0}.
+Past an explicit corner the Hilbert function is a polynomial, recovered here
+by exact interpolation and cross-validated.
 """
 from __future__ import annotations
 
@@ -335,43 +337,29 @@ class SupportRegion:
         return f"{label}: " + " and ".join(str(pl) for pl in self.planes)
 
 
-def _first_and_top_jumps(sheaf):
-    i_first = [f.jumps[0] for f in sheaf.rho_filtrations()]
-    i_top = [f.jumps[-1] for f in sheaf.rho_filtrations()]
-    j_first = [f.jumps[0] for f in sheaf.eta_filtrations()]
-    j_top = [f.jumps[-1] for f in sheaf.eta_filtrations()]
-    return i_first, i_top, j_first, j_top
-
-
-def _bound_region(a, i_sel, j_sel, kind, index) -> SupportRegion:
-    ar = a[-1]
-    q_bound = sum(j_sel)
-    p_bound = sum(i_sel) + ar * j_sel[0] + sum(
-        (ar - au) * ju for au, ju in zip(a, j_sel[1:])
-    )
-    return SupportRegion(kind, index, (HalfPlane(0, 1, q_bound), HalfPlane(1, ar, p_bound)))
+def _class_region(sheaf, coeffs, kind, index) -> SupportRegion:
+    """The class (p_D, q_D) of D = sum coeffs_k D_k plus the effective cone
+    {q >= 0, p + a_r q >= 0}."""
+    ar = split_data(sheaf.variety)[1][-1]
+    p_d, q_d = sheaf.variety.divisor_class(coeffs)
+    return SupportRegion(kind, index, (HalfPlane(0, 1, q_d), HalfPlane(1, ar, p_d + ar * q_d)))
 
 
 def lower_support_region(sheaf: EquivariantReflexiveSheaf) -> SupportRegion:
-    """The half-plane region containing the whole support (all first jumps)."""
-    _, a = split_data(sheaf.variety)
-    i_first, _, j_first, _ = _first_and_top_jumps(sheaf)
-    return _bound_region(a, i_first, j_first, "L", None)
+    """The region containing the whole support: D is the divisor of first jumps."""
+    return _class_region(sheaf, [f.jumps[0] for f in sheaf.filtrations], "L", None)
 
 
 def upper_support_regions(sheaf: EquivariantReflexiveSheaf) -> list[SupportRegion]:
-    """Regions certain to carry sections: top jumps with one first jump swapped in."""
-    s, a = split_data(sheaf.variety)
-    i_first, i_top, j_first, j_top = _first_and_top_jumps(sheaf)
+    """Regions certain to carry sections, I(k) per rho ray and J(k) per eta
+    ray: D is the divisor of top jumps with ray k's first jump swapped in."""
+    s, _ = split_data(sheaf.variety)
+    top = [f.jumps[-1] for f in sheaf.filtrations]
     regions = []
-    for k in range(s + 1):
-        i_sel = list(i_top)
-        i_sel[k] = i_first[k]
-        regions.append(_bound_region(a, i_sel, j_top, "I", k))
-    for k in range(len(a) + 1):
-        j_sel = list(j_top)
-        j_sel[k] = j_first[k]
-        regions.append(_bound_region(a, i_top, j_sel, "J", k))
+    for k, f in enumerate(sheaf.filtrations):
+        coeffs = top[:k] + [f.jumps[0]] + top[k + 1:]
+        kind, index = ("I", k) if k <= s else ("J", k - s - 1)
+        regions.append(_class_region(sheaf, coeffs, kind, index))
     return regions
 
 
@@ -384,12 +372,14 @@ def in_support_upper_bound(sheaf: EquivariantReflexiveSheaf, p: int, q: int) -> 
 
 
 def regularity_thresholds(sheaf: EquivariantReflexiveSheaf) -> tuple[int, int]:
-    """Corner (P0, Q0): the Hilbert function is a polynomial on p>=P0, q>=Q0."""
-    _, a = split_data(sheaf.variety)
-    _, i_top, j_first, j_top = _first_and_top_jumps(sheaf)
-    p0 = sum(i_top) - sum(au * jf for au, jf in zip(a, j_first[1:])) - 1
-    q0 = sum(j_top) - 1
-    return p0, q0
+    """Corner (P0, Q0): the Hilbert function is a polynomial on p>=P0, q>=Q0.
+    P0 + 1 is p of the class of (top rho, first eta jumps) and Q0 + 1 is q
+    of the class of the top jumps."""
+    v = sheaf.variety
+    s, _ = split_data(v)
+    top = [f.jumps[-1] for f in sheaf.filtrations]
+    first = [f.jumps[0] for f in sheaf.filtrations]
+    return v.divisor_class(top[:s + 1] + first[s + 1:])[0] - 1, v.divisor_class(top)[1] - 1
 
 
 def regularity_region(sheaf: EquivariantReflexiveSheaf) -> SupportRegion:
@@ -445,17 +435,16 @@ def hilbert_polynomial(sheaf: EquivariantReflexiveSheaf) -> RationalPolynomial:
 
 def rank1_hilbert_polynomial(sheaf: EquivariantReflexiveSheaf) -> RationalPolynomial:
     """Closed-form Hilbert polynomial of a rank-1 sheaf, assembled from the
-    power-sum machinery rather than interpolation; an independent cross-check."""
+    power-sum machinery rather than interpolation; an independent cross-check.
+    (p_D, q_D) is the class of the divisor of its jumps."""
     if sheaf.rank != 1:
         raise ValueError("closed form implemented for rank 1 only")
     s, a = split_data(sheaf.variety)
     r = len(a)
-    i_jumps = [f.jumps[0] for f in sheaf.rho_filtrations()]
-    j_jumps = [f.jumps[0] for f in sheaf.eta_filtrations()]
+    p_d, q_d = sheaf.variety.divisor_class([f.jumps[0] for f in sheaf.filtrations])
     # variables (Q, e_1..e_r, p): Q the eta budget, e the shifted eta slice
     n = r + 2
-    p_var = RationalPolynomial.variable(n - 1, n)
-    t_poly = p_var - sum(i_jumps) + sum(au * ju for au, ju in zip(a, j_jumps[1:]))
+    t_poly = RationalPolynomial.variable(n - 1, n) - p_d
     for u in range(1, r + 1):
         t_poly = t_poly + a[u - 1] * RationalPolynomial.variable(u, n)
     inner = RationalPolynomial.constant(Fraction(1, factorial(s)), n)
@@ -463,7 +452,7 @@ def rank1_hilbert_polynomial(sheaf: EquivariantReflexiveSheaf) -> RationalPolyno
         inner = inner * (t_poly + step)
     summed = simplex_sum(inner, r)          # variables (Q, p)
     p_final = RationalPolynomial.variable(0, 2)
-    q_shifted = RationalPolynomial.variable(1, 2) - sum(j_jumps)
+    q_shifted = RationalPolynomial.variable(1, 2) - q_d
     result = RationalPolynomial(2)
     for (e_q, e_p), c in summed.coeffs.items():
         result = result + c * (q_shifted ** e_q) * (p_final ** e_p)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import mul
 from typing import Sequence
 
 from .errors import ConfigError, UnsupportedVarietyError
@@ -39,6 +40,9 @@ class Cone:
 
 @dataclass(frozen=True)
 class ToricVariety:
+    """A fan with its class group: ``degrees`` holds [D_ray] per ray, and
+    ``divisor_class`` maps per-ray coefficients to their divisor's class."""
+
     family: str                      # "projective" | "split_bundle"
     dim: int
     rays: tuple[tuple[int, ...], ...]
@@ -89,6 +93,13 @@ class ToricVariety:
         if len(c) != self.class_rank:
             raise ValueError(f"class element must have length {self.class_rank}")
         return c
+
+    def divisor_class(self, coeffs: Sequence[int]) -> tuple[int, ...]:
+        """The class sum_k coeffs_k [D_k] of a torus-invariant divisor."""
+        coeffs = [strict_int(x, "divisor coefficient") for x in coeffs]
+        if len(coeffs) != self.ray_count:
+            raise ValueError(f"need {self.ray_count} divisor coefficients, one per ray")
+        return tuple(sum(map(mul, coeffs, column)) for column in zip(*self.degrees))
 
     def twist_divisor(self, c: Sequence[int]) -> tuple[int, ...]:
         """Per-ray coefficients of the fixed divisor representative of c."""

@@ -10,9 +10,11 @@ import pytest
 import toricsheaf
 from toricsheaf import (
     EquivariantReflexiveSheaf,
+    IntervalConstraintSystem,
     KlyachkoFiltration,
     Subspace,
     hirzebruch,
+    psi_points,
     span,
 )
 from toricsheaf.rational_linalg import matrix_rank
@@ -80,6 +82,16 @@ def random_sheaf(rng: random.Random, variety, rank: int, jump_lo=-6, jump_hi=0):
         for _ in range(variety.ray_count)
     )
     return EquivariantReflexiveSheaf(variety, rank, filts)
+
+
+def h0_supported(engine, c) -> int:
+    """The engine's h0_twisted(c), counted point by point: psi_points lists
+    the characters of the support polytope <m, n(ray)> >= i_1(ray) - shift
+    and each gets its own levels call (criterion 6's per-character oracle)."""
+    shifts = engine.variety.twist_divisor(c)
+    lower = tuple(f.jumps[0] - sh for f, sh in zip(engine.sheaf.filtrations, shifts))
+    system = IntervalConstraintSystem(engine.variety.rays, lower, (None,) * len(lower))
+    return sum(engine.h0(engine.levels(m, shifts)) for m in psi_points(system))
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from toricsheaf import (
 from toricsheaf.hilbert import RationalPolynomial
 from toricsheaf.toric import Cone
 
-from conftest import random_sheaf, rank3_example_sheaf
+from conftest import h0_supported, random_sheaf, rank3_example_sheaf
 from test_polytopes import brute_force_metasystem, brute_force_system1
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "rank3_h3.json"
@@ -161,14 +161,14 @@ def test_criterion_06_support_sandwich(sample_windows):
         engine = SheafCohomology(sheaf)
         for p in range(-12, 13):
             for q in range(-12, 13):
-                h = engine.h0_supported((p, q))
+                h = h0_supported(engine, (p, q))
                 if h > 0:
                     assert in_support_lower_bound(sheaf, p, q), (p, q)
                 if in_support_upper_bound(sheaf, p, q):
                     assert h > 0, (p, q)
         # pin the fast section count against the boxed one along a diagonal
         for t in range(-12, 13, 6):
-            assert engine.h0_supported((t, t)) == engine.h0_twisted((t, t))
+            assert h0_supported(engine, (t, t)) == engine.h0_twisted((t, t))
     print(f"criterion 6 pass: support sandwich holds on 25x25 windows for "
           f"{len(sample_windows)} sheaves")
 

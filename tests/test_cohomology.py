@@ -18,7 +18,7 @@ from toricsheaf import (
 )
 from toricsheaf.cohomology import CharacterBox
 
-from conftest import random_sheaf
+from conftest import h0_supported, random_sheaf
 
 
 def widened(box: CharacterBox, margin: int) -> CharacterBox:
@@ -224,7 +224,7 @@ def test_h0_supported_equals_boxed():
     sheaf = random_sheaf(rng, hirzebruch(3), 3)
     eng = SheafCohomology(sheaf)
     for c in ((0, 0), (6, 2), (-9, -1), (12, -5)):
-        assert eng.h0_supported(c) == eng.h0_twisted(c)
+        assert h0_supported(eng, c) == eng.h0_twisted(c)
 
 
 def test_cech_on_threefold_bundle():

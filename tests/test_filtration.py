@@ -217,13 +217,14 @@ def test_structural_errors():
 
 
 @pytest.mark.parametrize("bad", [2.9, 1.0, True, "2"])
-@pytest.mark.parametrize("entry_point", ["twist class", "divisor", "jump"])
+@pytest.mark.parametrize("entry_point", ["twist class", "divisor", "divisor class", "jump"])
 def test_library_integers_are_strict(entry_point, bad):
     p2 = projective_space(2)
     full = Subspace.full(1)
     build = {
         "twist class": lambda: SheafCohomology(structure_sheaf(p2)).h0_twisted((bad,)),
         "divisor": lambda: line_bundle(p2, [bad, 0, 0]),
+        "divisor class": lambda: p2.divisor_class([0, bad, 0]),
         "jump": lambda: KlyachkoFiltration((bad,), (full,)),
     }[entry_point]
     with pytest.raises(ValueError, match=f"must be an integer, got {bad!r}"):
@@ -234,6 +235,9 @@ def test_library_integers_are_strict(entry_point, bad):
     ("shifts", (1,), "shifts must have length 4"),
     ("shifts", (0, 0, 0, 0, 1), "shifts must have length 4"),
     ("shifts", (), "shifts must have length 4"),
+    ("shifts", (0.5, 0, True, 0), "shift must be an integer, got 0.5"),
+    ("shifts", (0, 0, True, 0), "shift must be an integer, got True"),
+    ("divisor class", (1, 0, 0), "need 4 divisor coefficients"),
     ("multi-index", (1.9, True, 1, 1.2), "must be an integer, got 1.9"),
     ("multi-index", (1, True, 1, 1), "must be an integer, got True"),
     ("multi-index", (1, 1, "2", 1), "must be an integer, got '2'"),
@@ -253,6 +257,7 @@ def test_more_library_input_is_strict(entry_point, bad, message):
     not truncated or coerced."""
     build = {
         "shifts": lambda: SheafCohomology(rank3_example_sheaf()).levels((0, 0), bad),
+        "divisor class": lambda: hirzebruch(3).divisor_class(bad),
         "multi-index": lambda: intersection_dim(rank3_example_sheaf(), bad),
         "monomial": lambda: MonomialIdeal(2, ((0, 0, 2), bad)),
         "projective dimension": lambda: MonomialIdeal(bad, ((0, 0, 2),)),
@@ -267,3 +272,21 @@ def test_more_library_input_is_strict(entry_point, bad, message):
     }[entry_point]
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("cone", [
+    Cone((-1,), 1),     # a negative index, which would read the last ray
+    Cone((7,), 1),      # no such ray
+    Cone((0, 1), 0),    # rho0 and rho1: a primitive collection, not a cone
+    Cone((0,), 0),      # a ray with the wrong codimension
+])
+def test_sigma_piece_refuses_a_cone_outside_the_fan(cone):
+    sheaf = structure_sheaf(hirzebruch(1))
+    with pytest.raises(ValueError, match="is not a cone of the fan"):
+        sigma_piece(sheaf, cone, (0, 0))
+
+
+def test_sigma_piece_takes_every_cone_of_the_fan():
+    sheaf = structure_sheaf(hirzebruch(1))
+    for cone in sheaf.variety.cones():
+        assert sigma_piece(sheaf, cone, (0, 0)).dim == 1

@@ -203,6 +203,73 @@ def test_support_sandwich_sampled():
                 assert h > 0
 
 
+def test_support_sandwich_on_bundles_beyond_surfaces():
+    """h^0 > 0 lies in L, and every I/J region carries sections, on seeded
+    sheaves of ranks 1-3 on V_1(1,2), V_2(1) and V_1(0,1) over a 17x17
+    window of twists."""
+    rng = random.Random(2027)
+    window = list(product(range(-8, 9), repeat=2))
+    seen = {"outside L": 0, "h0 > 0": 0, "in I/J": 0}
+    for variety in (split_bundle(1, (1, 2)), split_bundle(2, (1,)), split_bundle(1, (0, 1))):
+        for rank in (1, 2, 3):
+            sheaf = random_sheaf(rng, variety, rank, -4, 0)
+            engine = SheafCohomology(sheaf)
+            lower = lower_support_region(sheaf)
+            upper = upper_support_regions(sheaf)
+            for p, q in window:
+                h = engine.h0_twisted((p, q))
+                in_lower = lower.contains(p, q)
+                in_upper = any(r.contains(p, q) for r in upper)
+                if h > 0:
+                    assert in_lower, (variety.split_a, rank, p, q)
+                if in_upper:
+                    assert h > 0, (variety.split_a, rank, p, q)
+                seen["outside L"] += not in_lower
+                seen["h0 > 0"] += h > 0
+                seen["in I/J"] += in_upper
+    assert all(seen.values()), seen
+
+
+# (s, a, seed) -> str() of L, I(0..s), J(0..r) and omega, and the class delta,
+# of the seeded rank-2 sheaf random_sheaf(Random(seed), V_s(a), 2)
+BUNDLE_REGION_PINS = {
+    (1, (1, 2), 41): (
+        "L: q >= -11 and p + 2*q >= -20",
+        ["I(0): q >= -2 and p + 2*q >= -9", "I(1): q >= -2 and p + 2*q >= -9",
+         "J(0): q >= -6 and p + 2*q >= -16", "J(1): q >= -4 and p + 2*q >= -10",
+         "J(2): q >= -5 and p + 2*q >= -8"],
+        "omega: p >= 3 and q >= -3",
+        (-4, -2),
+    ),
+    (2, (1,), 42): (
+        "L: q >= -5 and p + q >= -18",
+        ["I(0): q >= -3 and p + q >= -13", "I(1): q >= -3 and p + q >= -13",
+         "I(2): q >= -3 and p + q >= -8", "J(0): q >= -3 and p + q >= -8",
+         "J(1): q >= -5 and p + q >= -8"],
+        "omega: p >= -4 and q >= -4",
+        (-5, -3),
+    ),
+    (2, (1, 2), 43): (
+        "L: q >= -14 and p + 2*q >= -25",
+        ["I(0): q >= -5 and p + 2*q >= -14", "I(1): q >= -5 and p + 2*q >= -13",
+         "I(2): q >= -5 and p + 2*q >= -15", "J(0): q >= -7 and p + 2*q >= -16",
+         "J(1): q >= -8 and p + 2*q >= -15", "J(2): q >= -9 and p + 2*q >= -12"],
+        "omega: p >= 8 and q >= -6",
+        (-2, -5),
+    ),
+}
+
+
+@pytest.mark.parametrize("s, a, seed", sorted(BUNDLE_REGION_PINS))
+def test_bundle_regions_are_pinned(s, a, seed):
+    sheaf = random_sheaf(random.Random(seed), split_bundle(s, a), 2)
+    lower, upper, omega, delta = BUNDLE_REGION_PINS[(s, a, seed)]
+    assert str(lower_support_region(sheaf)) == lower
+    assert [str(r) for r in upper_support_regions(sheaf)] == upper
+    assert str(regularity_region(sheaf)) == omega
+    assert delta_normalization(sheaf)[0] == delta
+
+
 def test_regularity_region_final_example(rank3_sheaf):
     assert str(regularity_region(rank3_sheaf)) == "omega: p >= 5 and q >= -1"
     assert regularity_thresholds(rank3_sheaf) == (5, -1)

@@ -219,7 +219,7 @@ def test_psi_points_matches_naive_box_filter():
     of random sheaves on Hirzebruch surfaces, P^1 (one coordinate, so the
     walk has no outer depth), P^3, V_1(1,3) (whose first ray has slope 3
     along the last coordinate) and V_2(1,2); the lower-bounds-only systems
-    of ``h0_supported``; random systems on V_2(1,2) with some infinite upper
+    of ``conftest.h0_supported``; random systems on V_2(1,2) with some infinite upper
     bounds; and simplices in 1 to 4 variables cut by random rows.  Among
     the drawn lines, some is dropped whole by a row of slope 0, and some
     ends exactly on a row bound of slope other than +-1, so both cuts are
@@ -289,7 +289,7 @@ def test_psi_points_matches_naive_box_filter():
         system = omega_system(sheaf, idx, c)
         if not system.has_empty_row():
             check(system)
-        # the lower-bounds-only system of h0_supported
+        # the lower-bounds-only system of conftest.h0_supported
         shifts = variety.twist_divisor(c)
         lower = tuple(f.jumps[0] - sh for f, sh in zip(sheaf.filtrations, shifts))
         check(IntervalConstraintSystem(variety.rays, lower, (None,) * len(lower)))

@@ -1,4 +1,6 @@
 """Unit tests for the fan and class-group data."""
+from itertools import product
+
 import pytest
 
 from toricsheaf import Cone, build_variety, hirzebruch, projective_space, split_bundle
@@ -66,7 +68,9 @@ def test_pairing_linear():
 
 
 def test_exactness_of_degree_map():
-    """sum over rays of <m, n(ray)> * [D_ray] vanishes in the class group."""
+    """sum over rays of <m, n(ray)> * [D_ray] vanishes in the class group,
+    and divisor_class agrees: principal divisors have class 0, and the fixed
+    representative of a class has that class."""
     for v in (projective_space(2), hirzebruch(3), split_bundle(2, (1, 2))):
         for m in ((1,) + (0,) * (v.dim - 1), (0,) * (v.dim - 1) + (1,), (1,) * v.dim):
             total = [0] * v.class_rank
@@ -75,6 +79,18 @@ def test_exactness_of_degree_map():
                 for i, d in enumerate(v.degrees[k]):
                     total[i] += pairing * d
             assert total == [0] * v.class_rank
+            assert v.divisor_class(v.character_embedding(m)) == (0,) * v.class_rank
+    for v in (projective_space(1), projective_space(3), hirzebruch(0), hirzebruch(3),
+              split_bundle(1, (1, 2)), split_bundle(2, (1,)), split_bundle(2, (0, 1))):
+        for c in product(range(-2, 3), repeat=v.class_rank):
+            assert v.divisor_class(v.twist_divisor(c)) == c
+
+
+def test_divisor_class_reads_the_ray_degrees():
+    v = split_bundle(1, (1, 2))
+    assert v.divisor_class((1, 0, 0, 0, 0)) == (1, 0)
+    assert v.divisor_class((0, 0, 0, 0, 1)) == (-2, 1)
+    assert v.divisor_class((3, -1, 2, 5, -4)) == (3 - 1 - 5 + 8, 2 + 5 - 4)
 
 
 def test_cone_counts():
