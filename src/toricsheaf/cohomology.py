@@ -14,15 +14,21 @@ Euler characteristic is the signed sum of the same chain dimensions.
 
 All global numbers are finite sums over a box of characters.  Local numbers
 depend only on the tuple of filtration levels, so each global number is a
-sum of count x local over the level-tuple histogram of its box.  A twist
-only moves the jumps, so the engine hands the shifted jumps to the box
-directly, and the vertices come from the integer inverses of the ray sets
-that polytopes caches once per fan.  Chi, the Cech numbers and h^1 walk the
-bounding box (margin 1) of the vertices of the arrangement of jump
-hyperplanes <m, n(rho)> = jump: dimensions are constant on the chambers of
-that arrangement, and an unbounded chamber with a nonzero dimension would
-contradict finite-dimensionality, so everything outside the box contributes
-zero.  H^0 and H^n walk the smaller box of their support polytope.  The local
+sum of count x local over the level-tuple histogram of its box.  Chi, the
+Cech numbers and h^1 walk the bounding box (margin 1) of the vertices of
+the arrangement of jump hyperplanes <m, n(rho)> = jump - shift: dimensions
+are constant on the chambers of that arrangement, and an unbounded chamber
+with a nonzero dimension would contradict finite-dimensionality, so
+everything outside the box contributes zero.  No vertex is listed for that
+box.  Each vertex is N.(j - shift)_S / D for a set S of dim rays with
+independent rows, whose inverse N / D polytopes caches once per fan, and
+one jump j_k of each ray of S, chosen independently.  So over the vertices
+of S, coordinate i is least at (sum_k min_j N_ik j - N_i.shift_S) / D and
+greatest at the same with max; the sums over the jumps are cached per fan
+and jumps, a twist costs one dot product per ray set and coordinate, and
+since floor and ceiling are monotone, the floors and ceilings of these
+extremes over all ray sets give the box exactly.  H^0 and H^n walk the
+smaller box of their support polytope.  The local
 h^0 is 0 as soon as one ray is at level 0, so every section lies in
 <m, n(rho)> >= i_1(rho) - shift; the local h^n is 0 as soon as one ray is at
 its top level, whose space is the whole fibre, so h^n lives in
@@ -53,7 +59,7 @@ from operator import add, mul
 from typing import Iterator, Sequence
 
 from .filtration import EquivariantReflexiveSheaf
-from .polytopes import arrangement_vertices
+from .polytopes import _rowset_extremes, arrangement_vertices
 from .rational_linalg import Subspace, intersect, matrix_rank, subspace_sum
 # not called here; bench/selftest.py checks that the tracer patches these bindings
 from .polytopes import psi_points
@@ -92,30 +98,46 @@ def enumeration_box(
 ) -> CharacterBox:
     """Bounding box, margin 1, of the vertices of the arrangement of jump
     hyperplanes <m, n(rho)> = jump - shift; ``shifts`` are the twist's
-    divisor coefficients per ray, none for the sheaf itself."""
-    values = [
-        sorted({j - shift for j in f.jumps})
-        for f, shift in zip(sheaf.filtrations, shifts or repeat(0))
-    ]
-    return _vertex_box(list(arrangement_vertices(sheaf.variety.rays, values)), margin=1)
+    divisor coefficients per ray, none for the sheaf itself.  The box is
+    read off the extremes of each rowset's vertices, none of them listed."""
+    v = sheaf.variety
+    shifts = (0,) * v.ray_count if shifts is None else _checked_shifts(shifts, v.ray_count)
+    jumps = tuple(f.jumps for f in sheaf.filtrations)
+    floors, ceilings = [], []
+    for rowset, inverse, d, low, high in _rowset_extremes(v.rays, jumps):
+        moved = [shifts[k] for k in rowset]
+        offsets = [sum(map(mul, line, moved)) for line in inverse]
+        # the rowset's least and greatest x_i / D, rounded outwards
+        floors.append([(lo - o) // d for lo, o in zip(low, offsets)])
+        ceilings.append([-((o - hi) // d) for hi, o in zip(high, offsets)])
+    return CharacterBox(
+        tuple(min(xs) - 1 for xs in zip(*floors)), tuple(max(xs) + 1 for xs in zip(*ceilings))
+    )
+
+
+def _checked_shifts(shifts: Sequence[int], count: int) -> Sequence[int]:
+    """The twist's divisor coefficients, one integer per ray."""
+    if len(shifts) != count:
+        raise ValueError(f"shifts must have length {count}")
+    if not {int}.issuperset(map(type, shifts)):
+        for x in shifts:
+            strict_int(x, "shift")
+    return shifts
 
 
 def _support_box(rows: tuple[tuple[int, ...], ...], bounds: Sequence[int]) -> CharacterBox | None:
     """Bounding box of the polytope row_k . m >= bounds_k, None when it is
     empty; the rows must positively span, so the polytope is bounded and its
-    box is that of its vertices."""
+    box is the floor and ceiling of its vertices x / D."""
     vertices = [
         (x, d) for x, d in arrangement_vertices(rows, [[b] for b in bounds])
         if all(sum(map(mul, row, x)) >= b * d for row, b in zip(rows, bounds))
     ]
-    return _vertex_box(vertices, margin=0) if vertices else None
-
-
-def _vertex_box(vertices: list[tuple[tuple[int, ...], int]], margin: int) -> CharacterBox:
-    """Integer bounding box of the vertices x / D, widened by margin."""
-    dim = len(vertices[0][0])
-    lower = tuple(min(x[i] // d for x, d in vertices) - margin for i in range(dim))
-    upper = tuple(max(-(-x[i] // d) for x, d in vertices) + margin for i in range(dim))
+    if not vertices:
+        return None
+    dim = len(rows[0])
+    lower = tuple(min(x[i] // d for x, d in vertices) for i in range(dim))
+    upper = tuple(max(-(-x[i] // d) for x, d in vertices) for i in range(dim))
     return CharacterBox(lower, upper)
 
 
@@ -167,13 +189,7 @@ class SheafCohomology:
         if not {int}.issuperset(map(type, m)):
             for x in m:
                 strict_int(x, "character entry")
-        if shifts is None:
-            shifts = repeat(0)
-        elif len(shifts) != self.variety.ray_count:
-            raise ValueError(f"shifts must have length {self.variety.ray_count}")
-        elif not {int}.issuperset(map(type, shifts)):
-            for x in shifts:
-                strict_int(x, "shift")
+        shifts = repeat(0) if shifts is None else _checked_shifts(shifts, self.variety.ray_count)
         return tuple(
             bisect_right(jumps, sum(map(mul, m, ray)) + shift)
             for jumps, ray, shift in zip(self._jumps, self.variety.rays, shifts)

@@ -345,14 +345,14 @@ def _class_region(sheaf, coeffs, kind, index) -> SupportRegion:
     return SupportRegion(kind, index, (HalfPlane(0, 1, q_d), HalfPlane(1, ar, p_d + ar * q_d)))
 
 
+@lru_cache(maxsize=64)
 def lower_support_region(sheaf: EquivariantReflexiveSheaf) -> SupportRegion:
     """The region containing the whole support: D is the divisor of first jumps."""
     return _class_region(sheaf, [f.jumps[0] for f in sheaf.filtrations], "L", None)
 
 
-def upper_support_regions(sheaf: EquivariantReflexiveSheaf) -> list[SupportRegion]:
-    """Regions certain to carry sections, I(k) per rho ray and J(k) per eta
-    ray: D is the divisor of top jumps with ray k's first jump swapped in."""
+@lru_cache(maxsize=64)
+def _upper_regions(sheaf: EquivariantReflexiveSheaf) -> tuple[SupportRegion, ...]:
     s, _ = split_data(sheaf.variety)
     top = [f.jumps[-1] for f in sheaf.filtrations]
     regions = []
@@ -360,7 +360,14 @@ def upper_support_regions(sheaf: EquivariantReflexiveSheaf) -> list[SupportRegio
         coeffs = top[:k] + [f.jumps[0]] + top[k + 1:]
         kind, index = ("I", k) if k <= s else ("J", k - s - 1)
         regions.append(_class_region(sheaf, coeffs, kind, index))
-    return regions
+    return tuple(regions)
+
+
+def upper_support_regions(sheaf: EquivariantReflexiveSheaf) -> list[SupportRegion]:
+    """Regions certain to carry sections, I(k) per rho ray and J(k) per eta
+    ray: D is the divisor of top jumps with ray k's first jump swapped in.
+    Built once per sheaf; each call returns a fresh list."""
+    return list(_upper_regions(sheaf))
 
 
 def in_support_lower_bound(sheaf: EquivariantReflexiveSheaf, p: int, q: int) -> bool:
@@ -368,7 +375,7 @@ def in_support_lower_bound(sheaf: EquivariantReflexiveSheaf, p: int, q: int) -> 
 
 
 def in_support_upper_bound(sheaf: EquivariantReflexiveSheaf, p: int, q: int) -> bool:
-    return any(r.contains(p, q) for r in upper_support_regions(sheaf))
+    return any(r.contains(p, q) for r in _upper_regions(sheaf))
 
 
 def regularity_thresholds(sheaf: EquivariantReflexiveSheaf) -> tuple[int, int]:

@@ -26,12 +26,14 @@ coordinate from one side makes a non-empty polytope unbounded, which is an
 error.
 
 Every vertex of a hyperplane arrangement is the intersection of n of its
-fixed row hyperplanes, and only the right-hand side b moves (for the
-character boxes of ``cohomology``, with the jumps and the twist).  So the
+fixed row hyperplanes, and only the right-hand side b moves.  So the
 inverse of each nonsingular n-subset of rows is computed once per row
 tuple, exactly, and kept as an integer matrix N over a positive integer D;
 ``arrangement_vertices`` gives each vertex as N.b / D without solving it on
-its own.
+its own.  When each b_k runs over its own list of values, each coordinate
+of N.b is least (greatest) where every term N_ik b_k is, so
+``_rowset_extremes`` gives those extremes per rowset without listing a
+vertex; ``cohomology`` builds its character boxes from them.
 """
 from __future__ import annotations
 
@@ -145,6 +147,23 @@ def _rowset_inverses(
             inverse = tuple(tuple(int(col[i] * d) for col in columns) for i in range(n))
             inverses.append((rowset, inverse, d))
     return tuple(inverses)
+
+
+@lru_cache(maxsize=64)
+def _rowset_extremes(
+    rows: tuple[tuple[int, ...], ...], values: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int,
+                 tuple[int, ...], tuple[int, ...]], ...]:
+    """(rowset, N, D, low, high) for every rowset inverse of the rows: with
+    b_k running over values[k] independently, low_i and high_i are the least
+    and greatest (N.b)_i, each the sum of the least or greatest N_ik b_k."""
+    extremes = []
+    for rowset, inverse, d in _rowset_inverses(rows):
+        ends = [(min(values[k]), max(values[k])) for k in rowset]
+        low = tuple(sum(min(a * lo, a * hi) for a, (lo, hi) in zip(line, ends)) for line in inverse)
+        high = tuple(sum(max(a * lo, a * hi) for a, (lo, hi) in zip(line, ends)) for line in inverse)
+        extremes.append((rowset, inverse, d, low, high))
+    return tuple(extremes)
 
 
 def arrangement_vertices(

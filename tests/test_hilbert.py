@@ -191,6 +191,24 @@ def test_rank1_upper_equals_lower():
         assert region.planes == lower.planes
 
 
+def test_support_regions_are_built_once_per_sheaf(monkeypatch):
+    """Asking about many (p, q) builds L and the I/J regions once, one class
+    per region, and each upper_support_regions call hands out its own list."""
+    sheaf = random_sheaf(random.Random("regions-once"), hirzebruch(3), 2)
+    calls = []
+    divisor_class = type(sheaf.variety).divisor_class
+    monkeypatch.setattr(type(sheaf.variety), "divisor_class",
+                        lambda self, coeffs: calls.append(coeffs) or divisor_class(self, coeffs))
+    for p, q in product(range(-4, 5), repeat=2):
+        in_support_lower_bound(sheaf, p, q)
+        in_support_upper_bound(sheaf, p, q)
+    assert len(calls) == 1 + sheaf.variety.ray_count
+    regions = upper_support_regions(sheaf)
+    regions.clear()
+    assert len(upper_support_regions(sheaf)) == sheaf.variety.ray_count
+    assert len(calls) == 1 + sheaf.variety.ray_count
+
+
 def test_support_sandwich_sampled():
     rng = random.Random(17)
     sheaf = random_sheaf(rng, hirzebruch(2), 2)

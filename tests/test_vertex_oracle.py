@@ -6,6 +6,8 @@ import random
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricsheaf import (
     IntervalConstraintSystem,
@@ -18,9 +20,9 @@ from toricsheaf import (
     twist,
 )
 from toricsheaf.errors import UnboundedSystemError
-from toricsheaf.polytopes import _rowset_inverses
+from toricsheaf.polytopes import _rowset_extremes, _rowset_inverses
 
-from conftest import random_sheaf
+from conftest import random_sheaf, rank3_example_sheaf
 from vertex_oracle import box_filtered_points, fraction_enumeration_box, fraction_vertices
 
 # negative, zero and positive twists per variety
@@ -50,6 +52,52 @@ def test_boxes_match_fraction_oracle(name, rank):
         for c in twists:
             box, _ = engine._twist_setup(c)
             assert box == fraction_enumeration_box(twist(sheaf, c))
+
+
+# P^n (n <= 3), H_a and V_s(a) with s + r <= 4
+ANY_VARIETY = st.one_of(
+    st.integers(1, 3).map(projective_space),
+    st.integers(0, 4).map(hirzebruch),
+    st.integers(1, 3).flatmap(lambda s: st.lists(
+        st.integers(0, 3), min_size=1, max_size=4 - s
+    ).map(lambda a: split_bundle(s, sorted(a)))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ANY_VARIETY, st.integers(1, 3), st.integers(-6, 0), st.integers(0, 6),
+       st.integers(0, 2**32), st.data())
+def test_closed_form_box_matches_fraction_oracle(variety, rank, jump_lo, width, seed, data):
+    """A narrow jump range repeats jumps; the twist moves every bound."""
+    sheaf = random_sheaf(random.Random(seed), variety, rank, jump_lo, jump_lo + width)
+    c = data.draw(st.tuples(*[st.integers(-6, 6)] * variety.class_rank))
+    box = enumeration_box(sheaf, variety.twist_divisor(c))
+    assert box == fraction_enumeration_box(twist(sheaf, c))
+
+
+def test_jump_extremes_are_cached_per_jumps():
+    """Two sheaves on one fan with different jumps get their own extremes
+    and their own boxes, in either order of first use."""
+    rows = hirzebruch(3).rays
+    wide = random_sheaf(random.Random("extremes-wide"), hirzebruch(3), 2, -8, -4)
+    narrow = random_sheaf(random.Random("extremes-narrow"), hirzebruch(3), 2, -1, 0)
+    jumps = [tuple(f.jumps for f in sheaf.filtrations) for sheaf in (wide, narrow)]
+    assert jumps[0] != jumps[1]
+    assert _rowset_extremes(rows, jumps[0]) != _rowset_extremes(rows, jumps[1])
+    for sheaf in (wide, narrow, wide, narrow):
+        assert enumeration_box(sheaf) == fraction_enumeration_box(sheaf)
+    assert enumeration_box(wide) != enumeration_box(narrow)
+
+
+@pytest.mark.parametrize("shifts, message", [
+    ([0, 0, 0, 0, 0], "shifts must have length 4"),
+    ([0, 0, 0], "shifts must have length 4"),
+    ([True, 0, 0, 0], "shift must be an integer"),
+    ([0.5, 0, 0, 0], "shift must be an integer"),
+])
+def test_enumeration_box_refuses_bad_shifts(shifts, message):
+    with pytest.raises(ValueError, match=message):
+        enumeration_box(rank3_example_sheaf(), shifts)
 
 
 # fan rays (H_3's (1, 0) and (-1, 3) give D = 3, H_0's (1, 0) and (-1, 0) are
