@@ -33,10 +33,10 @@ h^0 is 0 as soon as one ray is at level 0, so every section lies in
 <m, n(rho)> >= i_1(rho) - shift; the local h^n is 0 as soon as one ray is at
 its top level, whose space is the whole fibre, so h^n lives in
 <m, n(rho)> <= i_top(rho) - shift - 1.  The rays of a complete fan
-positively span, so each polytope is bounded and its box is the floor and
-ceiling of its vertices: the arrangement vertices of its own bounds that
-satisfy all of them; with none, the polytope is empty and the number 0.  The
-histogram is counted one line of the box at a time along its longest axis,
+positively span, so each polytope is bounded and its box holds, per
+coordinate, the integers between the ends of its real shadow on that
+coordinate alone (``polytopes._shadow_cuts``); with none, the number is 0.
+The histogram is counted one line of the box at a time along its longest axis,
 which gives the fewest lines (the highest index on a tie).  On a line every
 pairing is affine in that coordinate, so a ray's level changes only at the
 cut points where its pairing crosses one of its jumps, by +1 or -1 with the
@@ -55,11 +55,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import product, repeat
-from operator import add, mul
+from operator import add, le, mul
 from typing import Iterator, Sequence
 
 from .filtration import EquivariantReflexiveSheaf
-from .polytopes import _rowset_extremes, arrangement_vertices
+from .polytopes import _rowset_extremes, _shadow_cuts
 from .rational_linalg import Subspace, intersect, matrix_rank, subspace_sum
 # not called here; bench/selftest.py checks that the tracer patches these bindings
 from .polytopes import psi_points
@@ -125,20 +125,21 @@ def _checked_shifts(shifts: Sequence[int], count: int) -> Sequence[int]:
     return shifts
 
 
-def _support_box(rows: tuple[tuple[int, ...], ...], bounds: Sequence[int]) -> CharacterBox | None:
-    """Bounding box of the polytope row_k . m >= bounds_k, None when it is
-    empty; the rows must positively span, so the polytope is bounded and its
-    box is the floor and ceiling of its vertices x / D."""
-    vertices = [
-        (x, d) for x, d in arrangement_vertices(rows, [[b] for b in bounds])
-        if all(sum(map(mul, row, x)) >= b * d for row, b in zip(rows, bounds))
-    ]
-    if not vertices:
-        return None
-    dim = len(rows[0])
-    lower = tuple(min(x[i] // d for x, d in vertices) for i in range(dim))
-    upper = tuple(max(-(-x[i] // d) for x, d in vertices) for i in range(dim))
-    return CharacterBox(lower, upper)
+def _polytope_box(bounds: list[tuple[int, ...]]) -> CharacterBox | None:
+    """Per coordinate, the integers between the ends of the real shadow on it
+    alone of the bounded polytope h . (1, m) >= 0, h in bounds; None when a
+    range holds no integer or the polytope is empty."""
+    n = len(bounds[0]) - 1
+    lower, upper = [], []
+    for i in range(1, n + 1):
+        # with m_i moved first, the first cut is its shadow on m_i alone
+        cuts = _shadow_cuts([(h[0], h[i]) + h[1:i] + h[i + 1:] for h in bounds], n)
+        if cuts is None:
+            return None
+        rising, falling = cuts[0]
+        lower.append(max([-(rest[0] // a) for rest, a in rising]))
+        upper.append(min([rest[0] // a for rest, a in falling]))
+    return CharacterBox(tuple(lower), tuple(upper)) if all(map(le, lower, upper)) else None
 
 
 def _line_axis(box: CharacterBox) -> int:
@@ -178,7 +179,6 @@ class SheafCohomology:
             for k in range(self.variety.dim + 1)
         ]
         self._jumps = tuple(f.jumps for f in sheaf.filtrations)
-        self._negated_rays = tuple(tuple(-a for a in ray) for ray in self.variety.rays)
         self._pieces: dict[tuple, Subspace] = {}
         self._local: dict[str, dict[tuple[int, ...], object]] = {}
 
@@ -262,24 +262,25 @@ class SheafCohomology:
     def _total(counts: dict[tuple[int, ...], int], local) -> int:
         return sum(n * local(lv) for lv, n in counts.items())
 
-    def _support_total(self, c: Sequence[int], rows, bound, local) -> int:
-        """Sum of local over the box of the polytope row_k . m >= bound(jumps_k,
-        shift_k), outside which local is 0."""
-        shifts = self.variety.twist_divisor(c)
-        box = _support_box(rows, [bound(j, sh) for j, sh in zip(self._jumps, shifts)])
+    def _support_total(self, bounds: list[tuple[int, ...]], shifts, local) -> int:
+        """Sum of local, 0 off the polytope h . (1, m) >= 0, h in bounds, over its box."""
+        box = _polytope_box(bounds)
         return 0 if box is None else self._total(self._walk(box, shifts), local)
 
     def h0_twisted(self, c: Sequence[int]) -> int:
-        # the local h0 is 0 wherever some ray is at level 0
-        return self._support_total(
-            c, self.variety.rays, lambda jumps, shift: jumps[0] - shift, self.h0
-        )
+        # the local h0 is 0 wherever some ray is at level 0: <m, rho> >= i_1 - shift
+        shifts = self.variety.twist_divisor(c)
+        bounds = [(sh - js[0],) + ray for ray, js, sh in zip(self.variety.rays, self._jumps, shifts)]
+        return self._support_total(bounds, shifts, self.h0)
 
     def hn_twisted(self, c: Sequence[int]) -> int:
-        # the local hn is 0 wherever some ray is at its top level, whose space is Q^rank
-        return self._support_total(
-            c, self._negated_rays, lambda jumps, shift: shift - jumps[-1] + 1, self.hn
-        )
+        # the local hn is 0 wherever some ray is at its top level Q^rank: <m, rho> < i_top - shift
+        shifts = self.variety.twist_divisor(c)
+        bounds = [
+            (js[-1] - sh - 1,) + tuple(-a for a in ray)
+            for ray, js, sh in zip(self.variety.rays, self._jumps, shifts)
+        ]
+        return self._support_total(bounds, shifts, self.hn)
 
     def chi_twisted(self, c: Sequence[int]) -> int:
         return self._total(self.histogram(c), self.chi)

@@ -73,6 +73,10 @@ class EquivariantReflexiveSheaf:
         for f in self.filtrations:
             if f.rank != self.rank or f.ambient_dim != self.rank:
                 raise ValueError("filtration length and ambient must equal the rank")
+        object.__setattr__(self, "_hash", hash((self.variety, self.rank, self.filtrations)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def rho_filtrations(self) -> tuple[KlyachkoFiltration, ...]:
         s, _ = split_data(self.variety)

@@ -7,7 +7,8 @@ and for -infinity below).  For a complete fan the rays positively span, so a
 system whose lower bounds are all finite cuts out a (possibly empty)
 polytope.
 
-``psi_points`` counts by Fourier-Motzkin elimination alone.  Each bound is
+``psi_points`` and ``cohomology``'s support boxes use Fourier-Motzkin
+elimination alone, through the cuts of ``_shadow_cuts``.  Each bound is
 kept as h = (-k, row) with h . (1, m) >= 0.  ``_eliminate_last`` drops the
 last coordinate t: every bound free of t is kept, and every pair of a bound
 that cuts t from below with one that cuts it from above gives their
@@ -25,24 +26,21 @@ value whose real shadow is empty.  A shadow with no bound on its last
 coordinate from one side makes a non-empty polytope unbounded, which is an
 error.
 
-Every vertex of a hyperplane arrangement is the intersection of n of its
-fixed row hyperplanes, and only the right-hand side b moves.  So the
-inverse of each nonsingular n-subset of rows is computed once per row
-tuple, exactly, and kept as an integer matrix N over a positive integer D;
-``arrangement_vertices`` gives each vertex as N.b / D without solving it on
-its own.  When each b_k runs over its own list of values, each coordinate
-of N.b is least (greatest) where every term N_ik b_k is, so
-``_rowset_extremes`` gives those extremes per rowset without listing a
-vertex; ``cohomology`` builds its character boxes from them.
+The box of a whole jump arrangement comes from its vertices, each where n
+fixed row hyperplanes meet and only the right-hand sides b move: with the
+inverse N / D of each nonsingular n-subset of rows computed once per row
+tuple, each coordinate of a vertex N.b / D is least (greatest) where every
+term N_ik b_k is, so ``_rowset_extremes`` gives those extremes per rowset,
+b_k running over its own list of values, without listing a vertex.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import UnboundedSystemError
 from .filtration import EquivariantReflexiveSheaf
@@ -166,17 +164,6 @@ def _rowset_extremes(
     return tuple(extremes)
 
 
-def arrangement_vertices(
-    rows: tuple[tuple[int, ...], ...], values: Sequence[Sequence[int]]
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every point where n hyperplanes row_k . m = b_k with linearly
-    independent rows meet, b_k running over values[k], as the pair (x, D)
-    of the vertex x / D."""
-    for rowset, inverse, d in _rowset_inverses(rows):
-        for rhs in product(*(values[k] for k in rowset)):
-            yield tuple(sum(map(mul, line, rhs)) for line in inverse), d
-
-
 def _eliminate_last(bounds: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """One Fourier-Motzkin step: the bounds h . (1, m) >= 0 on m without its
     last coordinate t that hold exactly where some real t satisfies the given
@@ -193,10 +180,28 @@ def _eliminate_last(bounds: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return list(distinct)
 
 
+def _shadow_cuts(bounds: list[tuple[int, ...]], nvars: int):
+    """The cuts of the polytope h . (1, m) >= 0, h in bounds, m in Q^nvars,
+    None when it is empty: cuts[i] holds the bounds (rest, a) of its shadow
+    on m_1..m_(i+1) with a > 0, and those with a < 0, as pairs (rest, |a|)."""
+    shadows = [bounds]
+    for _ in range(nvars):
+        shadows.append(_eliminate_last(shadows[-1]))
+    if any(h[0] < 0 for h in shadows[-1]):
+        return None  # a negative constant: the polytope is empty
+    cuts = []
+    for shadow in reversed(shadows[:-1]):
+        rising = [(h[:-1], h[-1]) for h in shadow if h[-1] > 0]
+        falling = [(h[:-1], -h[-1]) for h in shadow if h[-1] < 0]
+        if not (rising and falling):
+            raise UnboundedSystemError("the rows do not cut out a bounded polytope")
+        cuts.append((rising, falling))
+    return cuts
+
+
 def _walk(cuts, prefix: tuple[int, ...], out: list[tuple[int, ...]]) -> None:
     """Append to out, in lexicographic order, the integer points that extend
-    prefix; cuts[i] holds, for the shadow bounds on m_1..m_(i+1) that rise
-    and that fall in m_(i+1), the pairs (rest, |coefficient of m_(i+1)|)."""
+    prefix, cut by the ``_shadow_cuts`` of their polytope."""
     rising, falling = cuts[len(prefix)]
     point = (1,) + prefix
     lo = max([-(sum(map(mul, rest, point)) // a) for rest, a in rising])
@@ -227,20 +232,9 @@ def psi_points(sys: IntervalConstraintSystem) -> list[tuple[int, ...]]:
         (up - 1,) + tuple(-a for a in row)
         for row, up in zip(sys.rows, sys.upper) if up is not None
     ]
-    shadows = [bounds]
-    for _ in range(sys.nvars):
-        shadows.append(_eliminate_last(shadows[-1]))
-    if any(h[0] < 0 for h in shadows[-1]):
-        return []  # a negative constant: the polytope is empty
-    cuts = []
-    for shadow in reversed(shadows[:-1]):
-        rising = [(h[:-1], h[-1]) for h in shadow if h[-1] > 0]
-        falling = [(h[:-1], -h[-1]) for h in shadow if h[-1] < 0]
-        if not (rising and falling):
-            raise UnboundedSystemError("the rows do not cut out a bounded polytope")
-        cuts.append((rising, falling))
+    cuts = _shadow_cuts(bounds, sys.nvars)
     if not cuts:
-        return [()]  # the one point of Z^0
+        return [] if cuts is None else [()]  # [()]: the one point of Z^0
     out: list[tuple[int, ...]] = []
     _walk(cuts, (), out)
     return out

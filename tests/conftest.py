@@ -10,7 +10,6 @@ import pytest
 import toricsheaf
 from toricsheaf import (
     EquivariantReflexiveSheaf,
-    IntervalConstraintSystem,
     KlyachkoFiltration,
     Subspace,
     hirzebruch,
@@ -18,6 +17,8 @@ from toricsheaf import (
     span,
 )
 from toricsheaf.rational_linalg import matrix_rank
+
+from vertex_oracle import support_polytopes
 
 # tests that run ``python -m toricsheaf.cli`` in a subprocess import the
 # same package as this process, also when only pytest's pythonpath finds it
@@ -89,8 +90,7 @@ def h0_supported(engine, c) -> int:
     the characters of the support polytope <m, n(ray)> >= i_1(ray) - shift
     and each gets its own levels call (criterion 6's per-character oracle)."""
     shifts = engine.variety.twist_divisor(c)
-    lower = tuple(f.jumps[0] - sh for f, sh in zip(engine.sheaf.filtrations, shifts))
-    system = IntervalConstraintSystem(engine.variety.rays, lower, (None,) * len(lower))
+    system, _ = support_polytopes(engine.sheaf, c)
     return sum(engine.h0(engine.levels(m, shifts)) for m in psi_points(system))
 
 

@@ -290,3 +290,28 @@ def test_sigma_piece_takes_every_cone_of_the_fan():
     sheaf = structure_sheaf(hirzebruch(1))
     for cone in sheaf.variety.cones():
         assert sigma_piece(sheaf, cone, (0, 0)).dim == 1
+
+
+def test_equal_sheaves_built_apart_hash_equal():
+    built = [random_sheaf(random.Random("hash-twins"), hirzebruch(2), 3, -4, 0) for _ in range(2)]
+    assert built[0] is not built[1] and built[0].filtrations[0] is not built[1].filtrations[0]
+    assert built[0] == built[1] and hash(built[0]) == hash(built[1])
+    assert {built[0]: 1}[built[1]] == 1
+
+
+def test_sheaf_hash_is_computed_once(monkeypatch):
+    """A sheaf keys every per-sheaf cache; its hash reads no filtration again."""
+    sheaf = rank3_example_sheaf()
+    first = hash(sheaf)
+    calls = []
+    original = KlyachkoFiltration.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(KlyachkoFiltration, "__hash__", counted)
+    hash(sheaf.filtrations[0])
+    assert len(calls) == 1  # the count sees a filtration's hash
+    assert hash(sheaf) == first
+    assert len(calls) == 1

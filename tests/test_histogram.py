@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections import Counter
-from math import ceil, floor, prod
+from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,17 +15,20 @@ from hypothesis import strategies as st
 from toricsheaf import (
     CharacterBox,
     EquivariantReflexiveSheaf,
-    IntervalConstraintSystem,
     KlyachkoFiltration,
     SheafCohomology,
     euler_characteristic,
     hirzebruch,
+    line_bundle,
     projective_space,
+    psi_points,
     sigma_piece,
     span,
     split_bundle,
 )
-from toricsheaf.cohomology import _engine, _line_axis, _support_box
+from toricsheaf.cohomology import _engine, _line_axis, _polytope_box
+from toricsheaf.errors import UnboundedSystemError
+from toricsheaf.toric import ToricVariety
 
 from conftest import (
     chain_filtration,
@@ -32,7 +36,7 @@ from conftest import (
     random_sheaf,
     rank3_example_sheaf,
 )
-from vertex_oracle import fraction_vertices
+from vertex_oracle import fraction_box, fraction_vertices, homogeneous_bounds, support_polytopes
 
 # V_1(1, 2) and V_1(1, 3) give the last coordinate slopes 2 and 3
 VARIETIES = {
@@ -304,17 +308,12 @@ def support_cases():
 
 def support_systems(engine: SheafCohomology, c):
     """The h^0 system (every level >= 1, lower bounds only) and the h^n
-    system (no level at the top, upper bounds only), each with the rows and
-    bounds the engine hands to ``_support_box``."""
-    shifts = engine.variety.twist_divisor(c)
-    rays = engine.variety.rays
-    none = (None,) * len(rays)
-    lower = tuple(f.jumps[0] - sh for f, sh in zip(engine.sheaf.filtrations, shifts))
-    upper = tuple(f.jumps[-1] - sh for f, sh in zip(engine.sheaf.filtrations, shifts))
-    negated = tuple(tuple(-a for a in ray) for ray in rays)
+    system (no level at the top, upper bounds only), each with its bounds in
+    the homogeneous form the engine hands to ``_polytope_box`` and the
+    integer ranges of its vertex box."""
     return [
-        (IntervalConstraintSystem(rays, lower, none), rays, lower),
-        (IntervalConstraintSystem(rays, none, upper), negated, [1 - up for up in upper]),
+        (system, homogeneous_bounds(system), fraction_box(system))
+        for system in support_polytopes(engine.sheaf, c)
     ]
 
 
@@ -342,9 +341,9 @@ def test_support_totals_match_full_box_totals():
 
 def test_structure_sheaf_of_p2_has_a_one_point_h0_polytope():
     engine = SheafCohomology(structure_sheaf(projective_space(2)))
-    (system, rows, bounds), _ = support_systems(engine, (0,))
+    (system, bounds, _), _ = support_systems(engine, (0,))
     assert fraction_vertices(system) == [(0, 0)] * 3
-    assert _support_box(rows, bounds) == CharacterBox((0, 0), (0, 0))
+    assert _polytope_box(bounds) == CharacterBox((0, 0), (0, 0))
     assert engine.h0_twisted((0,)) == 1
 
 
@@ -365,17 +364,58 @@ def test_support_totals_match_full_box_totals_on_any_twist(which, c):
     assert engine.hn_twisted(c) == full_box_total(engine, c, engine.hn)
 
 
-def test_support_box_is_the_box_of_the_polytope_vertices():
-    """The box floors the least and ceils the largest coordinate of the
-    feasible vertices, with no margin, and is None when there are none."""
+def test_polytope_box_is_the_inward_box_of_the_polytope_vertices():
+    """The box ceils the least and floors the largest coordinate of the
+    feasible vertices, with no margin, and is None when there are none or
+    some coordinate's range holds no integer; every integer point of the
+    h^0 polytope lies in it."""
+    kinds = set()
     for engine, c in support_cases():
-        for system, rows, bounds in support_systems(engine, c):
+        for system, bounds, oracle in support_systems(engine, c):
+            assert _polytope_box(bounds) == oracle
             vertices = fraction_vertices(system)
-            box = _support_box(rows, bounds)
             if not vertices:
-                assert box is None
-                continue
-            columns = list(zip(*vertices))
-            assert box == CharacterBox(
-                tuple(floor(min(x)) for x in columns), tuple(ceil(max(x)) for x in columns)
-            )
+                kinds.add("empty")
+            elif any(min(x) % 1 or max(x) % 1 for x in zip(*vertices)):
+                kinds.add("rounded inward")
+            if system.upper == (None,) * len(system.upper):
+                assert all(m in oracle for m in psi_points(system))
+    assert kinds == {"empty", "rounded inward"}
+
+
+def test_polytope_box_is_none_when_a_coordinate_range_holds_no_integer():
+    """On P^n and V_s(a) a non-empty support polytope holds a lattice point,
+    a vertex cut out by rays that form a lattice basis, so this takes a
+    simplicial complete fan with singular cones: rays (1, 2), (1, -2) and
+    (-1, 0).  O(D) with jumps (1, -1, 0) has the one-point h^0 polytope
+    (0, 1/2), and jumps (0, 2, 1) the one-point h^n polytope (0, -1/2): each
+    is non-empty over the reals, but no integer lies in its m_2 range."""
+    fake = ToricVariety("projective", 2, ((1, 2), (1, -2), (-1, 0)), ("a", "b", "c"), 1,
+                        ((1,), (1,), (1,)))
+    for coeffs, which in (((-1, 1, 0), 0), ((0, -2, -1), 1)):
+        engine = SheafCohomology(line_bundle(fake, coeffs))
+        system = support_polytopes(engine.sheaf, (0,))[which]
+        assert set(fraction_vertices(system)) == {(0, Fraction(1, 2) * (-1) ** which)}
+        assert _polytope_box(homogeneous_bounds(system)) is None
+        assert fraction_box(system) is None
+        for c in [(-2,), (-1,), (0,), (1,), (2,)]:
+            cech = engine.cech_twisted(c)
+            assert engine.h0_twisted(c) == cech[0]
+            assert engine.hn_twisted(c) == cech[-1]
+
+
+def test_polytope_box_is_none_on_an_empty_polytope_with_wide_ranges():
+    """0 <= m_1 <= 5 and 1 <= m_2 - m_1 <= 0: the pair on m_2 - m_1 leaves a
+    negative constant that no single coordinate's cut reads, and the shadows
+    on m_1 and m_2 alone would give [0, 5] and [1, 5]."""
+    bounds = [(0, 1, 0), (5, -1, 0), (-1, -1, 1), (0, 1, -1)]
+    assert _polytope_box(bounds) is None
+
+
+@pytest.mark.parametrize("bounds", [
+    [(0, 1, 0), (0, 0, 1)],                 # the quadrant m >= 0
+    [(3, 1, 0), (3, -1, 0), (0, 0, 1)],     # a half strip, unbounded in m_2
+])
+def test_polytope_box_refuses_rows_that_do_not_positively_span(bounds):
+    with pytest.raises(UnboundedSystemError, match="bounded polytope"):
+        _polytope_box(bounds)

@@ -19,11 +19,18 @@ from toricsheaf import (
     split_bundle,
     twist,
 )
+from toricsheaf.cohomology import _polytope_box
 from toricsheaf.errors import UnboundedSystemError
 from toricsheaf.polytopes import _rowset_extremes, _rowset_inverses
 
 from conftest import random_sheaf, rank3_example_sheaf
-from vertex_oracle import box_filtered_points, fraction_enumeration_box, fraction_vertices
+from vertex_oracle import (
+    box_filtered_points,
+    fraction_box,
+    fraction_enumeration_box,
+    fraction_vertices,
+    homogeneous_bounds,
+)
 
 # negative, zero and positive twists per variety
 VARIETIES = {
@@ -73,6 +80,20 @@ def test_closed_form_box_matches_fraction_oracle(variety, rank, jump_lo, width, 
     c = data.draw(st.tuples(*[st.integers(-6, 6)] * variety.class_rank))
     box = enumeration_box(sheaf, variety.twist_divisor(c))
     assert box == fraction_enumeration_box(twist(sheaf, c))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ANY_VARIETY, st.booleans(), st.data())
+def test_polytope_box_matches_fraction_oracle(variety, upper, data):
+    """The support box of h^0's form (lower bounds only) or h^n's (upper
+    bounds only), with any bound per ray, is the ceiling and floor of the
+    vertex coordinates, and None when there is no vertex."""
+    bounds = data.draw(st.tuples(*[st.integers(-5, 5)] * variety.ray_count))
+    none = (None,) * variety.ray_count
+    system = IntervalConstraintSystem(
+        variety.rays, none if upper else bounds, bounds if upper else none
+    )
+    assert _polytope_box(homogeneous_bounds(system)) == fraction_box(system)
 
 
 def test_jump_extremes_are_cached_per_jumps():

@@ -4,8 +4,9 @@ An independent oracle for the cached integer inverses of
 ``toricsheaf.polytopes``: every vertex here is a fresh exact ``Fraction``
 elimination of its own square system, and a system's vertices are filtered
 by rational comparisons with its bounds.  The box of those vertices, filtered
-point by point, is the naive oracle for ``psi_points``.  It shares only
-``solve_square`` with the program.
+point by point, is the naive oracle for ``psi_points``, and its integer
+ranges are the oracle for the support boxes of ``h0_twisted`` and
+``hn_twisted``.  It shares only ``solve_square`` with the program.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
 
-from toricsheaf import CharacterBox
+from toricsheaf import CharacterBox, IntervalConstraintSystem
 from toricsheaf.rational_linalg import solve_square
 
 
@@ -52,6 +53,44 @@ def box_filtered_points(sys) -> tuple[list[tuple[int, ...]], list[range]]:
         for i in range(sys.nvars)
     ]
     return [m for m in product(*ranges) if sys.satisfied_by(m)], ranges
+
+
+def fraction_box(sys) -> CharacterBox | None:
+    """Per coordinate, the ceiling of the least and the floor of the greatest
+    vertex coordinate; None with no vertex or when some range holds no integer."""
+    vertices = fraction_vertices(sys)
+    if not vertices:
+        return None
+    columns = list(zip(*vertices))
+    lower = tuple(ceil(min(x)) for x in columns)
+    upper = tuple(floor(max(x)) for x in columns)
+    if any(lo > hi for lo, hi in zip(lower, upper)):
+        return None
+    return CharacterBox(lower, upper)
+
+
+def support_polytopes(sheaf, c) -> tuple[IntervalConstraintSystem, IntervalConstraintSystem]:
+    """The support polytopes of the local h^0 (every level >= 1, lower bounds
+    only) and of the local h^n (no level at the top, upper bounds only) of the
+    sheaf twisted by c."""
+    v = sheaf.variety
+    shifts = v.twist_divisor(c)
+    none = (None,) * v.ray_count
+    lower = tuple(f.jumps[0] - sh for f, sh in zip(sheaf.filtrations, shifts))
+    upper = tuple(f.jumps[-1] - sh for f, sh in zip(sheaf.filtrations, shifts))
+    return (
+        IntervalConstraintSystem(v.rays, lower, none),
+        IntervalConstraintSystem(v.rays, none, upper),
+    )
+
+
+def homogeneous_bounds(sys) -> list[tuple[int, ...]]:
+    """Each bound row . m >= k of the system as h = (-k, row), h . (1, m) >= 0;
+    a strict upper bound row . m < up reads -row . m >= 1 - up."""
+    bounds = [(-lo,) + row for row, lo in zip(sys.rows, sys.lower) if lo is not None]
+    bounds += [(up - 1,) + tuple(-a for a in row) for row, up in zip(sys.rows, sys.upper)
+               if up is not None]
+    return bounds
 
 
 def _satisfied_rational(sys, point) -> bool:
