@@ -27,27 +27,34 @@ of S, coordinate i is least at (sum_k min_j N_ik j - N_i.shift_S) / D and
 greatest at the same with max; the sums over the jumps are cached per fan
 and jumps, a twist costs one dot product per ray set and coordinate, and
 since floor and ceiling are monotone, the floors and ceilings of these
-extremes over all ray sets give the box exactly.  H^0 and H^n walk the
-smaller box of their support polytope.  The local
-h^0 is 0 as soon as one ray is at level 0, so every section lies in
+extremes over all ray sets give the box exactly.
+
+H^0 and H^n walk only the lines of their support polytope.  The local h^0
+is 0 as soon as one ray is at level 0, so every section lies in
 <m, n(rho)> >= i_1(rho) - shift; the local h^n is 0 as soon as one ray is at
 its top level, whose space is the whole fibre, so h^n lives in
 <m, n(rho)> <= i_top(rho) - shift - 1.  The rays of a complete fan
 positively span, so each polytope is bounded and its box holds, per
 coordinate, the integers between the ends of its real shadow on that
 coordinate alone (``polytopes._shadow_cuts``); with none, the number is 0.
-The histogram is counted one line of the box at a time along its longest axis,
-which gives the fewest lines (the highest index on a tie).  On a line every
-pairing is affine in that coordinate, so a ray's level changes only at the
-cut points where its pairing crosses one of its jumps, by +1 or -1 with the
-sign of the slope (a repeated jump gives two steps at one cut).  A plane
-fixes every coordinate but the line axis and one stepping axis.  Its first
-line takes its start tuple from one checked levels call and each ray's
-pairing from one dot product; each later line moves those pairings by the
-rays' coordinates along the stepping axis and bisects the jumps for its
-start tuple.  Sorting a line's cut points and applying their steps then
-gives each run of constant level tuple and its length.  Local numbers are
-cached.
+Otherwise one more Fourier-Motzkin chain, with the longest side of that box
+moved last, gives each line of the polytope along it: its other
+coordinates and both of its ends (``polytopes._planes``), so no character
+off the polytope is visited.
+
+Both walks count the histogram one line at a time along the longest axis
+of their box, which gives the fewest lines (the highest index on a tie).
+On a line every pairing is affine in that coordinate, so a ray's level
+changes only at the cut points where its pairing crosses one of its jumps,
+by +1 or -1 with the sign of the slope (a repeated jump gives two steps at
+one cut).  A plane fixes every coordinate but the line axis and one
+stepping axis.  Its first line takes its start tuple from one checked
+levels call and each ray's pairing from one dot product; each later line
+moves those pairings by the rays' coordinates, one step along the stepping
+axis and, in a polytope, along the line axis to its own start, and bisects
+the jumps for its start tuple.  Sorting a line's cut points and applying
+their steps then gives each run of constant level tuple and its length.
+Local numbers are cached.
 """
 from __future__ import annotations
 
@@ -59,7 +66,7 @@ from operator import add, le, mul
 from typing import Iterator, Sequence
 
 from .filtration import EquivariantReflexiveSheaf
-from .polytopes import _rowset_extremes, _shadow_cuts
+from .polytopes import _planes, _rowset_extremes, _shadow_cuts
 from .rational_linalg import Subspace, intersect, matrix_rank, subspace_sum
 # not called here; bench/selftest.py checks that the tracer patches these bindings
 from .polytopes import psi_points
@@ -149,6 +156,13 @@ def _line_axis(box: CharacterBox) -> int:
     return max(range(len(extents)), key=lambda i: (extents[i], i))
 
 
+def _walk_order(box: CharacterBox) -> list[int]:
+    """The box's axes in walk order: the line axis last and the stepping
+    axis, the highest other index, before it."""
+    axis = _line_axis(box)
+    return [i for i in range(len(box.lower)) if i != axis] + [axis]
+
+
 def _cached_by_levels(local):
     """Cache a local number of the engine per level tuple."""
     @wraps(local)
@@ -201,18 +215,39 @@ class SheafCohomology:
 
     def _walk(self, box: CharacterBox, shifts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """How many characters of the box have each level tuple at these shifts."""
+        order = _walk_order(box)
+        outer = [range(box.lower[i], box.upper[i] + 1) for i in order[:-1]]
+        # each plane has one line per step of its stepping axis and starts at
+        # its low end; in dimension 1 the one plane is the one line
+        steps = outer.pop() if outer else range(1)
+        starts = product(*outer, steps[:1]) if len(order) > 1 else [()]
+        ends = [(box.lower[order[-1]], box.upper[order[-1]])] * len(steps)
+        return self._count_lines(zip(starts, repeat(ends)), order, shifts)
+
+    def _support_walk(
+        self, bounds: list[tuple[int, ...]], shifts: tuple[int, ...]
+    ) -> dict[tuple[int, ...], int]:
+        """How many characters of the bounded polytope h . (1, m) >= 0, h in
+        bounds, have each level tuple at these shifts."""
+        box = _polytope_box(bounds)
+        if box is None:
+            return {}
+        # its lines run along the longest side of its box, moved last
+        order = _walk_order(box)
+        cuts = _shadow_cuts([(h[0],) + tuple(h[i + 1] for i in order) for h in bounds], len(order))
+        return self._count_lines(_planes(cuts), order, shifts)
+
+    def _count_lines(self, planes, order: list[int], shifts: tuple[int, ...]):
+        """The level-tuple histogram of the planes (start, ends), in the
+        form ``polytopes._planes`` yields them with the coordinates moved
+        into the walk order: start gives the coordinates order[:-1] of the
+        plane's first line, and the j-th line, one step further along the
+        stepping axis order[-2], runs along order[-1] from lo to hi for
+        (lo, hi) = ends[j], empty when lo > hi."""
         rays = self.variety.rays
-        axis = _line_axis(box)
-        outer = [i for i in range(len(box.lower)) if i != axis]
-        # a plane fixes every coordinate but the stepping axis and the line
-        # axis; in dimension 1 there is no stepping axis and one line
-        stepping = outer.pop() if outer else None
-        if stepping is None:
-            lines, advance = 1, None
-        else:
-            lines = box.upper[stepping] - box.lower[stepping] + 1
-            advance = [ray[stepping] for ray in rays]
-        length = box.upper[axis] - box.lower[axis] + 1
+        axis = order[-1]
+        along = [ray[axis] for ray in rays]
+        advance = [ray[order[-2]] for ray in rays] if len(order) > 1 else None
         # rays whose pairing moves along the line: index, slope, the level step
         # at each jump crossed, jumps
         sloped = [
@@ -220,24 +255,30 @@ class SheafCohomology:
             for k, (ray, jumps) in enumerate(zip(rays, self._jumps))
             if ray[axis]
         ]
-        m = list(box.lower)
+        m = [0] * len(order)
         counts: dict[tuple[int, ...], int] = {}
-        for fixed in product(*(range(box.lower[i], box.upper[i] + 1) for i in outer)):
-            for i, x in zip(outer, fixed):
+        for start, ends in planes:
+            for i, x in zip(order, start):
                 m[i] = x
-            start = self.levels(tuple(m), shifts)
+            m[axis] = last_lo = ends[0][0]
+            # one checked levels call per plane
+            lv = list(self.levels(tuple(m), shifts))
             # each ray's pairing at the start of the plane's first line
             pairings = [sum(map(mul, m, ray)) + shift for ray, shift in zip(rays, shifts)]
-            for line in range(lines):
+            for line, (lo, hi) in enumerate(ends):
                 if line:
                     pairings = list(map(add, pairings, advance))
+                    if lo != last_lo:
+                        pairings = [b + (lo - last_lo) * a for b, a in zip(pairings, along)]
                     lv = list(map(bisect_right, self._jumps, pairings))
-                else:
-                    lv = list(start)
+                last_lo = lo
+                if lo > hi:
+                    continue
                 # u steps into the line, the pairing is slope*u + b; a level
                 # moves by step at the first u with slope*u + b >= j (slope
                 # > 0) or < j (slope < 0); cuts at u = 0 are in the start
                 # tuple, and u = length ends the line
+                length = hi - lo + 1
                 cuts = [(length, 0, 0)]
                 for k, slope, step, js in sloped:
                     b = pairings[k]
@@ -262,16 +303,11 @@ class SheafCohomology:
     def _total(counts: dict[tuple[int, ...], int], local) -> int:
         return sum(n * local(lv) for lv, n in counts.items())
 
-    def _support_total(self, bounds: list[tuple[int, ...]], shifts, local) -> int:
-        """Sum of local, 0 off the polytope h . (1, m) >= 0, h in bounds, over its box."""
-        box = _polytope_box(bounds)
-        return 0 if box is None else self._total(self._walk(box, shifts), local)
-
     def h0_twisted(self, c: Sequence[int]) -> int:
         # the local h0 is 0 wherever some ray is at level 0: <m, rho> >= i_1 - shift
         shifts = self.variety.twist_divisor(c)
         bounds = [(sh - js[0],) + ray for ray, js, sh in zip(self.variety.rays, self._jumps, shifts)]
-        return self._support_total(bounds, shifts, self.h0)
+        return self._total(self._support_walk(bounds, shifts), self.h0)
 
     def hn_twisted(self, c: Sequence[int]) -> int:
         # the local hn is 0 wherever some ray is at its top level Q^rank: <m, rho> < i_top - shift
@@ -280,7 +316,7 @@ class SheafCohomology:
             (js[-1] - sh - 1,) + tuple(-a for a in ray)
             for ray, js, sh in zip(self.variety.rays, self._jumps, shifts)
         ]
-        return self._support_total(bounds, shifts, self.hn)
+        return self._total(self._support_walk(bounds, shifts), self.hn)
 
     def chi_twisted(self, c: Sequence[int]) -> int:
         return self._total(self.histogram(c), self.chi)

@@ -42,9 +42,12 @@ class KlyachkoFiltration:
 
     def level(self, i: int) -> int:
         """Number of jumps <= i; 0 means the zero subspace."""
-        return bisect_right(self.jumps, i)
+        return bisect_right(self.jumps, strict_int(i, "filtration position"))
 
     def space_at_level(self, level: int) -> Subspace:
+        """E_level, the zero space at level 0; levels run over 0..rank."""
+        if not 0 <= strict_int(level, "filtration level") <= self.rank:
+            raise ValueError(f"filtration level must lie in 0..{self.rank}, got {level}")
         if level == 0:
             return Subspace.zero(self.ambient_dim)
         return self.spaces[level - 1]

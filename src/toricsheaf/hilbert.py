@@ -7,7 +7,11 @@ On split-bundle varieties the support is sandwiched between explicit
 regions, each the class (p_D, q_D) of a divisor D of jumps (from
 ``ToricVariety.divisor_class``) plus the effective cone {q >= 0, p + a_r q >= 0}.
 Past an explicit corner the Hilbert function is a polynomial, recovered here
-by exact interpolation and cross-validated.
+by exact interpolation.  The fit and its checks take different paths: the
+polynomial is fitted on ``hilbert_function``, the paper's count of
+Psi-polytope lattice points times intersection dimensions, and checked
+against the engine's h^0 (``cohomology``, a Klyachko sum over the lines of
+the support polytope) and against the Euler characteristic.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from . import cohomology
 from .errors import InternalConsistencyError
 from .filtration import EquivariantReflexiveSheaf
 from .polytopes import MultiIndex, _multi_index, omega_system, psi_points
-from .rational_linalg import solve_square
+from .rational_linalg import _scalar, solve_square
 from .toric import split_data, strict_int
 
 
@@ -35,7 +39,7 @@ class RationalPolynomial:
         self.nvars = strict_int(nvars, "number of variables")
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, c in (coeffs or {}).items():
-            c = Fraction(c)
+            c = _scalar(c)
             if c == 0:
                 continue
             exps = tuple(strict_int(e, "exponent") for e in exps)
@@ -46,7 +50,7 @@ class RationalPolynomial:
 
     @classmethod
     def constant(cls, value, nvars: int = 1) -> "RationalPolynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: _scalar(value)})
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "RationalPolynomial":
@@ -68,7 +72,7 @@ class RationalPolynomial:
             raise ValueError("polynomials live in different rings")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RationalPolynomial):
             other = RationalPolynomial.constant(other, self.nvars)
         self._check_same_ring(other)
         out = dict(self.coeffs)
@@ -82,7 +86,7 @@ class RationalPolynomial:
         return RationalPolynomial(self.nvars, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RationalPolynomial):
             other = RationalPolynomial.constant(other, self.nvars)
         return self + (-other)
 
@@ -90,8 +94,8 @@ class RationalPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
+        if not isinstance(other, RationalPolynomial):
+            f = _scalar(other)
             return RationalPolynomial(self.nvars, {e: c * f for e, c in self.coeffs.items()})
         self._check_same_ring(other)
         out: dict[tuple[int, ...], Fraction] = {}
@@ -104,7 +108,7 @@ class RationalPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
+        if strict_int(n, "power") < 0:
             raise ValueError("negative powers are not polynomials")
         result = RationalPolynomial.constant(1, self.nvars)
         base = self
@@ -126,7 +130,7 @@ class RationalPolynomial:
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError(f"need {self.nvars} coordinates")
-        values = [Fraction(x) for x in point]
+        values = [_scalar(x) for x in point]
         total = Fraction(0)
         for exps, c in self.coeffs.items():
             term = c
@@ -397,10 +401,12 @@ def regularity_region(sheaf: EquivariantReflexiveSheaf) -> SupportRegion:
 def hilbert_polynomial(sheaf: EquivariantReflexiveSheaf) -> RationalPolynomial:
     """The bivariate polynomial matching the Hilbert function on the corner region.
 
-    Interpolated exactly on a triangular grid at the region's corner, then
-    validated on the rest of the square grid, on extra points further out,
-    and against the Euler-characteristic path.  Any mismatch is a bug, never
-    a property of the input, hence the internal-consistency error.
+    Interpolated exactly on ``hilbert_function`` at a triangular grid at the
+    region's corner.  Checked against the engine's h^0 on the rest of the
+    square grid and on extra points further out, and against the Euler
+    characteristic at three points: the fit path is never its own check.
+    Any mismatch is a bug, never a property of the input, hence the
+    internal-consistency error, which names the point.
     """
     s, a = split_data(sheaf.variety)
     d = s + len(a)
@@ -427,10 +433,11 @@ def hilbert_polynomial(sheaf: EquivariantReflexiveSheaf) -> RationalPolynomial:
     check_pts += [(p0 + d + t, q0 + d + t) for t in range(1, d + 2)]
     check_pts += [(p0 + d + t, q0) for t in range(1, d + 1)]
     check_pts += [(p0, q0 + d + t) for t in range(1, d + 1)]
-    for (p, q) in check_pts:
-        if poly.evaluate((p, q)) != hilbert_function(sheaf, (p, q)):
+    engine = cohomology._engine(sheaf)
+    for pt in check_pts:
+        if poly.evaluate(pt) != engine.h0_twisted(pt):
             raise InternalConsistencyError(
-                f"interpolated polynomial disagrees with the Hilbert function at {(p, q)}"
+                f"interpolated polynomial disagrees with h^0 at {pt}"
             )
     for pt in [(p0, q0), (p0 + 1, q0 + d), (p0 + d, q0 + 1)]:
         if poly.evaluate(pt) != cohomology.euler_characteristic(sheaf, pt):

@@ -7,24 +7,25 @@ and for -infinity below).  For a complete fan the rays positively span, so a
 system whose lower bounds are all finite cuts out a (possibly empty)
 polytope.
 
-``psi_points`` and ``cohomology``'s support boxes use Fourier-Motzkin
-elimination alone, through the cuts of ``_shadow_cuts``.  Each bound is
-kept as h = (-k, row) with h . (1, m) >= 0.  ``_eliminate_last`` drops the
-last coordinate t: every bound free of t is kept, and every pair of a bound
-that cuts t from below with one that cuts it from above gives their
-positive combination in which t cancels.  By Fourier-Motzkin, a point
-satisfies the new bounds exactly when some real t extends it to a point of
-the old ones: they cut out the real shadow of the polytope.  Eliminating
-every coordinate in turn gives the shadow on m_1..m_i for each i, and the
-last shadow, on no coordinate at all, is a list of constants: one of them
-is negative exactly when the polytope is empty.  Otherwise the walk fixes
-m_1, ..., m_n in turn.  With m_1..m_(i-1) fixed, every bound of the shadow
-on m_1..m_i that involves m_i cuts it to one interval by ceiling and floor
-division, and the bounds free of m_i already hold one level up.  An integer
-point lies in every shadow, so the walk loses none, and it never enters a
-value whose real shadow is empty.  A shadow with no bound on its last
-coordinate from one side makes a non-empty polytope unbounded, which is an
-error.
+``psi_points`` and ``cohomology``'s support boxes and support walks use
+Fourier-Motzkin elimination alone, through the cuts of ``_shadow_cuts``.
+Each bound is kept as h = (-k, row) with h . (1, m) >= 0.
+``_eliminate_last`` drops the last coordinate t: every bound free of t is
+kept, and every pair of a bound that cuts t from below with one that cuts
+it from above gives their positive combination in which t cancels.  By
+Fourier-Motzkin, a point satisfies the new bounds exactly when some real t
+extends it to a point of the old ones: they cut out the real shadow of the
+polytope.  Eliminating every coordinate in turn gives the shadow on
+m_1..m_i for each i, and the last shadow, on no coordinate at all, is a
+list of constants: one of them is negative exactly when the polytope is
+empty.  Otherwise the walk (``_planes``) fixes m_1, ..., m_(n-1) in turn
+and gives the two ends of each line of m_n.  With m_1..m_(i-1) fixed, every
+bound of the shadow on m_1..m_i that involves m_i cuts it to one interval
+by ceiling and floor division, and the bounds free of m_i already hold one
+level up.  An integer point lies in every shadow, so the walk loses none,
+and it never enters a value whose real shadow is empty.  A shadow with no
+bound on its last coordinate from one side makes a non-empty polytope
+unbounded, which is an error.
 
 The box of a whole jump arrangement comes from its vertices, each where n
 fixed row hyperplanes meet and only the right-hand sides b move: with the
@@ -199,18 +200,35 @@ def _shadow_cuts(bounds: list[tuple[int, ...]], nvars: int):
     return cuts
 
 
-def _walk(cuts, prefix: tuple[int, ...], out: list[tuple[int, ...]]) -> None:
-    """Append to out, in lexicographic order, the integer points that extend
-    prefix, cut by the ``_shadow_cuts`` of their polytope."""
+def _planes(cuts, prefix: tuple[int, ...] = ()):
+    """Yield (start, ends), in lexicographic order, for every plane of the
+    polytope that extends prefix, cut by its ``_shadow_cuts``.  A plane
+    fixes all coordinates but the last two; its lines run along the last
+    one, the j-th holding the points start[:-1] + (start[-1] + j, t) with
+    lo <= t <= hi for (lo, hi) = ends[j], and lo > hi when the real shadow
+    meets it in no integer.  In dimension 1 the one plane is the one line,
+    and start is ()."""
     rising, falling = cuts[len(prefix)]
     point = (1,) + prefix
     lo = max([-(sum(map(mul, rest, point)) // a) for rest, a in rising])
     hi = min([sum(map(mul, rest, point)) // a for rest, a in falling])
     if len(prefix) + 1 == len(cuts):
-        out.extend([prefix + (t,) for t in range(lo, hi + 1)])
-    else:
+        yield prefix, [(lo, hi)]
+    elif len(prefix) + 2 < len(cuts):
         for t in range(lo, hi + 1):
-            _walk(cuts, prefix + (t,), out)
+            yield from _planes(cuts, prefix + (t,))
+    elif lo <= hi:
+        # the plane's coordinate t runs over ts: a bound (rest, a) puts an
+        # end of the line at t at (b + c*t) // a, negated for the low end,
+        # with b its dot product with the point so far and c its
+        # coefficient of t
+        ts = range(lo, hi + 1)
+        rising, falling = (
+            zip(*[[(b + c * t) // a for t in ts]
+                  for b, c, a in [(sum(map(mul, rest, point)), rest[-1], a) for rest, a in side]])
+            for side in cuts[-1]
+        )
+        yield prefix + (lo,), [(-min(los), min(his)) for los, his in zip(rising, falling)]
 
 
 def psi_points(sys: IntervalConstraintSystem) -> list[tuple[int, ...]]:
@@ -236,7 +254,10 @@ def psi_points(sys: IntervalConstraintSystem) -> list[tuple[int, ...]]:
     if not cuts:
         return [] if cuts is None else [()]  # [()]: the one point of Z^0
     out: list[tuple[int, ...]] = []
-    _walk(cuts, (), out)
+    for start, ends in _planes(cuts):
+        for j, (lo, hi) in enumerate(ends):
+            line = start[:-1] + (start[-1] + j,) if start else ()
+            out.extend([line + (t,) for t in range(lo, hi + 1)])
     return out
 
 

@@ -42,7 +42,7 @@ def _scalar(x: Scalar | str) -> Fraction:
             return Fraction(x)
         except (TypeError, ValueError, ZeroDivisionError):
             pass
-    raise ValueError(f"vector entries must be ints, Fractions or 'p/q' strings, got {x!r}")
+    raise ValueError(f"exact numbers must be ints, Fractions or 'p/q' strings, got {x!r}")
 
 
 def as_vector(entries: Iterable[Scalar | str], length: int | None = None) -> Vector:

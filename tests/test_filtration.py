@@ -315,3 +315,24 @@ def test_sheaf_hash_is_computed_once(monkeypatch):
     assert len(calls) == 1  # the count sees a filtration's hash
     assert hash(sheaf) == first
     assert len(calls) == 1
+
+
+def test_filtration_refuses_levels_outside_its_range():
+    """Levels run over 0..rank: -1 is not E_rank by negative indexing, and
+    rank + 1 is not a bare IndexError."""
+    f = KlyachkoFiltration((-1, 0), (span([(1, 0)], 2), Subspace.full(2)))
+    assert f.space_at_level(0).is_zero and f.space_at_level(2).is_full
+    for level in (-1, -2, 3, 10):
+        with pytest.raises(ValueError, match=r"filtration level must lie in 0\.\.2"):
+            f.space_at_level(level)
+    for level in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="filtration level must be an integer"):
+            f.space_at_level(level)
+
+
+@pytest.mark.parametrize("position", [-0.5, 0.5, -1.0, True, "0"])
+def test_filtration_refuses_positions_that_are_not_integers(position):
+    f = KlyachkoFiltration((-1, 0), (span([(1, 0)], 2), Subspace.full(2)))
+    for call in (f.evaluate, f.level):
+        with pytest.raises(ValueError, match="filtration position must be an integer"):
+            call(position)

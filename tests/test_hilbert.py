@@ -1,5 +1,6 @@
 """Unit tests for polynomials, power sums, Hilbert data and support bounds."""
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -34,8 +35,11 @@ from toricsheaf import (
     structure_sheaf,
     upper_support_regions,
 )
-from toricsheaf.errors import UnsupportedVarietyError
+from toricsheaf import cohomology, hilbert
+from toricsheaf.errors import InternalConsistencyError, UnsupportedVarietyError
 from toricsheaf.hilbert import compose_univariate
+from toricsheaf.polytopes import psi_points
+from toricsheaf.toric import split_data
 
 from conftest import random_sheaf, rank3_example_sheaf, tangent_sheaf_h3
 
@@ -53,6 +57,38 @@ def test_polynomial_arithmetic_and_eval():
     assert (x ** 3).evaluate((Fraction(1, 2), 0)) == Fraction(1, 8)
     assert (2 * x + 1).total_degree == 1
     assert RationalPolynomial(2).is_zero()
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, True, False, 2.0])
+def test_polynomial_refuses_floats_and_bools(bad):
+    """Coefficients, constants, scalar operands and evaluation points are
+    exact numbers: a float or a bool is refused, not turned into a Fraction."""
+    x = RationalPolynomial.variable(0, 2)
+    refused = [
+        lambda: RationalPolynomial(1, {(0,): bad}),
+        lambda: RationalPolynomial.constant(bad, 2),
+        lambda: x.evaluate((bad, 0)),
+        lambda: x.evaluate((0, bad)),
+        lambda: x + bad,
+        lambda: bad + x,
+        lambda: x - bad,
+        lambda: bad - x,
+        lambda: x * bad,
+        lambda: bad * x,
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="exact numbers must be"):
+            call()
+
+
+def test_polynomial_keeps_exact_scalars():
+    x = RationalPolynomial.variable(0, 2)
+    half = Fraction(1, 2)
+    assert x.evaluate((half, 0)) == half == x.evaluate(("1/2", 0))
+    assert (x + half) * 2 == 2 * x + 1 == 2 - (1 - 2 * x)
+    assert RationalPolynomial.constant("3/4", 2).evaluate((5, 7)) == Fraction(3, 4)
+    with pytest.raises(ValueError, match="power must be an integer"):
+        x ** 2.0
 
 
 def test_polynomial_compose():
@@ -324,6 +360,53 @@ def test_hilbert_polynomial_final_example(rank3_sheaf):
         for q in range(-1, 5):
             assert poly.evaluate((p, q)) == hilbert_function(rank3_sheaf, (p, q))
     assert poly.evaluate((7, 2)) == euler_characteristic(rank3_sheaf, (7, 2))
+
+
+def check_points(sheaf) -> list[tuple[int, int]]:
+    """The points where hilbert_polynomial checks its fit against h^0:
+    the square grid at the corner off the triangle it fits on, and the
+    points further out along the diagonal and the two corner edges."""
+    s, a = split_data(sheaf.variety)
+    d = s + len(a)
+    p0, q0 = regularity_thresholds(sheaf)
+    points = [(p0 + i, q0 + j) for i in range(d + 1) for j in range(d + 1) if i + j > d]
+    points += [(p0 + d + t, q0 + d + t) for t in range(1, d + 2)]
+    points += [(p0 + d + t, q0) for t in range(1, d + 1)]
+    return points + [(p0, q0 + d + t) for t in range(1, d + 1)]
+
+
+@pytest.mark.parametrize("which", [0, 4, -1])
+def test_hilbert_polynomial_checks_every_point_on_the_engine_h0(rank3_sheaf, monkeypatch, which):
+    """The fit is checked against the engine's h^0, not the function it was
+    fitted on: h^0 off by one at one check point is caught and named."""
+    engine = cohomology._engine(rank3_sheaf)
+    points = check_points(rank3_sheaf)
+    wrong = points[which]
+    h0_twisted = engine.h0_twisted
+    asked = []
+
+    def off_by_one(c):
+        asked.append(tuple(c))
+        return h0_twisted(c) + (tuple(c) == wrong)
+
+    monkeypatch.setattr(engine, "h0_twisted", off_by_one)
+    with pytest.raises(InternalConsistencyError, match=re.escape(f"h^0 at {wrong}")):
+        hilbert_polynomial(rank3_sheaf)
+    assert asked == points[:points.index(wrong) + 1]
+    monkeypatch.setattr(engine, "h0_twisted", lambda c: asked.append(tuple(c)) or h0_twisted(c))
+    asked.clear()
+    hilbert_polynomial(rank3_sheaf)
+    assert asked == points
+
+
+def test_hilbert_polynomial_still_fits_on_psi_points(rank3_sheaf, monkeypatch):
+    """Each fit point counts the lattice points of every pruned multi-index
+    with hilbert.psi_points; the checks call it no more."""
+    calls = []
+    monkeypatch.setattr(hilbert, "psi_points", lambda sys: calls.append(sys) or psi_points(sys))
+    hilbert_polynomial(rank3_sheaf)
+    d = 2
+    assert calls and len(calls) == (d + 1) * (d + 2) // 2 * len(hilbert._index_table(rank3_sheaf))
 
 
 def splits_on_every_maximal_cone(sheaf) -> bool:

@@ -7,6 +7,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from toricsheaf import (
     CharacterBox,
     EquivariantReflexiveSheaf,
+    IntervalConstraintSystem,
     KlyachkoFiltration,
     SheafCohomology,
     euler_characteristic,
@@ -26,8 +28,9 @@ from toricsheaf import (
     span,
     split_bundle,
 )
-from toricsheaf.cohomology import _engine, _line_axis, _polytope_box
+from toricsheaf.cohomology import _engine, _line_axis, _polytope_box, _walk_order
 from toricsheaf.errors import UnboundedSystemError
+from toricsheaf.polytopes import _planes, _shadow_cuts
 from toricsheaf.toric import ToricVariety
 
 from conftest import (
@@ -419,3 +422,137 @@ def test_polytope_box_is_none_on_an_empty_polytope_with_wide_ranges():
 def test_polytope_box_refuses_rows_that_do_not_positively_span(bounds):
     with pytest.raises(UnboundedSystemError, match="bounded polytope"):
         _polytope_box(bounds)
+
+
+# the polytope walk of h^0 and h^n: surfaces, threefolds and fourfolds, the
+# V_s(a) with s + r <= 4, and twists from empty polytopes to wide ones
+WALK_VARIETIES = {
+    "P1": (projective_space(1), [(-9,), (-7,), (-2,), (0,), (4,)]),
+    "P2": (projective_space(2), [(-10,), (-8,), (-1,), (0,), (3,)]),
+    "P3": (projective_space(3), [(-12,), (0,), (2,)]),
+    **{
+        f"H{a}": (hirzebruch(a), [(-6, -9), (-3, -8), (-4, -3), (0, 0), (2, 1), (-1, 3), (3, -2)])
+        for a in range(5)
+    },
+    "V1_1": (split_bundle(1, (1,)), [(-2, -11), (-5, -5), (-3, -3), (0, 0), (2, 1), (-1, 2)]),
+    "V1_12": (split_bundle(1, (1, 2)), [(-8, -8), (-6, -5), (-3, -2), (0, 0), (2, 1), (1, -2)]),
+    "V1_13": (split_bundle(1, (1, 3)), [(-8, -9), (-1, -7), (0, 0), (1, 2)]),
+    "V1_012": (split_bundle(1, (0, 1, 2)), [(-3, -11), (-3, -3), (0, 0), (1, 1)]),
+    "V2_1": (split_bundle(2, (1,)), [(-2, -12), (-5, -5), (-3, -3), (0, 0), (1, 1)]),
+    "V2_12": (split_bundle(2, (1, 2)), [(-3, -8), (-3, -6), (-3, -3), (0, 0), (1, 1)]),
+    "V3_1": (split_bundle(3, (1,)), [(-1, -12), (-5, -5), (-3, -3), (0, 0), (1, 1)]),
+}
+
+# rays (1, 2), (1, -2) and (-1, 0): a complete simplicial fan with singular
+# cones, whose support polytopes can be non-empty over the reals and still
+# hold no integer point
+SINGULAR_FAN = ToricVariety("projective", 2, ((1, 2), (1, -2), (-1, 0)), ("a", "b", "c"), 1,
+                            ((1,), (1,), (1,)))
+
+
+def as_lower_bounds(bounds) -> IntervalConstraintSystem:
+    """The system row . m >= k, one row per homogeneous bound h = (-k, row),
+    which psi_points can list."""
+    return IntervalConstraintSystem(
+        tuple(h[1:] for h in bounds), tuple(-h[0] for h in bounds), (None,) * len(bounds)
+    )
+
+
+def walk_kinds(bounds, system) -> set[str]:
+    """What the polytope shows the walk: empty, one point, non-integral
+    vertices, no integer point at all, a line with no integer point, or a
+    line that ends where a bound whose coefficient of the line axis is not
+    -1 or 1 is rounded."""
+    kinds = set()
+    vertices = set(fraction_vertices(system))
+    if not vertices:
+        kinds.add("empty")
+    elif len(vertices) == 1:
+        kinds.add("point")
+    if any(x.denominator != 1 for v in vertices for x in v):
+        kinds.add("non-integral")
+    box = _polytope_box(bounds)
+    if box is None:
+        if vertices:
+            kinds.add("integer-free")
+        return kinds
+    order = _walk_order(box)
+    cuts = _shadow_cuts([(h[0],) + tuple(h[i + 1] for i in order) for h in bounds], len(order))
+    rising, falling = cuts[-1]
+    lines = [
+        (start[:-1] + (start[-1] + j,) if start else (), lo, hi)
+        for start, ends in _planes(cuts) for j, (lo, hi) in enumerate(ends)
+    ]
+    if any(lo > hi for _, lo, hi in lines):
+        kinds.add("integer-free line")
+    for prefix, lo, hi in lines:
+        point = (1,) + prefix
+        ends = [(-(v // a), v % a) for v, a in
+                ((sum(map(mul, rest, point)), a) for rest, a in rising if a > 1)]
+        ends += [(v // a, v % a) for v, a in
+                 ((sum(map(mul, rest, point)), a) for rest, a in falling if a > 1)]
+        if lo <= hi and any(rounded and end in (lo, hi) for end, rounded in ends):
+            kinds.add("rounded non-unit end")
+    return kinds
+
+
+def check_support_walk(engine: SheafCohomology, c) -> set[str]:
+    """The engine's polytope-walk histograms of h^0 and h^n at the twist
+    against a count of each character psi_points lists; what the two
+    polytopes showed the walk."""
+    shifts = engine.variety.twist_divisor(c)
+    kinds = set()
+    for system in support_polytopes(engine.sheaf, c):
+        bounds = homogeneous_bounds(system)
+        points = psi_points(as_lower_bounds(bounds))
+        hist = engine._support_walk(bounds, shifts)
+        assert hist == Counter(engine.levels(m, shifts) for m in points)
+        kinds |= walk_kinds(bounds, system)
+    return kinds
+
+
+@pytest.mark.parametrize("name", sorted(WALK_VARIETIES))
+def test_support_walk_matches_per_character_count(name):
+    variety, twists = WALK_VARIETIES[name]
+    for rank in (1, 2, 3):
+        engine = SheafCohomology(
+            random_sheaf(random.Random(f"support-walk-{name}-{rank}"), variety, rank, -3, 0)
+        )
+        for c in twists:
+            check_support_walk(engine, c)
+
+
+def test_support_walk_cases_cover_every_kind():
+    kinds = set()
+    for name, (variety, twists) in WALK_VARIETIES.items():
+        engine = SheafCohomology(
+            random_sheaf(random.Random(f"support-walk-{name}-2"), variety, 2, -3, 0)
+        )
+        for c in twists:
+            kinds |= check_support_walk(engine, c)
+    kinds |= check_support_walk(SheafCohomology(structure_sheaf(projective_space(2))), (0,))
+    # (-1, 1, 7) at twist 0: m_1 + 2 m_2 >= 1, m_1 - 2 m_2 >= -1, m_1 <= 7,
+    # whose lines run along m_2; the first, m_1 = 0, is the point m_2 = 1/2
+    for coeffs in ((-1, 1, 0), (0, -2, -1), (2, 1, 3), (-1, 1, 7)):
+        engine = SheafCohomology(line_bundle(SINGULAR_FAN, coeffs))
+        for c in [(-2,), (0,), (1,), (3,)]:
+            kinds |= check_support_walk(engine, c)
+    assert kinds == {
+        "empty", "point", "non-integral", "integer-free", "integer-free line",
+        "rounded non-unit end",
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(WALK_VARIETIES)),
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_support_walk_matches_per_character_count_on_any_twist(name, rank, seed, data):
+    variety = WALK_VARIETIES[name][0]
+    top = 2 if variety.dim == 4 else 4
+    c = data.draw(st.tuples(*[st.integers(-10, top)] * variety.class_rank))
+    engine = SheafCohomology(random_sheaf(random.Random(seed), variety, rank, -3, 0))
+    check_support_walk(engine, c)
