@@ -7,8 +7,9 @@ required, and so is ``--q`` on a rank-2 class group; varieties with a rank-1
 class group produce a single row over p and refuse ``--q``.  Every
 command ends in one writer, which prints the CSV or text form, or the JSON
 payload under ``--format json``, to stdout or to the ``--out`` file.  Exit
-codes: 0 success, 1 validation or input failure (an unwritable ``--out``
-too), 2 unsupported computation, 3 internal consistency failure.
+codes: 0 success, 1 validation or input failure (a usage error and an
+unwritable ``--out`` too), 2 unsupported computation, 3 internal
+consistency failure.
 """
 from __future__ import annotations
 
@@ -217,8 +218,17 @@ def _cmd_monomial_sigma(args) -> int:
     return _emit(args, "\n".join(lines) + "\n", records)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the code of invalid
+    input, rather than argparse's 2, which here means unsupported."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toricsheaf",
         description="cohomology and Hilbert data of reflexive sheaves on toric varieties",
     )

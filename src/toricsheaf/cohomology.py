@@ -37,24 +37,25 @@ its top level, whose space is the whole fibre, so h^n lives in
 positively span, so each polytope is bounded and its box holds, per
 coordinate, the integers between the ends of its real shadow on that
 coordinate alone (``polytopes._shadow_cuts``); with none, the number is 0.
-Otherwise one more Fourier-Motzkin chain, with the longest side of that box
-moved last, gives each line of the polytope along it: its other
-coordinates and both of its ends (``polytopes._planes``), so no character
-off the polytope is visited.
+Otherwise one more Fourier-Motzkin chain, with the coordinates in walk
+order, gives each line of the polytope: its other coordinates and both of
+its ends (``polytopes._planes``), so no character off the polytope is
+visited.
 
-Both walks count the histogram one line at a time along the longest axis
-of their box, which gives the fewest lines (the highest index on a tie).
-On a line every pairing is affine in that coordinate, so a ray's level
-changes only at the cut points where its pairing crosses one of its jumps,
-by +1 or -1 with the sign of the slope (a repeated jump gives two steps at
-one cut).  A plane fixes every coordinate but the line axis and one
-stepping axis.  Its first line takes its start tuple from one checked
-levels call and each ray's pairing from one dot product; each later line
-moves those pairings by the rays' coordinates, one step along the stepping
-axis and, in a polytope, along the line axis to its own start, and bisects
-the jumps for its start tuple.  Sorting a line's cut points and applying
-their steps then gives each run of constant level tuple and its length.
-Local numbers are cached.
+Both walks take their axes sorted by the side lengths of their box,
+shortest first, index order on a tie.  The line axis, last, is the longest
+side, which gives the fewest lines; the stepping axis before it is the
+next-longest, which gives the fewest planes.  A plane fixes every
+coordinate but these two.  On a line every pairing is affine in the line
+axis, so a ray's level changes only at the cut points where its pairing
+crosses one of its jumps, by +1 or -1 with the sign of the slope (a
+repeated jump gives two steps at one cut).  A plane's first line takes its
+start tuple from one checked levels call and each ray's pairing from one
+dot product; each later line moves those pairings by the rays'
+coordinates, one step along the stepping axis and, in a polytope, along
+the line axis to its own start, and bisects the jumps for its start tuple.
+Sorting a line's cut points and applying their steps then gives each run
+of constant level tuple and its length.  Local numbers are cached.
 """
 from __future__ import annotations
 
@@ -149,18 +150,11 @@ def _polytope_box(bounds: list[tuple[int, ...]]) -> CharacterBox | None:
     return CharacterBox(tuple(lower), tuple(upper)) if all(map(le, lower, upper)) else None
 
 
-def _line_axis(box: CharacterBox) -> int:
-    """The axis the histogram walk runs its lines along: the longest one,
-    which gives the fewest lines, the highest index on a tie."""
-    extents = [hi - lo for lo, hi in zip(box.lower, box.upper)]
-    return max(range(len(extents)), key=lambda i: (extents[i], i))
-
-
 def _walk_order(box: CharacterBox) -> list[int]:
-    """The box's axes in walk order: the line axis last and the stepping
-    axis, the highest other index, before it."""
-    axis = _line_axis(box)
-    return [i for i in range(len(box.lower)) if i != axis] + [axis]
+    """The box's axes sorted by side length, shortest first, index order on
+    a tie: the line axis, last, is the longest side (fewest lines) and the
+    stepping axis before it the next-longest (fewest planes)."""
+    return sorted(range(len(box.lower)), key=lambda i: box.upper[i] - box.lower[i])
 
 
 def _cached_by_levels(local):
@@ -232,7 +226,7 @@ class SheafCohomology:
         box = _polytope_box(bounds)
         if box is None:
             return {}
-        # its lines run along the longest side of its box, moved last
+        # the chain takes its coordinates in walk order, set by the box
         order = _walk_order(box)
         cuts = _shadow_cuts([(h[0],) + tuple(h[i + 1] for i in order) for h in bounds], len(order))
         return self._count_lines(_planes(cuts), order, shifts)
@@ -242,8 +236,9 @@ class SheafCohomology:
         form ``polytopes._planes`` yields them with the coordinates moved
         into the walk order: start gives the coordinates order[:-1] of the
         plane's first line, and the j-th line, one step further along the
-        stepping axis order[-2], runs along order[-1] from lo to hi for
-        (lo, hi) = ends[j], empty when lo > hi."""
+        stepping axis order[-2] (the next-longest side, fewest planes), runs
+        along the line axis order[-1] (the longest side, fewest lines) from
+        lo to hi for (lo, hi) = ends[j], empty when lo > hi."""
         rays = self.variety.rays
         axis = order[-1]
         along = [ray[axis] for ray in rays]

@@ -18,7 +18,8 @@ One filtration entry per ray, in fan ray order.  Each entry of ``spaces`` is
 a generator list for one filtration step; vector entries are integers or
 exact fraction strings like "1/3".  The final space may be omitted, in which
 case it is the full ambient space.  Generator lists need not be echelonized;
-canonicalization happens on load.
+canonicalization happens on load.  A key not shown here, at any level, is
+refused.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .filtration import EquivariantReflexiveSheaf, KlyachkoFiltration
 from .rational_linalg import Subspace
-from .toric import ToricVariety, build_variety, config_int
+from .toric import ToricVariety, build_variety, config_int, config_keys
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,13 @@ def _parse_space(generators, rank: int, where: str) -> Subspace:
 
 
 def parse_sheaf(variety: ToricVariety, data: dict) -> EquivariantReflexiveSheaf:
+    if not isinstance(data, dict):
+        raise ConfigError("sheaf section must be an object with 'rank' and 'filtrations'")
+    config_keys(data, ("rank", "filtrations"), "the sheaf section")
     try:
         rank = data["rank"]
         entries = data["filtrations"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ConfigError(f"sheaf section needs 'rank' and 'filtrations': {exc}") from None
     rank = config_int(rank, "sheaf 'rank'")
     if rank < 1:
@@ -67,7 +71,10 @@ def parse_sheaf(variety: ToricVariety, data: dict) -> EquivariantReflexiveSheaf:
     filtrations = []
     for k, entry in enumerate(entries):
         where = f"filtration for ray {variety.ray_names[k]}"
-        if not isinstance(entry, dict) or "jumps" not in entry:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where}: expected an object with 'jumps'")
+        config_keys(entry, ("jumps", "spaces"), f"the {where}")
+        if "jumps" not in entry:
             raise ConfigError(f"{where}: expected an object with 'jumps'")
         jumps = entry["jumps"]
         if not isinstance(jumps, list) or len(jumps) != rank:
@@ -92,6 +99,7 @@ def parse_sheaf(variety: ToricVariety, data: dict) -> EquivariantReflexiveSheaf:
 def parse_config(data: dict) -> JobConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
+    config_keys(data, ("variety", "sheaf"), "the configuration")
     if "variety" not in data or "sheaf" not in data:
         raise ConfigError("configuration needs 'variety' and 'sheaf' sections")
     variety = build_variety(data["variety"])

@@ -384,3 +384,74 @@ def test_cli_installed_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["validate"], "the following arguments are required: --config"),
+    (["cohomology-table", "--i", "x", "--config", str(CONFIGS / "rank3_h3.json"), "--p=0:1"],
+     "argument --i: invalid int value: 'x'"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+])
+def test_cli_usage_error_exits_one(args, message, capsys):
+    """argparse exits 2 on a usage error, but here 2 means an unsupported
+    computation: a usage error is invalid input, exit 1, with the usage and
+    an error line on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == ""
+    assert captured.err.startswith("usage: toricsheaf")
+    assert "error: " in captured.err and message in captured.err
+
+
+def test_cli_usage_error_and_help_exit_codes_of_the_process():
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "toricsheaf.cli", *args], capture_output=True, text=True
+        )
+
+    usage = run("validate")
+    assert usage.returncode == 1 and "error: " in usage.stderr
+    for args in (["--help"], ["h0-table", "--help"]):
+        shown = run(*args)
+        assert shown.returncode == 0 and shown.stdout.startswith("usage: toricsheaf")
+    unsupported = run("bounds", "--config", str(CONFIGS / "line_bundle_p2.json"))
+    assert unsupported.returncode == 2
+
+
+P1_SHEAF = {"rank": 1, "filtrations": [{"jumps": [0]}, {"jumps": [0]}]}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"variety": P1, "sheaf": P1_SHEAF, "twist": [1]},
+     "unknown key 'twist' in the configuration"),
+    ({"variety": {"family": "hirzebruch", "a": 1, "b": 2}, "sheaf": P1_SHEAF},
+     "unknown key 'b' in the hirzebruch variety"),
+    ({"variety": {"family": "projective", "n": 1, "a": [1]}, "sheaf": P1_SHEAF},
+     "unknown key 'a' in the projective variety"),
+    ({"variety": P1, "sheaf": {**P1_SHEAF, "rnk": 1}},
+     "unknown key 'rnk' in the sheaf section"),
+    ({"variety": P1, "sheaf": {"rnk": 1, "filtrations": P1_SHEAF["filtrations"]}},
+     "unknown key 'rnk' in the sheaf section"),
+    ({"variety": P1, "sheaf": {"rank": 1, "filtrations": [
+        {"jumps": [0]}, {"jumps": [0], "space": [[[1]]], "note": "x"}]}},
+     "unknown keys 'space', 'note' in the filtration for ray rho1"),
+], ids=["top-level", "variety", "variety-of-another-family", "sheaf", "sheaf-misspelt",
+        "filtration"])
+def test_config_refuses_unknown_keys(config, message, tmp_path, capsys):
+    """An unknown key is refused where it sits, not ignored: a misspelt
+    'spaces' would otherwise surface as a jump/space coincidence error."""
+    with pytest.raises(ConfigError, match=message):
+        parse_config(config)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    code = main(["validate", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_bundled_configs_use_only_known_keys():
+    for path in sorted(CONFIGS.glob("*.json")):
+        load_config(path)

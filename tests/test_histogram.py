@@ -28,7 +28,7 @@ from toricsheaf import (
     span,
     split_bundle,
 )
-from toricsheaf.cohomology import _engine, _line_axis, _polytope_box, _walk_order
+from toricsheaf.cohomology import _engine, _polytope_box, _walk_order
 from toricsheaf.errors import UnboundedSystemError
 from toricsheaf.polytopes import _planes, _shadow_cuts
 from toricsheaf.toric import ToricVariety
@@ -87,7 +87,7 @@ def lines_cut_at_the_ends(engine: SheafCohomology, c) -> tuple[int, int]:
     that land exactly on lo (already in the start tuple) and on hi + 1 (past
     the line)."""
     box, shifts = engine._twist_setup(c)
-    axis = _line_axis(box)
+    axis = _walk_order(box)[-1]
     lo, hi = box.lower[axis], box.upper[axis]
     at_lo = at_end = 0
     for m in box.points():
@@ -152,13 +152,14 @@ def test_histogram_with_repeated_jumps_on_sloped_rays(name, rank):
     rng = random.Random(f"repeated-{name}-{rank}")
     engine = SheafCohomology(repeated_jump_sheaf(rng, variety, rank))
     for c in twists_of(name):
-        assert double_steps(engine, c, _line_axis(engine._twist_setup(c)[0]))
+        assert double_steps(engine, c, _walk_order(engine._twist_setup(c)[0])[-1])
         assert engine.histogram(c) == per_character_histogram(engine, c)
 
 
 # box shapes for the walk: one axis strictly longest, every extent tied, two
 # axes tied for the longest, one line, one point, and a longest axis whose
-# stepping axis (the highest other index) has extent 0 or 1
+# every other side, the stepping axis among them, has extent 0 or 1, so the
+# planes hold one line or two
 SHAPES = ["longest", "tied", "two-tied", "line", "point", "thin-step"]
 
 
@@ -182,11 +183,8 @@ def shaped_box(shape: str, axis: int, lower: list[int], sizes: list[int]) -> Cha
     elif shape == "point":
         extents = [0] * dim
     else:  # thin-step
-        extents = list(sizes)
+        extents = [s % 2 for s in sizes]
         extents[axis] = top
-        stepping = [i for i in range(dim) if i != axis][-1:]
-        for i in stepping:
-            extents[i] = sizes[i] % 2
     return CharacterBox(tuple(lower), tuple(lo + e for lo, e in zip(lower, extents)))
 
 
@@ -215,7 +213,7 @@ def test_walk_matches_per_character_count_on_every_box_shape(name, shape):
             if shape in ("longest", "thin-step"):
                 assert longest == [axis]
             # the walk's lines run along the longest axis, the highest on a tie
-            assert _line_axis(box) == longest[-1]
+            assert _walk_order(box)[-1] == longest[-1]
             shifts = tuple(rng.randint(-5, 5) for _ in variety.rays)
             check_walk(engine, box, shifts)
 
@@ -240,6 +238,60 @@ def test_walk_matches_per_character_count_on_any_box(name, rank, shape, seed, da
     )
     shifts = data.draw(st.tuples(*[st.integers(-6, 6)] * variety.ray_count))
     check_walk(engine, box, shifts)
+
+
+def box_of_extents(extents) -> CharacterBox:
+    return CharacterBox((0,) * len(extents), tuple(extents))
+
+
+@pytest.mark.parametrize("extents, order", [
+    ((5, 1, 7, 3), [1, 3, 0, 2]),
+    ((4,), [0]),
+    ((2, 2, 2), [0, 1, 2]),
+    ((3, 0, 3), [1, 0, 2]),
+    ((1, 6, 6, 0), [3, 0, 1, 2]),
+])
+def test_walk_order_sorts_the_axes_by_side_length(extents, order):
+    """Shortest first and index order on a tie: the line axis, last, is the
+    longest side with the highest index, and the stepping axis before it
+    the next-longest side."""
+    assert _walk_order(box_of_extents(extents)) == order
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+def test_walk_order_is_a_permutation_by_rising_extent(extents):
+    order = _walk_order(box_of_extents(extents))
+    assert sorted(order) == list(range(len(extents)))
+    assert all(extents[i] <= extents[j] for i, j in zip(order, order[1:]))
+    assert order[-1] == max(i for i, e in enumerate(extents) if e == max(extents))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("name", sorted(VARIETIES))
+def test_walk_makes_one_levels_call_per_plane(name, shape, monkeypatch):
+    """A plane fixes every side but the two longest, so the walk makes
+    (extent + 1) multiplied over the other sides levels calls."""
+    variety = VARIETIES[name][0]
+    rng = random.Random(f"planes-{name}-{shape}")
+    engine = SheafCohomology(random_sheaf(rng, variety, 2, -3, 0))
+    calls = []
+    levels = engine.levels
+
+    def counting(m, shifts=None):
+        calls.append(m)
+        return levels(m, shifts)
+
+    monkeypatch.setattr(engine, "levels", counting)
+    for axis in range(variety.dim):
+        box = shaped_box(
+            shape, axis,
+            [rng.randint(-5, 3) for _ in range(variety.dim)],
+            [rng.randint(0, 4) for _ in range(variety.dim)],
+        )
+        extents = sorted(hi - lo for lo, hi in zip(box.lower, box.upper))
+        calls.clear()
+        engine._walk(box, tuple(rng.randint(-5, 5) for _ in variety.rays))
+        assert len(calls) == prod(e + 1 for e in extents[:-2])
 
 
 def test_module_functions_share_one_engine_per_sheaf():
