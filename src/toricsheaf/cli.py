@@ -193,7 +193,7 @@ def _cmd_monomial_sigma(args) -> int:
         ideal = MonomialIdeal(args.n, tuple(generators))
         variety = projective_space(args.n)
         indices = tuple(variety.ray_index(name) for name in names)
-        cone = Cone(indices, variety.dim - len(indices))
+        cone = variety.check_cone(Cone(indices, variety.dim - len(indices)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     spans = [_parse_span(text) for text in args.d]

@@ -15,19 +15,28 @@ Euler characteristic is the signed sum of the same chain dimensions.
 All global numbers are finite sums over a box of characters.  Local numbers
 depend only on the tuple of filtration levels, so each global number is a
 sum of count x local over the level-tuple histogram of its box.  Chi, the
-Cech numbers and h^1 walk the bounding box (margin 1) of the vertices of
-the arrangement of jump hyperplanes <m, n(rho)> = jump - shift: dimensions
-are constant on the chambers of that arrangement, and an unbounded chamber
-with a nonzero dimension would contradict finite-dimensionality, so
-everything outside the box contributes zero.  No vertex is listed for that
-box.  Each vertex is N.(j - shift)_S / D for a set S of dim rays with
-independent rows, whose inverse N / D polytopes caches once per fan, and
-one jump j_k of each ray of S, chosen independently.  So over the vertices
-of S, coordinate i is least at (sum_k min_j N_ik j - N_i.shift_S) / D and
-greatest at the same with max; the sums over the jumps are cached per fan
-and jumps, a twist costs one dot product per ray set and coordinate, and
-since floor and ceiling are monotone, the floors and ceilings of these
-extremes over all ray sets give the box exactly.
+Cech numbers and h^1 walk the smallest integer box holding every vertex of
+the arrangement of jump hyperplanes <m, n(rho)> = jump - shift, and nothing
+outside it counts.  The characters of one level tuple form a cell
+{A m >= b, C m < d}: a ray at level l > 0 bounds <m, n(rho)> + shift below
+by its l-th jump, and a ray below its top level bounds it strictly above by
+its next jump.  Say the cell holds a lattice point m and its closure is
+unbounded.  Then its recession cone {A r >= 0, C r <= 0}, a rational cone,
+holds a nonzero integer vector r, and every m + k r with k >= 0 stays in
+the cell, so a nonzero local number there would make the global number
+infinite.  A bounded cell's closure is a polytope whose vertices are
+arrangement vertices, so its lattice points lie in the box.  The box is
+rounded outwards, so it is never empty, also when no vertex is integral.
+
+No vertex is listed for that box.  Each vertex is N.(j - shift)_S / D for
+a set S of dim rays with independent rows, whose inverse N / D polytopes
+caches once per fan, and one jump j_k of each ray of S, chosen
+independently.  So over the vertices of S, coordinate i is least at
+(sum_k min_j N_ik j - N_i.shift_S) / D and greatest at the same with max;
+the sums over the jumps are cached per fan and jumps, a twist costs one
+dot product per ray set and coordinate, and since floor and ceiling are
+monotone, the floors and ceilings of these extremes over all ray sets give
+the box exactly.
 
 H^0 and H^n walk only the lines of their support polytope.  The local h^0
 is 0 as soon as one ray is at level 0, so every section lies in
@@ -104,10 +113,19 @@ class CharacterBox:
 def enumeration_box(
     sheaf: EquivariantReflexiveSheaf, shifts: Sequence[int] | None = None
 ) -> CharacterBox:
-    """Bounding box, margin 1, of the vertices of the arrangement of jump
-    hyperplanes <m, n(rho)> = jump - shift; ``shifts`` are the twist's
-    divisor coefficients per ray, none for the sheaf itself.  The box is
-    read off the extremes of each rowset's vertices, none of them listed."""
+    """The smallest integer box holding every vertex of the arrangement of
+    jump hyperplanes <m, n(rho)> = jump - shift: per coordinate, the floor of
+    the least vertex value and the ceiling of the greatest.  ``shifts`` are
+    the twist's divisor coefficients per ray, none for the sheaf itself.
+
+    Every global number is a sum of local numbers over this box alone.  A
+    level-tuple cell {A m >= b, C m < d} holding a lattice point m, with an
+    unbounded closure, has a nonzero integer vector r in its recession cone
+    {A r >= 0, C r <= 0}; every m + k r, k >= 0, is in the cell, so a nonzero
+    local number there would make the sum infinite.  A bounded cell's closure
+    is the hull of arrangement vertices, so its lattice points are in the
+    box.  The box is read off the extremes of each rowset's vertices, none
+    of them listed."""
     v = sheaf.variety
     shifts = (0,) * v.ray_count if shifts is None else _checked_shifts(shifts, v.ray_count)
     jumps = tuple(f.jumps for f in sheaf.filtrations)
@@ -118,9 +136,7 @@ def enumeration_box(
         # the rowset's least and greatest x_i / D, rounded outwards
         floors.append([(lo - o) // d for lo, o in zip(low, offsets)])
         ceilings.append([-((o - hi) // d) for hi, o in zip(high, offsets)])
-    return CharacterBox(
-        tuple(min(xs) - 1 for xs in zip(*floors)), tuple(max(xs) + 1 for xs in zip(*ceilings))
-    )
+    return CharacterBox(tuple(map(min, zip(*floors))), tuple(map(max, zip(*ceilings))))
 
 
 def _checked_shifts(shifts: Sequence[int], count: int) -> Sequence[int]:
@@ -425,10 +441,9 @@ def _engine(sheaf: EquivariantReflexiveSheaf) -> SheafCohomology:
 
 def sigma_piece(sheaf: EquivariantReflexiveSheaf, cone: Cone, m: Sequence[int]) -> Subspace:
     """Sections over the cone's affine piece in degree m; full for the zero cone."""
-    if cone not in sheaf.variety.cones():
-        raise ValueError(f"{cone} is not a cone of the fan of the sheaf's variety")
+    rays = sheaf.variety.check_cone(cone).ray_indices
     engine = _engine(sheaf)
-    return engine.piece(cone.ray_indices, engine.levels(m))
+    return engine.piece(rays, engine.levels(m))
 
 
 def euler_characteristic(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:

@@ -136,8 +136,13 @@ class PresentationDegrees:
     relation_degrees: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "generator_degrees", tuple(tuple(g) for g in self.generator_degrees))
-        object.__setattr__(self, "relation_degrees", tuple(tuple(m) for m in self.relation_degrees))
+        for name in ("generator_degrees", "relation_degrees"):
+            degrees = tuple(
+                tuple(strict_int(x, "presentation degree") for x in d) for d in getattr(self, name)
+            )
+            object.__setattr__(self, name, degrees)
+        if len({len(d) for d in self.generator_degrees + self.relation_degrees}) > 1:
+            raise ValueError("all degree vectors must have the same length")
 
 
 def jump_bounds_from_presentation(pres: PresentationDegrees) -> list[tuple[int, int]]:
@@ -149,10 +154,6 @@ def jump_bounds_from_presentation(pres: PresentationDegrees) -> list[tuple[int, 
     if not pres.generator_degrees:
         raise ValueError("presentation needs at least one generator degree")
     nrays = len(pres.generator_degrees[0])
-    if any(len(g) != nrays for g in pres.generator_degrees) or any(
-        len(m) != nrays for m in pres.relation_degrees
-    ):
-        raise ValueError("all degree vectors must have the same length")
     bounds = []
     for k in range(nrays):
         lo = -max(g[k] for g in pres.generator_degrees)

@@ -214,10 +214,11 @@ def format_polynomial(poly: RationalPolynomial, names: Sequence[str]) -> str:
     return text.replace("+ -", "- ")
 
 
-@lru_cache(maxsize=None)
+# typed, so that True is not served the cached B_1 but refused
+@lru_cache(maxsize=None, typed=True)
 def bernoulli_number(n: int) -> Fraction:
     """B_n with the convention B_1 = -1/2 (forced by the power-sum identity)."""
-    if n < 0:
+    if strict_int(n, "index") < 0:
         raise ValueError("index must be non-negative")
     if n == 0:
         return Fraction(1)
@@ -229,7 +230,7 @@ def bernoulli_number(n: int) -> Fraction:
 
 def bernoulli_polynomial(n: int) -> RationalPolynomial:
     """B_n(x) = sum_k C(n, k) B_{n-k} x^k."""
-    if n < 0:
+    if strict_int(n, "index") < 0:
         raise ValueError("index must be non-negative")
     coeffs = {(k,): comb(n, k) * bernoulli_number(n - k) for k in range(n + 1)}
     return RationalPolynomial(1, coeffs)
@@ -237,7 +238,7 @@ def bernoulli_polynomial(n: int) -> RationalPolynomial:
 
 def faulhaber_sum(t: int) -> RationalPolynomial:
     """The polynomial equal to sum_{k=0}^{q} k^t for all q >= 0 (0^0 = 1)."""
-    if t < 0:
+    if strict_int(t, "exponent") < 0:
         raise ValueError("exponent must be non-negative")
     b = bernoulli_polynomial(t + 1)
     q_plus_1 = RationalPolynomial(1, {(0,): Fraction(1), (1,): Fraction(1)})
@@ -256,7 +257,7 @@ def simplex_sum(poly: RationalPolynomial, k: int) -> RationalPolynomial:
     are replaced by power-sum polynomials evaluated at the remaining budget,
     eliminating one e-variable at a time.
     """
-    if k < 1:
+    if strict_int(k, "number of summation variables") < 1:
         raise ValueError("need at least one summation variable")
     if poly.nvars < k + 1:
         raise ValueError("polynomial must contain q and the summation variables")

@@ -46,8 +46,9 @@ def sigma_piece_dim(ideal: MonomialIdeal, cone: Cone, m: Sequence[int]) -> int:
     variables are invertible there.
     """
     v = ideal.variety()
+    rays = v.check_cone(cone).ray_indices
     embedded = v.character_embedding(m)
     for g in ideal.generators:
-        if all(g[k] <= embedded[k] for k in cone.ray_indices):
+        if all(g[k] <= embedded[k] for k in rays):
             return 1
     return 0

@@ -268,6 +268,7 @@ def feasible_system1(
     x1 + ... + xr <= B; feasible exactly when A <= ar * B, witnessed by
     (0, ..., 0, B)."""
     a = _checked_weights(a_list)
+    A, B = strict_int(A, "A"), strict_int(B, "B")
     if B < 0:
         return False, None
     if A <= a[-1] * B:

@@ -61,11 +61,14 @@ class ToricVariety:
         return self.family == "split_bundle"
 
     def pairing(self, m: Sequence[int], ray_index: int) -> int:
-        """<m, n(rho)> for the indexed ray."""
+        """<m, n(rho)> for the indexed ray and an integer character m."""
         ray = self.rays[ray_index]
         if len(m) != self.dim:
             raise ValueError(f"character must have length {self.dim}")
-        return sum(mi * ri for mi, ri in zip(m, ray))
+        if not {int}.issuperset(map(type, m)):
+            for x in m:
+                strict_int(x, "character entry")
+        return sum(map(mul, m, ray))
 
     def character_embedding(self, m: Sequence[int]) -> tuple[int, ...]:
         """The tuple of pairings over all rays, i.e. the multidegree of chi^m."""
@@ -87,6 +90,11 @@ class ToricVariety:
 
     def maximal_cones(self) -> list[Cone]:
         return [c for c in self.cones() if c.codim == 0]
+
+    def check_cone(self, cone: Cone) -> Cone:
+        if cone not in self.cones():
+            raise ValueError(f"{cone} is not a cone of the fan of the sheaf's variety")
+        return cone
 
     def check_class(self, c: Sequence[int]) -> tuple[int, ...]:
         c = tuple(strict_int(x, "class element entry") for x in c)

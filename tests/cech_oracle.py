@@ -6,8 +6,9 @@ each (k+1)-subset of the t maximal cones, so the complex has 2^t - 1 terms
 (63 on V_1(1,2), 511 on V_2(a1,a2)) against one term per cone.  It only
 reads ``engine.piece`` and ``engine.levels``, so it shares the per-cone
 subspaces with the engine but none of its complex.  It takes its character
-boxes from ``vertex_oracle`` and its ranks from the Fraction elimination of
-``linalg_oracle``, so it shares no box or elimination code with the engine.
+boxes from ``vertex_oracle``, each one wider than the engine's, and its
+ranks from the Fraction elimination of ``linalg_oracle``, so it shares no
+box or elimination code with the engine.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from itertools import combinations
 from toricsheaf import twist
 
 from linalg_oracle import matrix_rank
-from vertex_oracle import fraction_enumeration_box
+from vertex_oracle import fraction_enumeration_box, widened
 
 
 def cover_subsets(engine) -> list[list[tuple[int, ...]]]:
@@ -54,13 +55,15 @@ def maximal_cone_cech(engine, levels: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def maximal_cone_cech_twisted(engine, c, per_levels=None) -> tuple[int, ...]:
-    """``maximal_cone_cech`` summed over the character box of the twist by c.
+    """``maximal_cone_cech`` summed over the character box of the twist by c,
+    widened by 1 on every side.  The engine walks the box itself, so equal
+    totals also show that nothing outside that box counts.
 
     Each level tuple is computed once; ``per_levels``, when given, is the
     dict that collects those values, so a caller can compare them too.
     """
     shifts = engine.variety.twist_divisor(c)
-    box = fraction_enumeration_box(twist(engine.sheaf, c))
+    box = widened(fraction_enumeration_box(twist(engine.sheaf, c)), 1)
     if per_levels is None:
         per_levels = {}
     totals = [0] * (engine.variety.dim + 1)

@@ -355,6 +355,7 @@ def test_cli_monomial_sigma_grid():
     (["--n", "2", "--generators=-1,0,0"], "must be non-negative"),
     (["--n", "0", "--generators", "1"], "projective dimension n >= 1"),
     (["--n", "2", "--generators", "1,0,0", "--cone", "rho0,rho0"], "cone rays must be distinct"),
+    (["--n", "2", "--generators", "0,0,2", "--cone", "rho0,rho1,rho2"], "is not a cone of the fan"),
 ])
 def test_cli_monomial_sigma_bad_input(args, message, capsys):
     """Bad generators, dimensions and cones end in an error line and exit 1."""

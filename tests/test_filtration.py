@@ -23,7 +23,8 @@ from toricsheaf import (
 from toricsheaf.cohomology import sigma_piece
 from toricsheaf.errors import UnsupportedVarietyError
 from toricsheaf.hilbert import intersection_dim
-from toricsheaf.monomial import MonomialIdeal
+from toricsheaf.monomial import MonomialIdeal, sigma_piece_dim
+from toricsheaf.polytopes import feasible_system1
 
 from conftest import random_sheaf, rank3_example_sheaf, tangent_sheaf_h3
 
@@ -251,10 +252,24 @@ def test_library_integers_are_strict(entry_point, bad):
     ("projective space", 2.0, "must be an integer, got 2.0"),
     ("projective space", "2", "must be an integer, got '2'"),
     ("hirzebruch", "2", "must be an integer, got '2'"),
+    ("pairing", (0.5, 1), "character entry must be an integer, got 0.5"),
+    ("pairing", ("1", 0), "character entry must be an integer, got '1'"),
+    ("monomial character", (0.5, 0), "character entry must be an integer, got 0.5"),
+    ("monomial character", (0, True), "character entry must be an integer, got True"),
+    ("monomial character", (1.0, 0), "character entry must be an integer, got 1.0"),
+    ("feasible A", 1.5, "A must be an integer, got 1.5"),
+    ("feasible A", "1", "A must be an integer, got '1'"),
+    ("feasible B", True, "B must be an integer, got True"),
+    ("feasible B", 2.0, "B must be an integer, got 2.0"),
+    ("generator degrees", ((1.5, 0),), "presentation degree must be an integer, got 1.5"),
+    ("generator degrees", (("1", 0),), "presentation degree must be an integer, got '1'"),
+    ("generator degrees", ((0, 0), (0,)), "all degree vectors must have the same length"),
+    ("relation degrees", ((True, 0),), "presentation degree must be an integer, got True"),
+    ("relation degrees", ((0, 0, 0),), "all degree vectors must have the same length"),
 ])
 def test_more_library_input_is_strict(entry_point, bad, message):
-    """Wrong-length shifts and non-integer indices or exponents are refused,
-    not truncated or coerced."""
+    """Wrong-length shifts and degrees and non-integer indices, exponents,
+    characters, bounds and degrees are refused, not truncated or coerced."""
     build = {
         "shifts": lambda: SheafCohomology(rank3_example_sheaf()).levels((0, 0), bad),
         "divisor class": lambda: hirzebruch(3).divisor_class(bad),
@@ -269,6 +284,14 @@ def test_more_library_input_is_strict(entry_point, bad, message):
         "levels character": lambda: SheafCohomology(
             structure_sheaf(projective_space(2))
         ).levels(bad),
+        "pairing": lambda: projective_space(2).pairing(bad, 0),
+        "monomial character": lambda: sigma_piece_dim(
+            MonomialIdeal(2, ((0, 0, 2),)), Cone((0,), 1), bad
+        ),
+        "feasible A": lambda: feasible_system1([1, 2], bad, 1),
+        "feasible B": lambda: feasible_system1([1, 2], 1, bad),
+        "generator degrees": lambda: PresentationDegrees(bad, ()),
+        "relation degrees": lambda: PresentationDegrees(((0, 0),), bad),
     }[entry_point]
     with pytest.raises(ValueError, match=message):
         build()

@@ -112,6 +112,22 @@ def test_bernoulli_polynomials():
     assert bernoulli_number(12) == Fraction(-691, 2730)
 
 
+@pytest.mark.parametrize("call, bad", [
+    (bernoulli_number, True),
+    (bernoulli_number, 2.0),
+    (bernoulli_polynomial, 1.5),
+    (bernoulli_polynomial, False),
+    (faulhaber_sum, 1.0),
+    (lambda k: simplex_sum(poly_from(2, {(0, 0): 1}), k), 1.0),
+    (lambda k: simplex_sum(poly_from(2, {(0, 0): 1}), k), True),
+])
+def test_power_sums_refuse_non_integers(call, bad):
+    """A bool or float index is refused with ValueError; True is not served
+    the cached B_1."""
+    with pytest.raises(ValueError, match=f"must be an integer, got {bad!r}"):
+        call(bad)
+
+
 def test_faulhaber_small():
     assert faulhaber_sum(0) == poly_from(1, {(1,): 1, (0,): 1})     # q + 1
     assert faulhaber_sum(2).evaluate((3,)) == 14

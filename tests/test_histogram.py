@@ -39,7 +39,13 @@ from conftest import (
     random_sheaf,
     rank3_example_sheaf,
 )
-from vertex_oracle import fraction_box, fraction_vertices, homogeneous_bounds, support_polytopes
+from vertex_oracle import (
+    fraction_box,
+    fraction_vertices,
+    homogeneous_bounds,
+    support_polytopes,
+    widened,
+)
 
 # V_1(1, 2) and V_1(1, 3) give the last coordinate slopes 2 and 3
 VARIETIES = {
@@ -81,12 +87,22 @@ def at_coordinate(m: tuple[int, ...], axis: int, t: int) -> tuple[int, ...]:
     return m[:axis] + (t,) + m[axis + 1:]
 
 
-def lines_cut_at_the_ends(engine: SheafCohomology, c) -> tuple[int, int]:
-    """How many lines of the twisted box, along the walk's line axis, change
-    level tuple between lo - 1 and lo, and between hi and hi + 1: cut points
-    that land exactly on lo (already in the start tuple) and on hi + 1 (past
-    the line)."""
+def wide_setup(engine: SheafCohomology, c) -> tuple[CharacterBox, tuple[int, ...]]:
+    """The twisted box widened by 1, and the twist's shifts.  The engine's
+    box holds every arrangement vertex and nothing more, so on some twists
+    no level changes just past the ends of its lines; in the wider box the
+    jump hyperplanes through the outermost vertices cross there."""
     box, shifts = engine._twist_setup(c)
+    return widened(box, 1), shifts
+
+
+def lines_cut_at_the_ends(
+    engine: SheafCohomology, box: CharacterBox, shifts: tuple[int, ...]
+) -> tuple[int, int]:
+    """How many lines of the box, along the walk's line axis, change level
+    tuple between lo - 1 and lo, and between hi and hi + 1: cut points that
+    land exactly on lo (already in the start tuple) and on hi + 1 (past the
+    line)."""
     axis = _walk_order(box)[-1]
     lo, hi = box.lower[axis], box.upper[axis]
     at_lo = at_end = 0
@@ -106,8 +122,10 @@ def test_histogram_with_cuts_on_the_line_ends(name, rank):
         random_sheaf(random.Random(f"ends-{name}-{rank}"), VARIETIES[name][0], rank, -3, 0)
     )
     for c in twists_of(name):
-        at_lo, at_end = lines_cut_at_the_ends(engine, c)
+        box, shifts = wide_setup(engine, c)
+        at_lo, at_end = lines_cut_at_the_ends(engine, box, shifts)
         assert at_lo and at_end
+        check_walk(engine, box, shifts)
         assert engine.histogram(c) == per_character_histogram(engine, c)
 
 
@@ -129,11 +147,12 @@ def repeated_jump_sheaf(rng: random.Random, variety, rank: int) -> EquivariantRe
     )
 
 
-def double_steps(engine: SheafCohomology, c, axis: int) -> int:
-    """How many characters of the twisted box, past the start of their line
-    along the axis, have some ray's level 2 or more away from the previous
+def double_steps(
+    engine: SheafCohomology, box: CharacterBox, shifts: tuple[int, ...], axis: int
+) -> int:
+    """How many characters of the box, past the start of their line along
+    the axis, have some ray's level 2 or more away from the previous
     character's."""
-    box, shifts = engine._twist_setup(c)
     return sum(
         any(abs(x - y) >= 2 for x, y in zip(
             engine.levels(m, shifts), engine.levels(at_coordinate(m, axis, m[axis] - 1), shifts)
@@ -152,7 +171,9 @@ def test_histogram_with_repeated_jumps_on_sloped_rays(name, rank):
     rng = random.Random(f"repeated-{name}-{rank}")
     engine = SheafCohomology(repeated_jump_sheaf(rng, variety, rank))
     for c in twists_of(name):
-        assert double_steps(engine, c, _walk_order(engine._twist_setup(c)[0])[-1])
+        box, shifts = wide_setup(engine, c)
+        assert double_steps(engine, box, shifts, _walk_order(box)[-1])
+        check_walk(engine, box, shifts)
         assert engine.histogram(c) == per_character_histogram(engine, c)
 
 

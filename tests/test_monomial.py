@@ -12,6 +12,17 @@ def cone_of(*ray_indices):
     return Cone(tuple(ray_indices), P2.dim - len(ray_indices))
 
 
+@pytest.mark.parametrize("cone", [
+    Cone((5,), 1),         # no such ray
+    Cone((-1,), 1),        # a negative index, which would read the last ray
+    Cone((0, 1, 2), -1),   # every ray of P^2: not a cone
+    Cone((0,), 0),         # a ray with the wrong codimension
+])
+def test_sigma_piece_dim_refuses_a_cone_outside_the_fan(cone):
+    with pytest.raises(ValueError, match="is not a cone of the fan"):
+        sigma_piece_dim(IDEAL, cone, (0, 0))
+
+
 def test_rho0_condition():
     cone = cone_of(0)
     for d1 in range(-10, 11):

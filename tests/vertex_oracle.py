@@ -104,7 +104,9 @@ def _satisfied_rational(sys, point) -> bool:
 
 
 def fraction_enumeration_box(sheaf) -> CharacterBox:
-    """Bounding box of the jump-hyperplane arrangement vertices, margin 1."""
+    """The smallest integer box holding every vertex of the jump-hyperplane
+    arrangement: the floors of the least vertex coordinates and the ceilings
+    of the greatest."""
     v = sheaf.variety
     dim = v.dim
     values = [sorted(set(f.jumps)) for f in sheaf.filtrations]
@@ -124,6 +126,11 @@ def fraction_enumeration_box(sheaf) -> CharacterBox:
             else:
                 mins = [min(a, b) for a, b in zip(mins, sol)]
                 maxs = [max(a, b) for a, b in zip(maxs, sol)]
-    lower = tuple(floor(x) - 1 for x in mins)
-    upper = tuple(ceil(x) + 1 for x in maxs)
-    return CharacterBox(lower, upper)
+    return CharacterBox(tuple(map(floor, mins)), tuple(map(ceil, maxs)))
+
+
+def widened(box: CharacterBox, margin: int) -> CharacterBox:
+    """The box with every side moved out by margin."""
+    return CharacterBox(
+        tuple(lo - margin for lo in box.lower), tuple(hi + margin for hi in box.upper)
+    )
