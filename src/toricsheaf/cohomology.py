@@ -12,6 +12,22 @@ complex on the rays, and the ordinary simplicial signs (-1)^pos, pos the
 position of the dropped ray in the sorted ray list, make d o d = 0.  The
 Euler characteristic is the signed sum of the same chain dimensions.
 
+Cech ranks a smaller complex with the same cohomology.  Say the space of
+ray rho at the level tuple is the whole fibre, as it is at rho's top level.
+Then E^(sigma + rho) = E^sigma for every cone sigma.  The closed star of
+rho, the cones sigma for which sigma + {rho} is a cone, is closed under
+faces, so it spans a subcomplex, and the pairs sigma <-> sigma + {rho}
+match all of it through +-identity maps, so it is acyclic.  The Cech
+numbers are therefore those of the quotient complex: only the cones outside
+the star, with every facet inside the star dropped from the differential.
+On P^n one cone is left, the maximal cone of the other rays; on V_2(1,2),
+7 of 49.  Of the rays whose space is the whole fibre, cech takes the one
+that leaves the fewest cones, the first on a tie, and only that one: in the
+quotient the pairs through a second such ray need not both lie outside the
+first star (on P^2, after dividing out rho0, the one cone left holds rho1,
+but {rho2} is in the star of rho0), so that matching is not complete in
+general.
+
 All global numbers are finite sums over a box of characters.  Local numbers
 depend only on the tuple of filtration levels, so each global number is a
 sum of count x local over the level-tuple histogram of its box.  Chi, the
@@ -196,12 +212,8 @@ class SheafCohomology:
         self.sheaf = sheaf
         self.variety = sheaf.variety
         self.rank = sheaf.rank
-        cones = self.variety.cones()
         # ray sets of the cones by codimension: the terms C^k of the complex
-        self._chain_cones = [
-            [c.ray_indices for c in cones if c.codim == k]
-            for k in range(self.variety.dim + 1)
-        ]
+        self._chain_cones = self.variety._fan.chain
         self._jumps = tuple(f.jumps for f in sheaf.filtrations)
         self._pieces: dict[tuple, Subspace] = {}
         self._local: dict[str, dict[tuple[int, ...], object]] = {}
@@ -378,9 +390,20 @@ class SheafCohomology:
             for rs in cones
         )
 
+    def _quotient_chain(self, levels: tuple[int, ...]):
+        """The terms of the complex that ``cech`` ranks at these levels: the
+        cones outside the closed star of the ray whose space is the whole
+        fibre and which leaves the fewest, or every cone when no ray's is."""
+        full = [
+            self.variety._fan.outside_stars[k]
+            for k in range(self.variety.ray_count)
+            if self.piece((k,), levels).dim == self.rank
+        ]
+        return min(full, key=lambda chain: sum(map(len, chain)), default=self._chain_cones)
+
     @_cached_by_levels
     def cech(self, levels: tuple[int, ...]) -> tuple[int, ...]:
-        chain = self._chain_cones
+        chain = self._quotient_chain(levels)
         spaces = [[self.piece(rs, levels) for rs in cones] for cones in chain]
         # ranks[k + 1] is the rank of d: C^k -> C^{k+1}; C^{-1} = C^{dim+1} = 0
         ranks = [0] * (len(chain) + 1)
@@ -395,15 +418,16 @@ class SheafCohomology:
 
     def _differential_rank(
         self,
-        sources: list[tuple[int, ...]],
+        sources: Sequence[tuple[int, ...]],
         src_spaces: list[Subspace],
-        targets: list[tuple[int, ...]],
+        targets: Sequence[tuple[int, ...]],
         tgt_spaces: list[Subspace],
     ) -> int:
         """Rank of d: C^k -> C^{k+1}, whose blocks are the inclusions of
-        E^sigma into E^tau for the facets tau of sigma, each signed by
-        (-1)^pos for the position of the dropped ray in sigma.  The matrix
-        has one row per stored integer row of a source space."""
+        E^sigma into E^tau for the facets tau of sigma among the targets,
+        each signed by (-1)^pos for the position of the dropped ray in
+        sigma.  The matrix has one row per stored integer row of a source
+        space."""
         src_offset = [0]
         for s in src_spaces:
             src_offset.append(src_offset[-1] + s.dim)
@@ -420,7 +444,10 @@ class SheafCohomology:
         for i_src, source in enumerate(sources):
             vectors = src_spaces[i_src].rows
             for pos in range(len(source)):
-                j_tgt = tgt_index[source[:pos] + source[pos + 1:]]
+                # a facet outside the targets was divided out of the complex
+                j_tgt = tgt_index.get(source[:pos] + source[pos + 1:])
+                if j_tgt is None:
+                    continue
                 pivots = tgt_spaces[j_tgt].pivots
                 sign = -1 if pos % 2 else 1
                 # the source space lies in the target; coordinates come off pivots

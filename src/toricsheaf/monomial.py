@@ -10,6 +10,7 @@ general machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .toric import Cone, ToricVariety, projective_space, strict_int
@@ -36,6 +37,11 @@ class MonomialIdeal:
                 raise ValueError("generator exponents must be non-negative")
 
     def variety(self) -> ToricVariety:
+        return self._variety
+
+    @cached_property
+    def _variety(self) -> ToricVariety:
+        # one P^n per ideal, so its cone list is built once
         return projective_space(self.n)
 
 

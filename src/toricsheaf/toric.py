@@ -17,6 +17,7 @@ for the bundle families), so twisting is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from operator import mul
 from typing import Sequence
@@ -75,7 +76,21 @@ class ToricVariety:
         return tuple(self.pairing(m, k) for k in range(self.ray_count))
 
     def cones(self) -> list[Cone]:
-        """Every cone of the fan, including the zero cone.
+        """Every cone of the fan, including the zero cone, smallest first;
+        a new list on each call, so a caller cannot change the cached one."""
+        return list(self._fan.cones)
+
+    def maximal_cones(self) -> list[Cone]:
+        return [c for c in self._fan.cones if c.codim == 0]
+
+    def check_cone(self, cone: Cone) -> Cone:
+        if cone not in self._fan.members:
+            raise ValueError(f"{cone} is not a cone of the fan of the sheaf's variety")
+        return cone
+
+    @cached_property
+    def _fan(self) -> _Fan:
+        """The fan's cones, built on first use and kept with the variety.
 
         A ray set spans a cone exactly when it omits a ray of each primitive
         collection: all rays on P^n, the rho rays and the eta rays on V_s(a).
@@ -86,15 +101,7 @@ class ToricVariety:
         index_sets = [sum(parts, ()) for parts in product(*proper)]
         cones = [Cone(c, self.dim - len(c)) for c in index_sets]
         cones.sort(key=lambda c: (len(c.ray_indices), c.ray_indices))
-        return cones
-
-    def maximal_cones(self) -> list[Cone]:
-        return [c for c in self.cones() if c.codim == 0]
-
-    def check_cone(self, cone: Cone) -> Cone:
-        if cone not in self.cones():
-            raise ValueError(f"{cone} is not a cone of the fan of the sheaf's variety")
-        return cone
+        return _Fan(self.dim, self.ray_count, tuple(cones))
 
     def check_class(self, c: Sequence[int]) -> tuple[int, ...]:
         c = tuple(strict_int(x, "class element entry") for x in c)
@@ -123,6 +130,34 @@ class ToricVariety:
             return self.ray_names.index(name)
         except ValueError:
             raise ValueError(f"unknown ray name {name!r}; known: {self.ray_names}") from None
+
+
+class _Fan:
+    """The cones of a smooth fan, kept once per variety by
+    ``ToricVariety._fan``.  ``chain[k]`` lists the ray sets of the cones of
+    codimension k, the terms C^k of the cone complex, and
+    ``outside_stars[rho]`` lists, in the same form, the cones outside the
+    closed star of ray rho: the cones sigma for which sigma + {rho} is no
+    cone."""
+
+    def __init__(self, dim: int, ray_count: int, cones: tuple[Cone, ...]):
+        self.cones = cones
+        self.members = frozenset(cones)
+        self.ray_count = ray_count
+        self.chain = tuple(
+            tuple(c.ray_indices for c in cones if c.codim == k) for k in range(dim + 1)
+        )
+
+    @cached_property
+    def outside_stars(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
+        ray_sets = {c.ray_indices for c in self.cones}
+        return tuple(
+            tuple(
+                tuple(rs for rs in terms if tuple(sorted({*rs, rho})) not in ray_sets)
+                for terms in self.chain
+            )
+            for rho in range(self.ray_count)
+        )
 
 
 def projective_space(n: int) -> ToricVariety:

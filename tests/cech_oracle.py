@@ -1,14 +1,20 @@
-"""The Cech complex of the cover by maximal-cone affine charts.
+"""Two oracles for ``SheafCohomology.cech``.
 
-An independent oracle for ``SheafCohomology.cech``, which uses the fan's cone
-complex instead.  Here the term C^k sums the pieces of the cones shared by
-each (k+1)-subset of the t maximal cones, so the complex has 2^t - 1 terms
-(63 on V_1(1,2), 511 on V_2(a1,a2)) against one term per cone.  It only
-reads ``engine.piece`` and ``engine.levels``, so it shares the per-cone
-subspaces with the engine but none of its complex.  It takes its character
-boxes from ``vertex_oracle``, each one wider than the engine's, and its
-ranks from the Fraction elimination of ``linalg_oracle``, so it shares no
-box or elimination code with the engine.
+``full_complex_cech`` ranks the engine's cone complex in full: every cone
+of the fan, where ``cech`` first divides out the acyclic closed star of a
+ray whose space is the whole fibre.  It shares the engine's cone pieces and
+differential, so it checks only that division.
+
+``maximal_cone_cech`` is the Cech complex of the cover by maximal-cone
+affine charts, an independent check on the cone complex itself.  There the
+term C^k sums the pieces of the cones shared by each (k+1)-subset of the t
+maximal cones, so the complex has 2^t - 1 terms (63 on V_1(1,2), 511 on
+V_2(a1,a2)) against one term per cone.  It only reads ``engine.piece`` and
+``engine.levels``, so it shares the per-cone subspaces with the engine but
+none of its complex.  It takes its character boxes from ``vertex_oracle``,
+each one wider than the engine's, and its ranks from the Fraction
+elimination of ``linalg_oracle``, so it shares no box or elimination code
+with the engine.
 """
 from __future__ import annotations
 
@@ -19,6 +25,20 @@ from toricsheaf import twist
 
 from linalg_oracle import matrix_rank
 from vertex_oracle import fraction_enumeration_box, widened
+
+
+def full_complex_cech(engine, levels: tuple[int, ...]) -> tuple[int, ...]:
+    """(h^0, ..., h^dim) of the complex of every cone of the fan at one
+    level tuple, with no star divided out."""
+    chain = engine._chain_cones
+    spaces = [[engine.piece(rs, levels) for rs in cones] for cones in chain]
+    # ranks[k + 1] is the rank of d: C^k -> C^{k+1}; C^{-1} = C^{dim+1} = 0
+    ranks = [0] * (len(chain) + 1)
+    for k in range(len(chain) - 1):
+        ranks[k + 1] = engine._differential_rank(chain[k], spaces[k], chain[k + 1], spaces[k + 1])
+    return tuple(
+        sum(s.dim for s in spaces[i]) - ranks[i] - ranks[i + 1] for i in range(len(chain))
+    )
 
 
 def cover_subsets(engine) -> list[list[tuple[int, ...]]]:

@@ -154,3 +154,40 @@ def test_cone_rejects_repeated_rays():
     assert Cone((2, 0), 1).ray_indices == (0, 2)
     with pytest.raises(ValueError, match="cone rays must be distinct"):
         Cone((0, 0), 1)
+
+
+def test_cone_list_is_built_once_and_handed_out_as_a_copy():
+    v = split_bundle(1, (1, 2))
+    first = v.cones()
+    assert v._fan is v._fan
+    first.clear()
+    assert len(v.cones()) == 21 and v.cones() is not v.cones()
+    assert v.check_cone(Cone((0, 3), 1)) == Cone((0, 3), 1)
+    with pytest.raises(ValueError, match="is not a cone of the fan"):
+        v.check_cone(Cone((0, 3), 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_cone_outside_each_closed_star_on_projective_space(n):
+    """sigma + {rho} is a cone unless it holds every ray, so only the
+    maximal cone of the other rays lies outside the star of rho."""
+    v = projective_space(n)
+    assert len(v._fan.outside_stars) == n + 1
+    for rho, chain in enumerate(v._fan.outside_stars):
+        others = tuple(k for k in range(n + 1) if k != rho)
+        assert chain == ((others,),) + ((),) * n
+
+
+def test_seven_of_49_cones_outside_each_closed_star_on_v2_12():
+    """On V_2(1,2) sigma + {rho} is no cone exactly when sigma holds the
+    other rays of rho's primitive collection; those cones, one per proper
+    subset of the other collection, are 7 of the 49."""
+    v = split_bundle(2, (1, 2))
+    cones = v.cones()
+    assert len(cones) == 49
+    for rho, chain in enumerate(v._fan.outside_stars):
+        block = set(range(3)) if rho < 3 else set(range(3, 6))
+        expected = [c for c in cones if block - {rho} <= set(c.ray_indices)]
+        assert len(expected) == 7
+        for k, terms in enumerate(chain):
+            assert list(terms) == [c.ray_indices for c in expected if c.codim == k]
