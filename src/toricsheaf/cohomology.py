@@ -9,8 +9,7 @@ and the differential sends E^sigma into E^tau for each facet tau of sigma.
 The fans here are smooth, so every cone is spanned by part of a basis and
 its faces are exactly the subsets of its rays: the cones form a simplicial
 complex on the rays, and the ordinary simplicial signs (-1)^pos, pos the
-position of the dropped ray in the sorted ray list, make d o d = 0.  The
-Euler characteristic is the signed sum of the same chain dimensions.
+position of the dropped ray in the sorted ray list, make d o d = 0.
 
 Cech ranks a smaller complex with the same cohomology.  Say the space of
 ray rho at the level tuple is the whole fibre, as it is at rho's top level.
@@ -20,13 +19,15 @@ faces, so it spans a subcomplex, and the pairs sigma <-> sigma + {rho}
 match all of it through +-identity maps, so it is acyclic.  The Cech
 numbers are therefore those of the quotient complex: only the cones outside
 the star, with every facet inside the star dropped from the differential.
-On P^n one cone is left, the maximal cone of the other rays; on V_2(1,2),
-7 of 49.  Of the rays whose space is the whole fibre, cech takes the one
-that leaves the fewest cones, the first on a tie, and only that one: in the
-quotient the pairs through a second such ray need not both lie outside the
-first star (on P^2, after dividing out rho0, the one cone left holds rho1,
-but {rho2} is in the star of rho0), so that matching is not complete in
-general.
+The star adds 0 to the Euler characteristic too, as each pair has equal
+spaces in adjacent degrees, so chi sums the signed dimensions of the same
+quotient chain.  On P^n one cone is left, the maximal cone of the other
+rays; on V_2(1,2), 7 of 49.  Of the rays whose space is the whole fibre,
+cech and chi take the one that leaves the fewest cones, the first on a
+tie, and only that one: in the quotient the pairs through a second such
+ray need not both lie outside the first star (on P^2, after dividing out
+rho0, the one cone left holds rho1, but {rho2} is in the star of rho0), so
+that matching is not complete in general.
 
 All global numbers are finite sums over a box of characters.  Local numbers
 depend only on the tuple of filtration levels, so each global number is a
@@ -386,14 +387,15 @@ class SheafCohomology:
     def chi(self, levels: tuple[int, ...]) -> int:
         return sum(
             (-1) ** k * self.piece(rs, levels).dim
-            for k, cones in enumerate(self._chain_cones)
+            for k, cones in enumerate(self._quotient_chain(levels))
             for rs in cones
         )
 
     def _quotient_chain(self, levels: tuple[int, ...]):
-        """The terms of the complex that ``cech`` ranks at these levels: the
-        cones outside the closed star of the ray whose space is the whole
-        fibre and which leaves the fewest, or every cone when no ray's is."""
+        """The terms of the complex that ``cech`` ranks and ``chi`` sums at
+        these levels: the cones outside the closed star of the ray whose
+        space is the whole fibre and which leaves the fewest, or every cone
+        when no ray's is."""
         full = [
             self.variety._fan.outside_stars[k]
             for k in range(self.variety.ray_count)

@@ -70,6 +70,7 @@ class EquivariantReflexiveSheaf:
     filtrations: tuple[KlyachkoFiltration, ...]
 
     def __post_init__(self):
+        strict_int(self.rank, "sheaf rank")
         object.__setattr__(self, "filtrations", tuple(self.filtrations))
         if len(self.filtrations) != self.variety.ray_count:
             raise ValueError("need exactly one filtration per ray")

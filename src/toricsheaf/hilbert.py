@@ -314,7 +314,7 @@ class HalfPlane:
     bound: int
 
     def contains(self, p: int, q: int) -> bool:
-        return self.p_coeff * p + self.q_coeff * q >= self.bound
+        return self.p_coeff * strict_int(p, "p") + self.q_coeff * strict_int(q, "q") >= self.bound
 
     def __str__(self):
         terms = []

@@ -322,6 +322,7 @@ def psi_n(
     """Integer solutions c in Z^r of the eta-ray block of the sliced system."""
     s, a = split_data(sheaf.variety)
     r = len(a)
+    q = strict_int(q, "q")
     n_idx = tuple(strict_int(i, "eta multi-index entry") for i in n_idx)
     if len(n_idx) != r + 1 or any(i < 1 or i > sheaf.rank for i in n_idx):
         raise ValueError(f"eta multi-index needs {r + 1} entries in 1..{sheaf.rank}")
@@ -333,6 +334,7 @@ def psi_m_sliced(
 ) -> list[tuple[int, ...]]:
     """Integer solutions d in Z^s of the rho-ray block, for a fixed eta slice."""
     s, a = split_data(sheaf.variety)
+    p = strict_int(p, "p")
     m_idx = tuple(strict_int(i, "rho multi-index entry") for i in m_idx)
     if len(m_idx) != s + 1 or any(i < 1 or i > sheaf.rank for i in m_idx):
         raise ValueError(f"rho multi-index needs {s + 1} entries in 1..{sheaf.rank}")
@@ -348,6 +350,7 @@ def assemble_slices(
 ) -> int:
     """Point count of the full system assembled from its eta slices."""
     s, _ = split_data(sheaf.variety)
+    p, q = strict_int(p, "p"), strict_int(q, "q")
     idx = _multi_index(sheaf, idx)
     m_idx, n_idx = idx[: s + 1], idx[s + 1:]
     total = 0

@@ -33,7 +33,8 @@ class Cone:
     codim: int
 
     def __post_init__(self):
-        rays = tuple(sorted(self.ray_indices))
+        rays = tuple(sorted(strict_int(k, "cone ray index") for k in self.ray_indices))
+        strict_int(self.codim, "cone codimension")
         if len(set(rays)) != len(rays):
             raise ValueError(f"cone rays must be distinct, got {self.ray_indices}")
         object.__setattr__(self, "ray_indices", rays)

@@ -1,9 +1,12 @@
-"""Two oracles for ``SheafCohomology.cech``.
+"""Oracles for ``SheafCohomology.cech`` and ``SheafCohomology.chi``.
 
 ``full_complex_cech`` ranks the engine's cone complex in full: every cone
 of the fan, where ``cech`` first divides out the acyclic closed star of a
-ray whose space is the whole fibre.  It shares the engine's cone pieces and
-differential, so it checks only that division.
+ray whose space is the whole fibre.  ``full_complex_chi`` is the signed sum
+of the piece dimensions over every cone, where ``chi`` sums the same
+quotient chain that ``cech`` ranks.  Both share the engine's cone pieces
+(and ``full_complex_cech`` its differential), so they check only that
+division.
 
 ``maximal_cone_cech`` is the Cech complex of the cover by maximal-cone
 affine charts, an independent check on the cone complex itself.  There the
@@ -38,6 +41,16 @@ def full_complex_cech(engine, levels: tuple[int, ...]) -> tuple[int, ...]:
         ranks[k + 1] = engine._differential_rank(chain[k], spaces[k], chain[k + 1], spaces[k + 1])
     return tuple(
         sum(s.dim for s in spaces[i]) - ranks[i] - ranks[i + 1] for i in range(len(chain))
+    )
+
+
+def full_complex_chi(engine, levels: tuple[int, ...]) -> int:
+    """The Euler characteristic of the complex of every cone of the fan at
+    one level tuple: the signed sum of its piece dimensions."""
+    return sum(
+        (-1) ** k * engine.piece(rs, levels).dim
+        for k, cones in enumerate(engine._chain_cones)
+        for rs in cones
     )
 
 

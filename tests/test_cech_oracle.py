@@ -3,8 +3,9 @@
 Two checks that do not share the engine's complex: the Cech complex of the
 maximal-cone cover (``cech_oracle``) on seeded random sheaves, and Serre
 duality h^i(O(D)) = h^{n-i}(O(K - D)), K = -sum D_rho, on line bundles.
-One more check pins the quotient by the closed star of a full-fibre ray
-against the complex of every cone (``full_complex_cech``).
+One more check pins the quotient by the closed star of a full-fibre ray,
+which both cech and chi use, against the complex of every cone
+(``full_complex_cech`` and ``full_complex_chi``).
 """
 import random
 from itertools import product
@@ -21,7 +22,7 @@ from toricsheaf import (
     split_bundle,
 )
 
-from cech_oracle import full_complex_cech, maximal_cone_cech_twisted
+from cech_oracle import full_complex_cech, full_complex_chi, maximal_cone_cech_twisted
 from conftest import random_sheaf, tangent_sheaf_h3
 
 # (name, variety, [(sheaf rank, lowest jump, twists drawn)]); the rank-3 cases
@@ -106,14 +107,16 @@ FULL_COMPLEX_CASES = [
 @settings(max_examples=3, deadline=None)
 @given(st.data())
 def test_quotient_complex_matches_full_complex(variety, top_rank, data):
-    """At every level tuple, reachable or not, cech (the cones outside the
-    closed star of a full-fibre ray) equals the complex of every cone."""
+    """At every level tuple, reachable or not, cech and chi (the cones
+    outside the closed star of a full-fibre ray) equal those of the complex
+    of every cone."""
     rank = data.draw(st.integers(1, top_rank), label="rank")
     seed = data.draw(st.integers(0, 2**32), label="seed")
     engine = SheafCohomology(random_sheaf(random.Random(seed), variety, rank, -2, 1))
     full_rays = set()
     for lv in product(*(range(len(f.jumps) + 1) for f in engine.sheaf.filtrations)):
         assert engine.cech(lv) == full_complex_cech(engine, lv), lv
+        assert engine.chi(lv) == full_complex_chi(engine, lv), lv
         full_rays.add(sum(engine.piece((k,), lv).dim == rank for k in range(len(lv))))
     # level 0 is the zero space and the top level the whole fibre
     assert {0, variety.ray_count} <= full_rays

@@ -266,10 +266,21 @@ def test_library_integers_are_strict(entry_point, bad):
     ("generator degrees", ((0, 0), (0,)), "all degree vectors must have the same length"),
     ("relation degrees", ((True, 0),), "presentation degree must be an integer, got True"),
     ("relation degrees", ((0, 0, 0),), "all degree vectors must have the same length"),
+    ("cone codimension", 1.0, "cone codimension must be an integer, got 1.0"),
+    ("cone codimension", True, "cone codimension must be an integer, got True"),
+    ("cone ray index", 0.0, "cone ray index must be an integer, got 0.0"),
+    ("cone ray index", True, "cone ray index must be an integer, got True"),
+    ("cone ray index", "0", "cone ray index must be an integer, got '0'"),
+    ("sigma piece cone", 1.0, "cone codimension must be an integer, got 1.0"),
+    ("sheaf rank", True, "sheaf rank must be an integer, got True"),
+    ("sheaf rank", 1.0, "sheaf rank must be an integer, got 1.0"),
 ])
 def test_more_library_input_is_strict(entry_point, bad, message):
     """Wrong-length shifts and degrees and non-integer indices, exponents,
-    characters, bounds and degrees are refused, not truncated or coerced."""
+    characters, bounds, degrees, cone fields and ranks are refused, not
+    truncated or coerced: Cone((0,), 1.0) would compare equal to
+    Cone((0,), 1) and pass as a cone of the fan."""
+    p2 = projective_space(2)
     build = {
         "shifts": lambda: SheafCohomology(rank3_example_sheaf()).levels((0, 0), bad),
         "divisor class": lambda: hirzebruch(3).divisor_class(bad),
@@ -292,6 +303,10 @@ def test_more_library_input_is_strict(entry_point, bad, message):
         "feasible B": lambda: feasible_system1([1, 2], 1, bad),
         "generator degrees": lambda: PresentationDegrees(bad, ()),
         "relation degrees": lambda: PresentationDegrees(((0, 0),), bad),
+        "cone codimension": lambda: Cone((0,), bad),
+        "cone ray index": lambda: Cone((bad,), 1),
+        "sigma piece cone": lambda: sigma_piece(structure_sheaf(p2), Cone((0,), bad), (0, 0)),
+        "sheaf rank": lambda: EquivariantReflexiveSheaf(p2, bad, structure_sheaf(p2).filtrations),
     }[entry_point]
     with pytest.raises(ValueError, match=message):
         build()

@@ -15,6 +15,7 @@ from toricsheaf import (
     feasible_system1,
     hirzebruch,
     in_support_lower_bound,
+    in_support_upper_bound,
     omega_system,
     projective_space,
     psi_m_sliced,
@@ -209,6 +210,36 @@ def test_kernel_and_polytope_input_is_strict(entry_point, bad, value):
     }[entry_point]
     with pytest.raises(ValueError, match=re.escape(f"got {value!r}")):
         build()
+
+
+# one valid call per public name that reads p or q, with the class (p, q) = (30, 3)
+P_Q_ENTRY_POINTS = {
+    "lower support": lambda sheaf, p, q: in_support_lower_bound(sheaf, p, q),
+    "upper support": lambda sheaf, p, q: in_support_upper_bound(sheaf, p, q),
+    "assembled slices": lambda sheaf, p, q: assemble_slices(sheaf, (3, 1, 3, 3), p, q),
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1", Fraction(1, 2)])
+@pytest.mark.parametrize("entry_point", [*P_Q_ENTRY_POINTS, "rho slice"])
+def test_p_must_be_an_integer(entry_point, bad):
+    """A float, a bool, a string or a Fraction for p is refused by name, not
+    compared, counted or folded into a derived bound."""
+    sheaf = rank3_example_sheaf()
+    build = P_Q_ENTRY_POINTS.get(entry_point, lambda sheaf, p, q: psi_m_sliced(sheaf, (3, 1), p, (0,)))
+    with pytest.raises(ValueError, match=f"^p must be an integer, got {re.escape(repr(bad))}$"):
+        build(sheaf, bad, 3)
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1", Fraction(1, 2)])
+@pytest.mark.parametrize("entry_point", [*P_Q_ENTRY_POINTS, "eta block"])
+def test_q_must_be_an_integer(entry_point, bad):
+    """A float, a bool, a string or a Fraction for q is refused by name, not
+    compared, counted or folded into a derived bound."""
+    sheaf = rank3_example_sheaf()
+    build = P_Q_ENTRY_POINTS.get(entry_point, lambda sheaf, p, q: psi_n(sheaf, (3, 3), q))
+    with pytest.raises(ValueError, match=f"^q must be an integer, got {re.escape(repr(bad))}$"):
+        build(sheaf, 30, bad)
 
 
 def test_psi_points_matches_naive_box_filter():
