@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Sequence
 
 from . import cohomology
 from .errors import InternalConsistencyError
 from .filtration import EquivariantReflexiveSheaf
 from .polytopes import MultiIndex, _multi_index, omega_system, psi_points
-from .rational_linalg import _scalar, solve_square
+from .rational_linalg import _over_lcm, _scalar, solve_square
 from .toric import split_data, strict_int
 
 
@@ -128,17 +128,23 @@ class RationalPolynomial:
         return hash((self.nvars, frozenset(self.coeffs.items())))
 
     def evaluate(self, point: Sequence) -> Fraction:
+        """The exact value at the point, summed on integers: with the
+        coordinates N_i / L over the lcm L of their denominators, the
+        coefficients a_e / s over theirs and T the total degree, it is
+        sum_e a_e prod_i N_i^(e_i) L^(T - |e|) / (s L^T)."""
         if len(point) != self.nvars:
             raise ValueError(f"need {self.nvars} coordinates")
-        values = [_scalar(x) for x in point]
-        total = Fraction(0)
+        values, scale = _over_lcm(point)
+        s = lcm(*(c.denominator for c in self.coeffs.values()))
+        top = self.total_degree
+        total = 0
         for exps, c in self.coeffs.items():
-            term = c
+            term = c.numerator * (s // c.denominator) * scale ** (top - sum(exps))
             for v, e in zip(values, exps):
                 if e:
                     term *= v ** e
             total += term
-        return total
+        return Fraction(total, s * scale ** top)
 
     def coefficients_in(self, index: int) -> dict[int, "RationalPolynomial"]:
         """Decompose as sum_t coeff_t * x_index^t; coefficients drop that variable."""
@@ -313,6 +319,10 @@ class HalfPlane:
     q_coeff: int
     bound: int
 
+    def __post_init__(self):
+        for name in ("p_coeff", "q_coeff", "bound"):
+            strict_int(getattr(self, name), name)
+
     def contains(self, p: int, q: int) -> bool:
         return self.p_coeff * strict_int(p, "p") + self.q_coeff * strict_int(q, "q") >= self.bound
 
@@ -333,6 +343,15 @@ class SupportRegion:
     kind: str            # "L", "I", "J" or "omega"
     index: int | None
     planes: tuple[HalfPlane, HalfPlane]
+
+    def __post_init__(self):
+        if self.kind not in ("L", "I", "J", "omega"):
+            raise ValueError(f"kind must be 'L', 'I', 'J' or 'omega', got {self.kind!r}")
+        if self.index is not None:
+            strict_int(self.index, "index")
+        if not (type(self.planes) is tuple and len(self.planes) == 2
+                and all(isinstance(pl, HalfPlane) for pl in self.planes)):
+            raise ValueError(f"planes must be a tuple of two HalfPlanes, got {self.planes!r}")
 
     def contains(self, p: int, q: int) -> bool:
         return all(pl.contains(p, q) for pl in self.planes)

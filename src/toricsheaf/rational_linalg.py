@@ -15,8 +15,13 @@ entries above each pivot the same way, then divides each row by its gcd,
 signed as its pivot.  ``Fraction``s are built only for the public views
 (``Subspace.basis``, ``reduced_echelon``, ``Subspace.coordinates`` and
 ``solve_square``): each row divided by its pivot is the reduced row echelon
-form over ``fractions.Fraction``.  No floating point or modular arithmetic
-enters anywhere.  Input entries are ints, Fractions or 'p/q' strings;
+form over ``fractions.Fraction``.  ``_integer_inverse`` inverts a square
+integer matrix A by one such elimination of [A | I]: it ends in rows
+p_i e_i | r_i, so row i of A^-1 is r_i / p_i, returned over the least
+common denominator.  ``perp`` is computed once per ``Subspace``: the object
+is immutable and canonical, so it keeps its orthogonal complement in a slot
+filled on first use.  No floating point or modular arithmetic enters
+anywhere.  Input entries are ints, Fractions or 'p/q' strings;
 floats, booleans, 'p/0' and anything else are refused with a ValueError.
 """
 from __future__ import annotations
@@ -53,14 +58,21 @@ def as_vector(entries: Iterable[Scalar | str], length: int | None = None) -> Vec
     return v
 
 
+def _over_lcm(entries: Iterable[Scalar | str]) -> tuple[list[int], int]:
+    """Integers N and L > 0, the lcm of the entries' denominators, with
+    entries = N / L; entries ``_scalar`` refuses are refused."""
+    row = list(entries)
+    if all(type(x) is int for x in row):
+        return row, 1
+    v = as_vector(row)
+    scale = lcm(*(x.denominator for x in v))
+    return [x.numerator * (scale // x.denominator) for x in v], scale
+
+
 def _integer_row(entries: Iterable[Scalar | str], length: int | None = None) -> list[int]:
     """The entries scaled by the lcm of their denominators: integers with
     the same span."""
-    row = list(entries)
-    if not all(type(x) is int for x in row):
-        v = as_vector(row)
-        scale = lcm(*(x.denominator for x in v))
-        row = [x.numerator * (scale // x.denominator) for x in v]
+    row = _over_lcm(entries)[0]
     if length is not None and len(row) != length:
         raise ValueError(f"expected vector of length {length}, got {len(row)}")
     return row
@@ -144,10 +156,28 @@ def solve_square(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Vec
     return tuple(Fraction(row[n], row[i]) for i, row in enumerate(done))
 
 
+def _integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[tuple[Row, ...], int] | None:
+    """(N, D) with rows^-1 = N / D for a square integer matrix, D > 0 the
+    least such integer; None if singular.  One elimination of [rows | I]
+    leaves row i as pivot_i e_i | right_i, and row i of the inverse is
+    right_i / pivot_i.  Every row of the elimination has gcd 1 (an input
+    row through its identity entry, a cleared row by its division), so
+    the entries of right_i / pivot_i have lcm denominator |pivot_i| and
+    D = lcm(|pivot_i|) is already the least."""
+    n = len(rows)
+    augmented = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    done, cols = _forward(augmented, 2 * n)
+    if cols != list(range(n)):
+        return None  # a pivot in the identity block: the rows are dependent
+    _reduce(done, cols)
+    d = lcm(*(row[i] for i, row in enumerate(done)))
+    return tuple(tuple(a * (d // row[i]) for a in row[n:]) for i, row in enumerate(done)), d
+
+
 class Subspace:
     """A linear subspace of Q^ambient_dim, canonicalized at construction."""
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "_hash")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_hash", "_perp")
 
     def __init__(self, ambient_dim: int, rows: Sequence[Sequence[Scalar]] = ()):
         if strict_int(ambient_dim, "ambient dimension") < 0:
@@ -156,6 +186,7 @@ class Subspace:
         # the canonical integer rows and the pivot column of each
         self.rows, self.pivots = _canonical(rows, ambient_dim)
         self._hash = hash((self.ambient_dim, self.rows))
+        self._perp: Subspace | None = None  # filled by perp on first use
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -243,8 +274,11 @@ def _kernel(done: Sequence[Sequence[int]], cols: Sequence[int], width: int) -> S
 
 
 def perp(s: Subspace) -> Subspace:
-    """Orthogonal complement for the standard bilinear form."""
-    return _kernel(s.rows, s.pivots, s.ambient_dim)
+    """Orthogonal complement for the standard bilinear form, computed once
+    per subspace object and kept in it."""
+    if s._perp is None:
+        s._perp = _kernel(s.rows, s.pivots, s.ambient_dim)
+    return s._perp
 
 
 def _check_common_ambient(subspaces: Sequence[Subspace]) -> int:

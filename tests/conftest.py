@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import os
 import random
+from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,20 @@ def tangent_sheaf_h3() -> EquivariantReflexiveSheaf:
         chain_filtration((-1, 0), [[(1, 0)]], 2),
         chain_filtration((-1, 0), [[(1, 0)]], 2),
     ))
+
+
+@contextmanager
+def counted_fractions():
+    """A list that collects the arguments of every ``Fraction`` built by its
+    constructor inside the block."""
+    built = []
+    original = Fraction.__dict__["__new__"]
+    new = Fraction.__new__
+    Fraction.__new__ = staticmethod(lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    try:
+        yield built
+    finally:
+        Fraction.__new__ = original
 
 
 def random_invertible_rows(rng: random.Random, n: int) -> list[list[int]]:

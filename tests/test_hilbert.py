@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricsheaf import (
+    HalfPlane,
     RationalPolynomial,
     SheafCohomology,
+    SupportRegion,
     bernoulli_number,
     bernoulli_polynomial,
     delta_normalization,
@@ -41,7 +43,7 @@ from toricsheaf.hilbert import compose_univariate
 from toricsheaf.polytopes import psi_points
 from toricsheaf.toric import split_data
 
-from conftest import random_sheaf, rank3_example_sheaf, tangent_sheaf_h3
+from conftest import counted_fractions, random_sheaf, rank3_example_sheaf, tangent_sheaf_h3
 
 
 def poly_from(nvars, terms):
@@ -89,6 +91,54 @@ def test_polynomial_keeps_exact_scalars():
     assert RationalPolynomial.constant("3/4", 2).evaluate((5, 7)) == Fraction(3, 4)
     with pytest.raises(ValueError, match="power must be an integer"):
         x ** 2.0
+
+
+def fraction_term_sum(poly, point) -> Fraction:
+    """The value at point as a sum of Fraction terms c * prod v_i^e_i."""
+    values = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for exps, c in poly.coeffs.items():
+        term = c
+        for v, e in zip(values, exps):
+            term *= v ** e
+        total += term
+    return total
+
+
+@st.composite
+def polynomials_and_points(draw):
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    # no terms is the zero polynomial; only (0, ..., 0) is a constant one
+    coeffs = draw(st.dictionaries(exps | st.just((0,) * nvars), st.fractions(max_denominator=12),
+                                  max_size=6))
+    coordinate = st.one_of(
+        st.integers(-30, 30),
+        st.fractions(max_denominator=15),
+        st.builds("{}/{}".format, st.integers(-30, 30), st.integers(1, 15)),
+    )
+    point = draw(st.tuples(*[coordinate] * nvars))
+    return RationalPolynomial(nvars, coeffs), point
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials_and_points())
+def test_evaluate_matches_the_fraction_term_sum(case):
+    poly, point = case
+    value = poly.evaluate(point)
+    assert type(value) is Fraction and value == fraction_term_sum(poly, point)
+
+
+def test_evaluate_builds_one_fraction():
+    """At int and Fraction points the one Fraction built is the result."""
+    x, y = RationalPolynomial.variable(0, 2), RationalPolynomial.variable(1, 2)
+    poly = Fraction(3, 4) * x ** 2 * y - Fraction(1, 6) + 5 * y
+    points = [(2, 3), (Fraction(1, 2), Fraction(-2, 3)), (0, 0)]
+    expected = [fraction_term_sum(poly, pt) for pt in points]
+    for pt, value in zip(points, expected):
+        with counted_fractions() as built:
+            assert poly.evaluate(pt) == value
+        assert len(built) == 1
 
 
 def test_polynomial_compose():
@@ -241,6 +291,42 @@ def test_rank1_upper_equals_lower():
     lower = lower_support_region(o)
     for region in upper_support_regions(o):
         assert region.planes == lower.planes
+
+
+PLANE = HalfPlane(1, 0, 0)
+
+
+@pytest.mark.parametrize("args, field", [
+    ((0.5, 1, 0), "p_coeff"),
+    ((True, 1, 0), "p_coeff"),
+    ((1, 0.5, 0), "q_coeff"),
+    ((1, True, 0), "q_coeff"),
+    ((1, "1", 0), "q_coeff"),
+    ((1, 0, 0.5), "bound"),
+    ((1, 0, "1"), "bound"),
+    ((1, 0, Fraction(1, 2)), "bound"),
+])
+def test_half_plane_fields_are_integers(args, field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        HalfPlane(*args)
+
+
+@pytest.mark.parametrize("args, field", [
+    (("K", None, (PLANE, PLANE)), "kind"),
+    ((None, None, (PLANE, PLANE)), "kind"),
+    ((("L",), None, (PLANE, PLANE)), "kind"),
+    (("I", 1.0, (PLANE, PLANE)), "index"),
+    (("J", False, (PLANE, PLANE)), "index"),
+    (("I", "0", (PLANE, PLANE)), "index"),
+    (("L", None, (PLANE,)), "planes"),
+    (("L", None, (PLANE, PLANE, PLANE)), "planes"),
+    (("L", None, [PLANE, PLANE]), "planes"),
+    (("L", None, (PLANE, (1, 0, 0))), "planes"),
+    (("L", None, None), "planes"),
+])
+def test_support_region_fields_are_checked(args, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SupportRegion(*args)
 
 
 def test_support_regions_are_built_once_per_sheaf(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricsheaf import Subspace, intersect, span, subspace_sum
+from toricsheaf import Subspace, intersect, rational_linalg, span, subspace_sum
 from toricsheaf.rational_linalg import as_vector, nullspace, perp, solve_square
 
 
@@ -143,3 +143,27 @@ def test_nullspace_matches_definition():
     assert ns.dim == 2
     for row in ns.basis:
         assert sum(row) == 0
+
+
+def test_perp_is_computed_once_per_subspace():
+    s = span([(1, 2, 3)], 3)
+    assert perp(s) is perp(s)
+    # an equal subspace with its complement not yet computed
+    t = span([(2, 4, 6)], 3)
+    assert s == t and hash(s) == hash(t) and {s: 1}[t] == 1
+    assert perp(t) == perp(s) and perp(t) is not perp(s)
+
+
+def test_intersect_computes_each_perp_once(monkeypatch):
+    """Repeated intersections of the same subspace objects run one kernel
+    each (the nullspace of the stacked constraints), and no perp again."""
+    a, b, full = span([(1, 0, 0), (0, 1, 0)], 3), span([(0, 1, 1), (1, 0, 2)], 3), Subspace.full(3)
+    kernels = []
+    kernel = rational_linalg._kernel
+    monkeypatch.setattr(rational_linalg, "_kernel", lambda *args: kernels.append(args) or kernel(*args))
+    meet = intersect([a, b, full])
+    assert len(kernels) == 3  # perp(a), perp(b), the nullspace
+    for subspaces in ([a, b], [b, a, full], [a]):
+        before = len(kernels)
+        assert intersect(subspaces).contains_subspace(meet)
+        assert len(kernels) == before + 1

@@ -3,6 +3,7 @@ Fraction solves."""
 from __future__ import annotations
 
 import random
+from math import comb
 from operator import mul
 
 import pytest
@@ -21,13 +22,15 @@ from toricsheaf import (
 )
 from toricsheaf.cohomology import _polytope_box
 from toricsheaf.errors import UnboundedSystemError
+from toricsheaf import polytopes, rational_linalg
 from toricsheaf.polytopes import _rowset_extremes, _rowset_inverses
 
-from conftest import random_sheaf, rank3_example_sheaf
+from conftest import counted_fractions, random_sheaf, rank3_example_sheaf
 from vertex_oracle import (
     box_filtered_points,
     fraction_box,
     fraction_enumeration_box,
+    fraction_rowset_inverses,
     fraction_vertices,
     homogeneous_bounds,
 )
@@ -144,6 +147,77 @@ def test_rowset_inverses_drop_singular_and_keep_denominators():
     assert product == [[3, 0], [0, 3]]
     h0 = [rowset for rowset, _, _ in _rowset_inverses(ROW_SHAPES["H0"])]
     assert (0, 1) not in h0 and (2, 3) not in h0 and len(h0) == 4
+
+
+# every fan of the test suite: P^1-P^4, H_0-H_4 and the split bundles V_s(a)
+FANS = {
+    **{f"P{n}": projective_space(n) for n in range(1, 5)},
+    **{f"H{a}": hirzebruch(a) for a in range(5)},
+    **{f"V{s}_{''.join(map(str, a))}": split_bundle(s, a)
+       for s, a in [(1, (1, 2)), (1, (0, 1)), (2, (1,)), (1, (1, 3)), (2, (1, 2)),
+                    (3, (1,)), (1, (0, 1, 2))]},
+}
+
+
+def assert_inverses_match_oracle(rows) -> int:
+    """_rowset_inverses equals the per-unit-vector Fraction solves, with
+    D > 0 and rows[rowset] . N = D . identity; the number of singular
+    rowsets left out."""
+    inverses = _rowset_inverses(rows)
+    assert inverses == fraction_rowset_inverses(rows)
+    n = len(rows[0])
+    for rowset, inverse, d in inverses:
+        assert d > 0
+        product = [[sum(map(mul, rows[k], col)) for col in zip(*inverse)] for k in rowset]
+        assert product == [[d * (i == j) for j in range(n)] for i in range(n)], rowset
+    return comb(len(rows), n) - len(inverses)
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_rowset_inverses_match_fraction_solves_on_every_fan(name):
+    rays = FANS[name].rays
+    singular = assert_inverses_match_oracle(rays)
+    # opposite rays make singular rowsets on every fan but P^n
+    assert singular == 0 if name.startswith("P") else singular > 0
+
+
+def test_rowset_inverses_match_fraction_solves_on_singular_rows():
+    """A zero row, a repeated row and a row sum drop exactly the rowsets
+    they make singular; the kept ones include a denominator D > 1."""
+    rows = ((1, 2, 0), (0, 0, 0), (1, 2, 0), (0, 1, 3), (1, 3, 3), (2, 0, 1))
+    assert assert_inverses_match_oracle(rows) > 0
+    kept = {rowset: d for rowset, _, d in _rowset_inverses(rows)}
+    assert not any(1 in rowset for rowset in kept)
+    assert (0, 2, 3) not in kept and (0, 3, 4) not in kept
+    assert max(kept.values()) > 1
+
+
+@st.composite
+def row_tuples(draw):
+    n = draw(st.integers(1, 4))
+    count = draw(st.integers(n, n + 2))
+    row = st.tuples(*[st.integers(-4, 4)] * n)
+    return tuple(draw(st.lists(row, min_size=count, max_size=count)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_tuples())
+def test_rowset_inverses_match_fraction_solves_property(rows):
+    assert_inverses_match_oracle(rows)
+
+
+def test_rowset_inverses_build_no_fraction_and_solve_nothing(monkeypatch):
+    rows = FANS["V1_12"].rays
+    expected = fraction_rowset_inverses(rows)
+
+    def refused(*args):
+        raise AssertionError("solve_square called")
+
+    monkeypatch.setattr(polytopes, "solve_square", refused)
+    monkeypatch.setattr(rational_linalg, "solve_square", refused)
+    with counted_fractions() as built:
+        assert _rowset_inverses.__wrapped__(rows) == expected
+    assert built == []
 
 
 @pytest.mark.parametrize("shape", sorted(ROW_SHAPES))

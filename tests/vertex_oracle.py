@@ -1,9 +1,11 @@
-"""Vertices and character boxes solved one vertex at a time.
+"""Vertices, character boxes and rowset inverses solved one system at a time.
 
 An independent oracle for the cached integer inverses of
 ``toricsheaf.polytopes``: every vertex here is a fresh exact ``Fraction``
 elimination of its own square system, and a system's vertices are filtered
-by rational comparisons with its bounds.  The box of those vertices, filtered
+by rational comparisons with its bounds.  ``fraction_rowset_inverses``
+solves each rowset for one unit vector at a time, against the program's
+single elimination of [A | I].  The box of those vertices, filtered
 point by point, is the naive oracle for ``psi_points``, and its integer
 ranges are the oracle for the support boxes of ``h0_twisted`` and
 ``hn_twisted``.  It shares only ``solve_square`` with the program.
@@ -12,10 +14,32 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 from toricsheaf import CharacterBox, IntervalConstraintSystem
 from toricsheaf.rational_linalg import solve_square
+
+
+def fraction_rowset_inverses(rows):
+    """(rowset, N, D) for every nonsingular n-subset of the rows, n their
+    width: column j of N / D solves rows[rowset] . x = e_j, and D is the
+    lcm of the denominators of those solutions."""
+    n = len(rows[0]) if rows else 0
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    inverses = []
+    for rowset in combinations(range(len(rows)), n):
+        square = [rows[k] for k in rowset]
+        columns = []
+        for e in unit:
+            column = solve_square(square, e)
+            if column is None:
+                break  # singular rows: no right-hand side gives a vertex
+            columns.append(column)
+        else:
+            d = lcm(*(x.denominator for column in columns for x in column))
+            inverse = tuple(tuple(int(col[i] * d) for col in columns) for i in range(n))
+            inverses.append((rowset, inverse, d))
+    return tuple(inverses)
 
 
 def fraction_vertices(sys) -> list[tuple[Fraction, ...]]:
