@@ -62,11 +62,14 @@ its top level, whose space is the whole fibre, so h^n lives in
 <m, n(rho)> <= i_top(rho) - shift - 1.  The rays of a complete fan
 positively span, so each polytope is bounded and its box holds, per
 coordinate, the integers between the ends of its real shadow on that
-coordinate alone (``polytopes._shadow_cuts``); with none, the number is 0.
-Otherwise one more Fourier-Motzkin chain, with the coordinates in walk
-order, gives each line of the polytope: its other coordinates and both of
-its ends (``polytopes._planes``), so no character off the polytope is
-visited.
+coordinate alone; with none, the number is 0.  Otherwise the
+Fourier-Motzkin chain with the coordinates in walk order gives each line of
+the polytope: its other coordinates and both of its ends
+(``polytopes._planes``), so no character off the polytope is visited.  The
+rows are the rays and the shifts are linear in the class c, so each bound
+keeps its constant as a form over (1, c); the chains, one per coordinate
+for the box and one per walk order, are eliminated once per sheaf, and a
+twist evaluates only their constants.
 
 Both walks take their axes sorted by the side lengths of their box,
 shortest first, index order on a tie.  The line axis, last, is the longest
@@ -75,11 +78,12 @@ next-longest, which gives the fewest planes.  A plane fixes every
 coordinate but these two.  On a line every pairing is affine in the line
 axis, so a ray's level changes only at the cut points where its pairing
 crosses one of its jumps, by +1 or -1 with the sign of the slope (a
-repeated jump gives two steps at one cut).  A plane's first line takes its
-start tuple from one checked levels call and each ray's pairing from one
-dot product; each later line moves those pairings by the rays'
-coordinates, one step along the stepping axis and, in a polytope, along
-the line axis to its own start, and bisects the jumps for its start tuple.
+repeated jump gives two steps at one cut).  A plane's first line takes each
+ray's pairing from one dot product; each later line moves those pairings
+by the rays' coordinates, one step along the stepping axis and, in a
+polytope, along the line axis to its own start.  The walk's first line
+takes its start tuple from one checked levels call, and every other line
+bisects the jumps at its pairings.
 Sorting a line's cut points and applying their steps then gives each run
 of constant level tuple and its length.  Local numbers are cached.
 """
@@ -87,13 +91,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 from itertools import product, repeat
 from operator import add, le, mul
 from typing import Iterator, Sequence
 
-from .filtration import EquivariantReflexiveSheaf
-from .polytopes import _planes, _rowset_extremes, _shadow_cuts
+from .filtration import EquivariantReflexiveSheaf, _unsorted_jumps
+from .polytopes import _compiled_chain, _cuts, _planes, _rowset_extremes
 from .rational_linalg import Subspace, intersect, matrix_rank, subspace_sum
 # not called here; bench/selftest.py checks that the tracer patches these bindings
 from .polytopes import psi_points
@@ -166,18 +170,20 @@ def _checked_shifts(shifts: Sequence[int], count: int) -> Sequence[int]:
     return shifts
 
 
-def _polytope_box(bounds: list[tuple[int, ...]]) -> CharacterBox | None:
+def _polytope_box(bounds, params: tuple[int, ...] = (1,)) -> CharacterBox | None:
     """Per coordinate, the integers between the ends of the real shadow on it
-    alone of the bounded polytope h . (1, m) >= 0, h in bounds; None when a
-    range holds no integer or the polytope is empty."""
-    n = len(bounds[0]) - 1
+    alone of the bounded polytope h . (params, m) >= 0, h in bounds; None
+    when a range holds no integer or the polytope is empty."""
+    bounds = tuple(bounds)
+    n = len(bounds[0]) - len(params)
     lower, upper = [], []
-    for i in range(1, n + 1):
-        # with m_i moved first, the first cut is its shadow on m_i alone
-        cuts = _shadow_cuts([(h[0], h[i]) + h[1:i] + h[i + 1:] for h in bounds], n)
+    for i in range(n):
+        # with m_i moved first, the chain ends in its shadow on m_i alone
+        order = (i,) + tuple(k for k in range(n) if k != i)
+        cuts = _cuts(_compiled_chain(bounds, order)[-2:], params)
         if cuts is None:
             return None
-        rising, falling = cuts[0]
+        (rising, falling), = cuts
         lower.append(max([-(rest[0] // a) for rest, a in rising]))
         upper.append(min([rest[0] // a for rest, a in falling]))
     return CharacterBox(tuple(lower), tuple(upper)) if all(map(le, lower, upper)) else None
@@ -210,6 +216,10 @@ class SheafCohomology:
     """
 
     def __init__(self, sheaf: EquivariantReflexiveSheaf):
+        # levels and the support bounds read the jumps as sorted
+        for name, f in zip(sheaf.variety.ray_names, sheaf.filtrations):
+            for problem in _unsorted_jumps(name, f):
+                raise ValueError(problem)
         self.sheaf = sheaf
         self.variety = sheaf.variety
         self.rank = sheaf.rank
@@ -248,16 +258,16 @@ class SheafCohomology:
         return self._count_lines(zip(starts, repeat(ends)), order, shifts)
 
     def _support_walk(
-        self, bounds: list[tuple[int, ...]], shifts: tuple[int, ...]
+        self, bounds, shifts: tuple[int, ...], params: tuple[int, ...] = (1,)
     ) -> dict[tuple[int, ...], int]:
-        """How many characters of the bounded polytope h . (1, m) >= 0, h in
-        bounds, have each level tuple at these shifts."""
-        box = _polytope_box(bounds)
+        """How many characters of the bounded polytope h . (params, m) >= 0,
+        h in bounds, have each level tuple at these shifts."""
+        box = _polytope_box(bounds, params)
         if box is None:
             return {}
         # the chain takes its coordinates in walk order, set by the box
         order = _walk_order(box)
-        cuts = _shadow_cuts([(h[0],) + tuple(h[i + 1] for i in order) for h in bounds], len(order))
+        cuts = _cuts(_compiled_chain(tuple(bounds), tuple(order)), params)
         return self._count_lines(_planes(cuts), order, shifts)
 
     def _count_lines(self, planes, order: list[int], shifts: tuple[int, ...]):
@@ -281,14 +291,18 @@ class SheafCohomology:
         ]
         m = [0] * len(order)
         counts: dict[tuple[int, ...], int] = {}
+        lv = None
         for start, ends in planes:
             for i, x in zip(order, start):
                 m[i] = x
             m[axis] = last_lo = ends[0][0]
-            # one checked levels call per plane
-            lv = list(self.levels(tuple(m), shifts))
             # each ray's pairing at the start of the plane's first line
             pairings = [sum(map(mul, m, ray)) + shift for ray, shift in zip(rays, shifts)]
+            # one checked levels call per walk; later planes bisect, as lines do
+            if lv is None:
+                lv = list(self.levels(tuple(m), shifts))
+            else:
+                lv = list(map(bisect_right, self._jumps, pairings))
             for line, (lo, hi) in enumerate(ends):
                 if line:
                     pairings = list(map(add, pairings, advance))
@@ -327,20 +341,30 @@ class SheafCohomology:
     def _total(counts: dict[tuple[int, ...], int], local) -> int:
         return sum(n * local(lv) for lv, n in counts.items())
 
+    @cached_property
+    def _support_bounds(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The bounds <m, rho> >= i_1 - shift of the h^0 support polytope and
+        <m, rho> < i_top - shift of the h^n one, each constant a form over
+        the class coordinates (1, c): the shifts are linear in c."""
+        v = self.variety
+        units = zip(*(v.twist_divisor([int(i == j) for i in range(v.class_rank)])
+                      for j in range(v.class_rank)))
+        h0, hn = [], []
+        for ray, js, u in zip(v.rays, self._jumps, units):
+            h0.append((-js[0],) + u + ray)
+            hn.append((js[-1] - 1,) + tuple(-x for x in u + ray))
+        return tuple(h0), tuple(hn)
+
+    def _support_total(self, which: int, c: Sequence[int], local) -> int:
+        c = self.variety.check_class(c)
+        walk = self._support_walk(self._support_bounds[which], self.variety.twist_divisor(c), (1,) + c)
+        return self._total(walk, local)
+
     def h0_twisted(self, c: Sequence[int]) -> int:
-        # the local h0 is 0 wherever some ray is at level 0: <m, rho> >= i_1 - shift
-        shifts = self.variety.twist_divisor(c)
-        bounds = [(sh - js[0],) + ray for ray, js, sh in zip(self.variety.rays, self._jumps, shifts)]
-        return self._total(self._support_walk(bounds, shifts), self.h0)
+        return self._support_total(0, c, self.h0)
 
     def hn_twisted(self, c: Sequence[int]) -> int:
-        # the local hn is 0 wherever some ray is at its top level Q^rank: <m, rho> < i_top - shift
-        shifts = self.variety.twist_divisor(c)
-        bounds = [
-            (js[-1] - sh - 1,) + tuple(-a for a in ray)
-            for ray, js, sh in zip(self.variety.rays, self._jumps, shifts)
-        ]
-        return self._total(self._support_walk(bounds, shifts), self.hn)
+        return self._support_total(1, c, self.hn)
 
     def chi_twisted(self, c: Sequence[int]) -> int:
         return self._total(self.histogram(c), self.chi)

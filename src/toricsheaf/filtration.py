@@ -166,13 +166,19 @@ def jump_bounds_from_presentation(pres: PresentationDegrees) -> list[tuple[int, 
     return bounds
 
 
+def _unsorted_jumps(name: str, f: KlyachkoFiltration) -> list[str]:
+    """``validate``'s diagnostic if the jumps are not weakly increasing."""
+    if any(f.jumps[i] > f.jumps[i + 1] for i in range(f.rank - 1)):
+        return [f"ray {name}: jumps not weakly increasing: {f.jumps}"]
+    return []
+
+
 def validate(sheaf: EquivariantReflexiveSheaf) -> list[str]:
     """Check every filtration invariant; returns diagnostics, empty when valid."""
     problems: list[str] = []
     for k, f in enumerate(sheaf.filtrations):
         name = sheaf.variety.ray_names[k]
-        if any(f.jumps[i] > f.jumps[i + 1] for i in range(f.rank - 1)):
-            problems.append(f"ray {name}: jumps not weakly increasing: {f.jumps}")
+        problems += _unsorted_jumps(name, f)
         if not f.spaces[-1].is_full:
             problems.append(f"ray {name}: last space is not the full ambient space")
         for i in range(f.rank - 1):

@@ -8,8 +8,11 @@ system whose lower bounds are all finite cuts out a (possibly empty)
 polytope.
 
 ``psi_points`` and ``cohomology``'s support boxes and support walks use
-Fourier-Motzkin elimination alone, through the cuts of ``_shadow_cuts``.
-Each bound is kept as h = (-k, row) with h . (1, m) >= 0.
+Fourier-Motzkin elimination alone, through the cuts of ``_cuts``.
+Each bound is kept as h = (-k, row) with h . (1, m) >= 0, or as
+h = (f, row) with h . (params, m) >= 0, its constant linear in params.
+``_compiled_chain`` eliminates once per bounds tuple and coordinate order;
+``_cuts`` evaluates the constants at the params, (1,) when numeric.
 ``_eliminate_last`` drops the last coordinate t: every bound free of t is
 kept, and every pair of a bound that cuts t from below with one that cuts
 it from above gives their positive combination in which t cancels.  By
@@ -177,13 +180,32 @@ def _eliminate_last(bounds: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return list(distinct)
 
 
-def _shadow_cuts(bounds: list[tuple[int, ...]], nvars: int):
-    """The cuts of the polytope h . (1, m) >= 0, h in bounds, m in Q^nvars,
-    None when it is empty: cuts[i] holds the bounds (rest, a) of its shadow
-    on m_1..m_(i+1) with a > 0, and those with a < 0, as pairs (rest, |a|)."""
+def _chain(bounds, nvars: int) -> list[list[tuple[int, ...]]]:
+    """The Fourier-Motzkin shadows of the bounds on m_1..m_i, i = nvars..0;
+    the entries before the last nvars, a bound's constant, stay whole."""
     shadows = [bounds]
     for _ in range(nvars):
         shadows.append(_eliminate_last(shadows[-1]))
+    return shadows
+
+
+@lru_cache(maxsize=256)
+def _compiled_chain(bounds: tuple[tuple[int, ...], ...], order: tuple[int, ...]):
+    """The ``_chain`` of the bounds with their coordinates in this order,
+    eliminated once per bounds tuple and order."""
+    forms = len(bounds[0]) - len(order)
+    return _chain([h[:forms] + tuple(h[forms + i] for i in order) for h in bounds], len(order))
+
+
+def _cuts(shadows, params: tuple[int, ...]):
+    """The cuts of a chain of shadows, each constant the dot product of its
+    form with params, None when the last shadow has a negative one: per
+    coordinate in order, the bounds (rest, a) with a > 0 and those with
+    a < 0 as (rest, |a|)."""
+    if params != (1,):
+        forms = len(params)
+        shadows = [[(sum(map(mul, h[:forms], params)),) + h[forms:] for h in shadow]
+                   for shadow in shadows]
     if any(h[0] < 0 for h in shadows[-1]):
         return None  # a negative constant: the polytope is empty
     cuts = []
@@ -196,9 +218,15 @@ def _shadow_cuts(bounds: list[tuple[int, ...]], nvars: int):
     return cuts
 
 
+def _shadow_cuts(bounds, nvars: int, params: tuple[int, ...] = (1,)):
+    """The ``_cuts`` of the polytope h . (params, m) >= 0, h in bounds, m in
+    Q^nvars: cuts[i] cuts its shadow on m_1..m_(i+1)."""
+    return _cuts(_chain(bounds, nvars), params)
+
+
 def _planes(cuts, prefix: tuple[int, ...] = ()):
     """Yield (start, ends), in lexicographic order, for every plane of the
-    polytope that extends prefix, cut by its ``_shadow_cuts``.  A plane
+    polytope that extends prefix, cut by its ``_cuts``.  A plane
     fixes all coordinates but the last two; its lines run along the last
     one, the j-th holding the points start[:-1] + (start[-1] + j, t) with
     lo <= t <= hi for (lo, hi) = ends[j], and lo > hi when the real shadow

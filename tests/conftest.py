@@ -5,6 +5,8 @@ import os
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,7 @@ from toricsheaf import (
     psi_points,
     span,
 )
-from toricsheaf.rational_linalg import matrix_rank
+from toricsheaf.rational_linalg import matrix_rank, nullspace
 
 from vertex_oracle import support_polytopes
 
@@ -108,6 +110,40 @@ def h0_supported(engine, c) -> int:
     shifts = engine.variety.twist_divisor(c)
     system, _ = support_polytopes(engine.sheaf, c)
     return sum(engine.h0(engine.levels(m, shifts)) for m in psi_points(system))
+
+
+def determinant(rows) -> int:
+    """The determinant of a small square integer matrix, by expansion along
+    its first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * determinant([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, a in enumerate(rows[0]) if a
+    )
+
+
+def forms_sheaf(variety, p: int) -> EquivariantReflexiveSheaf:
+    """Omega^p, the sheaf of p-forms: rank C(n, p) over the p-th exterior
+    power of M_Q, whose basis e_S runs over the p-subsets S of the n
+    coordinates in lexicographic order.  Per ray rho it has jump 0, C(n-1, p)
+    times, with the p-th exterior power of rho^perp, spanned by the wedges
+    of p basis vectors of rho^perp (their p x p minors on the columns S),
+    then jump 1 with the full space.  Omega^0 is O, Omega^n is
+    K = O(-sum D_rho)."""
+    n = variety.dim
+    subsets = list(combinations(range(n), p))
+    rank, inner = len(subsets), comb(n - 1, p)
+    filtrations = []
+    for ray in variety.rays:
+        perp = [list(row) for row in nullspace([ray], n).rows]
+        wedges = [
+            [determinant([[w[i] for i in s] for w in ws]) for s in subsets]
+            for ws in combinations(perp, p)
+        ]
+        spaces = [span(wedges, rank)] * inner + [Subspace.full(rank)] * (rank - inner)
+        filtrations.append(KlyachkoFiltration((0,) * inner + (1,) * (rank - inner), tuple(spaces)))
+    return EquivariantReflexiveSheaf(variety, rank, tuple(filtrations))
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Unit tests for character-level and global cohomology."""
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,16 +8,21 @@ from hypothesis import strategies as st
 
 import toricsheaf
 from toricsheaf import (
+    EquivariantReflexiveSheaf,
+    KlyachkoFiltration,
     SheafCohomology,
+    Subspace,
     enumeration_box,
     euler_characteristic,
     hirzebruch,
     line_bundle,
     projective_space,
     sigma_piece,
+    span,
     split_bundle,
     structure_sheaf,
     twist,
+    validate,
 )
 
 from conftest import h0_supported, random_sheaf
@@ -289,6 +295,25 @@ def test_tangent_sheaf_cohomology_matches_deformation_theory():
             KlyachkoFiltration((-1, 0), (span([(1, 0)], 2), full)),
         ))
         assert SheafCohomology(tangent).cech_twisted((0, 0)) == (a + 5, a - 1, 0)
+
+
+def test_engine_refuses_unsorted_jumps_with_the_validate_message():
+    """Jumps (0, -1) on rho0 of P^2, a line then the whole plane, once gave
+    h0_twisted((1,)) = 13 against cech_twisted((1,)) = (22, 0, 0): the
+    engine reads each ray's first and last jump as its extremes."""
+    p2 = projective_space(2)
+    line = span([(1, 0)], 2)
+    filtrations = [KlyachkoFiltration(js, (line, Subspace.full(2))) for js in [(0, -1), (-1, 0), (-1, 0)]]
+    sheaf = EquivariantReflexiveSheaf(p2, 2, filtrations)
+    message = "ray rho0: jumps not weakly increasing: (0, -1)"
+    assert validate(sheaf) == [message]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SheafCohomology(sheaf)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        euler_characteristic(sheaf, (1,))
+    filtrations[0] = KlyachkoFiltration((-1, 0), (line, Subspace.full(2)))
+    engine = SheafCohomology(EquivariantReflexiveSheaf(p2, 2, filtrations))
+    assert engine.h0_twisted((1,)) == engine.cech_twisted((1,))[0]
 
 
 def test_cech_at_canonical_class_of_surface():

@@ -1,0 +1,42 @@
+"""Theorem checks on the sheaves of p-forms: Bott's formula on P^n."""
+from __future__ import annotations
+
+from math import comb
+
+import pytest
+
+from toricsheaf import SheafCohomology, line_bundle, projective_space, structure_sheaf, validate
+
+from conftest import forms_sheaf
+
+
+def bott(n: int, p: int, q: int, k: int) -> int:
+    """h^q(P^n, Omega^p(k)) by Bott's formula; h^n by Serre duality from
+    h^0(Omega^(n-p)(-k)), as K = Omega^n."""
+    if q == n:
+        return bott(n, n - p, 0, -k)
+    if q > 0:
+        return int(p == q and k == 0)
+    if p == 0:
+        return comb(n + k, n) if k >= 0 else 0
+    return comb(k + n - p, k) * comb(k - 1, p) if k > p else 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_forms_sheaf_is_valid_and_ends_in_o_and_k(n):
+    variety = projective_space(n)
+    for p in range(n + 1):
+        assert validate(forms_sheaf(variety, p)) == []
+    assert forms_sheaf(variety, 0) == structure_sheaf(variety)
+    assert forms_sheaf(variety, n) == line_bundle(variety, [-1] * (n + 1))
+
+
+@pytest.mark.parametrize("n, p", [(n, p) for n in (2, 3) for p in range(n + 1)])
+def test_bott_formula_on_projective_space(n, p):
+    """Every h^q(P^n, Omega^p(k)) for k in [-n-3, 3], by the Cech complex
+    and by the support walks of h^0 and h^n."""
+    engine = SheafCohomology(forms_sheaf(projective_space(n), p))
+    for k in range(-n - 3, 4):
+        expected = tuple(bott(n, p, q, k) for q in range(n + 1))
+        assert engine.cech_twisted((k,)) == expected
+        assert (engine.h0_twisted((k,)), engine.hn_twisted((k,))) == (expected[0], expected[-1])

@@ -6,8 +6,10 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import prod
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from toricsheaf import (
     euler_characteristic,
     hirzebruch,
     line_bundle,
+    load_config,
     projective_space,
     psi_points,
     sigma_piece,
@@ -30,7 +33,8 @@ from toricsheaf import (
 )
 from toricsheaf.cohomology import _engine, _polytope_box, _walk_order
 from toricsheaf.errors import UnboundedSystemError
-from toricsheaf.polytopes import _planes, _shadow_cuts
+from toricsheaf import polytopes
+from toricsheaf.polytopes import _compiled_chain, _planes, _shadow_cuts
 from toricsheaf.toric import ToricVariety
 
 from conftest import (
@@ -289,20 +293,25 @@ def test_walk_order_is_a_permutation_by_rising_extent(extents):
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("name", sorted(VARIETIES))
-def test_walk_makes_one_levels_call_per_plane(name, shape, monkeypatch):
-    """A plane fixes every side but the two longest, so the walk makes
-    (extent + 1) multiplied over the other sides levels calls."""
+def test_walk_makes_one_levels_call_per_walk(name, shape, monkeypatch):
+    """A plane fixes every side but the two longest, so the walk visits
+    (extent + 1) multiplied over the other sides planes; it makes one
+    levels call in all, and every later start tuple bisects its pairings."""
     variety = VARIETIES[name][0]
     rng = random.Random(f"planes-{name}-{shape}")
     engine = SheafCohomology(random_sheaf(rng, variety, 2, -3, 0))
-    calls = []
-    levels = engine.levels
+    calls, planes = [], []
+    levels, count_lines = engine.levels, engine._count_lines
 
     def counting(m, shifts=None):
         calls.append(m)
         return levels(m, shifts)
 
+    def counting_planes(walked, order, shifts):
+        return count_lines((planes.append(p) or p for p in walked), order, shifts)
+
     monkeypatch.setattr(engine, "levels", counting)
+    monkeypatch.setattr(engine, "_count_lines", counting_planes)
     for axis in range(variety.dim):
         box = shaped_box(
             shape, axis,
@@ -311,8 +320,10 @@ def test_walk_makes_one_levels_call_per_plane(name, shape, monkeypatch):
         )
         extents = sorted(hi - lo for lo, hi in zip(box.lower, box.upper))
         calls.clear()
+        planes.clear()
         engine._walk(box, tuple(rng.randint(-5, 5) for _ in variety.rays))
-        assert len(calls) == prod(e + 1 for e in extents[:-2])
+        assert len(planes) == prod(e + 1 for e in extents[:-2])
+        assert len(calls) == 1
 
 
 def test_module_functions_share_one_engine_per_sheaf():
@@ -629,3 +640,55 @@ def test_support_walk_matches_per_character_count_on_any_twist(name, rank, seed,
     c = data.draw(st.tuples(*[st.integers(-10, top)] * variety.class_rank))
     engine = SheafCohomology(random_sheaf(random.Random(seed), variety, rank, -3, 0))
     check_support_walk(engine, c)
+
+
+def in_order(bounds, order, forms=1):
+    """The bounds with their coordinates taken in this order, after the
+    first ``forms`` entries, the form of their constant."""
+    return [h[:forms] + tuple(h[forms + i] for i in order) for h in bounds]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(WALK_VARIETIES)),
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_compiled_support_bounds_match_the_numeric_bounds_at_the_twist(name, rank, seed, data):
+    """The engine's support bounds, each constant a form over (1, c), give
+    at c the box, the emptiness and the lines of the numeric bounds of the
+    twisted support polytopes."""
+    variety = WALK_VARIETIES[name][0]
+    top = 2 if variety.dim == 4 else 4
+    c = data.draw(st.tuples(*[st.integers(-10, top)] * variety.class_rank))
+    engine = SheafCohomology(random_sheaf(random.Random(seed), variety, rank, -3, 0))
+    params = (1,) + c
+    for compiled, system in zip(engine._support_bounds, support_polytopes(engine.sheaf, c)):
+        numeric = homogeneous_bounds(system)
+        box = _polytope_box(numeric)
+        assert _polytope_box(compiled, params) == box
+        order = _walk_order(box) if box else list(range(variety.dim))
+        cuts = _shadow_cuts(in_order(compiled, order, len(params)), variety.dim, params)
+        expected = _shadow_cuts(in_order(numeric, order), variety.dim)
+        assert (cuts is None) == (expected is None)
+        if expected is not None:
+            assert list(_planes(cuts)) == list(_planes(expected))
+
+
+def test_a_repeat_twist_eliminates_nothing(monkeypatch):
+    """The support chains are compiled once per bounds tuple and walk order,
+    so a second pass of h^0 and h^n over a window of the V_2(1, 2) line
+    bundle runs no Fourier-Motzkin step."""
+    config = Path(__file__).resolve().parent.parent / "configs" / "line_bundle_v2_12.json"
+    engine = SheafCohomology(load_config(config).sheaf)
+    steps = []
+    eliminate = polytopes._eliminate_last
+    monkeypatch.setattr(polytopes, "_eliminate_last", lambda bounds: steps.append(1) or eliminate(bounds))
+    _compiled_chain.cache_clear()
+    window = list(product(range(-1, 4), repeat=2))
+    first = [(engine.h0_twisted(c), engine.hn_twisted(c)) for c in window]
+    assert steps and any(h0 for h0, _ in first)
+    steps.clear()
+    assert [(engine.h0_twisted(c), engine.hn_twisted(c)) for c in window] == first
+    assert not steps
