@@ -60,24 +60,16 @@ is 0 as soon as one ray is at level 0, so every section lies in
 <m, n(rho)> >= i_1(rho) - shift; the local h^n is 0 as soon as one ray is at
 its top level, whose space is the whole fibre, so h^n lives in
 <m, n(rho)> <= i_top(rho) - shift - 1.  The rays of a complete fan
-positively span, so each polytope is bounded and its box holds, per
-coordinate, the integers between the ends of its real shadow on that
-coordinate alone; with none, the number is 0.  Otherwise the
-Fourier-Motzkin chain with the coordinates in walk order gives each line of
-the polytope: its other coordinates and both of its ends
-(``polytopes._planes``), so no character off the polytope is visited.  The
-rows are the rays and the shifts are linear in the class c, so each bound
-keeps its constant as a form over (1, c); the chains, one per coordinate
-for the box and one per walk order, are eliminated once per sheaf, and a
-twist evaluates only their constants.
+positively span, so each polytope is bounded.  Its rows are the rays and
+the shifts are linear in the class c, so each bound keeps its constant as a
+form over (1, c), and ``polytopes._walk_plan`` gives the lines of the
+polytope at c; with no plan, the number is 0.
 
-Both walks take their axes sorted by the side lengths of their box,
-shortest first, index order on a tie.  The line axis, last, is the longest
-side, which gives the fewest lines; the stepping axis before it is the
-next-longest, which gives the fewest planes.  A plane fixes every
-coordinate but these two.  On a line every pairing is affine in the line
-axis, so a ray's level changes only at the cut points where its pairing
-crosses one of its jumps, by +1 or -1 with the sign of the slope (a
+Every walk follows a plan from ``polytopes``, for the box or for a support
+polytope: planes of lines along the plan's line axis, each plane's lines
+one step apart along its stepping axis.  On a line every pairing is affine
+in the line axis, so a ray's level changes only at the cut points where its
+pairing crosses one of its jumps, by +1 or -1 with the sign of the slope (a
 repeated jump gives two steps at one cut).  A plane's first line takes each
 ray's pairing from one dot product; each later line moves those pairings
 by the rays' coordinates, one step along the stepping axis and, in a
@@ -90,45 +82,18 @@ of constant level tuple and its length.  Local numbers are cached.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
-from itertools import product, repeat
-from operator import add, le, mul
-from typing import Iterator, Sequence
+from itertools import repeat
+from operator import add, mul
+from typing import Sequence
 
-from .filtration import EquivariantReflexiveSheaf, _unsorted_jumps
-from .polytopes import _compiled_chain, _cuts, _planes, _rowset_extremes
+from .filtration import EquivariantReflexiveSheaf, validate
+from .polytopes import CharacterBox, _box_plan, _rowset_extremes, _walk_plan
 from .rational_linalg import Subspace, intersect, matrix_rank, subspace_sum
 # not called here; bench/selftest.py checks that the tracer patches these bindings
 from .polytopes import psi_points
 from .rational_linalg import solve_square
-from .toric import Cone, strict_int
-
-
-@dataclass(frozen=True)
-class CharacterBox:
-    """An axis-aligned box of lattice characters, bounds inclusive."""
-
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
-
-    def __post_init__(self):
-        for name in ("lower", "upper"):
-            bounds = tuple(strict_int(x, "box bound") for x in getattr(self, name))
-            object.__setattr__(self, name, bounds)
-        if len(self.lower) != len(self.upper):
-            raise ValueError("bound tuples must have equal length")
-        if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
-            raise ValueError("lower bound exceeds upper bound")
-
-    def points(self) -> Iterator[tuple[int, ...]]:
-        ranges = [range(lo, hi + 1) for lo, hi in zip(self.lower, self.upper)]
-        return product(*ranges)
-
-    def __contains__(self, m: Sequence[int]) -> bool:
-        if len(m) != len(self.lower):
-            raise ValueError(f"character must have length {len(self.lower)}")
-        return all(lo <= x <= hi for x, lo, hi in zip(m, self.lower, self.upper))
+from .toric import Cone, strict_ints
 
 
 def enumeration_box(
@@ -164,36 +129,7 @@ def _checked_shifts(shifts: Sequence[int], count: int) -> Sequence[int]:
     """The twist's divisor coefficients, one integer per ray."""
     if len(shifts) != count:
         raise ValueError(f"shifts must have length {count}")
-    if not {int}.issuperset(map(type, shifts)):
-        for x in shifts:
-            strict_int(x, "shift")
-    return shifts
-
-
-def _polytope_box(bounds, params: tuple[int, ...] = (1,)) -> CharacterBox | None:
-    """Per coordinate, the integers between the ends of the real shadow on it
-    alone of the bounded polytope h . (params, m) >= 0, h in bounds; None
-    when a range holds no integer or the polytope is empty."""
-    bounds = tuple(bounds)
-    n = len(bounds[0]) - len(params)
-    lower, upper = [], []
-    for i in range(n):
-        # with m_i moved first, the chain ends in its shadow on m_i alone
-        order = (i,) + tuple(k for k in range(n) if k != i)
-        cuts = _cuts(_compiled_chain(bounds, order)[-2:], params)
-        if cuts is None:
-            return None
-        (rising, falling), = cuts
-        lower.append(max([-(rest[0] // a) for rest, a in rising]))
-        upper.append(min([rest[0] // a for rest, a in falling]))
-    return CharacterBox(tuple(lower), tuple(upper)) if all(map(le, lower, upper)) else None
-
-
-def _walk_order(box: CharacterBox) -> list[int]:
-    """The box's axes sorted by side length, shortest first, index order on
-    a tie: the line axis, last, is the longest side (fewest lines) and the
-    stepping axis before it the next-longest (fewest planes)."""
-    return sorted(range(len(box.lower)), key=lambda i: box.upper[i] - box.lower[i])
+    return strict_ints(shifts, "shift")
 
 
 def _cached_by_levels(local):
@@ -216,10 +152,11 @@ class SheafCohomology:
     """
 
     def __init__(self, sheaf: EquivariantReflexiveSheaf):
-        # levels and the support bounds read the jumps as sorted
-        for name, f in zip(sheaf.variety.ray_names, sheaf.filtrations):
-            for problem in _unsorted_jumps(name, f):
-                raise ValueError(problem)
+        # levels and the support bounds read the jumps as sorted, and the
+        # local numbers the spaces as a full, nested chain
+        problems = validate(sheaf)
+        if problems:
+            raise ValueError("; ".join(problems))
         self.sheaf = sheaf
         self.variety = sheaf.variety
         self.rank = sheaf.rank
@@ -233,9 +170,7 @@ class SheafCohomology:
         """Per ray, the number of jumps <= <m, n(ray)> + shift; 0 is the zero space."""
         if len(m) != self.variety.dim:
             raise ValueError(f"character must have length {self.variety.dim}")
-        if not {int}.issuperset(map(type, m)):
-            for x in m:
-                strict_int(x, "character entry")
+        strict_ints(m, "character entry")
         shifts = repeat(0) if shifts is None else _checked_shifts(shifts, self.variety.ray_count)
         return tuple(
             bisect_right(jumps, sum(map(mul, m, ray)) + shift)
@@ -244,40 +179,13 @@ class SheafCohomology:
 
     def histogram(self, c: Sequence[int]) -> dict[tuple[int, ...], int]:
         """How many characters of the twisted box have each level tuple."""
-        return self._walk(*self._twist_setup(c))
+        box, shifts = self._twist_setup(c)
+        return self._walk(_box_plan(box), shifts)
 
-    def _walk(self, box: CharacterBox, shifts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        """How many characters of the box have each level tuple at these shifts."""
-        order = _walk_order(box)
-        outer = [range(box.lower[i], box.upper[i] + 1) for i in order[:-1]]
-        # each plane has one line per step of its stepping axis and starts at
-        # its low end; in dimension 1 the one plane is the one line
-        steps = outer.pop() if outer else range(1)
-        starts = product(*outer, steps[:1]) if len(order) > 1 else [()]
-        ends = [(box.lower[order[-1]], box.upper[order[-1]])] * len(steps)
-        return self._count_lines(zip(starts, repeat(ends)), order, shifts)
-
-    def _support_walk(
-        self, bounds, shifts: tuple[int, ...], params: tuple[int, ...] = (1,)
-    ) -> dict[tuple[int, ...], int]:
-        """How many characters of the bounded polytope h . (params, m) >= 0,
-        h in bounds, have each level tuple at these shifts."""
-        box = _polytope_box(bounds, params)
-        if box is None:
-            return {}
-        # the chain takes its coordinates in walk order, set by the box
-        order = _walk_order(box)
-        cuts = _cuts(_compiled_chain(tuple(bounds), tuple(order)), params)
-        return self._count_lines(_planes(cuts), order, shifts)
-
-    def _count_lines(self, planes, order: list[int], shifts: tuple[int, ...]):
-        """The level-tuple histogram of the planes (start, ends), in the
-        form ``polytopes._planes`` yields them with the coordinates moved
-        into the walk order: start gives the coordinates order[:-1] of the
-        plane's first line, and the j-th line, one step further along the
-        stepping axis order[-2] (the next-longest side, fewest planes), runs
-        along the line axis order[-1] (the longest side, fewest lines) from
-        lo to hi for (lo, hi) = ends[j], empty when lo > hi."""
+    def _walk(self, plan, shifts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """The level-tuple histogram at these shifts of the characters of a
+        walk plan (order, planes) from ``polytopes``."""
+        order, planes = plan
         rays = self.variety.rays
         axis = order[-1]
         along = [ray[axis] for ray in rays]
@@ -357,8 +265,10 @@ class SheafCohomology:
 
     def _support_total(self, which: int, c: Sequence[int], local) -> int:
         c = self.variety.check_class(c)
-        walk = self._support_walk(self._support_bounds[which], self.variety.twist_divisor(c), (1,) + c)
-        return self._total(walk, local)
+        plan = _walk_plan(self._support_bounds[which], (1,) + c)
+        if plan is None:
+            return 0
+        return self._total(self._walk(plan, self.variety.twist_divisor(c)), local)
 
     def h0_twisted(self, c: Sequence[int]) -> int:
         return self._support_total(0, c, self.h0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .rational_linalg import Subspace
@@ -166,19 +167,20 @@ def jump_bounds_from_presentation(pres: PresentationDegrees) -> list[tuple[int, 
     return bounds
 
 
-def _unsorted_jumps(name: str, f: KlyachkoFiltration) -> list[str]:
-    """``validate``'s diagnostic if the jumps are not weakly increasing."""
-    if any(f.jumps[i] > f.jumps[i + 1] for i in range(f.rank - 1)):
-        return [f"ray {name}: jumps not weakly increasing: {f.jumps}"]
-    return []
-
-
 def validate(sheaf: EquivariantReflexiveSheaf) -> list[str]:
     """Check every filtration invariant; returns diagnostics, empty when valid."""
+    return list(_problems(sheaf))
+
+
+@lru_cache(maxsize=64)
+def _problems(sheaf: EquivariantReflexiveSheaf) -> tuple[str, ...]:
+    """``validate``'s diagnostics, found once per sheaf: the CLI validates a
+    sheaf before it builds the engine, which validates it again."""
     problems: list[str] = []
     for k, f in enumerate(sheaf.filtrations):
         name = sheaf.variety.ray_names[k]
-        problems += _unsorted_jumps(name, f)
+        if any(f.jumps[i] > f.jumps[i + 1] for i in range(f.rank - 1)):
+            problems.append(f"ray {name}: jumps not weakly increasing: {f.jumps}")
         if not f.spaces[-1].is_full:
             problems.append(f"ray {name}: last space is not the full ambient space")
         for i in range(f.rank - 1):
@@ -193,4 +195,4 @@ def validate(sheaf: EquivariantReflexiveSheaf) -> list[str]:
                     f"jumps {'equal' if equal_jumps else 'differ'}, "
                     f"spaces {'equal' if equal_spaces else 'differ'}"
                 )
-    return problems
+    return tuple(problems)

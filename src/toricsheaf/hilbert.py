@@ -146,27 +146,6 @@ class RationalPolynomial:
             total += term
         return Fraction(total, s * scale ** top)
 
-    def coefficients_in(self, index: int) -> dict[int, "RationalPolynomial"]:
-        """Decompose as sum_t coeff_t * x_index^t; coefficients drop that variable."""
-        parts: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        for exps, c in self.coeffs.items():
-            t = exps[index]
-            reduced = exps[:index] + (0,) + exps[index + 1:]
-            bucket = parts.setdefault(t, {})
-            bucket[reduced] = bucket.get(reduced, Fraction(0)) + c
-        return {t: RationalPolynomial(self.nvars, d) for t, d in parts.items()}
-
-    def restrict(self, keep: Sequence[int]) -> "RationalPolynomial":
-        """Project onto the kept variables; the others must be absent."""
-        keep = list(keep)
-        dropped = [i for i in range(self.nvars) if i not in keep]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.coeffs.items():
-            if any(exps[i] for i in dropped):
-                raise ValueError("polynomial still involves a dropped variable")
-            out[tuple(exps[i] for i in keep)] = c
-        return RationalPolynomial(len(keep), out)
-
     def __repr__(self):
         return f"RationalPolynomial({self.nvars}, {self.coeffs})"
 
@@ -272,12 +251,18 @@ def simplex_sum(poly: RationalPolynomial, k: int) -> RationalPolynomial:
         budget = RationalPolynomial.variable(0, n)
         for j in range(1, i):
             budget = budget - RationalPolynomial.variable(j, n)
-        parts = poly.coefficients_in(i)
+        # poly = sum_t part_t e_i^t, with e_i set to 0 in each part_t
+        parts: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        for exps, c in poly.coeffs.items():
+            parts.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = c
         acc = RationalPolynomial(n)
-        for t, coeff in parts.items():
-            acc = acc + coeff * compose_univariate(faulhaber_sum(t), budget)
+        for t, part in parts.items():
+            acc = acc + RationalPolynomial(n, part) * compose_univariate(faulhaber_sum(t), budget)
         poly = acc
-    return poly.restrict([0] + list(range(k + 1, n)))
+    # e_1..e_k are summed out: keep q and the spectators
+    keep = [0] + list(range(k + 1, n))
+    return RationalPolynomial(len(keep), {tuple(exps[j] for j in keep): c
+                                          for exps, c in poly.coeffs.items()})
 
 
 def _valid_levels(filtration, rank: int) -> list[int]:

@@ -7,7 +7,7 @@ and for -infinity below).  For a complete fan the rays positively span, so a
 system whose lower bounds are all finite cuts out a (possibly empty)
 polytope.
 
-``psi_points`` and ``cohomology``'s support boxes and support walks use
+``psi_points`` and the walk plans of ``cohomology``'s engine use
 Fourier-Motzkin elimination alone, through the cuts of ``_cuts``.
 Each bound is kept as h = (-k, row) with h . (1, m) >= 0, or as
 h = (f, row) with h . (params, m) >= 0, its constant linear in params.
@@ -37,15 +37,34 @@ tuple, from one fraction-free elimination of [A | I] (A the n rows), each
 coordinate of a vertex N.b / D is least (greatest) where every term
 N_ik b_k is, so ``_rowset_extremes`` gives those extremes per rowset, b_k
 running over its own list of values, without listing a vertex.
+
+The engine walks characters by a plan (order, planes): ``_box_plan``
+builds it for a box, ``_walk_plan`` for a bounded polytope.  Both take
+their axes sorted by the side lengths of their box (``_walk_order``),
+shortest first, index order on a tie.  The line axis, last, is the longest
+side, which gives the fewest lines; the stepping axis before it is the
+next-longest, which gives the fewest planes.  A plane fixes every
+coordinate but these two.  Each plane is (start, ends): start gives the
+coordinates order[:-1] of its first line, and its j-th line, j steps
+further along the stepping axis, runs along the line axis from lo to hi
+for (lo, hi) = ends[j], empty when lo > hi.  In a box every line has the
+box's ends.  A polytope's box holds, per coordinate, the integers between
+the ends of its real shadow on that coordinate alone; with none, there is
+no plan.  Otherwise the Fourier-Motzkin chain with the coordinates in walk
+order gives each line of the polytope, its other coordinates and both of
+its ends (``_planes``), so no character off the polytope is visited.  The
+bounds keep their constants as forms over params, so the chains, one per
+coordinate for the box and one per walk order, are eliminated once per
+bounds tuple, and new params evaluate only their constants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product, repeat
 from math import gcd
-from operator import mul
-from typing import Sequence
+from operator import le, mul
+from typing import Iterator, Sequence
 
 from .errors import UnboundedSystemError
 from .filtration import EquivariantReflexiveSheaf
@@ -55,6 +74,32 @@ from .toric import split_data, strict_int
 from .rational_linalg import solve_square
 
 MultiIndex = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class CharacterBox:
+    """An axis-aligned box of lattice characters, bounds inclusive."""
+
+    lower: tuple[int, ...]
+    upper: tuple[int, ...]
+
+    def __post_init__(self):
+        for name in ("lower", "upper"):
+            bounds = tuple(strict_int(x, "box bound") for x in getattr(self, name))
+            object.__setattr__(self, name, bounds)
+        if len(self.lower) != len(self.upper):
+            raise ValueError("bound tuples must have equal length")
+        if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
+            raise ValueError("lower bound exceeds upper bound")
+
+    def points(self) -> Iterator[tuple[int, ...]]:
+        ranges = [range(lo, hi + 1) for lo, hi in zip(self.lower, self.upper)]
+        return product(*ranges)
+
+    def __contains__(self, m: Sequence[int]) -> bool:
+        if len(m) != len(self.lower):
+            raise ValueError(f"character must have length {len(self.lower)}")
+        return all(lo <= x <= hi for x, lo, hi in zip(m, self.lower, self.upper))
 
 
 @dataclass(frozen=True)
@@ -218,12 +263,6 @@ def _cuts(shadows, params: tuple[int, ...]):
     return cuts
 
 
-def _shadow_cuts(bounds, nvars: int, params: tuple[int, ...] = (1,)):
-    """The ``_cuts`` of the polytope h . (params, m) >= 0, h in bounds, m in
-    Q^nvars: cuts[i] cuts its shadow on m_1..m_(i+1)."""
-    return _cuts(_chain(bounds, nvars), params)
-
-
 def _planes(cuts, prefix: tuple[int, ...] = ()):
     """Yield (start, ends), in lexicographic order, for every plane of the
     polytope that extends prefix, cut by its ``_cuts``.  A plane
@@ -255,6 +294,56 @@ def _planes(cuts, prefix: tuple[int, ...] = ()):
         yield prefix + (lo,), [(-min(los), min(his)) for los, his in zip(rising, falling)]
 
 
+def _polytope_box(bounds, params: tuple[int, ...]) -> CharacterBox | None:
+    """Per coordinate, the integers between the ends of the real shadow on it
+    alone of the bounded polytope h . (params, m) >= 0, h in bounds; None
+    when a range holds no integer or the polytope is empty."""
+    bounds = tuple(bounds)
+    n = len(bounds[0]) - len(params)
+    lower, upper = [], []
+    for i in range(n):
+        # with m_i moved first, the chain ends in its shadow on m_i alone
+        order = (i,) + tuple(k for k in range(n) if k != i)
+        cuts = _cuts(_compiled_chain(bounds, order)[-2:], params)
+        if cuts is None:
+            return None
+        (rising, falling), = cuts
+        lower.append(max([-(rest[0] // a) for rest, a in rising]))
+        upper.append(min([rest[0] // a for rest, a in falling]))
+    return CharacterBox(tuple(lower), tuple(upper)) if all(map(le, lower, upper)) else None
+
+
+def _walk_order(box: CharacterBox) -> list[int]:
+    """The box's axes sorted by side length, shortest first, index order on
+    a tie: the line axis, last, is the longest side (fewest lines) and the
+    stepping axis before it the next-longest (fewest planes)."""
+    return sorted(range(len(box.lower)), key=lambda i: box.upper[i] - box.lower[i])
+
+
+def _box_plan(box: CharacterBox):
+    """The walk plan (order, planes) of every character of the box."""
+    order = _walk_order(box)
+    outer = [range(box.lower[i], box.upper[i] + 1) for i in order[:-1]]
+    # each plane has one line per step of its stepping axis and starts at
+    # its low end; in dimension 1 the one plane is the one line
+    steps = outer.pop() if outer else range(1)
+    starts = product(*outer, steps[:1]) if len(order) > 1 else [()]
+    ends = [(box.lower[order[-1]], box.upper[order[-1]])] * len(steps)
+    return order, zip(starts, repeat(ends))
+
+
+def _walk_plan(bounds, params: tuple[int, ...]):
+    """The walk plan (order, planes) of the lattice points of the bounded
+    polytope h . (params, m) >= 0, h in bounds; None when ``_polytope_box``
+    finds it empty or a coordinate range with no integer."""
+    box = _polytope_box(bounds, params)
+    if box is None:
+        return None
+    # the chain takes its coordinates in walk order, set by the box
+    order = _walk_order(box)
+    return order, _planes(_cuts(_compiled_chain(tuple(bounds), tuple(order)), params))
+
+
 def psi_points(sys: IntervalConstraintSystem) -> list[tuple[int, ...]]:
     """The integer solutions, in lexicographic order.
 
@@ -274,7 +363,7 @@ def psi_points(sys: IntervalConstraintSystem) -> list[tuple[int, ...]]:
         (up - 1,) + tuple(-a for a in row)
         for row, up in zip(sys.rows, sys.upper) if up is not None
     ]
-    cuts = _shadow_cuts(bounds, sys.nvars)
+    cuts = _cuts(_chain(bounds, sys.nvars), (1,))
     if not cuts:
         return [] if cuts is None else [()]  # [()]: the one point of Z^0
     out: list[tuple[int, ...]] = []

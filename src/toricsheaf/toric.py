@@ -67,9 +67,7 @@ class ToricVariety:
         ray = self.rays[ray_index]
         if len(m) != self.dim:
             raise ValueError(f"character must have length {self.dim}")
-        if not {int}.issuperset(map(type, m)):
-            for x in m:
-                strict_int(x, "character entry")
+        strict_ints(m, "character entry")
         return sum(map(mul, m, ray))
 
     def character_embedding(self, m: Sequence[int]) -> tuple[int, ...]:
@@ -219,6 +217,15 @@ def strict_int(value, where: str, error: type[ValueError] = ValueError) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{where} must be an integer, got {value!r}")
     return value
+
+
+def strict_ints(values: Sequence, where: str) -> Sequence[int]:
+    """The values, each checked by ``strict_int``; a sequence of plain ints
+    costs one scan of the entry types."""
+    if not {int}.issuperset(map(type, values)):
+        for x in values:
+            strict_int(x, where)
+    return values
 
 
 def config_int(value, where: str) -> int:

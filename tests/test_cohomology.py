@@ -24,6 +24,7 @@ from toricsheaf import (
     twist,
     validate,
 )
+from toricsheaf.polytopes import _box_plan
 
 from conftest import h0_supported, random_sheaf
 from vertex_oracle import widened
@@ -163,8 +164,8 @@ def test_box_margin_invariance_on_random_sheaves(variety, rank, seed, data):
     engine = SheafCohomology(random_sheaf(random.Random(seed), variety, rank, -4, 0))
     c = data.draw(st.tuples(*[st.integers(-4, 4)] * variety.class_rank))
     box, shifts = engine._twist_setup(c)
-    tight = chi_and_cech(engine, engine._walk(box, shifts))
-    assert tight == chi_and_cech(engine, engine._walk(widened(box, 1), shifts))
+    tight = chi_and_cech(engine, engine._walk(_box_plan(box), shifts))
+    assert tight == chi_and_cech(engine, engine._walk(_box_plan(widened(box, 1)), shifts))
     assert tight == (engine.chi_twisted(c), list(engine.cech_twisted(c)))
 
 
@@ -316,6 +317,25 @@ def test_engine_refuses_unsorted_jumps_with_the_validate_message():
     assert engine.h0_twisted((1,)) == engine.cech_twisted((1,))[0]
 
 
+def test_engine_refuses_spaces_that_are_not_a_full_nested_chain():
+    """On P^2, rho0 with jumps (-1, 0) and spaces <(1, 0)>, then <(0, 1)>,
+    neither full nor nested, once gave hn_twisted((-3,)) = 0 against
+    cech_twisted((-3,)) = (0, 1, 6)."""
+    lines = [span([v], 2) for v in [(1, 0), (0, 1), (1, 1)]]
+    filtrations = [KlyachkoFiltration((-1, 0), (line, Subspace.full(2))) for line in lines]
+    filtrations[0] = KlyachkoFiltration((-1, 0), tuple(lines[:2]))
+    sheaf = EquivariantReflexiveSheaf(projective_space(2), 2, filtrations)
+    problems = validate(sheaf)
+    assert problems == [
+        "ray rho0: last space is not the full ambient space",
+        "ray rho0: space 1 not contained in space 2",
+    ]
+    with pytest.raises(ValueError, match=re.escape("; ".join(problems))):
+        SheafCohomology(sheaf)
+    with pytest.raises(ValueError, match=re.escape(problems[0])):
+        euler_characteristic(sheaf, (-3,))
+
+
 def test_cech_at_canonical_class_of_surface():
     h3 = hirzebruch(3)
     o = structure_sheaf(h3)
@@ -348,7 +368,7 @@ def assert_rank_nullity_at_ends(sheaf, twists) -> int:
     tuples = set()
     for c in twists:
         box, shifts = engine._twist_setup(c)
-        tuples.update(engine._walk(widened(box, 1), shifts))
+        tuples.update(engine._walk(_box_plan(widened(box, 1)), shifts))
     nonzero = [0, 0]
     for lv in tuples:
         spaces = [[engine.piece(rs, lv) for rs in cones] for cones in chain]

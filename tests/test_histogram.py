@@ -31,10 +31,19 @@ from toricsheaf import (
     span,
     split_bundle,
 )
-from toricsheaf.cohomology import _engine, _polytope_box, _walk_order
+from toricsheaf.cohomology import _engine
 from toricsheaf.errors import UnboundedSystemError
 from toricsheaf import polytopes
-from toricsheaf.polytopes import _compiled_chain, _planes, _shadow_cuts
+from toricsheaf.polytopes import (
+    _box_plan,
+    _chain,
+    _compiled_chain,
+    _cuts,
+    _planes,
+    _polytope_box,
+    _walk_order,
+    _walk_plan,
+)
 from toricsheaf.toric import ToricVariety
 
 from conftest import (
@@ -214,7 +223,7 @@ def shaped_box(shape: str, axis: int, lower: list[int], sizes: list[int]) -> Cha
 
 
 def check_walk(engine: SheafCohomology, box: CharacterBox, shifts: tuple[int, ...]) -> None:
-    assert engine._walk(box, shifts) == Counter(engine.levels(m, shifts) for m in box.points())
+    assert engine._walk(_box_plan(box), shifts) == Counter(engine.levels(m, shifts) for m in box.points())
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -265,6 +274,47 @@ def test_walk_matches_per_character_count_on_any_box(name, rank, shape, seed, da
     check_walk(engine, box, shifts)
 
 
+def box_bounds(box: CharacterBox) -> list[tuple[int, ...]]:
+    """The box's 2n bounds m_i >= lower_i and m_i <= upper_i, each as
+    h = (constant, row) with h . (1, m) >= 0."""
+    n = len(box.lower)
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    return [(-lo,) + e for lo, e in zip(box.lower, units)] + [
+        (hi,) + tuple(-x for x in e) for hi, e in zip(box.upper, units)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(VARIETIES)),
+    st.integers(1, 3),
+    st.sampled_from(SHAPES),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_box_plan_and_polytope_plan_walk_a_box_alike(name, rank, shape, seed, data):
+    """The box plan and the polytope plan of the box's own bounds give the
+    same order, the same planes and the same histogram."""
+    variety = VARIETIES[name][0]
+    dim = variety.dim
+    engine = SheafCohomology(random_sheaf(random.Random(seed), variety, rank, -3, 0))
+    box = shaped_box(
+        shape,
+        data.draw(st.integers(0, dim - 1)),
+        data.draw(st.lists(st.integers(-6, 4), min_size=dim, max_size=dim)),
+        data.draw(st.lists(st.integers(0, 4), min_size=dim, max_size=dim)),
+    )
+    shifts = data.draw(st.tuples(*[st.integers(-6, 6)] * variety.ray_count))
+    bounds = box_bounds(box)
+
+    def listed(plan):
+        order, planes = plan
+        return order, [(tuple(start), list(ends)) for start, ends in planes]
+
+    assert listed(_walk_plan(bounds, (1,))) == listed(_box_plan(box))
+    assert engine._walk(_box_plan(box), shifts) == engine._walk(_walk_plan(bounds, (1,)), shifts)
+
+
 def box_of_extents(extents) -> CharacterBox:
     return CharacterBox((0,) * len(extents), tuple(extents))
 
@@ -301,17 +351,13 @@ def test_walk_makes_one_levels_call_per_walk(name, shape, monkeypatch):
     rng = random.Random(f"planes-{name}-{shape}")
     engine = SheafCohomology(random_sheaf(rng, variety, 2, -3, 0))
     calls, planes = [], []
-    levels, count_lines = engine.levels, engine._count_lines
+    levels = engine.levels
 
     def counting(m, shifts=None):
         calls.append(m)
         return levels(m, shifts)
 
-    def counting_planes(walked, order, shifts):
-        return count_lines((planes.append(p) or p for p in walked), order, shifts)
-
     monkeypatch.setattr(engine, "levels", counting)
-    monkeypatch.setattr(engine, "_count_lines", counting_planes)
     for axis in range(variety.dim):
         box = shaped_box(
             shape, axis,
@@ -321,7 +367,9 @@ def test_walk_makes_one_levels_call_per_walk(name, shape, monkeypatch):
         extents = sorted(hi - lo for lo, hi in zip(box.lower, box.upper))
         calls.clear()
         planes.clear()
-        engine._walk(box, tuple(rng.randint(-5, 5) for _ in variety.rays))
+        order, walked = _box_plan(box)
+        plan = order, (planes.append(p) or p for p in walked)
+        engine._walk(plan, tuple(rng.randint(-5, 5) for _ in variety.rays))
         assert len(planes) == prod(e + 1 for e in extents[:-2])
         assert len(calls) == 1
 
@@ -430,7 +478,7 @@ def test_structure_sheaf_of_p2_has_a_one_point_h0_polytope():
     engine = SheafCohomology(structure_sheaf(projective_space(2)))
     (system, bounds, _), _ = support_systems(engine, (0,))
     assert fraction_vertices(system) == [(0, 0)] * 3
-    assert _polytope_box(bounds) == CharacterBox((0, 0), (0, 0))
+    assert _polytope_box(bounds, (1,)) == CharacterBox((0, 0), (0, 0))
     assert engine.h0_twisted((0,)) == 1
 
 
@@ -459,7 +507,7 @@ def test_polytope_box_is_the_inward_box_of_the_polytope_vertices():
     kinds = set()
     for engine, c in support_cases():
         for system, bounds, oracle in support_systems(engine, c):
-            assert _polytope_box(bounds) == oracle
+            assert _polytope_box(bounds, (1,)) == oracle
             vertices = fraction_vertices(system)
             if not vertices:
                 kinds.add("empty")
@@ -483,7 +531,7 @@ def test_polytope_box_is_none_when_a_coordinate_range_holds_no_integer():
         engine = SheafCohomology(line_bundle(fake, coeffs))
         system = support_polytopes(engine.sheaf, (0,))[which]
         assert set(fraction_vertices(system)) == {(0, Fraction(1, 2) * (-1) ** which)}
-        assert _polytope_box(homogeneous_bounds(system)) is None
+        assert _polytope_box(homogeneous_bounds(system), (1,)) is None
         assert fraction_box(system) is None
         for c in [(-2,), (-1,), (0,), (1,), (2,)]:
             cech = engine.cech_twisted(c)
@@ -496,7 +544,7 @@ def test_polytope_box_is_none_on_an_empty_polytope_with_wide_ranges():
     negative constant that no single coordinate's cut reads, and the shadows
     on m_1 and m_2 alone would give [0, 5] and [1, 5]."""
     bounds = [(0, 1, 0), (5, -1, 0), (-1, -1, 1), (0, 1, -1)]
-    assert _polytope_box(bounds) is None
+    assert _polytope_box(bounds, (1,)) is None
 
 
 @pytest.mark.parametrize("bounds", [
@@ -505,7 +553,7 @@ def test_polytope_box_is_none_on_an_empty_polytope_with_wide_ranges():
 ])
 def test_polytope_box_refuses_rows_that_do_not_positively_span(bounds):
     with pytest.raises(UnboundedSystemError, match="bounded polytope"):
-        _polytope_box(bounds)
+        _polytope_box(bounds, (1,))
 
 
 # the polytope walk of h^0 and h^n: surfaces, threefolds and fourfolds, the
@@ -555,13 +603,13 @@ def walk_kinds(bounds, system) -> set[str]:
         kinds.add("point")
     if any(x.denominator != 1 for v in vertices for x in v):
         kinds.add("non-integral")
-    box = _polytope_box(bounds)
+    box = _polytope_box(bounds, (1,))
     if box is None:
         if vertices:
             kinds.add("integer-free")
         return kinds
     order = _walk_order(box)
-    cuts = _shadow_cuts([(h[0],) + tuple(h[i + 1] for i in order) for h in bounds], len(order))
+    cuts = _cuts(_chain([(h[0],) + tuple(h[i + 1] for i in order) for h in bounds], len(order)), (1,))
     rising, falling = cuts[-1]
     lines = [
         (start[:-1] + (start[-1] + j,) if start else (), lo, hi)
@@ -589,7 +637,8 @@ def check_support_walk(engine: SheafCohomology, c) -> set[str]:
     for system in support_polytopes(engine.sheaf, c):
         bounds = homogeneous_bounds(system)
         points = psi_points(as_lower_bounds(bounds))
-        hist = engine._support_walk(bounds, shifts)
+        plan = _walk_plan(bounds, (1,))
+        hist = {} if plan is None else engine._walk(plan, shifts)
         assert hist == Counter(engine.levels(m, shifts) for m in points)
         kinds |= walk_kinds(bounds, system)
     return kinds
@@ -666,11 +715,11 @@ def test_compiled_support_bounds_match_the_numeric_bounds_at_the_twist(name, ran
     params = (1,) + c
     for compiled, system in zip(engine._support_bounds, support_polytopes(engine.sheaf, c)):
         numeric = homogeneous_bounds(system)
-        box = _polytope_box(numeric)
+        box = _polytope_box(numeric, (1,))
         assert _polytope_box(compiled, params) == box
         order = _walk_order(box) if box else list(range(variety.dim))
-        cuts = _shadow_cuts(in_order(compiled, order, len(params)), variety.dim, params)
-        expected = _shadow_cuts(in_order(numeric, order), variety.dim)
+        cuts = _cuts(_chain(in_order(compiled, order, len(params)), variety.dim), params)
+        expected = _cuts(_chain(in_order(numeric, order), variety.dim), (1,))
         assert (cuts is None) == (expected is None)
         if expected is not None:
             assert list(_planes(cuts)) == list(_planes(expected))

@@ -20,10 +20,9 @@ from toricsheaf import (
     split_bundle,
     twist,
 )
-from toricsheaf.cohomology import _polytope_box
 from toricsheaf.errors import UnboundedSystemError
 from toricsheaf import polytopes, rational_linalg
-from toricsheaf.polytopes import _rowset_extremes, _rowset_inverses
+from toricsheaf.polytopes import _polytope_box, _rowset_extremes, _rowset_inverses
 
 from conftest import counted_fractions, random_sheaf, rank3_example_sheaf
 from vertex_oracle import (
@@ -96,7 +95,7 @@ def test_polytope_box_matches_fraction_oracle(variety, upper, data):
     system = IntervalConstraintSystem(
         variety.rays, none if upper else bounds, bounds if upper else none
     )
-    assert _polytope_box(homogeneous_bounds(system)) == fraction_box(system)
+    assert _polytope_box(homogeneous_bounds(system), (1,)) == fraction_box(system)
 
 
 def test_jump_extremes_are_cached_per_jumps():
