@@ -11,7 +11,7 @@ from .cohomology import (
     euler_characteristic,
     sigma_piece,
 )
-from .config import JobConfig, load_config, parse_config
+from .config import JobConfig, build_variety, load_config, parse_config
 from .errors import (
     ConfigError,
     InternalConsistencyError,
@@ -64,7 +64,6 @@ from .rational_linalg import Subspace, intersect, span, subspace_sum
 from .toric import (
     Cone,
     ToricVariety,
-    build_variety,
     hirzebruch,
     projective_space,
     split_bundle,

@@ -1,21 +1,23 @@
 """Command-line front end.
 
-Commands: validate, h0-table, cohomology-table, euler-table, hilbert-table,
-bounds, hilbert-poly, monomial-sigma.  Tables are indexed by the twisting
+The command table, ``COMMANDS``, declares every subcommand with its own
+options and the options they share.  Tables are indexed by the twisting
 class: rows run over q descending, columns over p ascending.  ``--p`` is
 required, and so is ``--q`` on a rank-2 class group; varieties with a rank-1
-class group produce a single row over p and refuse ``--q``.  Every
-command ends in one writer, which prints the CSV or text form, or the JSON
-payload under ``--format json``, to stdout or to the ``--out`` file.  Exit
-codes: 0 success, 1 validation or input failure (a usage error and an
-unwritable ``--out`` too), 2 unsupported computation, 3 internal
-consistency failure.
+class group produce a single row over p and refuse ``--q``.  Ranges and
+integer options take plain ASCII integers.  Every command ends in one
+writer, which prints the CSV or text form, or the JSON payload under
+``--format json``, to stdout or to the ``--out`` file.  Exit codes: 0
+success, 1 validation or input failure (a usage error and an unwritable
+``--out`` too), 2 unsupported computation, 3 internal consistency failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -30,13 +32,21 @@ from .monomial import MonomialIdeal, sigma_piece_dim
 from .toric import Cone, projective_space
 
 
+def _int(text: str) -> int:
+    """A plain ASCII integer, an optional '-' then digits; ``int`` alone
+    would also take '1_0', ' 3' and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_span(text: str) -> list[int]:
+    lo, _, hi = text.partition(":")
     try:
-        lo, hi = text.split(":")
-        lo, hi = int(lo), int(hi)
-    except ValueError:
+        return list(range(_int(lo), _int(hi) + 1))
+    except argparse.ArgumentTypeError:
         raise ConfigError(f"range {text!r} must look like lo:hi") from None
-    return list(range(lo, hi + 1))
 
 
 def _emit(args, text: str, payload) -> int:
@@ -82,25 +92,20 @@ def _class_axes(cfg: JobConfig, args) -> tuple[list[int], list[int | None]]:
     return p_list, list(reversed(_parse_span(args.q)))
 
 
-def _class_of(p: int, q: int | None) -> tuple[int, ...]:
-    return (p,) if q is None else (p, q)
-
-
 def _cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    problems = validate_sheaf(cfg.sheaf)
+    problems = validate_sheaf(load_config(args.config).sheaf)
     _emit(args, "\n".join(problems) or "ok", {"problems": problems})
     return 1 if problems else 0
 
 
-def _table_command(args, make_cell, omega: bool = False) -> int:
-    """Load the config once, build the cell function from it, and write the
-    table over the twist window; ``omega`` adds the regularity-corner mask
-    on split-bundle varieties."""
+def _table(command: _Command, args) -> int:
+    """Load the config once, make the command's cell function from it and
+    write the table over the twist window, with the regularity-corner mask
+    when the command has ``in_omega``."""
     cfg = _load_validated(args)
     p_list, q_list = _class_axes(cfg, args)
-    cell = make_cell(cfg)
-    rows = [[cell(_class_of(p, q)) for p in p_list] for q in q_list]
+    cell = command.cell(cfg, args)
+    rows = [[cell((p,) if q is None else (p, q)) for p in p_list] for q in q_list]
     labels = ["h" if q is None else q for q in q_list]
     text = _grid("q\\p", p_list, labels, rows)
     payload = {
@@ -109,7 +114,7 @@ def _table_command(args, make_cell, omega: bool = False) -> int:
         "q": None if cfg.variety.class_rank == 1 else q_list,
         "values": rows,
     }
-    if omega and cfg.variety.is_split_bundle:
+    if command.in_omega and cfg.variety.is_split_bundle:
         region = hilbert.regularity_region(cfg.sheaf)
         mask = [[region.contains(p, q) for p in p_list] for q in q_list]
         text += "\nin_omega\n" + _grid("q\\p", p_list, labels, [map(int, m) for m in mask])
@@ -117,30 +122,12 @@ def _table_command(args, make_cell, omega: bool = False) -> int:
     return _emit(args, text, payload)
 
 
-def _cmd_h0_table(args) -> int:
-    return _table_command(args, lambda cfg: SheafCohomology(cfg.sheaf).h0_twisted)
-
-
-def _cmd_cohomology_table(args) -> int:
-    def make_cell(cfg):
-        if not 0 <= args.i <= cfg.variety.dim:
-            raise UnsupportedVarietyError(
-                f"cohomology degree {args.i} out of range 0..{cfg.variety.dim}"
-            )
-        engine = SheafCohomology(cfg.sheaf)
-        return lambda c: engine.cech_twisted(c)[args.i]
-
-    return _table_command(args, make_cell)
-
-
-def _cmd_euler_table(args) -> int:
-    return _table_command(args, lambda cfg: SheafCohomology(cfg.sheaf).chi_twisted)
-
-
-def _cmd_hilbert_table(args) -> int:
-    return _table_command(
-        args, lambda cfg: partial(hilbert.hilbert_function, cfg.sheaf), omega=True
-    )
+def _cohomology_cell(cfg: JobConfig, args):
+    if not 0 <= args.i <= cfg.variety.dim:
+        raise UnsupportedVarietyError(f"cohomology degree {args.i} out of range "
+                                      f"0..{cfg.variety.dim}")
+    engine = SheafCohomology(cfg.sheaf)
+    return lambda c: engine.cech_twisted(c)[args.i]
 
 
 def _region_json(region) -> dict:
@@ -165,28 +152,22 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_hilbert_poly(args) -> int:
-    cfg = _load_validated(args)
-    poly = hilbert.hilbert_polynomial(cfg.sheaf)
+    poly = hilbert.hilbert_polynomial(_load_validated(args).sheaf)
     text = format_polynomial(poly, ("p", "q"))
     payload = {
         "variables": ["p", "q"],
-        "terms": [
-            {"exponents": list(exps), "coefficient": str(poly.coeffs[exps])}
-            for exps in graded_exponents(poly)
-        ],
+        "terms": [{"exponents": list(exps), "coefficient": str(poly.coeffs[exps])}
+                  for exps in graded_exponents(poly)],
         "text": text,
     }
     return _emit(args, f"P(p, q) = {text}\n", payload)
 
 
 def _cmd_monomial_sigma(args) -> int:
+    blocks = [block.split(",") for block in args.generators.split(";") if block.strip()]
     try:
-        generators = [
-            tuple(int(x) for x in block.split(","))
-            for block in args.generators.split(";")
-            if block.strip()
-        ]
-    except ValueError:
+        generators = [tuple(map(_int, block)) for block in blocks]
+    except argparse.ArgumentTypeError:
         raise ConfigError("generators must look like '0,0,2;1,0,1;1,1,0'") from None
     names = [name.strip() for name in args.cone.split(",")] if args.cone else []
     try:
@@ -197,23 +178,17 @@ def _cmd_monomial_sigma(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     spans = [_parse_span(text) for text in args.d]
-    if len(spans) == 1 and variety.dim > 1:
-        spans = spans * variety.dim
+    if len(spans) == 1:
+        spans *= variety.dim
     if len(spans) != variety.dim:
         raise ConfigError(f"need a character range per coordinate ({variety.dim})")
     if variety.dim == 2:
-        d1_list = spans[0]
-        d2_list = list(reversed(spans[1]))
-        rows = [
-            [sigma_piece_dim(ideal, cone, (d1, d2)) for d1 in d1_list]
-            for d2 in d2_list
-        ]
+        d1_list, d2_list = spans[0], spans[1][::-1]
+        rows = [[sigma_piece_dim(ideal, cone, (d1, d2)) for d1 in d1_list] for d2 in d2_list]
         payload = {"d1": d1_list, "d2": d2_list, "values": rows}
         return _emit(args, _grid("d2\\d1", d1_list, d2_list, rows), payload)
-    records = [
-        {"character": list(m), "value": sigma_piece_dim(ideal, cone, m)}
-        for m in product(*spans)
-    ]
+    records = [{"character": list(m), "value": sigma_piece_dim(ideal, cone, m)}
+               for m in product(*spans)]
     lines = [",".join(map(str, [*rec["character"], rec["value"]])) for rec in records]
     return _emit(args, "\n".join(lines) + "\n", records)
 
@@ -227,69 +202,73 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# an option: its flag and the keywords of ``add_argument``
+_CONFIG = ("--config", {"required": True, "help": "JSON job configuration"})
+_OUTPUT = (
+    ("--out", {"help": "write output to this file instead of stdout"}),
+    ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+)
+_WINDOW = (
+    ("--p", {"help": "p range lo:hi, required (use --p=lo:hi for negatives)"}),
+    ("--q", {"help": "q range lo:hi, required on a rank-2 class group"}),
+)
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: ``run`` handles its arguments, or, for a table, ``cell``
+    makes the cell function from the config and the arguments and
+    ``in_omega`` adds the regularity-corner mask.  Its options are
+    ``inputs``, then the output options every command shares, then ``options``."""
+
+    name: str
+    help: str
+    run: Callable[[argparse.Namespace], int] | None = None
+    cell: Callable[[JobConfig, argparse.Namespace], Callable] | None = None
+    in_omega: bool = False
+    inputs: tuple = (_CONFIG,)
+    options: tuple = ()
+
+
+COMMANDS = (
+    _Command("validate", "check the filtration invariants", run=_cmd_validate),
+    _Command("h0-table", "global-section dimensions over a twist window", options=_WINDOW,
+             cell=lambda cfg, args: SheafCohomology(cfg.sheaf).h0_twisted),
+    _Command("cohomology-table", "h^i from the fan's cone complex over a twist window",
+             cell=_cohomology_cell, options=(
+                 *_WINDOW, ("--i", {"type": _int, "required": True, "help": "cohomology degree"}))),
+    _Command("euler-table", "Euler characteristics over a twist window", options=_WINDOW,
+             cell=lambda cfg, args: SheafCohomology(cfg.sheaf).chi_twisted),
+    _Command("hilbert-table", "Hilbert function by polytope counting", options=_WINDOW,
+             cell=lambda cfg, args: partial(hilbert.hilbert_function, cfg.sheaf), in_omega=True),
+    _Command("bounds", "support bounds and the regularity corner", run=_cmd_bounds),
+    _Command("hilbert-poly", "interpolated Hilbert polynomial", run=_cmd_hilbert_poly),
+    _Command("monomial-sigma", "0/1 cone pieces of a monomial ideal on P^n",
+             run=_cmd_monomial_sigma, inputs=(
+                 ("--n", {"type": _int, "required": True, "help": "projective dimension"}),
+                 ("--generators", {"required": True, "help": "exponents like '0,0,2;1,0,1'"}),
+                 ("--cone", {"default": "", "help": "comma-separated ray names; empty = zero cone"}),
+                 ("--d", {"nargs": "+", "required": True, "help": "character range(s) lo:hi"}),
+             )),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="toricsheaf",
         description="cohomology and Hilbert data of reflexive sheaves on toric varieties",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_config(p):
-        p.add_argument("--config", required=True, help="JSON job configuration")
-        p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    def add_window(p):
-        p.add_argument("--p", help="p range lo:hi, required (use --p=lo:hi for negatives)")
-        p.add_argument("--q", help="q range lo:hi, required on a rank-2 class group")
-
-    p = sub.add_parser("validate", help="check the filtration invariants")
-    add_config(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("h0-table", help="global-section dimensions over a twist window")
-    add_config(p)
-    add_window(p)
-    p.set_defaults(func=_cmd_h0_table)
-
-    p = sub.add_parser("cohomology-table", help="h^i from the fan's cone complex over a twist window")
-    add_config(p)
-    add_window(p)
-    p.add_argument("--i", type=int, required=True, help="cohomology degree")
-    p.set_defaults(func=_cmd_cohomology_table)
-
-    p = sub.add_parser("euler-table", help="Euler characteristics over a twist window")
-    add_config(p)
-    add_window(p)
-    p.set_defaults(func=_cmd_euler_table)
-
-    p = sub.add_parser("hilbert-table", help="Hilbert function by polytope counting")
-    add_config(p)
-    add_window(p)
-    p.set_defaults(func=_cmd_hilbert_table)
-
-    p = sub.add_parser("bounds", help="support bounds and the regularity corner")
-    add_config(p)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("hilbert-poly", help="interpolated Hilbert polynomial")
-    add_config(p)
-    p.set_defaults(func=_cmd_hilbert_poly)
-
-    p = sub.add_parser("monomial-sigma", help="0/1 cone pieces of a monomial ideal on P^n")
-    p.add_argument("--n", type=int, required=True, help="projective dimension")
-    p.add_argument("--generators", required=True, help="exponents like '0,0,2;1,0,1'")
-    p.add_argument("--cone", default="", help="comma-separated ray names; empty = zero cone")
-    p.add_argument("--d", nargs="+", required=True, help="character range(s) lo:hi")
-    p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_monomial_sigma)
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        for flag, keywords in (*command.inputs, *_OUTPUT, *command.options):
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=command.run or partial(_table, command))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

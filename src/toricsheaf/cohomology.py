@@ -87,7 +87,7 @@ from itertools import repeat
 from operator import add, mul
 from typing import Sequence
 
-from .filtration import EquivariantReflexiveSheaf, validate
+from .filtration import EquivariantReflexiveSheaf, require_valid
 from .polytopes import CharacterBox, _box_plan, _rowset_extremes, _walk_plan
 from .rational_linalg import Subspace, intersect, matrix_rank, subspace_sum
 # not called here; bench/selftest.py checks that the tracer patches these bindings
@@ -154,9 +154,7 @@ class SheafCohomology:
     def __init__(self, sheaf: EquivariantReflexiveSheaf):
         # levels and the support bounds read the jumps as sorted, and the
         # local numbers the spaces as a full, nested chain
-        problems = validate(sheaf)
-        if problems:
-            raise ValueError("; ".join(problems))
+        require_valid(sheaf)
         self.sheaf = sheaf
         self.variety = sheaf.variety
         self.rank = sheaf.rank

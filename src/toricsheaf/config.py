@@ -30,7 +30,58 @@ from pathlib import Path
 from .errors import ConfigError
 from .filtration import EquivariantReflexiveSheaf, KlyachkoFiltration
 from .rational_linalg import Subspace
-from .toric import ToricVariety, build_variety, config_int, config_keys
+from .toric import ToricVariety, hirzebruch, projective_space, split_bundle, strict_int
+
+
+def config_int(value, where: str) -> int:
+    """A configuration value that must be a JSON integer."""
+    return strict_int(value, where, ConfigError)
+
+
+def config_keys(data: dict, known: tuple[str, ...], where: str) -> None:
+    """Refuse a configuration object with a key outside ``known``."""
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise ConfigError(
+            f"unknown key{'s' if len(unknown) > 1 else ''} {', '.join(map(repr, unknown))} "
+            f"in {where}; expected {', '.join(map(repr, known))}"
+        )
+
+
+# the keys of a variety descriptor beside "family", per family
+_FAMILY_KEYS = {"projective": ("n",), "hirzebruch": ("a",), "split_bundle": ("s", "a")}
+
+
+def build_variety(descriptor: dict) -> ToricVariety:
+    """Build a variety from a configuration mapping.
+
+    Accepted forms: {"family": "projective", "n": 2},
+    {"family": "hirzebruch", "a": 3},
+    {"family": "split_bundle", "s": 1, "a": [3]}.
+    """
+    try:
+        family = descriptor["family"]
+    except (KeyError, TypeError):
+        raise ConfigError("variety descriptor needs a 'family' key") from None
+    if not isinstance(family, str) or family not in _FAMILY_KEYS:
+        raise ConfigError(f"unknown variety family {family!r}")
+    config_keys(descriptor, ("family", *_FAMILY_KEYS[family]), f"the {family} variety")
+    try:
+        if family == "projective":
+            return projective_space(config_int(descriptor["n"], "variety 'n'"))
+        if family == "hirzebruch":
+            return hirzebruch(config_int(descriptor["a"], "variety 'a'"))
+        weights = descriptor["a"]
+        if not isinstance(weights, list):
+            raise ConfigError(f"variety 'a' must be a list of integers, got {weights!r}")
+        return split_bundle(
+            config_int(descriptor["s"], "variety 's'"),
+            [config_int(x, "variety 'a' entry") for x in weights],
+        )
+    except KeyError as exc:
+        raise ConfigError(f"variety descriptor for {family!r} misses key {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,7 @@ def delta_normalization(
     """
     v = sheaf.variety
     split_data(v)  # raises UnsupportedVarietyError off the split bundles
+    require_valid(sheaf)
     delta = v.divisor_class([f.jumps[-1] for f in sheaf.filtrations])
     filts = tuple(f.shifted(f.jumps[-1]) for f in sheaf.filtrations)
     return delta, EquivariantReflexiveSheaf(v, sheaf.rank, filts)
@@ -172,10 +173,20 @@ def validate(sheaf: EquivariantReflexiveSheaf) -> list[str]:
     return list(_problems(sheaf))
 
 
+def require_valid(sheaf: EquivariantReflexiveSheaf) -> None:
+    """Refuse a sheaf that ``validate`` faults, with a ValueError naming
+    every problem.  Whatever reads the jumps as sorted, or the spaces as a
+    full nested chain, calls this first."""
+    problems = _problems(sheaf)
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 @lru_cache(maxsize=64)
 def _problems(sheaf: EquivariantReflexiveSheaf) -> tuple[str, ...]:
     """``validate``'s diagnostics, found once per sheaf: the CLI validates a
-    sheaf before it builds the engine, which validates it again."""
+    sheaf before it builds the engine, and every reader of the jump order
+    checks it again."""
     problems: list[str] = []
     for k, f in enumerate(sheaf.filtrations):
         name = sheaf.variety.ray_names[k]

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import cohomology
 from .errors import InternalConsistencyError
-from .filtration import EquivariantReflexiveSheaf
+from .filtration import EquivariantReflexiveSheaf, require_valid
 from .polytopes import MultiIndex, _multi_index, omega_system, psi_points
 from .rational_linalg import _over_lcm, _scalar, solve_square
 from .toric import split_data, strict_int
@@ -357,12 +357,14 @@ def _class_region(sheaf, coeffs, kind, index) -> SupportRegion:
 @lru_cache(maxsize=64)
 def lower_support_region(sheaf: EquivariantReflexiveSheaf) -> SupportRegion:
     """The region containing the whole support: D is the divisor of first jumps."""
+    require_valid(sheaf)
     return _class_region(sheaf, [f.jumps[0] for f in sheaf.filtrations], "L", None)
 
 
 @lru_cache(maxsize=64)
 def _upper_regions(sheaf: EquivariantReflexiveSheaf) -> tuple[SupportRegion, ...]:
     s, _ = split_data(sheaf.variety)
+    require_valid(sheaf)
     top = [f.jumps[-1] for f in sheaf.filtrations]
     regions = []
     for k, f in enumerate(sheaf.filtrations):
@@ -393,6 +395,7 @@ def regularity_thresholds(sheaf: EquivariantReflexiveSheaf) -> tuple[int, int]:
     of the class of the top jumps."""
     v = sheaf.variety
     s, _ = split_data(v)
+    require_valid(sheaf)
     top = [f.jumps[-1] for f in sheaf.filtrations]
     first = [f.jumps[0] for f in sheaf.filtrations]
     return v.divisor_class(top[:s + 1] + first[s + 1:])[0] - 1, v.divisor_class(top)[1] - 1
@@ -459,6 +462,7 @@ def rank1_hilbert_polynomial(sheaf: EquivariantReflexiveSheaf) -> RationalPolyno
     if sheaf.rank != 1:
         raise ValueError("closed form implemented for rank 1 only")
     s, a = split_data(sheaf.variety)
+    require_valid(sheaf)
     r = len(a)
     p_d, q_d = sheaf.variety.divisor_class([f.jumps[0] for f in sheaf.filtrations])
     # variables (Q, e_1..e_r, p): Q the eta budget, e the shifted eta slice

@@ -67,7 +67,7 @@ from operator import le, mul
 from typing import Iterator, Sequence
 
 from .errors import UnboundedSystemError
-from .filtration import EquivariantReflexiveSheaf
+from .filtration import EquivariantReflexiveSheaf, require_valid
 from .rational_linalg import _integer_inverse
 from .toric import split_data, strict_int
 # not called here; bench/selftest.py checks that the tracer patches this binding
@@ -169,6 +169,7 @@ def omega_system(
     Row k constrains <m, n(rho_k)> to the interval of level idx_k shifted by
     the twist-divisor coefficient of c on ray k.
     """
+    require_valid(sheaf)
     idx = _multi_index(sheaf, idx)
     v = sheaf.variety
     lower, upper = zip(*map(_split_interval, sheaf.filtrations, idx, v.twist_divisor(c)))
@@ -434,6 +435,7 @@ def psi_n(
 ) -> list[tuple[int, ...]]:
     """Integer solutions c in Z^r of the eta-ray block of the sliced system."""
     s, a = split_data(sheaf.variety)
+    require_valid(sheaf)
     r = len(a)
     q = strict_int(q, "q")
     n_idx = tuple(strict_int(i, "eta multi-index entry") for i in n_idx)
@@ -447,6 +449,7 @@ def psi_m_sliced(
 ) -> list[tuple[int, ...]]:
     """Integer solutions d in Z^s of the rho-ray block, for a fixed eta slice."""
     s, a = split_data(sheaf.variety)
+    require_valid(sheaf)
     p = strict_int(p, "p")
     m_idx = tuple(strict_int(i, "rho multi-index entry") for i in m_idx)
     if len(m_idx) != s + 1 or any(i < 1 or i > sheaf.rank for i in m_idx):

@@ -1,4 +1,5 @@
 """Tests for configuration parsing and the command-line interface."""
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from toricsheaf import load_config, parse_config
-from toricsheaf.cli import main
+from toricsheaf.cli import build_parser, main
 from toricsheaf.errors import ConfigError
 from toricsheaf.filtration import validate as validate_sheaf
 
@@ -238,18 +239,30 @@ def test_cli_table_without_its_window_is_refused(command, config, window, missin
     assert captured.err.startswith(f"error: {missing} is required")
 
 
-@pytest.mark.parametrize("command", [
-    ["validate", "--config", str(CONFIGS / "rank3_h3.json")],
-    ["h0-table", "--config", str(CONFIGS / "line_bundle_p2.json"), "--p=0:1"],
-    ["bounds", "--config", str(CONFIGS / "rank3_h3.json"), "--format", "json"],
-    ["hilbert-poly", "--config", str(CONFIGS / "rank3_h3.json")],
-    ["monomial-sigma", "--n", "1", "--generators", "1,0", "--d=0:1"],
-])
+# arguments on which each subcommand runs to its writer
+RUNNABLE = {
+    "validate": ["--config", str(CONFIGS / "rank3_h3.json")],
+    "h0-table": ["--config", str(CONFIGS / "line_bundle_p2.json"), "--p=0:1"],
+    "cohomology-table": ["--i", "1", "--config", str(CONFIGS / "rank3_h3.json"),
+                         "--p=0:1", "--q=0:1"],
+    "euler-table": ["--config", str(CONFIGS / "rank3_h3.json"), "--p=0:1", "--q=0:1"],
+    "hilbert-table": ["--config", str(CONFIGS / "rank3_h3.json"), "--p=5:6", "--q=0:1"],
+    "bounds": ["--config", str(CONFIGS / "rank3_h3.json"), "--format", "json"],
+    "hilbert-poly": ["--config", str(CONFIGS / "rank3_h3.json")],
+    "monomial-sigma": ["--n", "1", "--generators", "1,0", "--d=0:1"],
+}
+SUBCOMMANDS = next(
+    list(action.choices) for action in build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_cli_out_into_missing_directory_is_input_error(command, tmp_path, capsys):
     """An ``--out`` path that cannot be written ends in an error line and
-    exit 1, not a traceback."""
+    exit 1, not a traceback, on every subcommand the parser has."""
     target = tmp_path / "missing" / "x.txt"
-    code = main(command + ["--out", str(target)])
+    code = main([command, *RUNNABLE[command], "--out", str(target)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith(f"error: cannot write {target}: ")
@@ -393,11 +406,19 @@ def test_cli_installed_entry_point():
      "argument --i: invalid int value: 'x'"),
     (["frobnicate"], "invalid choice: 'frobnicate'"),
     ([], "the following arguments are required: command"),
+    (["cohomology-table", "--i", "\u0661", "--config", str(CONFIGS / "rank3_h3.json"), "--p=0:1"],
+     "argument --i: invalid int value: '\u0661'"),
+    (["monomial-sigma", "--n", "1_0", "--generators", "1,0", "--d=0:1"],
+     "argument --n: invalid int value: '1_0'"),
+    (["monomial-sigma", "--n= 2", "--generators", "1,0,0", "--d=0:1"],
+     "argument --n: invalid int value: ' 2'"),
 ])
 def test_cli_usage_error_exits_one(args, message, capsys):
     """argparse exits 2 on a usage error, but here 2 means an unsupported
     computation: a usage error is invalid input, exit 1, with the usage and
-    an error line on stderr."""
+    an error line on stderr.  An integer option takes only a plain ASCII
+    integer: '1_0', ' 2' and non-ASCII digits, which ``int`` accepts, are
+    usage errors."""
     with pytest.raises(SystemExit) as exc:
         main(args)
     captured = capsys.readouterr()

@@ -9,10 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricsheaf import (
+    EquivariantReflexiveSheaf,
     HalfPlane,
+    KlyachkoFiltration,
     RationalPolynomial,
     SheafCohomology,
+    Subspace,
     SupportRegion,
+    assemble_slices,
     bernoulli_number,
     bernoulli_polynomial,
     delta_normalization,
@@ -28,14 +32,19 @@ from toricsheaf import (
     intersection_dim,
     line_bundle,
     lower_support_region,
+    omega_system,
     projective_space,
+    psi_m_sliced,
+    psi_n,
     rank1_hilbert_polynomial,
     regularity_region,
     regularity_thresholds,
     simplex_sum,
+    span,
     split_bundle,
     structure_sheaf,
     upper_support_regions,
+    validate,
 )
 from toricsheaf import cohomology, hilbert
 from toricsheaf.errors import InternalConsistencyError, UnsupportedVarietyError
@@ -611,3 +620,43 @@ def test_rank1_closed_form_matches_interpolation():
         for _ in range(3):
             sheaf = random_sheaf(rng, v, 1)
             assert rank1_hilbert_polynomial(sheaf) == hilbert_polynomial(sheaf)
+
+
+_NESTED = KlyachkoFiltration((-1, 0), (span([(1, 0)], 2), Subspace.full(2)))
+# H_1 whose rho0 jumps (0, -1) are not sorted
+UNSORTED_H1 = EquivariantReflexiveSheaf(hirzebruch(1), 2, (
+    KlyachkoFiltration((0, -1), _NESTED.spaces), _NESTED, _NESTED, _NESTED,
+))
+# a rank-1 sheaf has one jump per ray, so its fault is rho0's zero space
+ZERO_SPACE_H1 = EquivariantReflexiveSheaf(hirzebruch(1), 1, (
+    KlyachkoFiltration((0,), (Subspace.zero(1),)),
+    *[KlyachkoFiltration((0,), (Subspace.full(1),))] * 3,
+))
+
+
+READERS = [
+    (regularity_thresholds, UNSORTED_H1, ()),
+    (regularity_region, UNSORTED_H1, ()),
+    (lower_support_region, UNSORTED_H1, ()),
+    (upper_support_regions, UNSORTED_H1, ()),
+    (in_support_lower_bound, UNSORTED_H1, (0, 0)),
+    (in_support_upper_bound, UNSORTED_H1, (0, 0)),
+    (delta_normalization, UNSORTED_H1, ()),
+    (omega_system, UNSORTED_H1, ((1, 1, 1, 1), (0, 0))),
+    (psi_n, UNSORTED_H1, ((1, 1), 0)),
+    (psi_m_sliced, UNSORTED_H1, ((1, 1), 0, (0,))),
+    (assemble_slices, UNSORTED_H1, ((1, 1, 1, 1), 0, 0)),
+    (rank1_hilbert_polynomial, ZERO_SPACE_H1, ()),
+]
+
+
+@pytest.mark.parametrize("reader, sheaf, args", READERS, ids=[r.__name__ for r, *_ in READERS])
+def test_readers_of_the_jump_order_refuse_an_invalid_sheaf(reader, sheaf, args):
+    """Every reader of a sheaf's jump order, or of its spaces as a full
+    nested chain, refuses a sheaf that ``validate`` faults, as the engine
+    does; on the unsorted sheaf they once gave thresholds (-1, -1), a
+    system, and an assembled count of 0."""
+    problems = validate(sheaf)
+    assert problems
+    with pytest.raises(ValueError, match=re.escape("; ".join(problems))):
+        reader(sheaf, *args)
