@@ -177,7 +177,8 @@ def _cmd_monomial_sigma(args) -> int:
         cone = variety.check_cone(Cone(indices, variety.dim - len(indices)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    spans = [_parse_span(text) for text in args.d]
+    # one word per range, or ranges joined by commas, as in --d=-1:0,0:1
+    spans = [_parse_span(text) for word in args.d for text in word.split(",")]
     if len(spans) == 1:
         spans *= variety.dim
     if len(spans) != variety.dim:
@@ -248,7 +249,7 @@ COMMANDS = (
                  ("--n", {"type": _int, "required": True, "help": "projective dimension"}),
                  ("--generators", {"required": True, "help": "exponents like '0,0,2;1,0,1'"}),
                  ("--cone", {"default": "", "help": "comma-separated ray names; empty = zero cone"}),
-                 ("--d", {"nargs": "+", "required": True, "help": "character range(s) lo:hi"}),
+                 ("--d", {"nargs": "+", "required": True, "help": "character range(s) lo:hi[,lo:hi...]"}),
              )),
 )
 

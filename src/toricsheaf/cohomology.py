@@ -113,7 +113,9 @@ def enumeration_box(
     box.  The box is read off the extremes of each rowset's vertices, none
     of them listed."""
     v = sheaf.variety
-    shifts = (0,) * v.ray_count if shifts is None else _checked_shifts(shifts, v.ray_count)
+    if shifts is None:
+        shifts = (0,) * v.ray_count
+    shifts = strict_ints(shifts, "shift", v.ray_count, "shifts")
     jumps = tuple(f.jumps for f in sheaf.filtrations)
     floors, ceilings = [], []
     for rowset, inverse, d, low, high in _rowset_extremes(v.rays, jumps):
@@ -123,13 +125,6 @@ def enumeration_box(
         floors.append([(lo - o) // d for lo, o in zip(low, offsets)])
         ceilings.append([-((o - hi) // d) for hi, o in zip(high, offsets)])
     return CharacterBox(tuple(map(min, zip(*floors))), tuple(map(max, zip(*ceilings))))
-
-
-def _checked_shifts(shifts: Sequence[int], count: int) -> Sequence[int]:
-    """The twist's divisor coefficients, one integer per ray."""
-    if len(shifts) != count:
-        raise ValueError(f"shifts must have length {count}")
-    return strict_ints(shifts, "shift")
 
 
 def _cached_by_levels(local):
@@ -166,13 +161,12 @@ class SheafCohomology:
 
     def levels(self, m: Sequence[int], shifts: Sequence[int] | None = None) -> tuple[int, ...]:
         """Per ray, the number of jumps <= <m, n(ray)> + shift; 0 is the zero space."""
-        if len(m) != self.variety.dim:
-            raise ValueError(f"character must have length {self.variety.dim}")
-        strict_ints(m, "character entry")
-        shifts = repeat(0) if shifts is None else _checked_shifts(shifts, self.variety.ray_count)
+        v = self.variety
+        m = strict_ints(m, "character entry", v.dim, "character")
+        shifts = repeat(0) if shifts is None else strict_ints(shifts, "shift", v.ray_count, "shifts")
         return tuple(
             bisect_right(jumps, sum(map(mul, m, ray)) + shift)
-            for jumps, ray, shift in zip(self._jumps, self.variety.rays, shifts)
+            for jumps, ray, shift in zip(self._jumps, v.rays, shifts)
         )
 
     def histogram(self, c: Sequence[int]) -> dict[tuple[int, ...], int]:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .rational_linalg import Subspace
-from .toric import ToricVariety, split_data, strict_int
+from .toric import ToricVariety, split_data, strict_int, strict_ints
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class KlyachkoFiltration:
     spaces: tuple[Subspace, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "jumps", tuple(strict_int(j, "jump") for j in self.jumps))
+        object.__setattr__(self, "jumps", strict_ints(self.jumps, "jump"))
         object.__setattr__(self, "spaces", tuple(self.spaces))
         if len(self.jumps) != len(self.spaces):
             raise ValueError("need one subspace per jump")
@@ -59,7 +59,7 @@ class KlyachkoFiltration:
 
     def shifted(self, offset: int) -> "KlyachkoFiltration":
         """Same spaces with every jump moved by -offset (twist by a_ray = offset)."""
-        if offset == 0:
+        if strict_int(offset, "offset") == 0:
             return self
         return KlyachkoFiltration(tuple(j - offset for j in self.jumps), self.spaces)
 
@@ -94,9 +94,8 @@ class EquivariantReflexiveSheaf:
 
 def line_bundle(variety: ToricVariety, divisor_coeffs: Sequence[int]) -> EquivariantReflexiveSheaf:
     """O(D) for D = sum a_ray D_ray: rank 1, jump -a_ray, full space, per ray."""
-    coeffs = [strict_int(a, "divisor coefficient") for a in divisor_coeffs]
-    if len(coeffs) != variety.ray_count:
-        raise ValueError("need one divisor coefficient per ray")
+    coeffs = strict_ints(divisor_coeffs, "divisor coefficient",
+                         variety.ray_count, "divisor coefficients")
     full = Subspace.full(1)
     filts = tuple(KlyachkoFiltration((-a,), (full,)) for a in coeffs)
     return EquivariantReflexiveSheaf(variety, 1, filts)
@@ -140,9 +139,7 @@ class PresentationDegrees:
 
     def __post_init__(self):
         for name in ("generator_degrees", "relation_degrees"):
-            degrees = tuple(
-                tuple(strict_int(x, "presentation degree") for x in d) for d in getattr(self, name)
-            )
+            degrees = tuple(strict_ints(d, "presentation degree") for d in getattr(self, name))
             object.__setattr__(self, name, degrees)
         if len({len(d) for d in self.generator_degrees + self.relation_degrees}) > 1:
             raise ValueError("all degree vectors must have the same length")

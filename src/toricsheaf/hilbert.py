@@ -27,7 +27,7 @@ from .errors import InternalConsistencyError
 from .filtration import EquivariantReflexiveSheaf, require_valid
 from .polytopes import MultiIndex, _multi_index, omega_system, psi_points
 from .rational_linalg import _over_lcm, _scalar, solve_square
-from .toric import split_data, strict_int
+from .toric import split_data, strict_int, strict_ints
 
 
 class RationalPolynomial:
@@ -42,7 +42,7 @@ class RationalPolynomial:
             c = _scalar(c)
             if c == 0:
                 continue
-            exps = tuple(strict_int(e, "exponent") for e in exps)
+            exps = strict_ints(exps, "exponent")
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError("exponent tuples must be non-negative and match nvars")
             clean[exps] = clean.get(exps, Fraction(0)) + c
@@ -50,10 +50,12 @@ class RationalPolynomial:
 
     @classmethod
     def constant(cls, value, nvars: int = 1) -> "RationalPolynomial":
-        return cls(nvars, {(0,) * nvars: _scalar(value)})
+        return cls(nvars, {(0,) * strict_int(nvars, "number of variables"): _scalar(value)})
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "RationalPolynomial":
+        if not 0 <= strict_int(index, "variable index") < strict_int(nvars, "number of variables"):
+            raise ValueError(f"variable index must lie in 0..{nvars - 1}, got {index}")
         exps = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, {exps: Fraction(1)})
 
@@ -62,6 +64,7 @@ class RationalPolynomial:
         return max((sum(e) for e in self.coeffs), default=0)
 
     def degree_in(self, index: int) -> int:
+        strict_int(index, "variable index")
         return max((e[index] for e in self.coeffs), default=0)
 
     def is_zero(self) -> bool:

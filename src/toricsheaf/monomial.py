@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .toric import Cone, ToricVariety, projective_space, strict_int
+from .toric import Cone, ToricVariety, projective_space, strict_int, strict_ints
 
 
 @dataclass(frozen=True)
@@ -22,19 +22,16 @@ class MonomialIdeal:
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        strict_int(self.n, "projective dimension")
-        object.__setattr__(self, "generators", tuple(
-            tuple(strict_int(e, "generator exponent") for e in g) for g in self.generators
-        ))
-        if self.n < 1:
+        if strict_int(self.n, "projective dimension") < 1:
             raise ValueError("need projective dimension n >= 1")
+        object.__setattr__(self, "generators", tuple(
+            strict_ints(g, "generator exponent", self.n + 1, "generator exponents")
+            for g in self.generators
+        ))
         if not self.generators:
             raise ValueError("need at least one generator")
-        for g in self.generators:
-            if len(g) != self.n + 1:
-                raise ValueError(f"generator exponents must have length {self.n + 1}")
-            if any(e < 0 for e in g):
-                raise ValueError("generator exponents must be non-negative")
+        if any(e < 0 for g in self.generators for e in g):
+            raise ValueError("generator exponents must be non-negative")
 
     def variety(self) -> ToricVariety:
         return self._variety

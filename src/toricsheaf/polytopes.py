@@ -69,7 +69,7 @@ from typing import Iterator, Sequence
 from .errors import UnboundedSystemError
 from .filtration import EquivariantReflexiveSheaf, require_valid
 from .rational_linalg import _integer_inverse
-from .toric import split_data, strict_int
+from .toric import _checked_weights, split_data, strict_int, strict_ints
 # not called here; bench/selftest.py checks that the tracer patches this binding
 from .rational_linalg import solve_square
 
@@ -85,8 +85,7 @@ class CharacterBox:
 
     def __post_init__(self):
         for name in ("lower", "upper"):
-            bounds = tuple(strict_int(x, "box bound") for x in getattr(self, name))
-            object.__setattr__(self, name, bounds)
+            object.__setattr__(self, name, strict_ints(getattr(self, name), "box bound"))
         if len(self.lower) != len(self.upper):
             raise ValueError("bound tuples must have equal length")
         if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
@@ -97,8 +96,7 @@ class CharacterBox:
         return product(*ranges)
 
     def __contains__(self, m: Sequence[int]) -> bool:
-        if len(m) != len(self.lower):
-            raise ValueError(f"character must have length {len(self.lower)}")
+        m = strict_ints(m, "character entry", len(self.lower), "character")
         return all(lo <= x <= hi for x, lo, hi in zip(m, self.lower, self.upper))
 
 
@@ -112,17 +110,14 @@ class IntervalConstraintSystem:
         def checked(values, where):
             return tuple(None if x is None else strict_int(x, where) for x in values)
 
-        object.__setattr__(self, "rows", tuple(
-            tuple(strict_int(x, "constraint row entry") for x in r) for r in self.rows
-        ))
+        width = len(self.rows[0]) if self.rows else 0
+        rows = tuple(strict_ints(r, "constraint row entry", width, "constraint row")
+                     for r in self.rows)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "lower", checked(self.lower, "lower bound"))
         object.__setattr__(self, "upper", checked(self.upper, "upper bound"))
         if not (len(self.rows) == len(self.lower) == len(self.upper)):
             raise ValueError("rows, lower and upper must have equal lengths")
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
-                raise ValueError("constraint rows must have equal lengths")
 
     @property
     def nvars(self) -> int:
@@ -135,6 +130,7 @@ class IntervalConstraintSystem:
         )
 
     def satisfied_by(self, point: Sequence[int]) -> bool:
+        point = strict_ints(point, "point entry", self.nvars, "point")
         for row, lo, up in zip(self.rows, self.lower, self.upper):
             value = sum(a * x for a, x in zip(row, point))
             if lo is not None and value < lo:
@@ -144,12 +140,15 @@ class IntervalConstraintSystem:
         return True
 
 
-def _multi_index(sheaf: EquivariantReflexiveSheaf, idx: Sequence[int]) -> MultiIndex:
-    idx = tuple(strict_int(i, "multi-index entry") for i in idx)
-    if len(idx) != sheaf.variety.ray_count:
-        raise ValueError("multi-index needs one entry per ray")
+def _multi_index(
+    sheaf: EquivariantReflexiveSheaf, idx: Sequence[int], length: int | None = None,
+    name: str = "multi-index",
+) -> MultiIndex:
+    """Levels in 1..rank, one per ray unless another ``length`` is given."""
+    length = sheaf.variety.ray_count if length is None else length
+    idx = strict_ints(idx, f"{name} entry", length, name)
     if any(i < 1 or i > sheaf.rank for i in idx):
-        raise ValueError(f"multi-index entries must lie in 1..{sheaf.rank}")
+        raise ValueError(f"{name} entries must lie in 1..{sheaf.rank}")
     return idx
 
 
@@ -403,22 +402,11 @@ def feasible_metasystem(
     B = -mu_0 - ... - mu_r.
     """
     a = _checked_weights(a_list)
-    lambdas = [strict_int(x, "lambda") for x in lambdas]
-    mus = [strict_int(x, "mu") for x in mus]
-    if len(mus) != len(a) + 1:
-        raise ValueError("need one mu per eta ray (mu_0 .. mu_r)")
+    lambdas = strict_ints(lambdas, "lambda")
+    mus = strict_ints(mus, "mu", len(a) + 1, "mus")
     B = -sum(mus)
     A = sum(lambdas) - sum(au * mu for au, mu in zip(a, mus[1:]))
     return B >= 0 and A <= a[-1] * B
-
-
-def _checked_weights(a_list: Sequence[int]) -> list[int]:
-    a = [strict_int(x, "twist weight") for x in a_list]
-    if not a:
-        raise ValueError("need at least one weight")
-    if any(x < 0 for x in a) or any(a[i] > a[i + 1] for i in range(len(a) - 1)):
-        raise ValueError("weights must satisfy 0 <= a1 <= ... <= ar")
-    return a
 
 
 def _simplex_block(filtrations, idx: MultiIndex, shift: int) -> list[tuple[int, ...]]:
@@ -436,11 +424,8 @@ def psi_n(
     """Integer solutions c in Z^r of the eta-ray block of the sliced system."""
     s, a = split_data(sheaf.variety)
     require_valid(sheaf)
-    r = len(a)
     q = strict_int(q, "q")
-    n_idx = tuple(strict_int(i, "eta multi-index entry") for i in n_idx)
-    if len(n_idx) != r + 1 or any(i < 1 or i > sheaf.rank for i in n_idx):
-        raise ValueError(f"eta multi-index needs {r + 1} entries in 1..{sheaf.rank}")
+    n_idx = _multi_index(sheaf, n_idx, len(a) + 1, "eta multi-index")
     return _simplex_block(sheaf.eta_filtrations(), n_idx, q)
 
 
@@ -451,12 +436,8 @@ def psi_m_sliced(
     s, a = split_data(sheaf.variety)
     require_valid(sheaf)
     p = strict_int(p, "p")
-    m_idx = tuple(strict_int(i, "rho multi-index entry") for i in m_idx)
-    if len(m_idx) != s + 1 or any(i < 1 or i > sheaf.rank for i in m_idx):
-        raise ValueError(f"rho multi-index needs {s + 1} entries in 1..{sheaf.rank}")
-    c_vec = tuple(strict_int(x, "slice vector entry") for x in c_vec)
-    if len(c_vec) != len(a):
-        raise ValueError("slice vector needs one entry per twist weight")
+    m_idx = _multi_index(sheaf, m_idx, s + 1, "rho multi-index")
+    c_vec = strict_ints(c_vec, "slice vector entry", len(a), "slice vector")
     weighted = sum(au * cu for au, cu in zip(a, c_vec))
     return _simplex_block(sheaf.rho_filtrations(), m_idx, p + weighted)
 

@@ -52,7 +52,11 @@ def _scalar(x: Scalar | str) -> Fraction:
 
 def as_vector(entries: Iterable[Scalar | str], length: int | None = None) -> Vector:
     """Coerce entries (ints, Fractions or 'p/q' strings) to an exact vector."""
-    v = tuple(map(_scalar, entries))
+    return _sized(tuple(map(_scalar, entries)), length)
+
+
+def _sized(v, length: int | None):
+    """The vector v, refused unless it has the given length, if any."""
     if length is not None and len(v) != length:
         raise ValueError(f"expected vector of length {length}, got {len(v)}")
     return v
@@ -72,10 +76,7 @@ def _over_lcm(entries: Iterable[Scalar | str]) -> tuple[list[int], int]:
 def _integer_row(entries: Iterable[Scalar | str], length: int | None = None) -> list[int]:
     """The entries scaled by the lcm of their denominators: integers with
     the same span."""
-    row = _over_lcm(entries)[0]
-    if length is not None and len(row) != length:
-        raise ValueError(f"expected vector of length {length}, got {len(row)}")
-    return row
+    return _sized(_over_lcm(entries)[0], length)
 
 
 def _cleared(row: list[int], lead: list[int], col: int) -> list[int]:
@@ -194,6 +195,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
+        strict_int(ambient_dim, "ambient dimension")
         rows = [[1 if i == j else 0 for j in range(ambient_dim)] for i in range(ambient_dim)]
         return cls(ambient_dim, rows)
 

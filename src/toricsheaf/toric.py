@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from operator import mul
-from typing import Sequence
+from operator import gt, mul
+from typing import Iterable, Sequence
 
 from .errors import UnsupportedVarietyError
 
@@ -33,7 +33,7 @@ class Cone:
     codim: int
 
     def __post_init__(self):
-        rays = tuple(sorted(strict_int(k, "cone ray index") for k in self.ray_indices))
+        rays = tuple(sorted(strict_ints(self.ray_indices, "cone ray index")))
         strict_int(self.codim, "cone codimension")
         if len(set(rays)) != len(rays):
             raise ValueError(f"cone rays must be distinct, got {self.ray_indices}")
@@ -54,6 +54,17 @@ class ToricVariety:
     split_s: int | None = None
     split_a: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        dim, rank = strict_int(self.dim, "dimension"), strict_int(self.class_rank, "class rank")
+        rays = tuple(strict_ints(r, "ray entry", dim, "ray") for r in self.rays)
+        degrees = tuple(strict_ints(d, "degree entry", rank, "degree") for d in self.degrees)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "degrees", degrees)
+        if self.split_s is not None:
+            strict_int(self.split_s, "split bundle s")
+        if self.split_a is not None:
+            object.__setattr__(self, "split_a", _checked_weights(self.split_a))
+
     @property
     def ray_count(self) -> int:
         return len(self.rays)
@@ -64,11 +75,10 @@ class ToricVariety:
 
     def pairing(self, m: Sequence[int], ray_index: int) -> int:
         """<m, n(rho)> for the indexed ray and an integer character m."""
+        if not 0 <= strict_int(ray_index, "ray index") < self.ray_count:
+            raise ValueError(f"ray index must lie in 0..{self.ray_count - 1}, got {ray_index}")
         ray = self.rays[ray_index]
-        if len(m) != self.dim:
-            raise ValueError(f"character must have length {self.dim}")
-        strict_ints(m, "character entry")
-        return sum(map(mul, m, ray))
+        return sum(map(mul, strict_ints(m, "character entry", self.dim, "character"), ray))
 
     def character_embedding(self, m: Sequence[int]) -> tuple[int, ...]:
         """The tuple of pairings over all rays, i.e. the multidegree of chi^m."""
@@ -103,14 +113,11 @@ class ToricVariety:
         return _Fan(self.dim, self.ray_count, tuple(cones))
 
     def check_class(self, c: Sequence[int]) -> tuple[int, ...]:
-        c = tuple(strict_int(x, "class element entry") for x in c)
-        if len(c) != self.class_rank:
-            raise ValueError(f"class element must have length {self.class_rank}")
-        return c
+        return strict_ints(c, "class element entry", self.class_rank, "class element")
 
     def divisor_class(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         """The class sum_k coeffs_k [D_k] of a torus-invariant divisor."""
-        coeffs = [strict_int(x, "divisor coefficient") for x in coeffs]
+        coeffs = strict_ints(coeffs, "divisor coefficient")
         if len(coeffs) != self.ray_count:
             raise ValueError(f"need {self.ray_count} divisor coefficients, one per ray")
         return tuple(sum(map(mul, coeffs, column)) for column in zip(*self.degrees))
@@ -170,13 +177,10 @@ def projective_space(n: int) -> ToricVariety:
 
 
 def split_bundle(s: int, a_list: Sequence[int]) -> ToricVariety:
-    s = strict_int(s, "split bundle s")
-    a = tuple(strict_int(x, "twist weight") for x in a_list)
+    if strict_int(s, "split bundle s") < 1:
+        raise ValueError("split bundle needs s >= 1")
+    a = _checked_weights(a_list)
     r = len(a)
-    if s < 1 or r < 1:
-        raise ValueError("split bundle needs s >= 1 and at least one twist weight")
-    if any(x < 0 for x in a) or any(a[i] > a[i + 1] for i in range(r - 1)):
-        raise ValueError("twist weights must satisfy 0 <= a1 <= ... <= ar")
     dim = s + r
     rays: list[tuple[int, ...]] = []
     rays.append(tuple([-1] * s + list(a)))
@@ -219,10 +223,28 @@ def strict_int(value, where: str, error: type[ValueError] = ValueError) -> int:
     return value
 
 
-def strict_ints(values: Sequence, where: str) -> Sequence[int]:
-    """The values, each checked by ``strict_int``; a sequence of plain ints
-    costs one scan of the entry types."""
+def strict_ints(
+    values: Iterable, where: str, length: int | None = None, name: str | None = None
+) -> tuple[int, ...]:
+    """The values as a tuple, each checked by ``strict_int`` with ``where``.
+    Given a ``length``, a tuple of another length is refused first, as
+    "<name> must have length <length>".  A sequence of plain ints costs one
+    scan of the entry types."""
+    values = tuple(values)
+    if length is not None and len(values) != length:
+        raise ValueError(f"{name} must have length {length}")
     if not {int}.issuperset(map(type, values)):
         for x in values:
             strict_int(x, where)
     return values
+
+
+def _checked_weights(a_list: Iterable) -> tuple[int, ...]:
+    """The twist weights a_1, ..., a_r of V_s(a): at least one, with
+    0 <= a1 <= ... <= ar."""
+    a = strict_ints(a_list, "twist weight")
+    if not a:
+        raise ValueError("need at least one twist weight")
+    if a[0] < 0 or any(map(gt, a, a[1:])):
+        raise ValueError("twist weights must satisfy 0 <= a1 <= ... <= ar")
+    return a

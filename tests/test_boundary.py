@@ -1,0 +1,230 @@
+"""Every public name that reads an integer refuses a float, a bool and a
+numeric string, by the name of the argument, never coercing them.
+
+``CALLS`` holds one valid call for each function and class of
+``toricsheaf.__all__`` that takes an integer or a sequence of integers,
+and for each public method of an exported class that does, keyed by
+``name`` or ``Class.method``: the callable, its arguments, and for each
+integer argument its position and the ``where`` text of its refusal,
+"<where> must be an integer, got <value>".  In a sequence, and in a
+sequence of sequences, the first integer is the one replaced.
+"""
+import re
+
+import pytest
+
+import toricsheaf
+from toricsheaf import (
+    CharacterBox,
+    Cone,
+    EquivariantReflexiveSheaf,
+    HalfPlane,
+    IntervalConstraintSystem,
+    KlyachkoFiltration,
+    MonomialIdeal,
+    PresentationDegrees,
+    RationalPolynomial,
+    SheafCohomology,
+    Subspace,
+    SupportRegion,
+    ToricVariety,
+    assemble_slices,
+    bernoulli_number,
+    bernoulli_polynomial,
+    enumeration_box,
+    euler_characteristic,
+    faulhaber_sum,
+    feasible_metasystem,
+    feasible_system1,
+    hilbert_function,
+    hirzebruch,
+    in_support_lower_bound,
+    in_support_upper_bound,
+    intersection_dim,
+    line_bundle,
+    omega_system,
+    projective_space,
+    psi_m_sliced,
+    psi_n,
+    sigma_piece,
+    sigma_piece_dim,
+    simplex_sum,
+    span,
+    split_bundle,
+    structure_sheaf,
+    twist,
+)
+
+from conftest import rank3_example_sheaf
+
+P2 = projective_space(2)
+H0 = hirzebruch(0)
+SHEAF = rank3_example_sheaf()     # rank 3 on H_3: four rays, characters and classes in Z^2
+ENGINE = SheafCohomology(SHEAF)
+FILTRATION = KlyachkoFiltration((0, 2), (span([(1, 0)], 2), Subspace.full(2)))
+HALF = HalfPlane(1, 0, 0)
+X = RationalPolynomial.variable(0, 2)
+
+CALLS = {
+    "CharacterBox": (CharacterBox, ((0, 0), (2, 2)), {0: "box bound", 1: "box bound"}),
+    "CharacterBox.__contains__": (
+        CharacterBox((0, 0), (2, 2)).__contains__, ((1, 1),), {0: "character entry"}),
+    "Cone": (Cone, ((0,), 1), {0: "cone ray index", 1: "cone codimension"}),
+    "EquivariantReflexiveSheaf": (
+        EquivariantReflexiveSheaf, (P2, 1, structure_sheaf(P2).filtrations), {1: "sheaf rank"}),
+    "HalfPlane": (HalfPlane, (1, 0, 0), {0: "p_coeff", 1: "q_coeff", 2: "bound"}),
+    "HalfPlane.contains": (HALF.contains, (1, 0), {0: "p", 1: "q"}),
+    "IntervalConstraintSystem": (
+        IntervalConstraintSystem, (((1, 0), (0, 1)), (0, 0), (2, None)),
+        {0: "constraint row entry", 1: "lower bound", 2: "upper bound"}),
+    "IntervalConstraintSystem.satisfied_by": (
+        IntervalConstraintSystem(((1, 0), (0, 1)), (0, 0), (2, 2)).satisfied_by, ((1, 1),),
+        {0: "point entry"}),
+    "KlyachkoFiltration": (KlyachkoFiltration, ((0, 2), FILTRATION.spaces), {0: "jump"}),
+    "KlyachkoFiltration.level": (FILTRATION.level, (1,), {0: "filtration position"}),
+    "KlyachkoFiltration.evaluate": (FILTRATION.evaluate, (1,), {0: "filtration position"}),
+    "KlyachkoFiltration.space_at_level": (FILTRATION.space_at_level, (1,), {0: "filtration level"}),
+    "KlyachkoFiltration.shifted": (FILTRATION.shifted, (1,), {0: "offset"}),
+    "MonomialIdeal": (
+        MonomialIdeal, (2, ((0, 0, 2), (1, 0, 1))), {0: "projective dimension", 1: "generator exponent"}),
+    "PresentationDegrees": (
+        PresentationDegrees, (((0, 1),), ((2, 3),)), {0: "presentation degree", 1: "presentation degree"}),
+    "RationalPolynomial": (RationalPolynomial, (2,), {0: "number of variables"}),
+    "RationalPolynomial.constant": (RationalPolynomial.constant, (1, 2), {1: "number of variables"}),
+    "RationalPolynomial.variable": (
+        RationalPolynomial.variable, (0, 2), {0: "variable index", 1: "number of variables"}),
+    "RationalPolynomial.degree_in": (X.degree_in, (0,), {0: "variable index"}),
+    "RationalPolynomial.__pow__": (X.__pow__, (2,), {0: "power"}),
+    "SheafCohomology.levels": (ENGINE.levels, ((1, 0), (0, 0, 0, 0)), {0: "character entry", 1: "shift"}),
+    **{
+        f"SheafCohomology.{method}": (getattr(ENGINE, method), ((1, 0),), {0: "class element entry"})
+        for method in ("histogram", "h0_twisted", "hn_twisted", "chi_twisted", "cech_twisted",
+                       "h1_identity_twisted")
+    },
+    "Subspace": (Subspace, (2, ((1, 0),)), {0: "ambient dimension"}),
+    "Subspace.zero": (Subspace.zero, (2,), {0: "ambient dimension"}),
+    "Subspace.full": (Subspace.full, (2,), {0: "ambient dimension"}),
+    "SupportRegion": (SupportRegion, ("I", 1, (HALF, HALF)), {1: "index"}),
+    "SupportRegion.contains": (SupportRegion("I", 1, (HALF, HALF)).contains, (1, 0), {0: "p", 1: "q"}),
+    "ToricVariety": (
+        ToricVariety,
+        (H0.family, H0.dim, H0.rays, H0.ray_names, H0.class_rank, H0.degrees, H0.split_s, H0.split_a),
+        {1: "dimension", 2: "ray entry", 4: "class rank", 5: "degree entry", 6: "split bundle s",
+         7: "twist weight"}),
+    "ToricVariety.pairing": (P2.pairing, ((1, 0), 1), {0: "character entry", 1: "ray index"}),
+    "ToricVariety.character_embedding": (P2.character_embedding, ((1, 0),), {0: "character entry"}),
+    "ToricVariety.check_class": (H0.check_class, ((1, 0),), {0: "class element entry"}),
+    "ToricVariety.divisor_class": (H0.divisor_class, ((1, 0, 0, 0),), {0: "divisor coefficient"}),
+    "ToricVariety.twist_divisor": (H0.twist_divisor, ((1, 0),), {0: "class element entry"}),
+    "assemble_slices": (
+        assemble_slices, (SHEAF, (3, 1, 3, 3), 30, 3), {1: "multi-index entry", 2: "p", 3: "q"}),
+    "bernoulli_number": (bernoulli_number, (3,), {0: "index"}),
+    "bernoulli_polynomial": (bernoulli_polynomial, (3,), {0: "index"}),
+    "enumeration_box": (enumeration_box, (SHEAF, (0, 0, 0, 0)), {1: "shift"}),
+    "euler_characteristic": (euler_characteristic, (SHEAF, (1, 0)), {1: "class element entry"}),
+    "faulhaber_sum": (faulhaber_sum, (2,), {0: "exponent"}),
+    "feasible_metasystem": (
+        feasible_metasystem, ((1, 2), (0, 0), (0, 0, 0)), {0: "twist weight", 1: "lambda", 2: "mu"}),
+    "feasible_system1": (feasible_system1, ((1, 2), 1, 1), {0: "twist weight", 1: "A", 2: "B"}),
+    "hilbert_function": (hilbert_function, (SHEAF, (4, 0)), {1: "class element entry"}),
+    "hirzebruch": (hirzebruch, (3,), {0: "Hirzebruch parameter"}),
+    "in_support_lower_bound": (in_support_lower_bound, (SHEAF, 30, 3), {1: "p", 2: "q"}),
+    "in_support_upper_bound": (in_support_upper_bound, (SHEAF, 30, 3), {1: "p", 2: "q"}),
+    "intersection_dim": (intersection_dim, (SHEAF, (3, 1, 3, 3)), {1: "multi-index entry"}),
+    "line_bundle": (line_bundle, (P2, (1, 0, 0)), {1: "divisor coefficient"}),
+    "omega_system": (
+        omega_system, (SHEAF, (3, 1, 3, 3), (0, 0)), {1: "multi-index entry", 2: "class element entry"}),
+    "projective_space": (projective_space, (2,), {0: "projective space n"}),
+    "psi_m_sliced": (
+        psi_m_sliced, (SHEAF, (3, 1), 30, (0,)),
+        {1: "rho multi-index entry", 2: "p", 3: "slice vector entry"}),
+    "psi_n": (psi_n, (SHEAF, (3, 3), 3), {1: "eta multi-index entry", 2: "q"}),
+    "sigma_piece": (sigma_piece, (SHEAF, Cone((0,), 1), (1, 0)), {2: "character entry"}),
+    "sigma_piece_dim": (
+        sigma_piece_dim, (MonomialIdeal(2, ((0, 0, 2),)), Cone((0,), 1), (1, 0)), {2: "character entry"}),
+    "simplex_sum": (simplex_sum, (X, 1), {1: "number of summation variables"}),
+    "span": (span, (((1, 0),), 2), {1: "ambient dimension"}),
+    "split_bundle": (split_bundle, (1, (1, 2)), {0: "split bundle s", 1: "twist weight"}),
+    "twist": (twist, (SHEAF, (1, 0)), {1: "class element entry"}),
+}
+
+# the public names that take no integer: errors, configs, and functions of
+# sheaves, subspaces, systems or polynomials alone
+NO_INTEGER = {
+    "ConfigError", "InternalConsistencyError", "JobConfig", "UnboundedSystemError",
+    "UnsupportedVarietyError", "build_variety", "delta_normalization", "format_polynomial",
+    "hilbert_polynomial", "intersect", "jump_bounds_from_presentation", "load_config",
+    "lower_support_region", "parse_config", "psi_points", "rank1_hilbert_polynomial",
+    "regularity_region", "regularity_thresholds", "split_data", "structure_sheaf",
+    "subspace_sum", "upper_support_regions", "validate",
+}
+
+
+def with_first_integer(value, bad):
+    """The value with its first integer, depth first, replaced by ``bad``."""
+    if isinstance(value, int):
+        return bad
+    return (with_first_integer(value[0], bad), *value[1:])
+
+
+def test_the_table_covers_every_public_name():
+    covered = {key.partition(".")[0] for key in CALLS}
+    assert not covered & NO_INTEGER
+    assert sorted(covered | NO_INTEGER) == toricsheaf.__all__
+
+
+@pytest.mark.parametrize("key", CALLS)
+def test_each_call_of_the_table_is_valid(key):
+    call, args, _ = CALLS[key]
+    call(*args)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2"])
+@pytest.mark.parametrize("key, position", [
+    (key, position) for key, (_, _, integers) in CALLS.items() for position in integers
+])
+def test_each_integer_argument_refuses_a_float_a_bool_and_a_string(key, position, bad):
+    call, args, integers = CALLS[key]
+    args = list(args)
+    args[position] = with_first_integer(args[position], bad)
+    message = f"{integers[position]} must be an integer, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*args)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: P2.pairing((1, 0), -1), "ray index must lie in 0..2, got -1"),
+    (lambda: P2.pairing((1, 0), 3), "ray index must lie in 0..2, got 3"),
+    (lambda: RationalPolynomial.variable(2, 2), "variable index must lie in 0..1, got 2"),
+    (lambda: RationalPolynomial.variable(-1, 2), "variable index must lie in 0..1, got -1"),
+    (lambda: IntervalConstraintSystem(((1, 0),), (0,), (2,)).satisfied_by((1,)),
+     "point must have length 2"),
+    (lambda: ToricVariety("projective", 1, ((-1,), (1, 0)), ("rho0", "rho1"), 1, ((1,), (1,))),
+     "ray must have length 1"),
+    (lambda: ToricVariety("projective", 1, ((-1,), (1,)), ("rho0", "rho1"), 1, ((1,), (1, 0))),
+     "degree must have length 1"),
+    (lambda: IntervalConstraintSystem(((1, 0), (1,)), (0, 0), (1, 1)), "constraint row must have length 2"),
+    (lambda: line_bundle(P2, (1, 0)), "divisor coefficients must have length 3"),
+    (lambda: intersection_dim(SHEAF, (3, 1, 3)), "multi-index must have length 4"),
+    (lambda: intersection_dim(SHEAF, (3, 1, 3, 4)), "multi-index entries must lie in 1..3"),
+    (lambda: psi_n(SHEAF, (3,), 3), "eta multi-index must have length 2"),
+    (lambda: psi_n(SHEAF, (4, 3), 3), "eta multi-index entries must lie in 1..3"),
+    (lambda: psi_m_sliced(SHEAF, (3, 1, 1), 30, (0,)), "rho multi-index must have length 2"),
+    (lambda: psi_m_sliced(SHEAF, (0, 1), 30, (0,)), "rho multi-index entries must lie in 1..3"),
+    (lambda: psi_m_sliced(SHEAF, (3, 1), 30, (0, 0)), "slice vector must have length 1"),
+    (lambda: feasible_metasystem((1, 2), (0, 0), (0, 0)), "mus must have length 3"),
+    (lambda: feasible_system1((), 1, 1), "need at least one twist weight"),
+    (lambda: feasible_metasystem((2, 1), (0,), (0, 0, 0)),
+     "twist weights must satisfy 0 <= a1 <= ... <= ar"),
+    (lambda: split_bundle(1, ()), "need at least one twist weight"),
+    (lambda: split_bundle(0, (1,)), "split bundle needs s >= 1"),
+])
+def test_shapes_that_do_not_fit_are_refused_in_one_form(call, message):
+    """A negative or too large ray or variable index reads no other ray or
+    variable, and a point, ray or degree of the wrong length is not cut to
+    fit by ``zip``.  Every sequence of the wrong length is refused as
+    "<name> must have length <n>", every multi-index out of range as
+    "<name> entries must lie in 1..<rank>", and twist weights by one rule
+    wherever they are read."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -6,8 +6,9 @@ stdout and, for ``--out``, the exact file they produce.  A record that
 fails also gives its exit code and stderr; every other one exits 0 with
 nothing on stderr.  It covers every command in both formats, the empty
 window, a table without its window, the ``in_omega`` block,
-``monomial-sigma`` in one, two and three dimensions, and ranges and
-generators that are not plain ASCII integers.
+``monomial-sigma`` in one, two and three dimensions, with its ranges as
+separate words or joined by commas, and ranges and generators that are
+not plain ASCII integers.
 """
 import json
 from pathlib import Path

@@ -363,6 +363,19 @@ def test_cli_monomial_sigma_grid():
     assert row0 == "0,0,0,0,1,1"
 
 
+def test_cli_monomial_sigma_ranges_joined_by_commas():
+    """``--d=lo:hi,lo:hi`` gives one range per coordinate, a negative bound
+    included, and the same output as the ranges given as separate words."""
+    base = ["monomial-sigma", "--n", "2", "--generators", "0,0,2;1,0,1;1,1,0", "--cone", "rho1,rho2"]
+    assert run_cli(base + ["--d=0:1,0:2"]) == run_cli(base + ["--d", "0:1", "0:2"])
+    code, out = run_cli(base + ["--d=-2:0,-1:2"])
+    _, shared = run_cli(base + ["--d=-2:2"])
+    # the cells d1 in -2..0 and d2 in -1..2 of the window shared by both coordinates
+    rows = [line.split(",") for line in shared.splitlines()]
+    assert code == 0
+    assert [line.split(",") for line in out.splitlines()] == [row[:4] for row in rows[:5]]
+
+
 @pytest.mark.parametrize("args, message", [
     (["--n", "2", "--generators", "1,2"], "generator exponents must have length 3"),
     (["--n", "2", "--generators=-1,0,0"], "must be non-negative"),

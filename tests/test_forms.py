@@ -1,11 +1,21 @@
-"""Theorem checks on the sheaves of p-forms: Bott's formula on P^n."""
+"""Theorem checks on the sheaves of p-forms: Bott's formula on P^n and
+Danilov's formula for h^q(Omega^p) on every fan."""
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 
 import pytest
 
-from toricsheaf import SheafCohomology, line_bundle, projective_space, structure_sheaf, validate
+from toricsheaf import (
+    SheafCohomology,
+    hirzebruch,
+    line_bundle,
+    projective_space,
+    split_bundle,
+    structure_sheaf,
+    validate,
+)
 
 from conftest import forms_sheaf
 
@@ -31,7 +41,7 @@ def test_forms_sheaf_is_valid_and_ends_in_o_and_k(n):
     assert forms_sheaf(variety, n) == line_bundle(variety, [-1] * (n + 1))
 
 
-@pytest.mark.parametrize("n, p", [(n, p) for n in (2, 3) for p in range(n + 1)])
+@pytest.mark.parametrize("n, p", [(n, p) for n in (2, 3, 4) for p in range(n + 1)])
 def test_bott_formula_on_projective_space(n, p):
     """Every h^q(P^n, Omega^p(k)) for k in [-n-3, 3], by the Cech complex
     and by the support walks of h^0 and h^n."""
@@ -40,3 +50,33 @@ def test_bott_formula_on_projective_space(n, p):
         expected = tuple(bott(n, p, q, k) for q in range(n + 1))
         assert engine.cech_twisted((k,)) == expected
         assert (engine.h0_twisted((k,)), engine.hn_twisted((k,))) == (expected[0], expected[-1])
+
+
+def betti(variety, p: int) -> int:
+    """b_2p = sum over i >= p of (-1)^(i-p) C(i, p) d_(n-i), where d_j counts
+    the j-dimensional cones of the fan."""
+    n = variety.dim
+    d = Counter(len(cone.ray_indices) for cone in variety.cones())
+    return sum((-1) ** (i - p) * comb(i, p) * d[n - i] for i in range(p, n + 1))
+
+
+FANS = {
+    **{f"P^{n}": projective_space(n) for n in range(1, 5)},
+    **{f"H_{a}": hirzebruch(a) for a in range(4)},
+    "V_1(1,2)": split_bundle(1, (1, 2)),
+    "V_2(1)": split_bundle(2, (1,)),
+    "V_1(0,1)": split_bundle(1, (0, 1)),
+}
+
+
+@pytest.mark.parametrize("fan", FANS)
+def test_danilov_formula(fan):
+    """h^q(X, Omega^p) is b_2p when q = p and 0 otherwise, by the Cech
+    complex at the zero class."""
+    variety = FANS[fan]
+    n = variety.dim
+    zero = (0,) * variety.class_rank
+    for p in range(n + 1):
+        b = betti(variety, p)
+        expected = tuple(b if q == p else 0 for q in range(n + 1))
+        assert SheafCohomology(forms_sheaf(variety, p)).cech_twisted(zero) == expected
