@@ -87,7 +87,7 @@ from itertools import repeat
 from operator import add, mul
 from typing import Sequence
 
-from .filtration import EquivariantReflexiveSheaf, require_valid
+from .filtration import EquivariantReflexiveSheaf
 from .polytopes import CharacterBox, _box_plan, _rowset_extremes, _walk_plan
 from .rational_linalg import Subspace, intersect, matrix_rank, subspace_sum
 # not called here; bench/selftest.py checks that the tracer patches these bindings
@@ -116,9 +116,8 @@ def enumeration_box(
     if shifts is None:
         shifts = (0,) * v.ray_count
     shifts = strict_ints(shifts, "shift", v.ray_count, "shifts")
-    jumps = tuple(f.jumps for f in sheaf.filtrations)
     floors, ceilings = [], []
-    for rowset, inverse, d, low, high in _rowset_extremes(v.rays, jumps):
+    for rowset, inverse, d, low, high in _rowset_extremes(v.rays, sheaf.jumps):
         moved = [shifts[k] for k in rowset]
         offsets = [sum(map(mul, line, moved)) for line in inverse]
         # the rowset's least and greatest x_i / D, rounded outwards
@@ -147,15 +146,14 @@ class SheafCohomology:
     """
 
     def __init__(self, sheaf: EquivariantReflexiveSheaf):
-        # levels and the support bounds read the jumps as sorted, and the
-        # local numbers the spaces as a full, nested chain
-        require_valid(sheaf)
+        # sheaf.jumps refuses unsorted jumps, which levels and the support
+        # bounds read, and spaces that the local numbers need nested and full
+        self._jumps = sheaf.jumps
         self.sheaf = sheaf
         self.variety = sheaf.variety
         self.rank = sheaf.rank
         # ray sets of the cones by codimension: the terms C^k of the complex
         self._chain_cones = self.variety._fan.chain
-        self._jumps = tuple(f.jumps for f in sheaf.filtrations)
         self._pieces: dict[tuple, Subspace] = {}
         self._local: dict[str, dict[tuple[int, ...], object]] = {}
 

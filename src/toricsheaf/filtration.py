@@ -5,12 +5,17 @@ increasing filtration of Q^l per ray: integer jump positions i_1 <= ... <= i_l
 together with subspaces E_1 <= ... <= E_l = Q^l, subject to
 i_j = i_{j+1} exactly when E_j = E_{j+1}.  The filtration evaluates to 0 below
 i_1, to E_j on [i_j, i_{j+1}) and to the full space from i_l on.
+
+A filtration that breaks these rules can be built; it finds once which,
+and ``level`` and ``evaluate`` refuse it.  ``validate`` lists them per ray,
+and ``EquivariantReflexiveSheaf.jumps``, the one view of the jumps for every
+other reader of their order, refuses a sheaf that ``validate`` faults.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Sequence
 
 from .rational_linalg import Subspace
@@ -41,8 +46,32 @@ class KlyachkoFiltration:
     def ambient_dim(self) -> int:
         return self.spaces[0].ambient_dim
 
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        """The filtration rules this one breaks, found once."""
+        problems: list[str] = []
+        if any(self.jumps[i] > self.jumps[i + 1] for i in range(self.rank - 1)):
+            problems.append(f"jumps not weakly increasing: {self.jumps}")
+        if not self.spaces[-1].is_full:
+            problems.append("last space is not the full ambient space")
+        for i in range(self.rank - 1):
+            lo, hi = self.spaces[i], self.spaces[i + 1]
+            if not hi.contains_subspace(lo):
+                problems.append(f"space {i + 1} not contained in space {i + 2}")
+            equal_jumps = self.jumps[i] == self.jumps[i + 1]
+            equal_spaces = lo == hi
+            if equal_jumps != equal_spaces:
+                problems.append(
+                    f"jump/space coincidence violated at position {i + 1}: "
+                    f"jumps {'equal' if equal_jumps else 'differ'}, "
+                    f"spaces {'equal' if equal_spaces else 'differ'}"
+                )
+        return tuple(problems)
+
     def level(self, i: int) -> int:
         """Number of jumps <= i; 0 means the zero subspace."""
+        if self._problems:
+            raise ValueError("; ".join(self._problems))
         return bisect_right(self.jumps, strict_int(i, "filtration position"))
 
     def space_at_level(self, level: int) -> Subspace:
@@ -83,13 +112,14 @@ class EquivariantReflexiveSheaf:
     def __hash__(self) -> int:
         return self._hash
 
-    def rho_filtrations(self) -> tuple[KlyachkoFiltration, ...]:
-        s, _ = split_data(self.variety)
-        return self.filtrations[: s + 1]
-
-    def eta_filtrations(self) -> tuple[KlyachkoFiltration, ...]:
-        s, _ = split_data(self.variety)
-        return self.filtrations[s + 1:]
+    @cached_property
+    def jumps(self) -> tuple[tuple[int, ...], ...]:
+        """Each ray's jumps, for every reader of their order; a sheaf that
+        ``validate`` faults is refused with its problems."""
+        problems = validate(self)
+        if problems:
+            raise ValueError("; ".join(problems))
+        return tuple(f.jumps for f in self.filtrations)
 
 
 def line_bundle(variety: ToricVariety, divisor_coeffs: Sequence[int]) -> EquivariantReflexiveSheaf:
@@ -124,9 +154,9 @@ def delta_normalization(
     """
     v = sheaf.variety
     split_data(v)  # raises UnsupportedVarietyError off the split bundles
-    require_valid(sheaf)
-    delta = v.divisor_class([f.jumps[-1] for f in sheaf.filtrations])
-    filts = tuple(f.shifted(f.jumps[-1]) for f in sheaf.filtrations)
+    top = [js[-1] for js in sheaf.jumps]
+    delta = v.divisor_class(top)
+    filts = tuple(map(KlyachkoFiltration.shifted, sheaf.filtrations, top))
     return delta, EquivariantReflexiveSheaf(v, sheaf.rank, filts)
 
 
@@ -167,40 +197,8 @@ def jump_bounds_from_presentation(pres: PresentationDegrees) -> list[tuple[int, 
 
 def validate(sheaf: EquivariantReflexiveSheaf) -> list[str]:
     """Check every filtration invariant; returns diagnostics, empty when valid."""
-    return list(_problems(sheaf))
-
-
-def require_valid(sheaf: EquivariantReflexiveSheaf) -> None:
-    """Refuse a sheaf that ``validate`` faults, with a ValueError naming
-    every problem.  Whatever reads the jumps as sorted, or the spaces as a
-    full nested chain, calls this first."""
-    problems = _problems(sheaf)
-    if problems:
-        raise ValueError("; ".join(problems))
-
-
-@lru_cache(maxsize=64)
-def _problems(sheaf: EquivariantReflexiveSheaf) -> tuple[str, ...]:
-    """``validate``'s diagnostics, found once per sheaf: the CLI validates a
-    sheaf before it builds the engine, and every reader of the jump order
-    checks it again."""
-    problems: list[str] = []
-    for k, f in enumerate(sheaf.filtrations):
-        name = sheaf.variety.ray_names[k]
-        if any(f.jumps[i] > f.jumps[i + 1] for i in range(f.rank - 1)):
-            problems.append(f"ray {name}: jumps not weakly increasing: {f.jumps}")
-        if not f.spaces[-1].is_full:
-            problems.append(f"ray {name}: last space is not the full ambient space")
-        for i in range(f.rank - 1):
-            lo, hi = f.spaces[i], f.spaces[i + 1]
-            if not hi.contains_subspace(lo):
-                problems.append(f"ray {name}: space {i + 1} not contained in space {i + 2}")
-            equal_jumps = f.jumps[i] == f.jumps[i + 1]
-            equal_spaces = lo == hi
-            if equal_jumps != equal_spaces:
-                problems.append(
-                    f"ray {name}: jump/space coincidence violated at position {i + 1}: "
-                    f"jumps {'equal' if equal_jumps else 'differ'}, "
-                    f"spaces {'equal' if equal_spaces else 'differ'}"
-                )
-    return tuple(problems)
+    return [
+        f"ray {name}: {problem}"
+        for name, f in zip(sheaf.variety.ray_names, sheaf.filtrations)
+        for problem in f._problems
+    ]

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import cohomology
 from .errors import InternalConsistencyError
-from .filtration import EquivariantReflexiveSheaf, require_valid
+from .filtration import EquivariantReflexiveSheaf
 from .polytopes import MultiIndex, _multi_index, omega_system, psi_points
 from .rational_linalg import _over_lcm, _scalar, solve_square
 from .toric import split_data, strict_int, strict_ints
@@ -268,18 +268,16 @@ def simplex_sum(poly: RationalPolynomial, k: int) -> RationalPolynomial:
                                           for exps, c in poly.coeffs.items()})
 
 
-def _valid_levels(filtration, rank: int) -> list[int]:
+def _valid_levels(jumps: tuple[int, ...]) -> list[int]:
     """Indices whose jump interval is nonempty."""
-    return [
-        j for j in range(1, rank + 1)
-        if j == rank or filtration.jumps[j - 1] < filtration.jumps[j]
-    ]
+    rank = len(jumps)
+    return [j for j in range(1, rank + 1) if j == rank or jumps[j - 1] < jumps[j]]
 
 
 @lru_cache(maxsize=64)
 def _index_table(sheaf: EquivariantReflexiveSheaf) -> tuple[tuple[MultiIndex, int], ...]:
     """Pruned multi-indices with positive intersection dimension."""
-    level_lists = [_valid_levels(f, sheaf.rank) for f in sheaf.filtrations]
+    level_lists = list(map(_valid_levels, sheaf.jumps))
     h0 = cohomology._engine(sheaf).h0
     return tuple((idx, d) for idx in product(*level_lists) if (d := h0(idx)))
 
@@ -360,18 +358,16 @@ def _class_region(sheaf, coeffs, kind, index) -> SupportRegion:
 @lru_cache(maxsize=64)
 def lower_support_region(sheaf: EquivariantReflexiveSheaf) -> SupportRegion:
     """The region containing the whole support: D is the divisor of first jumps."""
-    require_valid(sheaf)
-    return _class_region(sheaf, [f.jumps[0] for f in sheaf.filtrations], "L", None)
+    return _class_region(sheaf, [js[0] for js in sheaf.jumps], "L", None)
 
 
 @lru_cache(maxsize=64)
 def _upper_regions(sheaf: EquivariantReflexiveSheaf) -> tuple[SupportRegion, ...]:
     s, _ = split_data(sheaf.variety)
-    require_valid(sheaf)
-    top = [f.jumps[-1] for f in sheaf.filtrations]
+    top = [js[-1] for js in sheaf.jumps]
     regions = []
-    for k, f in enumerate(sheaf.filtrations):
-        coeffs = top[:k] + [f.jumps[0]] + top[k + 1:]
+    for k, js in enumerate(sheaf.jumps):
+        coeffs = top[:k] + [js[0]] + top[k + 1:]
         kind, index = ("I", k) if k <= s else ("J", k - s - 1)
         regions.append(_class_region(sheaf, coeffs, kind, index))
     return tuple(regions)
@@ -398,9 +394,8 @@ def regularity_thresholds(sheaf: EquivariantReflexiveSheaf) -> tuple[int, int]:
     of the class of the top jumps."""
     v = sheaf.variety
     s, _ = split_data(v)
-    require_valid(sheaf)
-    top = [f.jumps[-1] for f in sheaf.filtrations]
-    first = [f.jumps[0] for f in sheaf.filtrations]
+    top = [js[-1] for js in sheaf.jumps]
+    first = [js[0] for js in sheaf.jumps]
     return v.divisor_class(top[:s + 1] + first[s + 1:])[0] - 1, v.divisor_class(top)[1] - 1
 
 
@@ -465,9 +460,8 @@ def rank1_hilbert_polynomial(sheaf: EquivariantReflexiveSheaf) -> RationalPolyno
     if sheaf.rank != 1:
         raise ValueError("closed form implemented for rank 1 only")
     s, a = split_data(sheaf.variety)
-    require_valid(sheaf)
     r = len(a)
-    p_d, q_d = sheaf.variety.divisor_class([f.jumps[0] for f in sheaf.filtrations])
+    p_d, q_d = sheaf.variety.divisor_class([js[0] for js in sheaf.jumps])
     # variables (Q, e_1..e_r, p): Q the eta budget, e the shifted eta slice
     n = r + 2
     t_poly = RationalPolynomial.variable(n - 1, n) - p_d

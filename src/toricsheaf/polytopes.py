@@ -67,7 +67,7 @@ from operator import le, mul
 from typing import Iterator, Sequence
 
 from .errors import UnboundedSystemError
-from .filtration import EquivariantReflexiveSheaf, require_valid
+from .filtration import EquivariantReflexiveSheaf
 from .rational_linalg import _integer_inverse
 from .toric import _checked_weights, split_data, strict_int, strict_ints
 # not called here; bench/selftest.py checks that the tracer patches this binding
@@ -152,11 +152,11 @@ def _multi_index(
     return idx
 
 
-def _split_interval(f, j: int, shift: int) -> tuple[int, int | None]:
+def _split_interval(jumps: tuple[int, ...], j: int, shift: int) -> tuple[int, int | None]:
     """The pairing interval [i_j - shift, i_{j+1} - shift) of level j; the
     past-the-top jump is +infinity."""
-    lo = f.jumps[j - 1] - shift
-    up = f.jumps[j] - shift if j < len(f.jumps) else None
+    lo = jumps[j - 1] - shift
+    up = jumps[j] - shift if j < len(jumps) else None
     return lo, up
 
 
@@ -168,10 +168,10 @@ def omega_system(
     Row k constrains <m, n(rho_k)> to the interval of level idx_k shifted by
     the twist-divisor coefficient of c on ray k.
     """
-    require_valid(sheaf)
+    jumps = sheaf.jumps
     idx = _multi_index(sheaf, idx)
     v = sheaf.variety
-    lower, upper = zip(*map(_split_interval, sheaf.filtrations, idx, v.twist_divisor(c)))
+    lower, upper = zip(*map(_split_interval, jumps, idx, v.twist_divisor(c)))
     return IntervalConstraintSystem(v.rays, lower, upper)
 
 
@@ -409,12 +409,12 @@ def feasible_metasystem(
     return B >= 0 and A <= a[-1] * B
 
 
-def _simplex_block(filtrations, idx: MultiIndex, shift: int) -> list[tuple[int, ...]]:
+def _simplex_block(jumps, idx: MultiIndex, shift: int) -> list[tuple[int, ...]]:
     """Integer points of the block system with rows (-1, ..., -1) and the unit
     rows, at the given levels; only the first interval is shifted."""
-    n = len(filtrations) - 1
+    n = len(jumps) - 1
     rows = ((-1,) * n,) + tuple(tuple(int(k == u) for k in range(n)) for u in range(n))
-    lower, upper = zip(*map(_split_interval, filtrations, idx, (shift,) + (0,) * n))
+    lower, upper = zip(*map(_split_interval, jumps, idx, (shift,) + (0,) * n))
     return psi_points(IntervalConstraintSystem(rows, lower, upper))
 
 
@@ -423,10 +423,10 @@ def psi_n(
 ) -> list[tuple[int, ...]]:
     """Integer solutions c in Z^r of the eta-ray block of the sliced system."""
     s, a = split_data(sheaf.variety)
-    require_valid(sheaf)
+    jumps = sheaf.jumps
     q = strict_int(q, "q")
     n_idx = _multi_index(sheaf, n_idx, len(a) + 1, "eta multi-index")
-    return _simplex_block(sheaf.eta_filtrations(), n_idx, q)
+    return _simplex_block(jumps[s + 1:], n_idx, q)
 
 
 def psi_m_sliced(
@@ -434,12 +434,12 @@ def psi_m_sliced(
 ) -> list[tuple[int, ...]]:
     """Integer solutions d in Z^s of the rho-ray block, for a fixed eta slice."""
     s, a = split_data(sheaf.variety)
-    require_valid(sheaf)
+    jumps = sheaf.jumps
     p = strict_int(p, "p")
     m_idx = _multi_index(sheaf, m_idx, s + 1, "rho multi-index")
     c_vec = strict_ints(c_vec, "slice vector entry", len(a), "slice vector")
     weighted = sum(au * cu for au, cu in zip(a, c_vec))
-    return _simplex_block(sheaf.rho_filtrations(), m_idx, p + weighted)
+    return _simplex_block(jumps[: s + 1], m_idx, p + weighted)
 
 
 def assemble_slices(

@@ -7,9 +7,13 @@ and for each public method of an exported class that does, keyed by
 ``name`` or ``Class.method``: the callable, its arguments, and for each
 integer argument its position and the ``where`` text of its refusal,
 "<where> must be an integer, got <value>".  In a sequence, and in a
-sequence of sequences, the first integer is the one replaced.
+sequence of sequences, the first integer is the one replaced.  A
+non-integral ``Fraction`` and ``None`` are refused the same way, but where
+``None`` is documented.  Every integer sequence of the table is classed by
+its length: fixed, free, or free but tied to another argument.
 """
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -228,3 +232,122 @@ def test_shapes_that_do_not_fit_are_refused_in_one_form(call, message):
     wherever they are read."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# the integer positions where None is documented: an unbounded side of a
+# constraint row, a region without an index, a variety that is no split
+# bundle (split_a None, the whole tuple, is not replaced here)
+NONE_ALLOWED = {
+    ("IntervalConstraintSystem", 1), ("IntervalConstraintSystem", 2),
+    ("SupportRegion", 1), ("ToricVariety", 6),
+}
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), None])
+@pytest.mark.parametrize("key, position", [
+    (key, position) for key, (_, _, integers) in CALLS.items() for position in integers
+])
+def test_each_integer_argument_refuses_a_fraction_and_none(key, position, bad):
+    call, args, integers = CALLS[key]
+    args = list(args)
+    args[position] = with_first_integer(args[position], bad)
+    if bad is None and (key, position) in NONE_ALLOWED:
+        call(*args)
+        return
+    message = f"{integers[position]} must be an integer, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*args)
+
+
+# the integer sequences of the table, by the length they take: a fixed
+# length, refused as "<name> must have length <n>" ...
+FIXED_LENGTH = {
+    ("CharacterBox.__contains__", 0): ("character", 2),
+    ("MonomialIdeal", 1): ("generator exponents", 3),
+    ("IntervalConstraintSystem.satisfied_by", 0): ("point", 2),
+    ("SheafCohomology.levels", 0): ("character", 2),
+    ("SheafCohomology.levels", 1): ("shifts", 4),
+    **{(f"SheafCohomology.{method}", 0): ("class element", 2)
+       for method in ("histogram", "h0_twisted", "hn_twisted", "chi_twisted", "cech_twisted",
+                      "h1_identity_twisted")},
+    ("ToricVariety", 2): ("ray", 2),
+    ("ToricVariety", 5): ("degree", 2),
+    ("ToricVariety.pairing", 0): ("character", 2),
+    ("ToricVariety.character_embedding", 0): ("character", 2),
+    ("ToricVariety.check_class", 0): ("class element", 2),
+    ("ToricVariety.twist_divisor", 0): ("class element", 2),
+    ("assemble_slices", 1): ("multi-index", 4),
+    ("enumeration_box", 1): ("shifts", 4),
+    ("euler_characteristic", 1): ("class element", 2),
+    ("feasible_metasystem", 2): ("mus", 3),
+    ("hilbert_function", 1): ("class element", 2),
+    ("intersection_dim", 1): ("multi-index", 4),
+    ("line_bundle", 1): ("divisor coefficients", 3),
+    ("omega_system", 1): ("multi-index", 4),
+    ("omega_system", 2): ("class element", 2),
+    ("psi_m_sliced", 1): ("rho multi-index", 2),
+    ("psi_m_sliced", 3): ("slice vector", 1),
+    ("psi_n", 1): ("eta multi-index", 2),
+    ("sigma_piece", 2): ("character", 2),
+    ("sigma_piece_dim", 2): ("character", 2),
+    ("twist", 1): ("class element", 2),
+}
+# ... a fixed length refused in an older form ...
+OTHER_FORM = {("ToricVariety.divisor_class", 0): "need 4 divisor coefficients, one per ray"}
+# ... a free length that another argument must match, refused by the rule
+# that ties them ({n}: the new length) ...
+TIED = {
+    ("CharacterBox", 0): "bound tuples must have equal length",
+    ("CharacterBox", 1): "bound tuples must have equal length",
+    ("IntervalConstraintSystem", 0): "constraint row must have length {n}",
+    ("IntervalConstraintSystem", 1): "rows, lower and upper must have equal lengths",
+    ("IntervalConstraintSystem", 2): "rows, lower and upper must have equal lengths",
+    ("KlyachkoFiltration", 0): "need one subspace per jump",
+    ("PresentationDegrees", 0): "all degree vectors must have the same length",
+    ("PresentationDegrees", 1): "all degree vectors must have the same length",
+}
+# ... or any length: a cone's rays, twist weights and lambdas
+FREE_LENGTH = {
+    ("Cone", 0), ("ToricVariety", 7), ("feasible_metasystem", 0), ("feasible_metasystem", 1),
+    ("feasible_system1", 0), ("split_bundle", 1),
+}
+
+
+def with_first_sequence_resized(value, step):
+    """The value with its first integer sequence, depth first, one entry
+    longer (its last repeated) or one shorter."""
+    if isinstance(value[0], int):
+        return tuple(value) + (value[-1],) if step > 0 else tuple(value)[:-1]
+    return (with_first_sequence_resized(value[0], step), *value[1:])
+
+
+SEQUENCES = [
+    (key, position) for key, (_, args, integers) in CALLS.items()
+    for position in integers if not isinstance(args[position], int)
+]
+
+
+def test_every_integer_sequence_has_its_length_class():
+    classes = [set(FIXED_LENGTH), set(OTHER_FORM), set(TIED), FREE_LENGTH]
+    assert sorted(set().union(*classes)) == sorted(SEQUENCES)
+    assert sum(map(len, classes)) == len(SEQUENCES)
+
+
+@pytest.mark.parametrize("step", [1, -1], ids=["longer", "shorter"])
+@pytest.mark.parametrize("key, position", [
+    pair for pair in SEQUENCES if pair not in FREE_LENGTH
+])
+def test_each_sequence_of_a_fixed_or_tied_length_refuses_another(key, position, step):
+    call, args, _ = CALLS[key]
+    args = list(args)
+    args[position] = with_first_sequence_resized(args[position], step)
+    if (key, position) in FIXED_LENGTH:
+        name, n = FIXED_LENGTH[key, position]
+        message = f"{name} must have length {n}"
+    else:
+        resized = args[position]
+        while not isinstance(resized[0], int):
+            resized = resized[0]
+        message = {**OTHER_FORM, **TIED}[key, position].format(n=len(resized))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*args)

@@ -1,11 +1,17 @@
 """Tests for configuration parsing and the command-line interface."""
 import argparse
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from copy import deepcopy
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from toricsheaf import load_config, parse_config
 from toricsheaf.cli import build_parser, main
@@ -490,3 +496,123 @@ def test_config_refuses_unknown_keys(config, message, tmp_path, capsys):
 def test_bundled_configs_use_only_known_keys():
     for path in sorted(CONFIGS.glob("*.json")):
         load_config(path)
+
+
+# values a mutant puts in place of a config value: integers stay in
+# [-4, 4], so that no mutant asks for an unbounded walk
+_SCALARS = st.one_of(
+    st.integers(-4, 4), st.booleans(), st.none(), st.sampled_from([0.5, 2.0, -1.0]),
+    st.sampled_from(["", "2", "1/2", "-1/3", "1/0", "x", "projective", "hirzebruch",
+                     "split_bundle"]),
+)
+_KEYS = st.sampled_from(["variety", "sheaf", "family", "n", "a", "s", "rank", "filtrations",
+                         "jumps", "spaces", "extra"])
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=2),
+    max_leaves=6,
+)
+_BUNDLED = {path.name: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))}
+
+
+def _paths(node, prefix=()):
+    """The path of every value in a JSON tree, the root first."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, prefix + (key,))
+
+
+def _mutated(data, draw):
+    """One mutation of a JSON tree: a value replaced by an integer or by a
+    value of another type or shape, wrapped in a list, or unwrapped from
+    one, a list entry dropped or repeated, a key dropped or an unknown key
+    added."""
+    data = deepcopy(data)
+    # the root last: hypothesis leans to the first entries
+    root, *paths = _paths(data)
+    path = draw(st.sampled_from(paths + [root]))
+    if not path:
+        return draw(_VALUES)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    kinds = ["integer", "integer", "replace", "wrap"]
+    if isinstance(value, list):
+        kinds += ["unwrap", "drop", "repeat"] if value else []
+    if isinstance(value, dict):
+        kinds += ["drop_key", "add_key"] if value else ["add_key"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "integer":
+        parent[key] = draw(st.integers(-4, 4))
+    elif kind == "replace":
+        parent[key] = draw(_VALUES)
+    elif kind == "wrap":
+        parent[key] = [value]
+    elif kind == "unwrap":
+        parent[key] = value[0]
+    elif kind == "drop":
+        del value[draw(st.integers(0, len(value) - 1))]
+    elif kind == "repeat":
+        value.append(deepcopy(value[draw(st.integers(0, len(value) - 1))]))
+    elif kind == "drop_key":
+        del value[draw(st.sampled_from(sorted(value)))]
+    else:
+        value[draw(_KEYS)] = draw(_VALUES)
+    return data
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(_BUNDLED)), st.integers(1, 3), st.data())
+def test_mutated_configs_never_crash_the_cli(name, mutations, data):
+    """A config mutated in its types, list lengths, keys and nesting ends
+    every command in exit 0, exit 1 with one 'error:' line (or, for
+    validate, the problem list) or exit 2 with one 'unsupported:' line:
+    never a traceback and never exit 3."""
+    config = _BUNDLED[name]
+    for _ in range(mutations):
+        config = _mutated(config, data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(json.dumps(config))
+        try:
+            window = ["--p=0:0"] + ["--q=0:0"] * (load_config(path).variety.class_rank == 2)
+        except ConfigError:
+            window = ["--p=0:0"]
+        for argv in (["validate"], ["bounds"], ["h0-table", *window]):
+            code, out, err = _run_main([argv[0], "--config", str(path), *argv[1:]])
+            lines = err.splitlines()
+            if code == 0:
+                assert out and not err
+            elif code == 1 and argv[0] == "validate" and not err:
+                assert out.splitlines() == validate_sheaf(load_config(path).sheaf) != []
+            elif code == 1:
+                assert not out and lines[0].startswith("error: ")
+                assert not any(line.startswith("error:") for line in lines[1:])
+                # only the invalid-sheaf error goes on, one indented problem a line
+                assert all(line.startswith("  ray ") for line in lines[1:])
+            else:
+                assert code == 2, (argv, code, err)
+                assert not out and len(lines) == 1 and lines[0].startswith("unsupported: ")
+
+
+@pytest.mark.parametrize("argv", [["bounds"], ["h0-table", "--p=0:0", "--q=0:0"]])
+def test_cli_refuses_an_invalid_sheaf_before_it_computes(argv, tmp_path):
+    """A config that loads but breaks a filtration rule ends in one
+    'error: invalid sheaf:' line and the problems, one indented line each."""
+    config = deepcopy(_BUNDLED["rank3_h3.json"])
+    config["sheaf"]["filtrations"][0]["jumps"] = [-1, -3, 0]
+    path = tmp_path / "unsorted.json"
+    path.write_text(json.dumps(config))
+    code, out, err = _run_main([argv[0], "--config", str(path), *argv[1:]])
+    problems = validate_sheaf(load_config(path).sheaf)
+    assert problems and code == 1 and out == ""
+    assert err.splitlines() == ["error: invalid sheaf:", *(f"  {p}" for p in problems)]

@@ -1,5 +1,6 @@
 """Unit tests for filtrations, sheaves, twisting and normalization."""
 import random
+import re
 
 import pytest
 
@@ -20,6 +21,7 @@ from toricsheaf import (
     twist,
     validate,
 )
+from toricsheaf import rational_linalg
 from toricsheaf.cohomology import sigma_piece
 from toricsheaf.errors import UnsupportedVarietyError
 from toricsheaf.hilbert import intersection_dim
@@ -110,8 +112,8 @@ def test_delta_normalization_formula():
     rng = random.Random(3)
     sheaf = random_sheaf(rng, hirzebruch(3), 3)
     delta, normalized = delta_normalization(sheaf)
-    i_top = [f.jumps[-1] for f in sheaf.rho_filtrations()]
-    j_top = [f.jumps[-1] for f in sheaf.eta_filtrations()]
+    i_top = [js[-1] for js in sheaf.jumps[:2]]
+    j_top = [js[-1] for js in sheaf.jumps[2:]]
     assert delta == (i_top[0] + i_top[1] - 3 * j_top[1], j_top[0] + j_top[1])
     assert all(f.jumps[-1] == 0 for f in normalized.filtrations)
     for f in normalized.filtrations:
@@ -374,3 +376,57 @@ def test_filtration_refuses_positions_that_are_not_integers(position):
     for call in (f.evaluate, f.level):
         with pytest.raises(ValueError, match="filtration position must be an integer"):
             call(position)
+
+
+def test_filtration_with_unsorted_jumps_refuses_level_and_evaluate():
+    """Jumps (0, -1), a line then the plane, once gave level(-1) == 2: the
+    bisection reads the jumps as sorted."""
+    f = KlyachkoFiltration((0, -1), (span([(1, 0)], 2), Subspace.full(2)))
+    for call in (f.level, f.evaluate):
+        with pytest.raises(ValueError, match=re.escape("jumps not weakly increasing: (0, -1)")):
+            call(-1)
+
+
+def test_filtration_that_is_not_a_full_nested_chain_refuses_evaluate():
+    """A chain <(1, 0)>, then <(0, 1)> once gave the line <(0, 1)> from
+    evaluate(5), past its top jump, where the whole plane belongs."""
+    f = KlyachkoFiltration((-1, 0), (span([(1, 0)], 2), span([(0, 1)], 2)))
+    message = "last space is not the full ambient space; space 1 not contained in space 2"
+    for call in (f.level, f.evaluate):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(5)
+    # the rank-1 chain that is a single line of the plane
+    line = KlyachkoFiltration((0,), (span([(1, 0)], 2),))
+    with pytest.raises(ValueError, match="^last space is not the full ambient space$"):
+        line.evaluate(5)
+
+
+def test_sheaf_jumps_are_the_validated_view():
+    sheaf = rank3_example_sheaf()
+    assert sheaf.jumps == tuple(f.jumps for f in sheaf.filtrations)
+    unsorted = EquivariantReflexiveSheaf(projective_space(2), 2, [
+        KlyachkoFiltration(js, (span([(1, 0)], 2), Subspace.full(2)))
+        for js in [(-1, 0), (0, -1), (-1, 0)]
+    ])
+    with pytest.raises(ValueError, match=re.escape("ray rho1: jumps not weakly increasing: (0, -1)")):
+        unsorted.jumps
+
+
+def test_each_filtration_is_checked_once(monkeypatch):
+    """validate, then the engine, then the validated view: only the first
+    ranks a pair of spaces."""
+    calls = []
+    original = rational_linalg.matrix_rank
+
+    def counted(rows, width):
+        calls.append(width)
+        return original(rows, width)
+
+    monkeypatch.setattr(rational_linalg, "matrix_rank", counted)
+    sheaf = rank3_example_sheaf()
+    assert validate(sheaf) == []
+    checked = len(calls)
+    assert checked
+    SheafCohomology(sheaf)
+    assert validate(sheaf) == [] and sheaf.jumps
+    assert len(calls) == checked

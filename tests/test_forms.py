@@ -1,8 +1,11 @@
-"""Theorem checks on the sheaves of p-forms: Bott's formula on P^n and
-Danilov's formula for h^q(Omega^p) on every fan."""
+"""Theorem checks on the sheaves of p-forms: Bott's formula on P^n,
+Danilov's formula for h^q(Omega^p) on every fan, Bott-Steenbrink-Danilov
+vanishing and Serre duality on twists, and the quotient complex of the
+engine against the complex of every cone."""
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
@@ -17,6 +20,7 @@ from toricsheaf import (
     validate,
 )
 
+from cech_oracle import full_complex_cech, full_complex_chi
 from conftest import forms_sheaf
 
 
@@ -80,3 +84,59 @@ def test_danilov_formula(fan):
         b = betti(variety, p)
         expected = tuple(b if q == p else 0 for q in range(n + 1))
         assert SheafCohomology(forms_sheaf(variety, p)).cech_twisted(zero) == expected
+
+
+# (fan, twist window per class coordinate) for the checks on twists
+TWIST_WINDOWS = {
+    "H_0": range(-2, 4), "H_1": range(-2, 4), "H_3": range(-2, 4),
+    "V_1(1,2)": range(-1, 3), "V_2(1)": range(-1, 3),
+}
+
+
+def forms_table(variety, twists):
+    """h^*(Omega^p(c)) by the Cech complex, keyed by (p, c)."""
+    engines = [SheafCohomology(forms_sheaf(variety, p)) for p in range(variety.dim + 1)]
+    return {(p, c): engine.cech_twisted(c) for p, engine in enumerate(engines) for c in twists}
+
+
+@pytest.mark.parametrize("fan", TWIST_WINDOWS)
+def test_bott_steenbrink_danilov_vanishing_pins_the_ample_cone(fan):
+    """h^q(Omega^p(c)) = 0 for q >= 1 and c ample.  Off the ample cone
+    c_1 >= 1, c_2 >= 1 some such number is nonzero, so the window also
+    pins the cone."""
+    variety = FANS[fan]
+    window = list(product(TWIST_WINDOWS[fan], repeat=2))
+    table = forms_table(variety, window)
+    for c in window:
+        higher = any(any(table[p, c][1:]) for p in range(variety.dim + 1))
+        assert higher == (not (c[0] >= 1 and c[1] >= 1)), c
+
+
+@pytest.mark.parametrize("fan", TWIST_WINDOWS)
+def test_serre_duality_on_twisted_forms(fan):
+    """h^q(Omega^p(c)) = h^(n-q)(Omega^(n-p)(-c)), as K = Omega^n."""
+    variety = FANS[fan]
+    n = variety.dim
+    window = list(product(TWIST_WINDOWS[fan], repeat=2))
+    table = forms_table(variety, window + [(-a, -b) for a, b in window])
+    for p, c in product(range(n + 1), window):
+        assert table[p, c] == tuple(reversed(table[n - p, (-c[0], -c[1])])), (p, c)
+
+
+# P^4 is left out: its 243 level tuples of Omega^2 alone take a quarter second
+@pytest.mark.parametrize("fan", [fan for fan in FANS if fan != "P^4"])
+def test_quotient_complex_matches_full_complex_on_forms(fan):
+    """At every level tuple of Omega^p whose spaces differ, cech and chi
+    (the cones outside the closed star of a full-fibre ray) equal those
+    of the complex of every cone."""
+    variety = FANS[fan]
+    for p in range(variety.dim + 1):
+        engine = SheafCohomology(forms_sheaf(variety, p))
+        # level 0, and each level whose next jump is higher
+        levels = [
+            [0] + [j for j in range(1, len(js) + 1) if j == len(js) or js[j - 1] < js[j]]
+            for js in engine.sheaf.jumps
+        ]
+        for lv in product(*levels):
+            assert engine.cech(lv) == full_complex_cech(engine, lv), (p, lv)
+            assert engine.chi(lv) == full_complex_chi(engine, lv), (p, lv)

@@ -20,6 +20,7 @@ from toricsheaf import (
     bernoulli_number,
     bernoulli_polynomial,
     delta_normalization,
+    enumeration_box,
     euler_characteristic,
     faulhaber_sum,
     format_polynomial,
@@ -444,8 +445,8 @@ def test_regularity_region_normalized_corollary():
     rng = random.Random(29)
     sheaf = random_sheaf(rng, hirzebruch(3), 3)
     a = sheaf.variety.split_a
-    j_first = [f.jumps[0] for f in sheaf.eta_filtrations()]
-    j_top = [f.jumps[-1] for f in sheaf.eta_filtrations()]
+    j_first = [js[0] for js in sheaf.jumps[2:]]
+    j_top = [js[-1] for js in sheaf.jumps[2:]]
     _, normalized = delta_normalization(sheaf)
     p0, q0 = regularity_thresholds(normalized)
     assert p0 == -sum(av * (jf - jt) for av, jf, jt in zip(a, j_first[1:], j_top[1:])) - 1
@@ -570,6 +571,32 @@ def test_euler_characteristic_is_the_hilbert_polynomial(snapper_cases, case, c):
     assert engine.chi_twisted(c) == poly.evaluate(c)
 
 
+# the acceptance sheaves, and random rank-2 sheaves with jumps in [-3, 0]
+OFF_OMEGA_SHEAVES = {
+    "rank3_h3": rank3_example_sheaf,
+    "tangent_h3": tangent_sheaf_h3,
+    **{
+        f"{name}-seed{seed}": lambda variety=variety, seed=seed: random_sheaf(
+            random.Random(seed), variety, 2, -3, 0)
+        for name, variety in [("H1", hirzebruch(1)), ("H2", hirzebruch(2)),
+                              ("V1(1,2)", split_bundle(1, (1, 2))), ("V2(1)", split_bundle(2, (1,)))]
+        for seed in range(3)
+    },
+}
+
+
+@pytest.mark.parametrize("name", OFF_OMEGA_SHEAVES)
+def test_chi_is_the_hilbert_polynomial_off_the_corner_region(name):
+    """chi(E(c)) is the Hilbert polynomial at every twist of a window
+    reaching six steps below the corner (P0, Q0) in each coordinate and two
+    above, mostly outside the region where the two were fitted and checked."""
+    sheaf = OFF_OMEGA_SHEAVES[name]()
+    engine = SheafCohomology(sheaf)
+    poly = hilbert_polynomial(sheaf)
+    p0, q0 = regularity_thresholds(sheaf)
+    for c in product(range(p0 - 6, p0 + 3), range(q0 - 6, q0 + 3)):
+        assert engine.chi_twisted(c) == poly.evaluate(c), c
+
 def test_hilbert_polynomial_sharpness(rank3_sheaf):
     """Just outside the corner the function and the polynomial split apart."""
     poly = hilbert_polynomial(rank3_sheaf)
@@ -622,6 +649,23 @@ def test_rank1_closed_form_matches_interpolation():
             assert rank1_hilbert_polynomial(sheaf) == hilbert_polynomial(sheaf)
 
 
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_hilbert_polynomial_checks_the_euler_characteristic(rank3_sheaf, monkeypatch, which):
+    """The fit is checked against chi at three points past the corner:
+    chi off by one at one of them is caught and named."""
+    p0, q0 = regularity_thresholds(rank3_sheaf)
+    wrong = [(p0, q0), (p0 + 1, q0 + 2), (p0 + 2, q0 + 1)][which]
+    euler = cohomology.euler_characteristic
+
+    def off_by_one(sheaf, c):
+        return euler(sheaf, c) + (tuple(c) == wrong)
+
+    monkeypatch.setattr(cohomology, "euler_characteristic", off_by_one)
+    message = f"interpolated polynomial disagrees with the Euler characteristic at {wrong}"
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+        hilbert_polynomial(rank3_sheaf)
+
 _NESTED = KlyachkoFiltration((-1, 0), (span([(1, 0)], 2), Subspace.full(2)))
 # H_1 whose rho0 jumps (0, -1) are not sorted
 UNSORTED_H1 = EquivariantReflexiveSheaf(hirzebruch(1), 2, (
@@ -636,6 +680,7 @@ ZERO_SPACE_H1 = EquivariantReflexiveSheaf(hirzebruch(1), 1, (
 
 READERS = [
     (regularity_thresholds, UNSORTED_H1, ()),
+    (enumeration_box, UNSORTED_H1, ()),
     (regularity_region, UNSORTED_H1, ()),
     (lower_support_region, UNSORTED_H1, ()),
     (upper_support_regions, UNSORTED_H1, ()),

@@ -401,8 +401,8 @@ def test_metasystem_encodes_support_lower_bound():
     rng = random.Random(13)
     sheaf = random_sheaf(rng, hirzebruch(2), 3)
     a = sheaf.variety.split_a
-    i_first = [f.jumps[0] for f in sheaf.rho_filtrations()]
-    j_first = [f.jumps[0] for f in sheaf.eta_filtrations()]
+    i_first = [js[0] for js in sheaf.jumps[:2]]
+    j_first = [js[0] for js in sheaf.jumps[2:]]
     for p in range(-10, 11, 2):
         for q in range(-10, 11, 2):
             lambdas = [i_first[0] - p] + i_first[1:]
@@ -420,7 +420,7 @@ def test_psi_n_final_example():
 
 def test_psi_n_empty_at_bound():
     sheaf = rank3_example_sheaf()
-    j_top = [f.jumps[-1] for f in sheaf.eta_filtrations()]
+    j_top = [js[-1] for js in sheaf.jumps[2:]]
     q_bound = sum(j_top) - 1
     for n_idx in product((1, 2), repeat=2):
         assert psi_n(sheaf, n_idx, q_bound) == []
@@ -448,8 +448,8 @@ def test_psi_m_sliced_interval_count():
 def test_psi_m_sliced_empty_at_bound():
     sheaf = rank3_example_sheaf()
     a = sheaf.variety.split_a
-    i_top = [f.jumps[-1] for f in sheaf.rho_filtrations()]
-    j_first = [f.jumps[0] for f in sheaf.eta_filtrations()]
+    i_top = [js[-1] for js in sheaf.jumps[:2]]
+    j_first = [js[0] for js in sheaf.jumps[2:]]
     p_bound = sum(i_top) - sum(av * jf for av, jf in zip(a, j_first[1:])) - 1
     for c_vec in psi_n(sheaf, (3, 3), 2):
         for m_idx in product((1, 2), repeat=2):
