@@ -30,12 +30,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .filtration import EquivariantReflexiveSheaf, KlyachkoFiltration
 from .rational_linalg import Subspace
-from .toric import ToricVariety, hirzebruch, projective_space, split_bundle, strict_int
-
-
-def config_int(value, where: str) -> int:
-    """A configuration value that must be a JSON integer."""
-    return strict_int(value, where, ConfigError)
+from .toric import ToricVariety, hirzebruch, projective_space, split_bundle, strict_int, strict_ints
 
 
 def config_keys(data: dict, known: tuple[str, ...], where: str) -> None:
@@ -68,15 +63,15 @@ def build_variety(descriptor: dict) -> ToricVariety:
     config_keys(descriptor, ("family", *_FAMILY_KEYS[family]), f"the {family} variety")
     try:
         if family == "projective":
-            return projective_space(config_int(descriptor["n"], "variety 'n'"))
+            return projective_space(strict_int(descriptor["n"], "variety 'n'"))
         if family == "hirzebruch":
-            return hirzebruch(config_int(descriptor["a"], "variety 'a'"))
+            return hirzebruch(strict_int(descriptor["a"], "variety 'a'"))
         weights = descriptor["a"]
         if not isinstance(weights, list):
             raise ConfigError(f"variety 'a' must be a list of integers, got {weights!r}")
         return split_bundle(
-            config_int(descriptor["s"], "variety 's'"),
-            [config_int(x, "variety 'a' entry") for x in weights],
+            strict_int(descriptor["s"], "variety 's'"),
+            [strict_int(x, "variety 'a' entry") for x in weights],
         )
     except KeyError as exc:
         raise ConfigError(f"variety descriptor for {family!r} misses key {exc}") from None
@@ -86,8 +81,11 @@ def build_variety(descriptor: dict) -> ToricVariety:
 
 @dataclass(frozen=True)
 class JobConfig:
-    variety: ToricVariety
     sheaf: EquivariantReflexiveSheaf
+
+    @property
+    def variety(self) -> ToricVariety:
+        return self.sheaf.variety
 
 
 def _parse_space(generators, rank: int, where: str) -> Subspace:
@@ -103,6 +101,15 @@ def _parse_space(generators, rank: int, where: str) -> Subspace:
 
 
 def parse_sheaf(variety: ToricVariety, data: dict) -> EquivariantReflexiveSheaf:
+    """The sheaf section on this variety; a value the library refuses is
+    refused as a ConfigError with the library's message."""
+    try:
+        return _sheaf_section(variety, data)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _sheaf_section(variety: ToricVariety, data: dict) -> EquivariantReflexiveSheaf:
     if not isinstance(data, dict):
         raise ConfigError("sheaf section must be an object with 'rank' and 'filtrations'")
     config_keys(data, ("rank", "filtrations"), "the sheaf section")
@@ -111,7 +118,7 @@ def parse_sheaf(variety: ToricVariety, data: dict) -> EquivariantReflexiveSheaf:
         entries = data["filtrations"]
     except KeyError as exc:
         raise ConfigError(f"sheaf section needs 'rank' and 'filtrations': {exc}") from None
-    rank = config_int(rank, "sheaf 'rank'")
+    rank = strict_int(rank, "sheaf 'rank'")
     if rank < 1:
         raise ConfigError("sheaf rank must be at least 1")
     if not isinstance(entries, list) or len(entries) != variety.ray_count:
@@ -130,7 +137,7 @@ def parse_sheaf(variety: ToricVariety, data: dict) -> EquivariantReflexiveSheaf:
         jumps = entry["jumps"]
         if not isinstance(jumps, list) or len(jumps) != rank:
             raise ConfigError(f"{where}: 'jumps' must list {rank} integers")
-        jumps = tuple(config_int(j, f"{where}: jump") for j in jumps)
+        jumps = strict_ints(jumps, f"{where}: jump")
         raw_spaces = entry.get("spaces", [])
         if not isinstance(raw_spaces, list) or len(raw_spaces) > rank:
             raise ConfigError(f"{where}: 'spaces' must list at most {rank} generator lists")
@@ -141,10 +148,7 @@ def parse_sheaf(variety: ToricVariety, data: dict) -> EquivariantReflexiveSheaf:
         while len(spaces) < rank:
             spaces.append(Subspace.full(rank))
         filtrations.append(KlyachkoFiltration(jumps, tuple(spaces)))
-    try:
-        return EquivariantReflexiveSheaf(variety, rank, tuple(filtrations))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return EquivariantReflexiveSheaf(variety, rank, tuple(filtrations))
 
 
 def parse_config(data: dict) -> JobConfig:
@@ -155,7 +159,7 @@ def parse_config(data: dict) -> JobConfig:
         raise ConfigError("configuration needs 'variety' and 'sheaf' sections")
     variety = build_variety(data["variety"])
     sheaf = parse_sheaf(variety, data["sheaf"])
-    return JobConfig(variety, sheaf)
+    return JobConfig(sheaf)
 
 
 def load_config(path: str | Path) -> JobConfig:

@@ -42,28 +42,59 @@ class Cone:
 
 @dataclass(frozen=True)
 class ToricVariety:
-    """A fan with its class group: ``degrees`` holds [D_ray] per ray, and
-    ``divisor_class`` maps per-ray coefficients to their divisor's class."""
+    """A fan with its class group, given by its rays, their names, the class
+    [D_ray] of each ray (``degrees``) and, on V_s(a), the split s.  The
+    dimension, the class rank, the family and the twist weights are read
+    from these; ``divisor_class`` maps per-ray coefficients to their
+    divisor's class."""
 
-    family: str                      # "projective" | "split_bundle"
-    dim: int
     rays: tuple[tuple[int, ...], ...]
     ray_names: tuple[str, ...]
-    class_rank: int
     degrees: tuple[tuple[int, ...], ...]   # class of D_ray, per ray
-    split_s: int | None = None
-    split_a: tuple[int, ...] | None = None
+    split_s: int | None = None            # s of V_s(a); None on P^n
 
     def __post_init__(self):
-        dim, rank = strict_int(self.dim, "dimension"), strict_int(self.class_rank, "class rank")
-        rays = tuple(strict_ints(r, "ray entry", dim, "ray") for r in self.rays)
-        degrees = tuple(strict_ints(d, "degree entry", rank, "degree") for d in self.degrees)
+        rays = tuple(self.rays)
+        if not rays:
+            raise ValueError("a variety needs at least one ray")
+        dim = len(rays[0])
+        rays = tuple(strict_ints(r, "ray entry", dim, "ray") for r in rays)
+        width = 1 if self.split_s is None else 2
+        degrees = tuple(strict_ints(d, "degree entry", width, "degree") for d in self.degrees)
+        names = tuple(self.ray_names)
+        if isinstance(self.ray_names, str) or not all(isinstance(n, str) for n in names):
+            raise ValueError(f"ray names must be a sequence of strings, got {self.ray_names!r}")
+        for parts, what in ((names, "ray names"), (degrees, "degrees")):
+            if len(parts) != len(rays):
+                raise ValueError(f"{what} must have length {len(rays)}")
         object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "ray_names", names)
         object.__setattr__(self, "degrees", degrees)
+        if self.split_s is not None and strict_int(self.split_s, "split bundle s") < 1:
+            raise ValueError("split bundle needs s >= 1")
+        if len(rays) != dim + width:   # a smooth complete fan has dim + class rank rays
+            kind = "variety without split s" if self.split_s is None else "split bundle"
+            raise ValueError(f"a {kind} of dimension {dim} needs {dim + width} rays, "
+                             f"got {len(rays)}")
         if self.split_s is not None:
-            strict_int(self.split_s, "split bundle s")
-        if self.split_a is not None:
-            object.__setattr__(self, "split_a", _checked_weights(self.split_a))
+            _checked_weights(rays[0][self.split_s:])
+
+    @property
+    def dim(self) -> int:
+        return len(self.rays[0])
+
+    @property
+    def class_rank(self) -> int:
+        return len(self.degrees[0])
+
+    @property
+    def family(self) -> str:
+        return "split_bundle" if self.is_split_bundle else "projective"
+
+    @property
+    def split_a(self) -> tuple[int, ...] | None:
+        """The twist weights a of V_s(a): the last r entries of rho0."""
+        return None if self.split_s is None else self.rays[0][self.split_s:]
 
     @property
     def ray_count(self) -> int:
@@ -71,7 +102,7 @@ class ToricVariety:
 
     @property
     def is_split_bundle(self) -> bool:
-        return self.family == "split_bundle"
+        return self.split_s is not None
 
     def pairing(self, m: Sequence[int], ray_index: int) -> int:
         """<m, n(rho)> for the indexed ray and an integer character m."""
@@ -117,9 +148,7 @@ class ToricVariety:
 
     def divisor_class(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         """The class sum_k coeffs_k [D_k] of a torus-invariant divisor."""
-        coeffs = strict_ints(coeffs, "divisor coefficient")
-        if len(coeffs) != self.ray_count:
-            raise ValueError(f"need {self.ray_count} divisor coefficients, one per ray")
+        coeffs = strict_ints(coeffs, "divisor coefficient", self.ray_count, "divisor coefficients")
         return tuple(sum(map(mul, coeffs, column)) for column in zip(*self.degrees))
 
     def twist_divisor(self, c: Sequence[int]) -> tuple[int, ...]:
@@ -173,7 +202,7 @@ def projective_space(n: int) -> ToricVariety:
     rays += [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     names = tuple(f"rho{i}" for i in range(n + 1))
     degrees = tuple((1,) for _ in range(n + 1))
-    return ToricVariety("projective", n, tuple(rays), names, 1, degrees)
+    return ToricVariety(tuple(rays), names, degrees)
 
 
 def split_bundle(s: int, a_list: Sequence[int]) -> ToricVariety:
@@ -195,8 +224,7 @@ def split_bundle(s: int, a_list: Sequence[int]) -> ToricVariety:
     degrees = tuple(
         [(1, 0)] * (s + 1) + [(0, 1)] + [(-aj, 1) for aj in a]
     )
-    return ToricVariety("split_bundle", dim, tuple(rays), names, 2, degrees,
-                        split_s=s, split_a=a)
+    return ToricVariety(tuple(rays), names, degrees, split_s=s)
 
 
 def hirzebruch(a: int) -> ToricVariety:
@@ -215,11 +243,11 @@ def split_data(variety: ToricVariety) -> tuple[int, tuple[int, ...]]:
     return variety.split_s, variety.split_a
 
 
-def strict_int(value, where: str, error: type[ValueError] = ValueError) -> int:
+def strict_int(value, where: str) -> int:
     """A value that must be an integer; booleans, floats and strings are
     refused rather than coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise error(f"{where} must be an integer, got {value!r}")
+        raise ValueError(f"{where} must be an integer, got {value!r}")
     return value
 
 

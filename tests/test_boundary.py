@@ -112,9 +112,8 @@ CALLS = {
     "SupportRegion.contains": (SupportRegion("I", 1, (HALF, HALF)).contains, (1, 0), {0: "p", 1: "q"}),
     "ToricVariety": (
         ToricVariety,
-        (H0.family, H0.dim, H0.rays, H0.ray_names, H0.class_rank, H0.degrees, H0.split_s, H0.split_a),
-        {1: "dimension", 2: "ray entry", 4: "class rank", 5: "degree entry", 6: "split bundle s",
-         7: "twist weight"}),
+        (H0.rays, H0.ray_names, H0.degrees, H0.split_s),
+        {0: "ray entry", 2: "degree entry", 3: "split bundle s"}),
     "ToricVariety.pairing": (P2.pairing, ((1, 0), 1), {0: "character entry", 1: "ray index"}),
     "ToricVariety.character_embedding": (P2.character_embedding, ((1, 0),), {0: "character entry"}),
     "ToricVariety.check_class": (H0.check_class, ((1, 0),), {0: "class element entry"}),
@@ -203,9 +202,9 @@ def test_each_integer_argument_refuses_a_float_a_bool_and_a_string(key, position
     (lambda: RationalPolynomial.variable(-1, 2), "variable index must lie in 0..1, got -1"),
     (lambda: IntervalConstraintSystem(((1, 0),), (0,), (2,)).satisfied_by((1,)),
      "point must have length 2"),
-    (lambda: ToricVariety("projective", 1, ((-1,), (1, 0)), ("rho0", "rho1"), 1, ((1,), (1,))),
+    (lambda: ToricVariety(((-1,), (1, 0)), ("rho0", "rho1"), ((1,), (1,))),
      "ray must have length 1"),
-    (lambda: ToricVariety("projective", 1, ((-1,), (1,)), ("rho0", "rho1"), 1, ((1,), (1, 0))),
+    (lambda: ToricVariety(((-1,), (1,)), ("rho0", "rho1"), ((1,), (1, 0))),
      "degree must have length 1"),
     (lambda: IntervalConstraintSystem(((1, 0), (1,)), (0, 0), (1, 1)), "constraint row must have length 2"),
     (lambda: line_bundle(P2, (1, 0)), "divisor coefficients must have length 3"),
@@ -236,10 +235,11 @@ def test_shapes_that_do_not_fit_are_refused_in_one_form(call, message):
 
 # the integer positions where None is documented: an unbounded side of a
 # constraint row, a region without an index, a variety that is no split
-# bundle (split_a None, the whole tuple, is not replaced here)
+# bundle; the value is the refusal that None then meets, if any (H_0's
+# degrees have two entries, and a variety without split s has one)
 NONE_ALLOWED = {
-    ("IntervalConstraintSystem", 1), ("IntervalConstraintSystem", 2),
-    ("SupportRegion", 1), ("ToricVariety", 6),
+    ("IntervalConstraintSystem", 1): None, ("IntervalConstraintSystem", 2): None,
+    ("SupportRegion", 1): None, ("ToricVariety", 3): "degree must have length 1",
 }
 
 
@@ -252,7 +252,12 @@ def test_each_integer_argument_refuses_a_fraction_and_none(key, position, bad):
     args = list(args)
     args[position] = with_first_integer(args[position], bad)
     if bad is None and (key, position) in NONE_ALLOWED:
-        call(*args)
+        refusal = NONE_ALLOWED[key, position]
+        if refusal is None:
+            call(*args)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+                call(*args)
         return
     message = f"{integers[position]} must be an integer, got {bad!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -270,11 +275,11 @@ FIXED_LENGTH = {
     **{(f"SheafCohomology.{method}", 0): ("class element", 2)
        for method in ("histogram", "h0_twisted", "hn_twisted", "chi_twisted", "cech_twisted",
                       "h1_identity_twisted")},
-    ("ToricVariety", 2): ("ray", 2),
-    ("ToricVariety", 5): ("degree", 2),
+    ("ToricVariety", 2): ("degree", 2),
     ("ToricVariety.pairing", 0): ("character", 2),
     ("ToricVariety.character_embedding", 0): ("character", 2),
     ("ToricVariety.check_class", 0): ("class element", 2),
+    ("ToricVariety.divisor_class", 0): ("divisor coefficients", 4),
     ("ToricVariety.twist_divisor", 0): ("class element", 2),
     ("assemble_slices", 1): ("multi-index", 4),
     ("enumeration_box", 1): ("shifts", 4),
@@ -292,10 +297,8 @@ FIXED_LENGTH = {
     ("sigma_piece_dim", 2): ("character", 2),
     ("twist", 1): ("class element", 2),
 }
-# ... a fixed length refused in an older form ...
-OTHER_FORM = {("ToricVariety.divisor_class", 0): "need 4 divisor coefficients, one per ray"}
-# ... a free length that another argument must match, refused by the rule
-# that ties them ({n}: the new length) ...
+# ... a free length that another argument, or the rest of its own, must
+# match, refused by the rule that ties them ({n}: the new length) ...
 TIED = {
     ("CharacterBox", 0): "bound tuples must have equal length",
     ("CharacterBox", 1): "bound tuples must have equal length",
@@ -305,10 +308,11 @@ TIED = {
     ("KlyachkoFiltration", 0): "need one subspace per jump",
     ("PresentationDegrees", 0): "all degree vectors must have the same length",
     ("PresentationDegrees", 1): "all degree vectors must have the same length",
+    ("ToricVariety", 0): "ray must have length {n}",    # the first ray gives the dimension
 }
 # ... or any length: a cone's rays, twist weights and lambdas
 FREE_LENGTH = {
-    ("Cone", 0), ("ToricVariety", 7), ("feasible_metasystem", 0), ("feasible_metasystem", 1),
+    ("Cone", 0), ("feasible_metasystem", 0), ("feasible_metasystem", 1),
     ("feasible_system1", 0), ("split_bundle", 1),
 }
 
@@ -328,7 +332,7 @@ SEQUENCES = [
 
 
 def test_every_integer_sequence_has_its_length_class():
-    classes = [set(FIXED_LENGTH), set(OTHER_FORM), set(TIED), FREE_LENGTH]
+    classes = [set(FIXED_LENGTH), set(TIED), FREE_LENGTH]
     assert sorted(set().union(*classes)) == sorted(SEQUENCES)
     assert sum(map(len, classes)) == len(SEQUENCES)
 
@@ -348,6 +352,6 @@ def test_each_sequence_of_a_fixed_or_tied_length_refuses_another(key, position, 
         resized = args[position]
         while not isinstance(resized[0], int):
             resized = resized[0]
-        message = {**OTHER_FORM, **TIED}[key, position].format(n=len(resized))
+        message = TIED[key, position].format(n=len(resized))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(*args)

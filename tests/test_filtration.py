@@ -240,7 +240,7 @@ def test_library_integers_are_strict(entry_point, bad):
     ("shifts", (), "shifts must have length 4"),
     ("shifts", (0.5, 0, True, 0), "shift must be an integer, got 0.5"),
     ("shifts", (0, 0, True, 0), "shift must be an integer, got True"),
-    ("divisor class", (1, 0, 0), "need 4 divisor coefficients"),
+    ("divisor class", (1, 0, 0), "divisor coefficients must have length 4"),
     ("multi-index", (1.9, True, 1, 1.2), "must be an integer, got 1.9"),
     ("multi-index", (1, True, 1, 1), "must be an integer, got True"),
     ("multi-index", (1, 1, "2", 1), "must be an integer, got '2'"),

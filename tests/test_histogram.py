@@ -525,8 +525,7 @@ def test_polytope_box_is_none_when_a_coordinate_range_holds_no_integer():
     (-1, 0).  O(D) with jumps (1, -1, 0) has the one-point h^0 polytope
     (0, 1/2), and jumps (0, 2, 1) the one-point h^n polytope (0, -1/2): each
     is non-empty over the reals, but no integer lies in its m_2 range."""
-    fake = ToricVariety("projective", 2, ((1, 2), (1, -2), (-1, 0)), ("a", "b", "c"), 1,
-                        ((1,), (1,), (1,)))
+    fake = ToricVariety(((1, 2), (1, -2), (-1, 0)), ("a", "b", "c"), ((1,), (1,), (1,)))
     for coeffs, which in (((-1, 1, 0), 0), ((0, -2, -1), 1)):
         engine = SheafCohomology(line_bundle(fake, coeffs))
         system = support_polytopes(engine.sheaf, (0,))[which]
@@ -578,8 +577,7 @@ WALK_VARIETIES = {
 # rays (1, 2), (1, -2) and (-1, 0): a complete simplicial fan with singular
 # cones, whose support polytopes can be non-empty over the reals and still
 # hold no integer point
-SINGULAR_FAN = ToricVariety("projective", 2, ((1, 2), (1, -2), (-1, 0)), ("a", "b", "c"), 1,
-                            ((1,), (1,), (1,)))
+SINGULAR_FAN = ToricVariety(((1, 2), (1, -2), (-1, 0)), ("a", "b", "c"), ((1,), (1,), (1,)))
 
 
 def as_lower_bounds(bounds) -> IntervalConstraintSystem:

@@ -1,9 +1,20 @@
 """Unit tests for the fan and class-group data."""
+import re
+from dataclasses import fields, replace
 from itertools import product
 
 import pytest
 
-from toricsheaf import Cone, build_variety, hirzebruch, projective_space, split_bundle
+from toricsheaf import (
+    Cone,
+    JobConfig,
+    ToricVariety,
+    build_variety,
+    hirzebruch,
+    projective_space,
+    split_bundle,
+    structure_sheaf,
+)
 from toricsheaf.errors import ConfigError
 
 
@@ -191,3 +202,102 @@ def test_seven_of_49_cones_outside_each_closed_star_on_v2_12():
         assert len(expected) == 7
         for k, terms in enumerate(chain):
             assert list(terms) == [c.ray_indices for c in expected if c.codim == k]
+
+
+def test_a_variety_is_its_rays_names_degrees_and_split_s():
+    """The dimension, class rank, family and twist weights are no longer
+    given, so no family string other than the two is taken."""
+    assert [f.name for f in fields(ToricVariety)] == ["rays", "ray_names", "degrees", "split_s"]
+    assert [f.name for f in fields(JobConfig)] == ["sheaf"]
+    sheaf = structure_sheaf(hirzebruch(3))
+    assert JobConfig(sheaf).variety is sheaf.variety
+
+
+# (dim, class_rank, family, split_a, ray_count, is_split_bundle) per variety
+DERIVED = {
+    "P1": (projective_space(1), (1, 1, "projective", None, 2, False)),
+    "P2": (projective_space(2), (2, 1, "projective", None, 3, False)),
+    "P3": (projective_space(3), (3, 1, "projective", None, 4, False)),
+    "P4": (projective_space(4), (4, 1, "projective", None, 5, False)),
+    "H0": (hirzebruch(0), (2, 2, "split_bundle", (0,), 4, True)),
+    "H1": (hirzebruch(1), (2, 2, "split_bundle", (1,), 4, True)),
+    "H2": (hirzebruch(2), (2, 2, "split_bundle", (2,), 4, True)),
+    "H3": (hirzebruch(3), (2, 2, "split_bundle", (3,), 4, True)),
+    "H4": (hirzebruch(4), (2, 2, "split_bundle", (4,), 4, True)),
+    "V1_12": (split_bundle(1, (1, 2)), (3, 2, "split_bundle", (1, 2), 5, True)),
+    "V2_1": (split_bundle(2, (1,)), (3, 2, "split_bundle", (1,), 5, True)),
+    "V2_12": (split_bundle(2, (1, 2)), (4, 2, "split_bundle", (1, 2), 6, True)),
+    "V1_012": (split_bundle(1, (0, 1, 2)), (4, 2, "split_bundle", (0, 1, 2), 6, True)),
+}
+
+
+@pytest.mark.parametrize("name", DERIVED)
+def test_derived_attributes_of_each_family(name):
+    v, expected = DERIVED[name]
+    got = (v.dim, v.class_rank, v.family, v.split_a, v.ray_count, v.is_split_bundle)
+    assert got == expected
+
+
+def test_a_name_missing_for_a_ray_is_refused():
+    """Short names let ``validate`` skip the unnamed rays: a P^2 sheaf with
+    unsorted jumps (1, 0) on its third ray passed, and h^0 at twist 2 read 3
+    where the Hilbert function read 7."""
+    with pytest.raises(ValueError, match=r"^ray names must have length 3$"):
+        replace(projective_space(2), ray_names=("rho0", "rho1"))
+
+
+@pytest.mark.parametrize("names", ["abc", (0, 1, 2), ("rho0", "rho1", None)])
+def test_ray_names_that_are_not_strings_are_refused(names):
+    """A string was split into its letters, and integers were taken as names."""
+    with pytest.raises(ValueError, match=r"^ray names must be a sequence of strings, got "):
+        replace(projective_space(2), ray_names=names)
+
+
+def test_a_degree_missing_for_a_ray_is_refused():
+    """With one degree short, ``divisor_class((1, 1, 1))`` read (2,)."""
+    with pytest.raises(ValueError, match=r"^degrees must have length 3$"):
+        replace(projective_space(2), degrees=((1,), (1,)))
+
+
+def test_the_degree_width_follows_the_split_s():
+    """Two-entry degrees on P^2 made ``twist_divisor((1, 5))`` drop the 5,
+    and a split bundle without its s failed in ``cones()`` with a
+    TypeError.  The class rank and the family are no longer given."""
+    p2, h3 = projective_space(2), hirzebruch(3)
+    with pytest.raises(ValueError, match=r"^degree must have length 1$"):
+        ToricVariety(p2.rays, p2.ray_names, ((1, 0),) * 3)
+    with pytest.raises(ValueError, match=r"^degree must have length 1$"):
+        replace(h3, split_s=None)
+    with pytest.raises(ValueError, match=r"^degree must have length 2$"):
+        replace(p2, split_s=1)
+
+
+V12 = split_bundle(1, (1, 2))
+
+
+# the rays of P^1 x P^1 and of P^2 less one ray, without split s
+SQUARE = ((1, 0), (-1, 0), (0, 1), (0, -1))
+TWO_RAYS = ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ToricVariety((), (), ()), "a variety needs at least one ray"),
+    (lambda: ToricVariety(SQUARE, ("a", "b", "c", "d"), ((1,),) * 4),
+     "a variety without split s of dimension 2 needs 3 rays, got 4"),
+    (lambda: ToricVariety(TWO_RAYS, ("a", "b"), ((1,),) * 2),
+     "a variety without split s of dimension 2 needs 3 rays, got 2"),
+    (lambda: replace(V12, rays=V12.rays[:-1], ray_names=V12.ray_names[:-1],
+                     degrees=V12.degrees[:-1]),
+     "a split bundle of dimension 3 needs 5 rays, got 4"),
+    (lambda: replace(V12, rays=((-1, 2, 1),) + V12.rays[1:]),
+     "twist weights must satisfy 0 <= a1 <= ... <= ar"),
+    (lambda: replace(V12, split_s=0), "split bundle needs s >= 1"),
+    (lambda: replace(V12, split_s=3), "need at least one twist weight"),
+])
+def test_a_variety_whose_parts_disagree_is_refused(call, message):
+    """Without split s a variety has dim + 1 rays (with 4 rays in dimension
+    2, the fan listed two opposite rays as a maximal cone; with 2, it had
+    none).  V_s(a) has s + r + 2 rays, and rho0 ends in its weights a, read
+    from the rays after the split s."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
