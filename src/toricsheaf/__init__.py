@@ -31,25 +31,28 @@ from .filtration import (
 )
 from .hilbert import (
     HalfPlane,
-    RationalPolynomial,
     SupportRegion,
-    bernoulli_number,
-    bernoulli_polynomial,
-    faulhaber_sum,
-    format_polynomial,
     hilbert_function,
     hilbert_polynomial,
     in_support_lower_bound,
     in_support_upper_bound,
     intersection_dim,
     lower_support_region,
+    mobius_weights,
     rank1_hilbert_polynomial,
     regularity_region,
     regularity_thresholds,
-    simplex_sum,
     upper_support_regions,
 )
 from .monomial import MonomialIdeal, sigma_piece_dim
+from .polynomials import (
+    RationalPolynomial,
+    bernoulli_number,
+    bernoulli_polynomial,
+    faulhaber_sum,
+    format_polynomial,
+    simplex_sum,
+)
 from .polytopes import (
     IntervalConstraintSystem,
     assemble_slices,

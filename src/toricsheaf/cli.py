@@ -27,7 +27,7 @@ from .cohomology import SheafCohomology
 from .config import JobConfig, load_config
 from .errors import ConfigError, InternalConsistencyError, UnsupportedVarietyError
 from .filtration import validate as validate_sheaf
-from .hilbert import format_polynomial, graded_exponents
+from .polynomials import format_polynomial, graded_exponents
 from .monomial import MonomialIdeal, sigma_piece_dim
 from .toric import Cone, projective_space
 
@@ -240,8 +240,9 @@ COMMANDS = (
                  *_WINDOW, ("--i", {"type": _int, "required": True, "help": "cohomology degree"}))),
     _Command("euler-table", "Euler characteristics over a twist window", options=_WINDOW,
              cell=lambda cfg, args: SheafCohomology(cfg.sheaf).chi_twisted),
-    _Command("hilbert-table", "Hilbert function by polytope counting", options=_WINDOW,
-             cell=lambda cfg, args: partial(hilbert.hilbert_function, cfg.sheaf), in_omega=True),
+    _Command("hilbert-table", "Hilbert function from Mobius-weighted section counts",
+             options=_WINDOW, in_omega=True,
+             cell=lambda cfg, args: partial(hilbert.hilbert_function, cfg.sheaf)),
     _Command("bounds", "support bounds and the regularity corner", run=_cmd_bounds),
     _Command("hilbert-poly", "interpolated Hilbert polynomial", run=_cmd_hilbert_poly),
     _Command("monomial-sigma", "0/1 cone pieces of a monomial ideal on P^n",

@@ -1,17 +1,25 @@
 """Multigraded Hilbert functions, support bounds and Hilbert polynomials.
 
-The Hilbert function of the twisted-section module is the sum, over all
-multi-indices, of (number of integer points of the index's interval system)
-times (dimension of the intersection of the indexed filtration spaces).
+The dimension of the sections in degree m is f(levels(m)), with
+f(l) = dim of the intersection of the filtration spaces E_k^(l_k) (0 when
+a level is 0).  Mobius inversion on the product order of level tuples
+gives weights g(l) = sum over ray sets S of (-1)^|S| f(l - e_S), so that
+f(l) is the sum of g over the tuples below l.  A character's levels are
+all >= l exactly when it is a section of the line bundle L_l whose ray
+rho_k has jump i_(l_k), so the Hilbert function is
+HF(c) = sum_l g(l) h^0(L_l(c)), and h^0(L_l(c)) depends only on the class
+c - [L_l]: a binomial on P^n and a sum of binomials on V_s(a).  Summing
+the weights of each class once gives ``mobius_weights``.
 On split-bundle varieties the support is sandwiched between explicit
 regions, each the class (p_D, q_D) of a divisor D of jumps (from
 ``ToricVariety.divisor_class``) plus the effective cone {q >= 0, p + a_r q >= 0}.
 Past an explicit corner the Hilbert function is a polynomial, recovered here
 by exact interpolation.  The fit and its checks take different paths: the
-polynomial is fitted on ``hilbert_function``, the paper's count of
-Psi-polytope lattice points times intersection dimensions, and checked
-against the engine's h^0 (``cohomology``, a Klyachko sum over the lines of
-the support polytope) and against the Euler characteristic.
+polynomial is fitted on ``hilbert_function``, the weighted section counts,
+and checked at the corner against the paper's count of Psi-polytope
+lattice points times intersection dimensions (``_psi_count``), against
+the engine's h^0 (``cohomology``, a Klyachko sum over the lines of the
+support polytope) and against the Euler characteristic.
 """
 from __future__ import annotations
 
@@ -19,253 +27,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, lcm
+from math import comb, factorial
+from operator import sub
 from typing import Sequence
 
 from . import cohomology
 from .errors import InternalConsistencyError
 from .filtration import EquivariantReflexiveSheaf
+from .polynomials import RationalPolynomial, simplex_sum
 from .polytopes import MultiIndex, _multi_index, omega_system, psi_points
-from .rational_linalg import _over_lcm, _scalar, solve_square
-from .toric import split_data, strict_int, strict_ints
-
-
-class RationalPolynomial:
-    """Polynomial with exact rational coefficients in a fixed number of variables."""
-
-    __slots__ = ("nvars", "coeffs")
-
-    def __init__(self, nvars: int, coeffs: dict[tuple[int, ...], Fraction] | None = None):
-        self.nvars = strict_int(nvars, "number of variables")
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in (coeffs or {}).items():
-            c = _scalar(c)
-            if c == 0:
-                continue
-            exps = strict_ints(exps, "exponent")
-            if len(exps) != nvars or any(e < 0 for e in exps):
-                raise ValueError("exponent tuples must be non-negative and match nvars")
-            clean[exps] = clean.get(exps, Fraction(0)) + c
-        self.coeffs = {e: c for e, c in clean.items() if c != 0}
-
-    @classmethod
-    def constant(cls, value, nvars: int = 1) -> "RationalPolynomial":
-        return cls(nvars, {(0,) * strict_int(nvars, "number of variables"): _scalar(value)})
-
-    @classmethod
-    def variable(cls, index: int, nvars: int) -> "RationalPolynomial":
-        if not 0 <= strict_int(index, "variable index") < strict_int(nvars, "number of variables"):
-            raise ValueError(f"variable index must lie in 0..{nvars - 1}, got {index}")
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
-
-    @property
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
-
-    def degree_in(self, index: int) -> int:
-        strict_int(index, "variable index")
-        return max((e[index] for e in self.coeffs), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _check_same_ring(self, other: "RationalPolynomial"):
-        if self.nvars != other.nvars:
-            raise ValueError("polynomials live in different rings")
-
-    def __add__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            other = RationalPolynomial.constant(other, self.nvars)
-        self._check_same_ring(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return RationalPolynomial(self.nvars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalPolynomial(self.nvars, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            other = RationalPolynomial.constant(other, self.nvars)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            f = _scalar(other)
-            return RationalPolynomial(self.nvars, {e: c * f for e, c in self.coeffs.items()})
-        self._check_same_ring(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return RationalPolynomial(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if strict_int(n, "power") < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = RationalPolynomial.constant(1, self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self.nvars == other.nvars and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.coeffs.items())))
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        """The exact value at the point, summed on integers: with the
-        coordinates N_i / L over the lcm L of their denominators, the
-        coefficients a_e / s over theirs and T the total degree, it is
-        sum_e a_e prod_i N_i^(e_i) L^(T - |e|) / (s L^T)."""
-        if len(point) != self.nvars:
-            raise ValueError(f"need {self.nvars} coordinates")
-        values, scale = _over_lcm(point)
-        s = lcm(*(c.denominator for c in self.coeffs.values()))
-        top = self.total_degree
-        total = 0
-        for exps, c in self.coeffs.items():
-            term = c.numerator * (s // c.denominator) * scale ** (top - sum(exps))
-            for v, e in zip(values, exps):
-                if e:
-                    term *= v ** e
-            total += term
-        return Fraction(total, s * scale ** top)
-
-    def __repr__(self):
-        return f"RationalPolynomial({self.nvars}, {self.coeffs})"
-
-
-def compose_univariate(
-    poly: RationalPolynomial, inner: RationalPolynomial
-) -> RationalPolynomial:
-    """Evaluate a univariate polynomial at another polynomial (Horner)."""
-    if poly.nvars != 1:
-        raise ValueError("outer polynomial must be univariate")
-    degree = poly.degree_in(0)
-    table = {e[0]: c for e, c in poly.coeffs.items()}
-    result = RationalPolynomial.constant(table.get(degree, Fraction(0)), inner.nvars)
-    for d in range(degree - 1, -1, -1):
-        result = result * inner + RationalPolynomial.constant(table.get(d, Fraction(0)), inner.nvars)
-    return result
-
-
-def graded_exponents(poly: RationalPolynomial) -> list[tuple[int, ...]]:
-    """The exponent tuples of the terms in degree-lexicographic order:
-    higher degree first, then higher powers of earlier variables."""
-    return sorted(poly.coeffs, key=lambda exps: (-sum(exps), tuple(-e for e in exps)))
-
-
-def format_polynomial(poly: RationalPolynomial, names: Sequence[str]) -> str:
-    """Degree-lexicographic rendering, earlier names first within a degree."""
-    if len(names) != poly.nvars:
-        raise ValueError("need one name per variable")
-    if poly.is_zero():
-        return "0"
-    terms = []
-    for exps in graded_exponents(poly):
-        c = poly.coeffs[exps]
-        factors = []
-        for name, e in zip(names, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        body = "*".join(factors)
-        if not body:
-            term = str(c)
-        elif c == 1:
-            term = body
-        elif c == -1:
-            term = f"-{body}"
-        else:
-            term = f"{c}*{body}"
-        terms.append(term)
-    text = " + ".join(terms)
-    return text.replace("+ -", "- ")
-
-
-# typed, so that True is not served the cached B_1 but refused
-@lru_cache(maxsize=None, typed=True)
-def bernoulli_number(n: int) -> Fraction:
-    """B_n with the convention B_1 = -1/2 (forced by the power-sum identity)."""
-    if strict_int(n, "index") < 0:
-        raise ValueError("index must be non-negative")
-    if n == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for k in range(n):
-        total += comb(n + 1, k) * bernoulli_number(k)
-    return -total / (n + 1)
-
-
-def bernoulli_polynomial(n: int) -> RationalPolynomial:
-    """B_n(x) = sum_k C(n, k) B_{n-k} x^k."""
-    if strict_int(n, "index") < 0:
-        raise ValueError("index must be non-negative")
-    coeffs = {(k,): comb(n, k) * bernoulli_number(n - k) for k in range(n + 1)}
-    return RationalPolynomial(1, coeffs)
-
-
-def faulhaber_sum(t: int) -> RationalPolynomial:
-    """The polynomial equal to sum_{k=0}^{q} k^t for all q >= 0 (0^0 = 1)."""
-    if strict_int(t, "exponent") < 0:
-        raise ValueError("exponent must be non-negative")
-    b = bernoulli_polynomial(t + 1)
-    q_plus_1 = RationalPolynomial(1, {(0,): Fraction(1), (1,): Fraction(1)})
-    shifted = compose_univariate(b, q_plus_1)
-    constant = b.evaluate((1,))
-    poly = (shifted - constant) * Fraction(1, t + 1)
-    if t == 0:
-        poly = poly + 1
-    return poly
-
-
-def simplex_sum(poly: RationalPolynomial, k: int) -> RationalPolynomial:
-    """Closed form of the sum of P(q, e_1..e_k) over e_i >= 0, e_1+...+e_k <= q.
-
-    Variables are ordered (q, e_1, ..., e_k, spectators...).  Innermost sums
-    are replaced by power-sum polynomials evaluated at the remaining budget,
-    eliminating one e-variable at a time.
-    """
-    if strict_int(k, "number of summation variables") < 1:
-        raise ValueError("need at least one summation variable")
-    if poly.nvars < k + 1:
-        raise ValueError("polynomial must contain q and the summation variables")
-    n = poly.nvars
-    for i in range(k, 0, -1):
-        budget = RationalPolynomial.variable(0, n)
-        for j in range(1, i):
-            budget = budget - RationalPolynomial.variable(j, n)
-        # poly = sum_t part_t e_i^t, with e_i set to 0 in each part_t
-        parts: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        for exps, c in poly.coeffs.items():
-            parts.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = c
-        acc = RationalPolynomial(n)
-        for t, part in parts.items():
-            acc = acc + RationalPolynomial(n, part) * compose_univariate(faulhaber_sum(t), budget)
-        poly = acc
-    # e_1..e_k are summed out: keep q and the spectators
-    keep = [0] + list(range(k + 1, n))
-    return RationalPolynomial(len(keep), {tuple(exps[j] for j in keep): c
-                                          for exps, c in poly.coeffs.items()})
+from .rational_linalg import solve_square
+from .toric import split_data, strict_int
 
 
 def _valid_levels(jumps: tuple[int, ...]) -> list[int]:
@@ -288,8 +60,79 @@ def intersection_dim(sheaf: EquivariantReflexiveSheaf, idx: Sequence[int]) -> in
     return cohomology._engine(sheaf).h0(_multi_index(sheaf, idx))
 
 
+@lru_cache(maxsize=64)
+def mobius_weights(sheaf: EquivariantReflexiveSheaf) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The nonzero Mobius weights of the intersection dimensions, as
+    (class, weight) pairs sorted by class: the weight of a class sums
+    g(l) over the level tuples l whose line bundle L_l, with jump i_(l_k)
+    on ray k, has that class.  f is read from the shared engine's h0 on
+    [1..rank]^rays, and g comes from it by one finite difference per ray,
+    taken along that ray's axis with f = 0 below level 1."""
+    jumps = sheaf.jumps
+    rank, rays = sheaf.rank, len(jumps)
+    h0 = cohomology._engine(sheaf).h0
+    tuples = list(product(range(1, rank + 1), repeat=rays))
+    g = [h0(lv) for lv in tuples]
+    for k in range(rays):
+        stride = rank ** (rays - 1 - k)
+        # downwards, so that g[i - stride] still holds the previous pass
+        for i in range(len(g) - 1, -1, -1):
+            if tuples[i][k] > 1:
+                g[i] -= g[i - stride]
+    divisor_class = sheaf.variety.divisor_class
+    weights: dict[tuple[int, ...], int] = {}
+    for lv, w in zip(tuples, g):
+        if w:
+            cls = divisor_class([js[l - 1] for js, l in zip(jumps, lv)])
+            weights[cls] = weights.get(cls, 0) + w
+    return tuple(sorted((cls, w) for cls, w in weights.items() if w))
+
+
+@lru_cache(maxsize=256)
+def _eta_counts(a: tuple[int, ...], q: int) -> tuple[tuple[int, int], ...]:
+    """(w, n) pairs: n vectors y in Z^r_{>=0} with |y| <= q have a.y = w."""
+    counts = {(0, 0): 1} if q >= 0 else {}   # keyed by (|y|, a.y) so far
+    for aj in a:
+        grown: dict[tuple[int, int], int] = {}
+        for (used, w), n in counts.items():
+            for step in range(q - used + 1):
+                key = (used + step, w + aj * step)
+                grown[key] = grown.get(key, 0) + n
+        counts = grown
+    by_weight: dict[int, int] = {}
+    for (_, w), n in counts.items():
+        by_weight[w] = by_weight.get(w, 0) + n
+    return tuple(by_weight.items())
+
+
+def _section_count(variety, c: tuple[int, ...]) -> int:
+    """h^0 of the line bundle of class c: C(t + n, n) for O(t) on P^n (0
+    for t < 0); on V_s(a), O(p D_rho0 + q D_eta0) has the characters
+    (x, y) with x, y >= 0, |y| <= q and |x| <= p + a.y, so
+    sum C(p + a.y + s, s) over those y with p + a.y >= 0."""
+    if not variety.is_split_bundle:
+        (t,) = c
+        return comb(t + variety.dim, variety.dim) if t >= 0 else 0
+    s, a = split_data(variety)
+    p, q = c
+    return sum(n * comb(p + w + s, s) for w, n in _eta_counts(a, q) if p + w >= 0)
+
+
 def hilbert_function(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:
-    """Value of the Hilbert function of the section module at the class c."""
+    """Value of the Hilbert function of the section module at the class c:
+    sum over ``mobius_weights`` of weight times h^0 of the line bundle of
+    class c - class."""
+    v = sheaf.variety
+    c = v.check_class(c)
+    return sum(w * _section_count(v, tuple(map(sub, c, cls)))
+               for cls, w in mobius_weights(sheaf))
+
+
+def _psi_count(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:
+    """The Hilbert function at c as the paper counts it: over the pruned
+    multi-indices, the lattice points of each index's interval system
+    times its intersection dimension.  The check of ``hilbert_polynomial``
+    at its corner, and an oracle for ``hilbert_function``."""
     c = sheaf.variety.check_class(c)
     total = 0
     for idx, d in _index_table(sheaf):
@@ -408,9 +251,10 @@ def hilbert_polynomial(sheaf: EquivariantReflexiveSheaf) -> RationalPolynomial:
     """The bivariate polynomial matching the Hilbert function on the corner region.
 
     Interpolated exactly on ``hilbert_function`` at a triangular grid at the
-    region's corner.  Checked against the engine's h^0 on the rest of the
-    square grid and on extra points further out, and against the Euler
-    characteristic at three points: the fit path is never its own check.
+    region's corner.  Checked against the Psi-polytope count at the corner,
+    against the engine's h^0 on the rest of the square grid and on extra
+    points further out, and against the Euler characteristic at three
+    points: the fit path is never its own check.
     Any mismatch is a bug, never a property of the input, hence the
     internal-consistency error, which names the point.
     """
@@ -435,6 +279,10 @@ def hilbert_polynomial(sheaf: EquivariantReflexiveSheaf) -> RationalPolynomial:
     poly = RationalPolynomial(
         2, {m: c for m, c in zip(monomials, solution)}
     )
+    if poly.evaluate((p0, q0)) != _psi_count(sheaf, (p0, q0)):
+        raise InternalConsistencyError(
+            f"interpolated polynomial disagrees with the Psi-polytope count at {(p0, q0)}"
+        )
     check_pts = [pt for pt in grid_pts if pt not in fit_pts]
     check_pts += [(p0 + d + t, q0 + d + t) for t in range(1, d + 2)]
     check_pts += [(p0 + d + t, q0) for t in range(1, d + 1)]

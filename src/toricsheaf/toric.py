@@ -64,6 +64,8 @@ class ToricVariety:
         names = tuple(self.ray_names)
         if isinstance(self.ray_names, str) or not all(isinstance(n, str) for n in names):
             raise ValueError(f"ray names must be a sequence of strings, got {self.ray_names!r}")
+        if len(set(names)) != len(names):
+            raise ValueError(f"ray names must be distinct, got {names!r}")
         for parts, what in ((names, "ray names"), (degrees, "degrees")):
             if len(parts) != len(rays):
                 raise ValueError(f"{what} must have length {len(rays)}")

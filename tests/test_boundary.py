@@ -157,9 +157,9 @@ NO_INTEGER = {
     "ConfigError", "InternalConsistencyError", "JobConfig", "UnboundedSystemError",
     "UnsupportedVarietyError", "build_variety", "delta_normalization", "format_polynomial",
     "hilbert_polynomial", "intersect", "jump_bounds_from_presentation", "load_config",
-    "lower_support_region", "parse_config", "psi_points", "rank1_hilbert_polynomial",
-    "regularity_region", "regularity_thresholds", "split_data", "structure_sheaf",
-    "subspace_sum", "upper_support_regions", "validate",
+    "lower_support_region", "mobius_weights", "parse_config", "psi_points",
+    "rank1_hilbert_polynomial", "regularity_region", "regularity_thresholds", "split_data",
+    "structure_sheaf", "subspace_sum", "upper_support_regions", "validate",
 }
 
 

@@ -415,7 +415,7 @@ def test_public_surface_is_pinned():
         "hilbert_polynomial", "hirzebruch", "in_support_lower_bound",
         "in_support_upper_bound", "intersect", "intersection_dim",
         "jump_bounds_from_presentation", "line_bundle", "load_config",
-        "lower_support_region", "omega_system", "parse_config",
+        "lower_support_region", "mobius_weights", "omega_system", "parse_config",
         "projective_space", "psi_m_sliced", "psi_n", "psi_points",
         "rank1_hilbert_polynomial", "regularity_region", "regularity_thresholds",
         "sigma_piece", "sigma_piece_dim", "simplex_sum", "span", "split_bundle",

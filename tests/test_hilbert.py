@@ -33,7 +33,9 @@ from toricsheaf import (
     intersection_dim,
     line_bundle,
     lower_support_region,
+    mobius_weights,
     omega_system,
+    parse_config,
     projective_space,
     psi_m_sliced,
     psi_n,
@@ -49,11 +51,13 @@ from toricsheaf import (
 )
 from toricsheaf import cohomology, hilbert
 from toricsheaf.errors import InternalConsistencyError, UnsupportedVarietyError
-from toricsheaf.hilbert import compose_univariate
+from toricsheaf.polynomials import compose_univariate
 from toricsheaf.polytopes import psi_points
 from toricsheaf.toric import split_data
 
-from conftest import counted_fractions, random_sheaf, rank3_example_sheaf, tangent_sheaf_h3
+from conftest import (
+    counted_fractions, forms_sheaf, random_sheaf, rank3_example_sheaf, tangent_sheaf_h3,
+)
 
 
 def poly_from(nvars, terms):
@@ -277,6 +281,117 @@ def test_hilbert_function_matches_h0(rank3_sheaf):
 def test_hilbert_function_zero_below_support(rank3_sheaf):
     assert hilbert_function(rank3_sheaf, (-30, -10)) == 0
     assert hilbert_function(rank3_sheaf, (0, -8)) == 0
+
+
+# the acceptance sheaves, the p-forms on V_1(1,2), and per variety and seed
+# 0-3 a random sheaf of rank 1 + seed % 3 with jumps in [-3, 0]
+MOBIUS_SHEAVES = {
+    "rank3_h3": rank3_example_sheaf,
+    "tangent_h3": tangent_sheaf_h3,
+    **{f"forms{p}-V1(1,2)": lambda p=p: forms_sheaf(split_bundle(1, (1, 2)), p) for p in range(4)},
+    **{
+        f"{name}-seed{seed}": lambda variety=variety, seed=seed: random_sheaf(
+            random.Random(seed), variety, 1 + seed % 3, -3, 0)
+        for name, variety in [("P2", projective_space(2)), ("P3", projective_space(3)),
+                              ("H1", hirzebruch(1)), ("H3", hirzebruch(3)),
+                              ("V1(1,2)", split_bundle(1, (1, 2))), ("V2(1)", split_bundle(2, (1,)))]
+        for seed in range(4)
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def mobius_sheaves():
+    return {name: build() for name, build in MOBIUS_SHEAVES.items()}
+
+
+def mobius_window(sheaf) -> list[tuple[int, ...]]:
+    """Twists from below the class of the first jumps, where nothing has a
+    section, through the corner region: on V_s(a) three columns from 8
+    steps below P0 to one past it, four rows from 6 steps below Q0 to 6
+    past it, and the class of the first jumps one step down in each
+    coordinate."""
+    v = sheaf.variety
+    first = v.divisor_class([js[0] for js in sheaf.jumps])
+    if not v.is_split_bundle:
+        top = v.divisor_class([js[-1] for js in sheaf.jumps])
+        return [(first[0] - 2,), (first[0] - 1,), (first[0],), (top[0] + 1,), (top[0] + 5,)]
+    p0, q0 = regularity_thresholds(sheaf)
+    window = [(p0 + i, q0 + j) for i in (-8, -3, 1) for j in (-6, -2, 1, 6)]
+    return window + [(first[0] - 1, first[1]), (first[0], first[1] - 1)]
+
+
+@pytest.mark.parametrize("name", MOBIUS_SHEAVES)
+def test_hilbert_function_is_the_psi_count_and_h0_on_a_window(mobius_sheaves, name):
+    """The weighted section counts equal the paper's Psi-polytope count and
+    the engine's h^0 on a window reaching classes with no section and, on
+    V_s(a), classes with sections outside the corner region."""
+    sheaf = mobius_sheaves[name]
+    engine = SheafCohomology(sheaf)
+    values = {}
+    for c in mobius_window(sheaf):
+        values[c] = hilbert_function(sheaf, c)
+        assert values[c] == hilbert._psi_count(sheaf, c) == engine.h0_twisted(c), c
+    assert 0 in values.values()
+    if sheaf.variety.is_split_bundle:
+        omega = regularity_region(sheaf)
+        assert any(h and not omega.contains(*c) for c, h in values.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(MOBIUS_SHEAVES)), c=st.tuples(*[st.integers(-10, 8)] * 2))
+def test_hilbert_function_is_the_psi_count_and_h0(mobius_sheaves, name, c):
+    sheaf = mobius_sheaves[name]
+    c = c[:sheaf.variety.class_rank]
+    value = hilbert_function(sheaf, c)
+    assert value == hilbert._psi_count(sheaf, c) == cohomology._engine(sheaf).h0_twisted(c)
+
+
+@pytest.mark.parametrize("name", MOBIUS_SHEAVES)
+def test_mobius_weights_sum_to_the_rank(mobius_sheaves, name):
+    """Mobius inversion at the top level tuple: f there is the rank, and it
+    is the sum of every weight."""
+    sheaf = mobius_sheaves[name]
+    weights = mobius_weights(sheaf)
+    assert all(w for _, w in weights)
+    assert [cls for cls, _ in weights] == sorted({cls for cls, _ in weights})
+    assert sum(w for _, w in weights) == sheaf.rank
+
+
+def test_mobius_weights_of_a_line_bundle_and_of_the_rank3_sheaf(rank3_sheaf):
+    """A line bundle has one weight, 1 at the class of its jumps, whose
+    negative is the bundle's class; the rank-3 sheaf's weights are frozen."""
+    bundle = line_bundle(hirzebruch(3), (2, 0, 1, 0))
+    assert mobius_weights(bundle) == (((-2, -1), 1),)
+    assert mobius_weights(rank3_sheaf) == (
+        ((-9, 0), 1), ((-4, 0), 1), ((-3, -1), 1), ((-3, 0), -1), ((-1, -1), 1),
+        ((-1, 0), -2), ((0, -4), 1), ((0, -1), -1), ((0, 0), 1), ((2, -1), 1),
+        ((3, -2), 1), ((3, -1), -2), ((6, -2), 1),
+    )
+
+
+def seeded_sheaf(seed: int) -> EquivariantReflexiveSheaf:
+    """The benchmark's rank-2 sheaf on V_1(1, 2): per ray, the jumps below
+    and a middle space spanned by a random nonzero line."""
+    rng = random.Random(seed)
+    filtrations = []
+    for jumps in ((-2, -1), (-3, -1), (-3, -2), (-3, -2), (-2, -1)):
+        line = [0, 0]
+        while line == [0, 0]:
+            line = [rng.randint(-4, 4), rng.randint(-4, 4)]
+        filtrations.append({"jumps": list(jumps), "spaces": [[line]]})
+    return parse_config({
+        "variety": {"family": "split_bundle", "s": 1, "a": [1, 2]},
+        "sheaf": {"rank": 2, "filtrations": filtrations},
+    }).sheaf
+
+
+def test_far_twist_hilbert_function_counts_no_lattice_point(monkeypatch):
+    """At (60, 60) the Hilbert function of the seeded sheaf sums a few
+    weighted section counts and lists no lattice point."""
+    sheaf = seeded_sheaf(0)
+    monkeypatch.setattr(hilbert, "psi_points", lambda sys: pytest.fail("psi_points called"))
+    assert hilbert_function(sheaf, (60, 60)) == 580019 == SheafCohomology(sheaf).h0_twisted((60, 60))
 
 
 def test_lower_support_region_final_example(rank3_sheaf):
@@ -511,14 +626,40 @@ def test_hilbert_polynomial_checks_every_point_on_the_engine_h0(rank3_sheaf, mon
     assert asked == points
 
 
-def test_hilbert_polynomial_still_fits_on_psi_points(rank3_sheaf, monkeypatch):
-    """Each fit point counts the lattice points of every pruned multi-index
-    with hilbert.psi_points; the checks call it no more."""
-    calls = []
-    monkeypatch.setattr(hilbert, "psi_points", lambda sys: calls.append(sys) or psi_points(sys))
+def test_hilbert_polynomial_fits_on_the_weights_and_counts_psi_points_at_the_corner(
+    rank3_sheaf, monkeypatch
+):
+    """The fit asks ``hilbert_function`` at the (d+1)(d+2)/2 fit points and
+    nowhere else; the Psi-polytope count runs once, at the corner, with one
+    psi_points call per pruned multi-index."""
+    systems, asked = [], []
+    monkeypatch.setattr(hilbert, "psi_points", lambda sys: systems.append(sys) or psi_points(sys))
+    function = hilbert.hilbert_function
+    monkeypatch.setattr(hilbert, "hilbert_function",
+                        lambda sheaf, c: asked.append(tuple(c)) or function(sheaf, c))
     hilbert_polynomial(rank3_sheaf)
     d = 2
-    assert calls and len(calls) == (d + 1) * (d + 2) // 2 * len(hilbert._index_table(rank3_sheaf))
+    p0, q0 = regularity_thresholds(rank3_sheaf)
+    assert asked == [(p0 + i, q0 + j) for i in range(d + 1) for j in range(d + 1) if i + j <= d]
+    assert len(asked) == (d + 1) * (d + 2) // 2
+    table = hilbert._index_table(rank3_sheaf)
+    assert len(systems) == len(table)
+    assert systems == [omega_system(rank3_sheaf, idx, (p0, q0)) for idx, _ in table]
+
+
+def test_hilbert_polynomial_checks_the_psi_count_at_the_corner(rank3_sheaf, monkeypatch):
+    """The fit is checked against the Psi-polytope count, not the function
+    it was fitted on: that count off by one at the corner is caught and
+    named, before any h^0 check point."""
+    corner = regularity_thresholds(rank3_sheaf)
+    psi_count = hilbert._psi_count
+    monkeypatch.setattr(hilbert, "_psi_count",
+                        lambda sheaf, c: psi_count(sheaf, c) + (tuple(c) == corner))
+    engine = cohomology._engine(rank3_sheaf)
+    monkeypatch.setattr(engine, "h0_twisted", lambda c: pytest.fail(f"h^0 asked at {c}"))
+    message = f"interpolated polynomial disagrees with the Psi-polytope count at {corner}"
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+        hilbert_polynomial(rank3_sheaf)
 
 
 def splits_on_every_maximal_cone(sheaf) -> bool:
@@ -692,6 +833,7 @@ READERS = [
     (psi_m_sliced, UNSORTED_H1, ((1, 1), 0, (0,))),
     (assemble_slices, UNSORTED_H1, ((1, 1, 1, 1), 0, 0)),
     (rank1_hilbert_polynomial, ZERO_SPACE_H1, ()),
+    (mobius_weights, UNSORTED_H1, ()),
 ]
 
 

@@ -253,6 +253,14 @@ def test_ray_names_that_are_not_strings_are_refused(names):
         replace(projective_space(2), ray_names=names)
 
 
+@pytest.mark.parametrize("names", [("r", "r", "s"), ("rho0", "rho1", "rho0")])
+def test_repeated_ray_names_are_refused(names):
+    """``ray_index`` answered the first of two rays of one name, and
+    ``validate``'s "ray r: ..." messages could not tell them apart."""
+    with pytest.raises(ValueError, match=re.escape(f"ray names must be distinct, got {names!r}")):
+        replace(projective_space(2), ray_names=names)
+
+
 def test_a_degree_missing_for_a_ray_is_refused():
     """With one degree short, ``divisor_class((1, 1, 1))`` read (2,)."""
     with pytest.raises(ValueError, match=r"^degrees must have length 3$"):
