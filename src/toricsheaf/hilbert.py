@@ -2,11 +2,14 @@
 
 The dimension of the sections in degree m is f(levels(m)), with
 f(l) = dim of the intersection of the filtration spaces E_k^(l_k) (0 when
-a level is 0).  Mobius inversion on the product order of level tuples
-gives weights g(l) = sum over ray sets S of (-1)^|S| f(l - e_S), so that
-f(l) is the sum of g over the tuples below l.  A character's levels are
-all >= l exactly when it is a section of the line bundle L_l whose ray
-rho_k has jump i_(l_k), so the Hilbert function is
+a level is 0).  A character reaches only the valid levels, the last of
+each run of equal jumps, along which the spaces and so f are constant.
+Mobius inversion on the product order of valid level tuples gives weights
+g(l) = sum over ray sets S of (-1)^|S| f(l - e_S), e_S stepping each ray
+of S to its previous valid level, so that f(l) is the sum of g over the
+valid tuples below l.  A character's levels are all >= l exactly when it
+is a section of the line bundle L_l whose ray rho_k has jump i_(l_k), so
+the Hilbert function is
 HF(c) = sum_l g(l) h^0(L_l(c)), and h^0(L_l(c)) depends only on the class
 c - [L_l]: a binomial on P^n and a sum of binomials on V_s(a).  Summing
 the weights of each class once gives ``mobius_weights``.
@@ -41,17 +44,16 @@ from .toric import split_data, strict_int
 
 
 def _valid_levels(jumps: tuple[int, ...]) -> list[int]:
-    """Indices whose jump interval is nonempty."""
-    rank = len(jumps)
-    return [j for j in range(1, rank + 1) if j == rank or jumps[j - 1] < jumps[j]]
+    """The levels a character can reach: the last index of each run of equal jumps."""
+    return [j for j in range(1, len(jumps)) if jumps[j - 1] < jumps[j]] + [len(jumps)]
 
 
 @lru_cache(maxsize=64)
-def _index_table(sheaf: EquivariantReflexiveSheaf) -> tuple[tuple[MultiIndex, int], ...]:
-    """Pruned multi-indices with positive intersection dimension."""
-    level_lists = list(map(_valid_levels, sheaf.jumps))
+def _level_table(sheaf: EquivariantReflexiveSheaf) -> tuple[tuple[MultiIndex, int], ...]:
+    """(l, f(l)) for every l in the product of the rays' valid levels, in
+    product order, with f read from the shared engine's h0."""
     h0 = cohomology._engine(sheaf).h0
-    return tuple((idx, d) for idx in product(*level_lists) if (d := h0(idx)))
+    return tuple((lv, h0(lv)) for lv in product(*map(_valid_levels, sheaf.jumps)))
 
 
 def intersection_dim(sheaf: EquivariantReflexiveSheaf, idx: Sequence[int]) -> int:
@@ -65,23 +67,23 @@ def mobius_weights(sheaf: EquivariantReflexiveSheaf) -> tuple[tuple[tuple[int, .
     """The nonzero Mobius weights of the intersection dimensions, as
     (class, weight) pairs sorted by class: the weight of a class sums
     g(l) over the level tuples l whose line bundle L_l, with jump i_(l_k)
-    on ray k, has that class.  f is read from the shared engine's h0 on
-    [1..rank]^rays, and g comes from it by one finite difference per ray,
-    taken along that ray's axis with f = 0 below level 1."""
+    on ray k, has that class.  g is f on ``_level_table``'s valid grid after
+    one finite difference per ray, to the previous valid level (f = 0 below).
+    Equal jumps hold exactly when the spaces are equal, so f and the class of
+    L_l are constant along a run; the differences on [1..rank]^rays telescope."""
     jumps = sheaf.jumps
-    rank, rays = sheaf.rank, len(jumps)
-    h0 = cohomology._engine(sheaf).h0
-    tuples = list(product(range(1, rank + 1), repeat=rays))
-    g = [h0(lv) for lv in tuples]
-    for k in range(rays):
-        stride = rank ** (rays - 1 - k)
+    table = _level_table(sheaf)
+    g = [f for _, f in table]
+    stride = len(g)
+    for count in map(len, map(_valid_levels, jumps)):
+        stride //= count
         # downwards, so that g[i - stride] still holds the previous pass
         for i in range(len(g) - 1, -1, -1):
-            if tuples[i][k] > 1:
+            if i // stride % count:
                 g[i] -= g[i - stride]
     divisor_class = sheaf.variety.divisor_class
     weights: dict[tuple[int, ...], int] = {}
-    for lv, w in zip(tuples, g):
+    for (lv, _), w in zip(table, g):
         if w:
             cls = divisor_class([js[l - 1] for js, l in zip(jumps, lv)])
             weights[cls] = weights.get(cls, 0) + w
@@ -129,15 +131,13 @@ def hilbert_function(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:
 
 
 def _psi_count(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:
-    """The Hilbert function at c as the paper counts it: over the pruned
-    multi-indices, the lattice points of each index's interval system
+    """The Hilbert function at c as the paper counts it: over the rows of
+    ``_level_table`` with f > 0, the lattice points of each index's system
     times its intersection dimension.  The check of ``hilbert_polynomial``
     at its corner, and an oracle for ``hilbert_function``."""
     c = sheaf.variety.check_class(c)
-    total = 0
-    for idx, d in _index_table(sheaf):
-        total += len(psi_points(omega_system(sheaf, idx, c))) * d
-    return total
+    return sum(len(psi_points(omega_system(sheaf, idx, c))) * d
+               for idx, d in _level_table(sheaf) if d)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import prod
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -370,6 +373,120 @@ def test_mobius_weights_of_a_line_bundle_and_of_the_rank3_sheaf(rank3_sheaf):
     )
 
 
+def full_grid_weights(sheaf) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The Mobius weights by inversion on every level tuple of
+    [1..rank]^rays, read from a fresh engine: one finite difference per
+    ray with f = 0 below level 1, and the weights summed per class."""
+    jumps, rank = sheaf.jumps, sheaf.rank
+    h0 = SheafCohomology(sheaf).h0
+    tuples = list(product(range(1, rank + 1), repeat=len(jumps)))
+    g = {lv: h0(lv) for lv in tuples}
+    for k in range(len(jumps)):
+        for lv in reversed(tuples):
+            if lv[k] > 1:
+                g[lv] -= g[lv[:k] + (lv[k] - 1,) + lv[k + 1:]]
+    weights = {}
+    for lv, w in g.items():
+        cls = sheaf.variety.divisor_class([js[l - 1] for js, l in zip(jumps, lv)])
+        weights[cls] = weights.get(cls, 0) + w
+    return tuple(sorted((cls, w) for cls, w in weights.items() if w))
+
+
+# the acceptance sheaves, the p-forms on P^4, V_1(1,2) and V_2(1,2) but
+# Omega^2 on V_2(1,2) (46,656 tuples on the full grid), and per variety a
+# random sheaf of each rank 1-4 and seed 0-3 with jumps in [-3, 0]
+GRID_SHEAVES = {
+    "rank3_h3": rank3_example_sheaf,
+    "tangent_h3": tangent_sheaf_h3,
+    **{
+        f"forms{p}-{name}": lambda variety=variety, p=p: forms_sheaf(variety, p)
+        for name, variety in [("P4", projective_space(4)), ("V1(1,2)", split_bundle(1, (1, 2))),
+                              ("V2(1,2)", split_bundle(2, (1, 2)))]
+        for p in range(variety.dim + 1) if (name, p) != ("V2(1,2)", 2)
+    },
+    **{
+        f"{name}-rank{rank}-seed{seed}": lambda variety=variety, rank=rank, seed=seed: random_sheaf(
+            random.Random(seed), variety, rank, -3, 0)
+        for name, variety in [("H1", hirzebruch(1)), ("V1(1,2)", split_bundle(1, (1, 2))),
+                              ("V2(1,2)", split_bundle(2, (1, 2)))]
+        for rank in range(1, 5) for seed in range(4)
+    },
+}
+
+
+@pytest.mark.parametrize("name", GRID_SHEAVES)
+def test_mobius_weights_on_the_valid_grid_equal_the_full_grid_inversion(name):
+    """Inverting f on the valid levels alone gives the weights of the
+    inversion on all of [1..rank]^rays: along a run of equal jumps f and
+    the class of L_l are constant, so the full grid's differences there
+    telescope."""
+    sheaf = GRID_SHEAVES[name]()
+    assert mobius_weights(sheaf) == full_grid_weights(sheaf)
+
+
+def test_mobius_weights_read_h0_only_on_the_valid_grid(monkeypatch):
+    """On a fresh engine the weights of Omega^2 on V_2(1,2) read h0 at the
+    2^6 = 64 valid level tuples, one per jump 0 or 1 on each of the six
+    rays, not at the 6^6 = 46,656 of [1..rank]^rays."""
+    sheaf = forms_sheaf(split_bundle(2, (1, 2)), 2)
+    monkeypatch.setattr(cohomology, "_engine", lru_cache(maxsize=64)(SheafCohomology))
+    monkeypatch.setattr(hilbert, "_level_table", lru_cache(maxsize=64)(hilbert._level_table.__wrapped__))
+    weights = hilbert.mobius_weights.__wrapped__(sheaf)
+    assert sum(w for _, w in weights) == sheaf.rank == 6
+    grid = [len(hilbert._valid_levels(js)) for js in sheaf.jumps]
+    assert grid == [2] * 6
+    assert len(cohomology._engine(sheaf)._local["h0"]) == prod(grid) == 64
+    assert [lv for lv, _ in hilbert._level_table(sheaf)] == list(product(*map(hilbert._valid_levels, sheaf.jumps)))
+
+
+# (variety, rank, seed) of the random sheaves, jumps in [-3, 0], whose
+# K-polynomial is checked beside the acceptance sheaves and Omega^1 on V_1(1,2)
+K_POLYNOMIAL_SHEAVES = {
+    "rank3_h3": rank3_example_sheaf,
+    "tangent_h3": tangent_sheaf_h3,
+    "forms1-V1(1,2)": lambda: forms_sheaf(split_bundle(1, (1, 2)), 1),
+    **{
+        f"{name}-rank{rank}-seed{seed}": lambda variety=variety, rank=rank, seed=seed: random_sheaf(
+            random.Random(seed), variety, rank, -3, 0)
+        for name, variety in [("H1", hirzebruch(1)), ("V1(1,2)", split_bundle(1, (1, 2))),
+                              ("P2", projective_space(2))]
+        for rank in (2, 3) for seed in range(3)
+    },
+}
+
+
+@pytest.mark.parametrize("name", K_POLYNOMIAL_SHEAVES)
+def test_mobius_weights_are_the_k_polynomial_of_the_engine_h0(name):
+    """The section module has the Hilbert series K(t) / prod_rho (1 - t^deg rho)
+    with K = sum w t^class, so prod_rho (1 - shift by deg rho) applied to the
+    engine's h^0 gives the weights at their classes and 0 at every other
+    class of the box reaching 2 past them: no interpolation, no inversion."""
+    sheaf = K_POLYNOMIAL_SHEAVES[name]()
+    engine = SheafCohomology(sheaf)
+    weights = dict(mobius_weights(sheaf))
+    shifts = {(0,) * sheaf.variety.class_rank: 1}
+    for degree in sheaf.variety.degrees:
+        for shift, sign in list(shifts.items()):
+            moved = tuple(x + d for x, d in zip(shift, degree))
+            shifts[moved] = shifts.get(moved, 0) - sign
+    box = [range(min(axis) - 2, max(axis) + 3) for axis in zip(*weights)]
+    for c in product(*box):
+        k = sum(sign * engine.h0_twisted(tuple(map(sub, c, shift))) for shift, sign in shifts.items())
+        assert k == weights.get(c, 0), c
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(MOBIUS_SHEAVES)), c=st.tuples(*[st.integers(-6, 6)] * 2))
+def test_chi_is_the_weighted_chi_of_the_structure_sheaf(mobius_sheaves, name, c):
+    """Each cone piece's dimension is a marginal of f, so chi is linear in
+    f: chi(E(c)) = sum w chi(O(c - class)), both sides walked by the engine."""
+    sheaf = mobius_sheaves[name]
+    c = c[:sheaf.variety.class_rank]
+    structure = cohomology._engine(structure_sheaf(sheaf.variety))
+    assert cohomology._engine(sheaf).chi_twisted(c) == sum(
+        w * structure.chi_twisted(tuple(map(sub, c, cls))) for cls, w in mobius_weights(sheaf))
+
+
 def seeded_sheaf(seed: int) -> EquivariantReflexiveSheaf:
     """The benchmark's rank-2 sheaf on V_1(1, 2): per ray, the jumps below
     and a middle space spanned by a random nonzero line."""
@@ -642,7 +759,7 @@ def test_hilbert_polynomial_fits_on_the_weights_and_counts_psi_points_at_the_cor
     p0, q0 = regularity_thresholds(rank3_sheaf)
     assert asked == [(p0 + i, q0 + j) for i in range(d + 1) for j in range(d + 1) if i + j <= d]
     assert len(asked) == (d + 1) * (d + 2) // 2
-    table = hilbert._index_table(rank3_sheaf)
+    table = [(idx, d) for idx, d in hilbert._level_table(rank3_sheaf) if d]
     assert len(systems) == len(table)
     assert systems == [omega_system(rank3_sheaf, idx, (p0, q0)) for idx, _ in table]
 
