@@ -36,7 +36,6 @@ from .hilbert import (
     hilbert_polynomial,
     in_support_lower_bound,
     in_support_upper_bound,
-    intersection_dim,
     lower_support_region,
     mobius_weights,
     rank1_hilbert_polynomial,

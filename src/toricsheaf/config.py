@@ -148,7 +148,7 @@ def _sheaf_section(variety: ToricVariety, data: dict) -> EquivariantReflexiveShe
         while len(spaces) < rank:
             spaces.append(Subspace.full(rank))
         filtrations.append(KlyachkoFiltration(jumps, tuple(spaces)))
-    return EquivariantReflexiveSheaf(variety, rank, tuple(filtrations))
+    return EquivariantReflexiveSheaf(variety, tuple(filtrations))
 
 
 def parse_config(data: dict) -> JobConfig:

@@ -96,21 +96,24 @@ class KlyachkoFiltration:
 @dataclass(frozen=True)
 class EquivariantReflexiveSheaf:
     variety: ToricVariety
-    rank: int
     filtrations: tuple[KlyachkoFiltration, ...]
 
     def __post_init__(self):
-        strict_int(self.rank, "sheaf rank")
         object.__setattr__(self, "filtrations", tuple(self.filtrations))
         if len(self.filtrations) != self.variety.ray_count:
             raise ValueError("need exactly one filtration per ray")
         for f in self.filtrations:
             if f.rank != self.rank or f.ambient_dim != self.rank:
                 raise ValueError("filtration length and ambient must equal the rank")
-        object.__setattr__(self, "_hash", hash((self.variety, self.rank, self.filtrations)))
+        object.__setattr__(self, "_hash", hash((self.variety, self.filtrations)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    @property
+    def rank(self) -> int:
+        """The rank l: every filtration has l jumps in Q^l."""
+        return self.filtrations[0].rank
 
     @cached_property
     def jumps(self) -> tuple[tuple[int, ...], ...]:
@@ -128,7 +131,7 @@ def line_bundle(variety: ToricVariety, divisor_coeffs: Sequence[int]) -> Equivar
                          variety.ray_count, "divisor coefficients")
     full = Subspace.full(1)
     filts = tuple(KlyachkoFiltration((-a,), (full,)) for a in coeffs)
-    return EquivariantReflexiveSheaf(variety, 1, filts)
+    return EquivariantReflexiveSheaf(variety, filts)
 
 
 def structure_sheaf(variety: ToricVariety) -> EquivariantReflexiveSheaf:
@@ -139,7 +142,7 @@ def twist(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> EquivariantRefl
     """Twist by a class element, using the fixed divisor representative."""
     coeffs = sheaf.variety.twist_divisor(c)
     filts = tuple(f.shifted(a) for f, a in zip(sheaf.filtrations, coeffs))
-    return EquivariantReflexiveSheaf(sheaf.variety, sheaf.rank, filts)
+    return EquivariantReflexiveSheaf(sheaf.variety, filts)
 
 
 def delta_normalization(
@@ -157,7 +160,7 @@ def delta_normalization(
     top = [js[-1] for js in sheaf.jumps]
     delta = v.divisor_class(top)
     filts = tuple(map(KlyachkoFiltration.shifted, sheaf.filtrations, top))
-    return delta, EquivariantReflexiveSheaf(v, sheaf.rank, filts)
+    return delta, EquivariantReflexiveSheaf(v, filts)
 
 
 @dataclass(frozen=True)

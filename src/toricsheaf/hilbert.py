@@ -38,7 +38,7 @@ from . import cohomology
 from .errors import InternalConsistencyError
 from .filtration import EquivariantReflexiveSheaf
 from .polynomials import RationalPolynomial, simplex_sum
-from .polytopes import MultiIndex, _multi_index, omega_system, psi_points
+from .polytopes import MultiIndex, omega_system, psi_points
 from .rational_linalg import solve_square
 from .toric import split_data, strict_int
 
@@ -54,12 +54,6 @@ def _level_table(sheaf: EquivariantReflexiveSheaf) -> tuple[tuple[MultiIndex, in
     product order, with f read from the shared engine's h0."""
     h0 = cohomology._engine(sheaf).h0
     return tuple((lv, h0(lv)) for lv in product(*map(_valid_levels, sheaf.jumps)))
-
-
-def intersection_dim(sheaf: EquivariantReflexiveSheaf, idx: Sequence[int]) -> int:
-    """Dimension of the intersection of the indexed filtration spaces, read
-    from the shared engine's h0 at those levels."""
-    return cohomology._engine(sheaf).h0(_multi_index(sheaf, idx))
 
 
 @lru_cache(maxsize=64)

@@ -33,12 +33,9 @@ class MonomialIdeal:
         if any(e < 0 for g in self.generators for e in g):
             raise ValueError("generator exponents must be non-negative")
 
-    def variety(self) -> ToricVariety:
-        return self._variety
-
     @cached_property
-    def _variety(self) -> ToricVariety:
-        # one P^n per ideal, so its cone list is built once
+    def variety(self) -> ToricVariety:
+        """P^n, built once per ideal, so its cone list is built once."""
         return projective_space(self.n)
 
 
@@ -48,7 +45,7 @@ def sigma_piece_dim(ideal: MonomialIdeal, cone: Cone, m: Sequence[int]) -> int:
     Only exponents on rays of the cone constrain divisibility; the other
     variables are invertible there.
     """
-    v = ideal.variety()
+    v = ideal.variety
     rays = v.check_cone(cone).ray_indices
     embedded = v.character_embedding(m)
     for g in ideal.generators:

@@ -64,7 +64,7 @@ from functools import lru_cache
 from itertools import combinations, product, repeat
 from math import gcd
 from operator import le, mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import UnboundedSystemError
 from .filtration import EquivariantReflexiveSheaf
@@ -90,10 +90,6 @@ class CharacterBox:
             raise ValueError("bound tuples must have equal length")
         if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("lower bound exceeds upper bound")
-
-    def points(self) -> Iterator[tuple[int, ...]]:
-        ranges = [range(lo, hi + 1) for lo, hi in zip(self.lower, self.upper)]
-        return product(*ranges)
 
     def __contains__(self, m: Sequence[int]) -> bool:
         m = strict_ints(m, "character entry", len(self.lower), "character")

@@ -13,9 +13,9 @@ column, and divides the result by the gcd of its entries, so the numbers
 stay small; ``matrix_rank`` stops there.  The reduced form also clears the
 entries above each pivot the same way, then divides each row by its gcd,
 signed as its pivot.  ``Fraction``s are built only for the public views
-(``Subspace.basis``, ``reduced_echelon``, ``Subspace.coordinates`` and
-``solve_square``): each row divided by its pivot is the reduced row echelon
-form over ``fractions.Fraction``.  ``_integer_inverse`` inverts a square
+(``Subspace.basis``, ``Subspace.coordinates`` and ``solve_square``): each
+row divided by its pivot is the reduced row echelon form over
+``fractions.Fraction``.  ``_integer_inverse`` inverts a square
 integer matrix A by one such elimination of [A | I]: it ends in rows
 p_i e_i | r_i, so row i of A^-1 is r_i / p_i, returned over the least
 common denominator.  ``perp`` is computed once per ``Subspace``: the object
@@ -133,11 +133,6 @@ def _canonical(
     _reduce(done, cols)
     signed = [gcd(*row) if row[col] > 0 else -gcd(*row) for row, col in zip(done, cols)]
     return tuple(tuple(a // g for a in row) for row, g in zip(done, signed)), tuple(cols)
-
-
-def reduced_echelon(rows: Sequence[Sequence[Scalar]], width: int) -> list[Vector]:
-    """Reduced row echelon form of the given rows; zero rows are dropped."""
-    return list(Subspace(width, rows).basis)
 
 
 def matrix_rank(rows: Sequence[Sequence[Scalar]], width: int) -> int:

@@ -10,9 +10,12 @@ Three families are supported, with a fixed ray ordering:
   etaj = fj; the class group is Z^2 with basis ([D_rho0], [D_eta0]).
 * the Hirzebruch surface H_a, which is exactly V_1(a).
 
-Class elements are plain integer tuples of length ``class_rank``.  Divisor
-representatives of a class are fixed: the whole class sits on rho0 (and eta0
-for the bundle families), so twisting is deterministic.
+Class elements are plain integer tuples of length ``class_rank``, in the
+basis of the classes of rho0 (and eta0 on V_s(a)).  The fan fixes the class
+map, by 0 -> M -> Z^rays -> Cl(X) -> 0: the other rays span a maximal cone,
+and the column m_k of its inverse ray matrix pairs to 1 with its ray k and
+to 0 with its other rays, so div(chi^(m_k)) gives [D_k] = -(<m_k, rho_b>)_b
+over the basis rays b.  The fixed divisor of a class sits on the basis rays.
 """
 from __future__ import annotations
 
@@ -42,15 +45,14 @@ class Cone:
 
 @dataclass(frozen=True)
 class ToricVariety:
-    """A fan with its class group, given by its rays, their names, the class
-    [D_ray] of each ray (``degrees``) and, on V_s(a), the split s.  The
-    dimension, the class rank, the family and the twist weights are read
+    """A fan with its class group, given by its rays, their names and, on
+    V_s(a), the split s.  The dimension, the class rank, the class [D_ray]
+    of each ray (``degrees``), the family and the twist weights are read
     from these; ``divisor_class`` maps per-ray coefficients to their
     divisor's class."""
 
     rays: tuple[tuple[int, ...], ...]
     ray_names: tuple[str, ...]
-    degrees: tuple[tuple[int, ...], ...]   # class of D_ray, per ray
     split_s: int | None = None            # s of V_s(a); None on P^n
 
     def __post_init__(self):
@@ -59,24 +61,20 @@ class ToricVariety:
             raise ValueError("a variety needs at least one ray")
         dim = len(rays[0])
         rays = tuple(strict_ints(r, "ray entry", dim, "ray") for r in rays)
-        width = 1 if self.split_s is None else 2
-        degrees = tuple(strict_ints(d, "degree entry", width, "degree") for d in self.degrees)
         names = tuple(self.ray_names)
         if isinstance(self.ray_names, str) or not all(isinstance(n, str) for n in names):
             raise ValueError(f"ray names must be a sequence of strings, got {self.ray_names!r}")
         if len(set(names)) != len(names):
             raise ValueError(f"ray names must be distinct, got {names!r}")
-        for parts, what in ((names, "ray names"), (degrees, "degrees")):
-            if len(parts) != len(rays):
-                raise ValueError(f"{what} must have length {len(rays)}")
+        if len(names) != len(rays):
+            raise ValueError(f"ray names must have length {len(rays)}")
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "ray_names", names)
-        object.__setattr__(self, "degrees", degrees)
         if self.split_s is not None and strict_int(self.split_s, "split bundle s") < 1:
             raise ValueError("split bundle needs s >= 1")
-        if len(rays) != dim + width:   # a smooth complete fan has dim + class rank rays
+        if len(rays) != dim + self.class_rank:   # a smooth complete fan has dim + class rank rays
             kind = "variety without split s" if self.split_s is None else "split bundle"
-            raise ValueError(f"a {kind} of dimension {dim} needs {dim + width} rays, "
+            raise ValueError(f"a {kind} of dimension {dim} needs {dim + self.class_rank} rays, "
                              f"got {len(rays)}")
         if self.split_s is not None:
             _checked_weights(rays[0][self.split_s:])
@@ -87,7 +85,28 @@ class ToricVariety:
 
     @property
     def class_rank(self) -> int:
-        return len(self.degrees[0])
+        return len(self._class_basis)
+
+    @cached_property
+    def _class_basis(self) -> tuple[int, ...]:
+        """The rays whose classes are the basis: rho0, and eta0 on V_s(a)."""
+        return (0,) if self.split_s is None else (0, self.split_s + 1)
+
+    @cached_property
+    def degrees(self) -> tuple[tuple[int, ...], ...]:
+        """The class [D_ray] of each ray, derived from the rays by the rule
+        of the module docstring; refused unless the rays off the class
+        basis form a lattice basis."""
+        from .rational_linalg import _integer_inverse   # it imports strict_int from here
+        basis = self._class_basis
+        cone = [k for k in range(self.ray_count) if k not in basis]
+        inverse = _integer_inverse([self.rays[k] for k in cone])
+        if inverse is None or inverse[1] != 1:
+            raise ValueError("the rays off the class basis must form a lattice basis")
+        classes = {b: tuple(int(b == c) for c in basis) for b in basis}
+        for k, m_k in zip(cone, zip(*inverse[0])):
+            classes[k] = tuple(-sum(map(mul, m_k, self.rays[b])) for b in basis)
+        return tuple(classes[k] for k in range(self.ray_count))
 
     @property
     def family(self) -> str:
@@ -157,9 +176,8 @@ class ToricVariety:
         """Per-ray coefficients of the fixed divisor representative of c."""
         c = self.check_class(c)
         coeffs = [0] * self.ray_count
-        coeffs[0] = c[0]
-        if self.is_split_bundle:
-            coeffs[self.split_s + 1] = c[1]
+        for k, x in zip(self._class_basis, c):
+            coeffs[k] = x
         return tuple(coeffs)
 
     def ray_index(self, name: str) -> int:
@@ -203,8 +221,7 @@ def projective_space(n: int) -> ToricVariety:
     rays = [tuple(-1 for _ in range(n))]
     rays += [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     names = tuple(f"rho{i}" for i in range(n + 1))
-    degrees = tuple((1,) for _ in range(n + 1))
-    return ToricVariety(tuple(rays), names, degrees)
+    return ToricVariety(tuple(rays), names)
 
 
 def split_bundle(s: int, a_list: Sequence[int]) -> ToricVariety:
@@ -223,10 +240,7 @@ def split_bundle(s: int, a_list: Sequence[int]) -> ToricVariety:
     names = tuple(
         [f"rho{t}" for t in range(s + 1)] + [f"eta{u}" for u in range(r + 1)]
     )
-    degrees = tuple(
-        [(1, 0)] * (s + 1) + [(0, 1)] + [(-aj, 1) for aj in a]
-    )
-    return ToricVariety(tuple(rays), names, degrees, split_s=s)
+    return ToricVariety(tuple(rays), names, split_s=s)
 
 
 def hirzebruch(a: int) -> ToricVariety:

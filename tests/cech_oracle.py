@@ -27,7 +27,7 @@ from itertools import combinations
 from toricsheaf import twist
 
 from linalg_oracle import matrix_rank
-from vertex_oracle import fraction_enumeration_box, widened
+from vertex_oracle import box_points, fraction_enumeration_box, widened
 
 
 def full_complex_cech(engine, levels: tuple[int, ...]) -> tuple[int, ...]:
@@ -100,7 +100,7 @@ def maximal_cone_cech_twisted(engine, c, per_levels=None) -> tuple[int, ...]:
     if per_levels is None:
         per_levels = {}
     totals = [0] * (engine.variety.dim + 1)
-    for m in box.points():
+    for m in box_points(box):
         levels = engine.levels(m, shifts)
         if levels not in per_levels:
             per_levels[levels] = maximal_cone_cech(engine, levels)

@@ -41,7 +41,7 @@ def chain_filtration(jumps, generator_chain, rank):
 def rank3_example_sheaf() -> EquivariantReflexiveSheaf:
     """The rank-3 sheaf on H_3 shipped in configs/rank3_h3.json."""
     h3 = hirzebruch(3)
-    return EquivariantReflexiveSheaf(h3, 3, (
+    return EquivariantReflexiveSheaf(h3, (
         chain_filtration((-3, -1, 0), [[(3, 3, 1)], [(3, 3, 1), (4, 0, 2)]], 3),
         chain_filtration((-9, -3, 0), [[(9, 4, 8)], [(9, 4, 8), (2, 8, 8)]], 3),
         chain_filtration((-4, -1, 0), [[(0, 6, 3)], [(0, 6, 3), (7, 1, 3)]], 3),
@@ -52,7 +52,7 @@ def rank3_example_sheaf() -> EquivariantReflexiveSheaf:
 def tangent_sheaf_h3() -> EquivariantReflexiveSheaf:
     """The rank-2 tangent sheaf of H_3 (configs/tangent_h3.json)."""
     h3 = hirzebruch(3)
-    return EquivariantReflexiveSheaf(h3, 2, (
+    return EquivariantReflexiveSheaf(h3, (
         chain_filtration((-1, 0), [[(3, 1)]], 2),
         chain_filtration((-1, 0), [[(0, 1)]], 2),
         chain_filtration((-1, 0), [[(1, 0)]], 2),
@@ -100,7 +100,7 @@ def random_sheaf(rng: random.Random, variety, rank: int, jump_lo=-6, jump_hi=0):
         random_filtration(rng, rank, jump_lo, jump_hi)
         for _ in range(variety.ray_count)
     )
-    return EquivariantReflexiveSheaf(variety, rank, filts)
+    return EquivariantReflexiveSheaf(variety, filts)
 
 
 def h0_supported(engine, c) -> int:
@@ -143,7 +143,7 @@ def forms_sheaf(variety, p: int) -> EquivariantReflexiveSheaf:
         ]
         spaces = [span(wedges, rank)] * inner + [Subspace.full(rank)] * (rank - inner)
         filtrations.append(KlyachkoFiltration((0,) * inner + (1,) * (rank - inner), tuple(spaces)))
-    return EquivariantReflexiveSheaf(variety, rank, tuple(filtrations))
+    return EquivariantReflexiveSheaf(variety, tuple(filtrations))
 
 
 @pytest.fixture

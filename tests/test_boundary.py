@@ -21,7 +21,6 @@ import toricsheaf
 from toricsheaf import (
     CharacterBox,
     Cone,
-    EquivariantReflexiveSheaf,
     HalfPlane,
     IntervalConstraintSystem,
     KlyachkoFiltration,
@@ -44,7 +43,6 @@ from toricsheaf import (
     hirzebruch,
     in_support_lower_bound,
     in_support_upper_bound,
-    intersection_dim,
     line_bundle,
     omega_system,
     projective_space,
@@ -55,7 +53,6 @@ from toricsheaf import (
     simplex_sum,
     span,
     split_bundle,
-    structure_sheaf,
     twist,
 )
 
@@ -74,8 +71,6 @@ CALLS = {
     "CharacterBox.__contains__": (
         CharacterBox((0, 0), (2, 2)).__contains__, ((1, 1),), {0: "character entry"}),
     "Cone": (Cone, ((0,), 1), {0: "cone ray index", 1: "cone codimension"}),
-    "EquivariantReflexiveSheaf": (
-        EquivariantReflexiveSheaf, (P2, 1, structure_sheaf(P2).filtrations), {1: "sheaf rank"}),
     "HalfPlane": (HalfPlane, (1, 0, 0), {0: "p_coeff", 1: "q_coeff", 2: "bound"}),
     "HalfPlane.contains": (HALF.contains, (1, 0), {0: "p", 1: "q"}),
     "IntervalConstraintSystem": (
@@ -112,8 +107,8 @@ CALLS = {
     "SupportRegion.contains": (SupportRegion("I", 1, (HALF, HALF)).contains, (1, 0), {0: "p", 1: "q"}),
     "ToricVariety": (
         ToricVariety,
-        (H0.rays, H0.ray_names, H0.degrees, H0.split_s),
-        {0: "ray entry", 2: "degree entry", 3: "split bundle s"}),
+        (H0.rays, H0.ray_names, H0.split_s),
+        {0: "ray entry", 2: "split bundle s"}),
     "ToricVariety.pairing": (P2.pairing, ((1, 0), 1), {0: "character entry", 1: "ray index"}),
     "ToricVariety.character_embedding": (P2.character_embedding, ((1, 0),), {0: "character entry"}),
     "ToricVariety.check_class": (H0.check_class, ((1, 0),), {0: "class element entry"}),
@@ -133,7 +128,6 @@ CALLS = {
     "hirzebruch": (hirzebruch, (3,), {0: "Hirzebruch parameter"}),
     "in_support_lower_bound": (in_support_lower_bound, (SHEAF, 30, 3), {1: "p", 2: "q"}),
     "in_support_upper_bound": (in_support_upper_bound, (SHEAF, 30, 3), {1: "p", 2: "q"}),
-    "intersection_dim": (intersection_dim, (SHEAF, (3, 1, 3, 3)), {1: "multi-index entry"}),
     "line_bundle": (line_bundle, (P2, (1, 0, 0)), {1: "divisor coefficient"}),
     "omega_system": (
         omega_system, (SHEAF, (3, 1, 3, 3), (0, 0)), {1: "multi-index entry", 2: "class element entry"}),
@@ -152,10 +146,11 @@ CALLS = {
 }
 
 # the public names that take no integer: errors, configs, and functions of
-# sheaves, subspaces, systems or polynomials alone
+# sheaves, filtrations, subspaces, systems or polynomials alone
 NO_INTEGER = {
-    "ConfigError", "InternalConsistencyError", "JobConfig", "UnboundedSystemError",
-    "UnsupportedVarietyError", "build_variety", "delta_normalization", "format_polynomial",
+    "ConfigError", "EquivariantReflexiveSheaf", "InternalConsistencyError", "JobConfig",
+    "UnboundedSystemError", "UnsupportedVarietyError", "build_variety", "delta_normalization",
+    "format_polynomial",
     "hilbert_polynomial", "intersect", "jump_bounds_from_presentation", "load_config",
     "lower_support_region", "mobius_weights", "parse_config", "psi_points",
     "rank1_hilbert_polynomial", "regularity_region", "regularity_thresholds", "split_data",
@@ -202,14 +197,11 @@ def test_each_integer_argument_refuses_a_float_a_bool_and_a_string(key, position
     (lambda: RationalPolynomial.variable(-1, 2), "variable index must lie in 0..1, got -1"),
     (lambda: IntervalConstraintSystem(((1, 0),), (0,), (2,)).satisfied_by((1,)),
      "point must have length 2"),
-    (lambda: ToricVariety(((-1,), (1, 0)), ("rho0", "rho1"), ((1,), (1,))),
-     "ray must have length 1"),
-    (lambda: ToricVariety(((-1,), (1,)), ("rho0", "rho1"), ((1,), (1, 0))),
-     "degree must have length 1"),
+    (lambda: ToricVariety(((-1,), (1, 0)), ("rho0", "rho1")), "ray must have length 1"),
     (lambda: IntervalConstraintSystem(((1, 0), (1,)), (0, 0), (1, 1)), "constraint row must have length 2"),
     (lambda: line_bundle(P2, (1, 0)), "divisor coefficients must have length 3"),
-    (lambda: intersection_dim(SHEAF, (3, 1, 3)), "multi-index must have length 4"),
-    (lambda: intersection_dim(SHEAF, (3, 1, 3, 4)), "multi-index entries must lie in 1..3"),
+    (lambda: omega_system(SHEAF, (3, 1, 3), (0, 0)), "multi-index must have length 4"),
+    (lambda: omega_system(SHEAF, (3, 1, 3, 4), (0, 0)), "multi-index entries must lie in 1..3"),
     (lambda: psi_n(SHEAF, (3,), 3), "eta multi-index must have length 2"),
     (lambda: psi_n(SHEAF, (4, 3), 3), "eta multi-index entries must lie in 1..3"),
     (lambda: psi_m_sliced(SHEAF, (3, 1, 1), 30, (0,)), "rho multi-index must have length 2"),
@@ -235,11 +227,12 @@ def test_shapes_that_do_not_fit_are_refused_in_one_form(call, message):
 
 # the integer positions where None is documented: an unbounded side of a
 # constraint row, a region without an index, a variety that is no split
-# bundle; the value is the refusal that None then meets, if any (H_0's
-# degrees have two entries, and a variety without split s has one)
+# bundle; the value is the refusal that None then meets, if any (H_0 has
+# four rays, and a surface without split s has three)
 NONE_ALLOWED = {
     ("IntervalConstraintSystem", 1): None, ("IntervalConstraintSystem", 2): None,
-    ("SupportRegion", 1): None, ("ToricVariety", 3): "degree must have length 1",
+    ("SupportRegion", 1): None,
+    ("ToricVariety", 2): "a variety without split s of dimension 2 needs 3 rays, got 4",
 }
 
 
@@ -275,7 +268,6 @@ FIXED_LENGTH = {
     **{(f"SheafCohomology.{method}", 0): ("class element", 2)
        for method in ("histogram", "h0_twisted", "hn_twisted", "chi_twisted", "cech_twisted",
                       "h1_identity_twisted")},
-    ("ToricVariety", 2): ("degree", 2),
     ("ToricVariety.pairing", 0): ("character", 2),
     ("ToricVariety.character_embedding", 0): ("character", 2),
     ("ToricVariety.check_class", 0): ("class element", 2),
@@ -286,7 +278,6 @@ FIXED_LENGTH = {
     ("euler_characteristic", 1): ("class element", 2),
     ("feasible_metasystem", 2): ("mus", 3),
     ("hilbert_function", 1): ("class element", 2),
-    ("intersection_dim", 1): ("multi-index", 4),
     ("line_bundle", 1): ("divisor coefficients", 3),
     ("omega_system", 1): ("multi-index", 4),
     ("omega_system", 2): ("class element", 2),

@@ -27,7 +27,7 @@ from toricsheaf import (
 from toricsheaf.polytopes import _box_plan
 
 from conftest import h0_supported, random_sheaf
-from vertex_oracle import widened
+from vertex_oracle import box_points, widened
 
 
 def p1_bundle(a0: int):
@@ -124,12 +124,12 @@ def test_box_margin_invariance(rank3_sheaf):
         box = enumeration_box(twist(rank3_sheaf, c))
         wide = widened(box, 3)
         for fn in (eng.h0, eng.hn, eng.chi):
-            tight = sum(fn(eng.levels(m, shifts)) for m in box.points())
-            loose = sum(fn(eng.levels(m, shifts)) for m in wide.points())
+            tight = sum(fn(eng.levels(m, shifts)) for m in box_points(box))
+            loose = sum(fn(eng.levels(m, shifts)) for m in box_points(wide))
             assert tight == loose
         tight_cech = [0, 0, 0]
         loose_cech = [0, 0, 0]
-        for target, points in ((tight_cech, box.points()), (loose_cech, wide.points())):
+        for target, points in ((tight_cech, box_points(box)), (loose_cech, box_points(wide))):
             for m in points:
                 for i, hi in enumerate(eng.cech(eng.levels(m, shifts))):
                     target[i] += hi
@@ -220,7 +220,7 @@ def test_line_bundle_character_dims_are_01():
     sheaf = line_bundle(h, (1, -1, 2, 0))
     eng = SheafCohomology(sheaf)
     box = widened(enumeration_box(sheaf), 2)
-    for m in box.points():
+    for m in box_points(box):
         lv = eng.levels(m)
         assert eng.h0(lv) in (0, 1)
         assert eng.hn(lv) in (0, 1)
@@ -289,7 +289,7 @@ def test_tangent_sheaf_cohomology_matches_deformation_theory():
     full = Subspace.full(2)
     for a in (1, 2, 3):
         h = hirzebruch(a)
-        tangent = EquivariantReflexiveSheaf(h, 2, (
+        tangent = EquivariantReflexiveSheaf(h, (
             KlyachkoFiltration((-1, 0), (span([(a, 1)], 2), full)),
             KlyachkoFiltration((-1, 0), (span([(0, 1)], 2), full)),
             KlyachkoFiltration((-1, 0), (span([(1, 0)], 2), full)),
@@ -305,7 +305,7 @@ def test_engine_refuses_unsorted_jumps_with_the_validate_message():
     p2 = projective_space(2)
     line = span([(1, 0)], 2)
     filtrations = [KlyachkoFiltration(js, (line, Subspace.full(2))) for js in [(0, -1), (-1, 0), (-1, 0)]]
-    sheaf = EquivariantReflexiveSheaf(p2, 2, filtrations)
+    sheaf = EquivariantReflexiveSheaf(p2, filtrations)
     message = "ray rho0: jumps not weakly increasing: (0, -1)"
     assert validate(sheaf) == [message]
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -313,7 +313,7 @@ def test_engine_refuses_unsorted_jumps_with_the_validate_message():
     with pytest.raises(ValueError, match=re.escape(message)):
         euler_characteristic(sheaf, (1,))
     filtrations[0] = KlyachkoFiltration((-1, 0), (line, Subspace.full(2)))
-    engine = SheafCohomology(EquivariantReflexiveSheaf(p2, 2, filtrations))
+    engine = SheafCohomology(EquivariantReflexiveSheaf(p2, filtrations))
     assert engine.h0_twisted((1,)) == engine.cech_twisted((1,))[0]
 
 
@@ -324,7 +324,7 @@ def test_engine_refuses_spaces_that_are_not_a_full_nested_chain():
     lines = [span([v], 2) for v in [(1, 0), (0, 1), (1, 1)]]
     filtrations = [KlyachkoFiltration((-1, 0), (line, Subspace.full(2))) for line in lines]
     filtrations[0] = KlyachkoFiltration((-1, 0), tuple(lines[:2]))
-    sheaf = EquivariantReflexiveSheaf(projective_space(2), 2, filtrations)
+    sheaf = EquivariantReflexiveSheaf(projective_space(2), filtrations)
     problems = validate(sheaf)
     assert problems == [
         "ray rho0: last space is not the full ambient space",
@@ -413,7 +413,7 @@ def test_public_surface_is_pinned():
         "euler_characteristic", "faulhaber_sum", "feasible_metasystem",
         "feasible_system1", "format_polynomial", "hilbert_function",
         "hilbert_polynomial", "hirzebruch", "in_support_lower_bound",
-        "in_support_upper_bound", "intersect", "intersection_dim",
+        "in_support_upper_bound", "intersect",
         "jump_bounds_from_presentation", "line_bundle", "load_config",
         "lower_support_region", "mobius_weights", "omega_system", "parse_config",
         "projective_space", "psi_m_sliced", "psi_n", "psi_points",

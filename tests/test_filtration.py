@@ -24,9 +24,8 @@ from toricsheaf import (
 from toricsheaf import rational_linalg
 from toricsheaf.cohomology import sigma_piece
 from toricsheaf.errors import UnsupportedVarietyError
-from toricsheaf.hilbert import intersection_dim
 from toricsheaf.monomial import MonomialIdeal, sigma_piece_dim
-from toricsheaf.polytopes import feasible_system1
+from toricsheaf.polytopes import feasible_system1, omega_system
 
 from conftest import random_sheaf, rank3_example_sheaf, tangent_sheaf_h3
 
@@ -167,7 +166,7 @@ def test_validate_decreasing_jumps():
     line = span([(1, 0)], 2)
     bad = KlyachkoFiltration((0, -1), (line, full))
     ok = KlyachkoFiltration((0, 0), (full, full))
-    sheaf = EquivariantReflexiveSheaf(h, 2, (bad, ok, ok, ok))
+    sheaf = EquivariantReflexiveSheaf(h, (bad, ok, ok, ok))
     problems = validate(sheaf)
     assert any("not weakly increasing" in p and "rho0" in p for p in problems)
 
@@ -181,7 +180,7 @@ def test_validate_jump_space_coincidence():
     # different jumps with equal spaces
     bad2 = KlyachkoFiltration((-1, 0), (full, full))
     ok = KlyachkoFiltration((0, 0), (full, full))
-    sheaf = EquivariantReflexiveSheaf(h, 2, (bad1, bad2, ok, ok))
+    sheaf = EquivariantReflexiveSheaf(h, (bad1, bad2, ok, ok))
     problems = validate(sheaf)
     assert sum("coincidence" in p for p in problems) == 2
 
@@ -189,14 +188,14 @@ def test_validate_jump_space_coincidence():
 def test_validate_chain_inclusion():
     h = hirzebruch(1)
     full = Subspace.full(2)
-    sheaf = EquivariantReflexiveSheaf(h, 2, (
+    sheaf = EquivariantReflexiveSheaf(h, (
         KlyachkoFiltration((-1, 0), (span([(1, 0)], 2), full)),
         KlyachkoFiltration((-1, 0), (span([(0, 1)], 2), full)),
         KlyachkoFiltration((-2, 0), (span([(1, 1)], 2), full)),
         KlyachkoFiltration((0, 0), (full, full)),
     ))
     assert validate(sheaf) == []
-    broken = EquivariantReflexiveSheaf(h, 2, (
+    broken = EquivariantReflexiveSheaf(h, (
         KlyachkoFiltration((-1, 0), (full, span([(1, 0)], 2))),
         KlyachkoFiltration((0, 0), (full, full)),
         KlyachkoFiltration((0, 0), (full, full)),
@@ -212,11 +211,15 @@ def test_structural_errors():
     full = Subspace.full(2)
     f = KlyachkoFiltration((0, 0), (full, full))
     with pytest.raises(ValueError):
-        EquivariantReflexiveSheaf(h, 2, (f, f, f))      # one filtration short
+        EquivariantReflexiveSheaf(h, (f, f, f))         # one filtration short
     with pytest.raises(ValueError):
         KlyachkoFiltration((0,), (full, full))          # length mismatch
-    with pytest.raises(ValueError):
-        EquivariantReflexiveSheaf(h, 3, (f, f, f, f))   # ambient != rank
+    # the rank is the first filtration's: each other one needs as many
+    # jumps, and each one an ambient of that dimension
+    line = KlyachkoFiltration((0,), (Subspace.full(1),))
+    for filtrations in [(f, f, f, line), (line, f, f, f), (KlyachkoFiltration((0,), (full,)),) * 4]:
+        with pytest.raises(ValueError, match="^filtration length and ambient must equal the rank$"):
+            EquivariantReflexiveSheaf(h, filtrations)
 
 
 @pytest.mark.parametrize("bad", [2.9, 1.0, True, "2"])
@@ -274,19 +277,17 @@ def test_library_integers_are_strict(entry_point, bad):
     ("cone ray index", True, "cone ray index must be an integer, got True"),
     ("cone ray index", "0", "cone ray index must be an integer, got '0'"),
     ("sigma piece cone", 1.0, "cone codimension must be an integer, got 1.0"),
-    ("sheaf rank", True, "sheaf rank must be an integer, got True"),
-    ("sheaf rank", 1.0, "sheaf rank must be an integer, got 1.0"),
 ])
 def test_more_library_input_is_strict(entry_point, bad, message):
     """Wrong-length shifts and degrees and non-integer indices, exponents,
-    characters, bounds, degrees, cone fields and ranks are refused, not
+    characters, bounds, degrees and cone fields are refused, not
     truncated or coerced: Cone((0,), 1.0) would compare equal to
     Cone((0,), 1) and pass as a cone of the fan."""
     p2 = projective_space(2)
     build = {
         "shifts": lambda: SheafCohomology(rank3_example_sheaf()).levels((0, 0), bad),
         "divisor class": lambda: hirzebruch(3).divisor_class(bad),
-        "multi-index": lambda: intersection_dim(rank3_example_sheaf(), bad),
+        "multi-index": lambda: omega_system(rank3_example_sheaf(), bad, (0, 0)),
         "monomial": lambda: MonomialIdeal(2, ((0, 0, 2), bad)),
         "projective dimension": lambda: MonomialIdeal(bad, ((0, 0, 2),)),
         "projective space": lambda: projective_space(bad),
@@ -308,7 +309,6 @@ def test_more_library_input_is_strict(entry_point, bad, message):
         "cone codimension": lambda: Cone((0,), bad),
         "cone ray index": lambda: Cone((bad,), 1),
         "sigma piece cone": lambda: sigma_piece(structure_sheaf(p2), Cone((0,), bad), (0, 0)),
-        "sheaf rank": lambda: EquivariantReflexiveSheaf(p2, bad, structure_sheaf(p2).filtrations),
     }[entry_point]
     with pytest.raises(ValueError, match=message):
         build()
@@ -404,7 +404,7 @@ def test_filtration_that_is_not_a_full_nested_chain_refuses_evaluate():
 def test_sheaf_jumps_are_the_validated_view():
     sheaf = rank3_example_sheaf()
     assert sheaf.jumps == tuple(f.jumps for f in sheaf.filtrations)
-    unsorted = EquivariantReflexiveSheaf(projective_space(2), 2, [
+    unsorted = EquivariantReflexiveSheaf(projective_space(2), [
         KlyachkoFiltration(js, (span([(1, 0)], 2), Subspace.full(2)))
         for js in [(-1, 0), (0, -1), (-1, 0)]
     ])

@@ -33,7 +33,6 @@ from toricsheaf import (
     in_support_lower_bound,
     in_support_upper_bound,
     intersect,
-    intersection_dim,
     line_bundle,
     lower_support_region,
     mobius_weights,
@@ -260,13 +259,14 @@ def test_simplex_sum_random_against_loops():
 
 
 def test_intersection_dim_examples():
-    sheaf = rank3_example_sheaf()
-    assert intersection_dim(sheaf, (3, 3, 3, 3)) == 3
+    """The dimension of the intersection of the indexed filtration spaces
+    is the shared engine's h0 at those levels."""
+    h0 = cohomology._engine(rank3_example_sheaf()).h0
+    assert h0((3, 3, 3, 3)) == 3
     # frozen from the stacked-nullspace oracle
-    assert intersection_dim(sheaf, (2, 2, 2, 2)) == 0
-    assert intersection_dim(sheaf, (2, 2, 3, 3)) == 1
-    tangent = tangent_sheaf_h3()
-    assert intersection_dim(tangent, (1, 1, 2, 2)) == 0
+    assert h0((2, 2, 2, 2)) == 0
+    assert h0((2, 2, 3, 3)) == 1
+    assert cohomology._engine(tangent_sheaf_h3()).h0((1, 1, 2, 2)) == 0
 
 
 def test_hilbert_function_p2():
@@ -926,11 +926,11 @@ def test_hilbert_polynomial_checks_the_euler_characteristic(rank3_sheaf, monkeyp
 
 _NESTED = KlyachkoFiltration((-1, 0), (span([(1, 0)], 2), Subspace.full(2)))
 # H_1 whose rho0 jumps (0, -1) are not sorted
-UNSORTED_H1 = EquivariantReflexiveSheaf(hirzebruch(1), 2, (
+UNSORTED_H1 = EquivariantReflexiveSheaf(hirzebruch(1), (
     KlyachkoFiltration((0, -1), _NESTED.spaces), _NESTED, _NESTED, _NESTED,
 ))
 # a rank-1 sheaf has one jump per ray, so its fault is rho0's zero space
-ZERO_SPACE_H1 = EquivariantReflexiveSheaf(hirzebruch(1), 1, (
+ZERO_SPACE_H1 = EquivariantReflexiveSheaf(hirzebruch(1), (
     KlyachkoFiltration((0,), (Subspace.zero(1),)),
     *[KlyachkoFiltration((0,), (Subspace.full(1),))] * 3,
 ))

@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricsheaf import SheafCohomology, hirzebruch, span, split_bundle
+from toricsheaf import SheafCohomology, Subspace, hirzebruch, span, split_bundle
 from toricsheaf import cohomology
 from toricsheaf.rational_linalg import (
     intersect,
     matrix_rank,
     nullspace,
-    reduced_echelon,
     solve_square,
 )
 
@@ -56,9 +55,10 @@ def assert_rescaled_span_is_identical(rows, width, rng):
 
 
 def assert_matches_oracle(rows, width):
-    """reduced_echelon, matrix_rank and nullspace of the rows equal the oracle's."""
+    """The reduced echelon basis, matrix_rank and nullspace of the rows
+    equal the oracle's."""
     expected = oracle.reduced_echelon(rows, width)
-    got = reduced_echelon(rows, width)
+    got = list(Subspace(width, rows).basis)
     assert got == expected
     assert_fraction_rows(got)
     assert matrix_rank(rows, width) == len(expected)

@@ -87,7 +87,7 @@ def test_omega_system_empty_interval_row():
     full = Subspace.full(2)
     line = Subspace(2, [(1, 0)])
     repeated = KlyachkoFiltration((0, 0), (full, full))
-    sheaf = EquivariantReflexiveSheaf(h, 2, (
+    sheaf = EquivariantReflexiveSheaf(h, (
         KlyachkoFiltration((-1, 0), (line, full)),
         repeated, repeated, repeated,
     ))

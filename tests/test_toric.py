@@ -1,12 +1,13 @@
 """Unit tests for the fan and class-group data."""
 import re
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from itertools import product
 
 import pytest
 
 from toricsheaf import (
     Cone,
+    EquivariantReflexiveSheaf,
     JobConfig,
     ToricVariety,
     build_variety,
@@ -16,6 +17,35 @@ from toricsheaf import (
     structure_sheaf,
 )
 from toricsheaf.errors import ConfigError
+
+# (dim, class_rank, family, split_a, ray_count, is_split_bundle, degrees) per
+# variety; the degrees are the classes [D_ray] that were given before they
+# were derived from the rays
+DERIVED = {
+    "P1": (projective_space(1), (1, 1, "projective", None, 2, False, ((1,),) * 2)),
+    "P2": (projective_space(2), (2, 1, "projective", None, 3, False, ((1,),) * 3)),
+    "P3": (projective_space(3), (3, 1, "projective", None, 4, False, ((1,),) * 4)),
+    "P4": (projective_space(4), (4, 1, "projective", None, 5, False, ((1,),) * 5)),
+    **{
+        f"H{a}": (hirzebruch(a), (2, 2, "split_bundle", (a,), 4, True,
+                                  ((1, 0), (1, 0), (0, 1), (-a, 1))))
+        for a in range(5)
+    },
+    "V1_12": (split_bundle(1, (1, 2)), (3, 2, "split_bundle", (1, 2), 5, True,
+                                        ((1, 0), (1, 0), (0, 1), (-1, 1), (-2, 1)))),
+    "V1_13": (split_bundle(1, (1, 3)), (3, 2, "split_bundle", (1, 3), 5, True,
+                                        ((1, 0), (1, 0), (0, 1), (-1, 1), (-3, 1)))),
+    "V2_1": (split_bundle(2, (1,)), (3, 2, "split_bundle", (1,), 5, True,
+                                     ((1, 0), (1, 0), (1, 0), (0, 1), (-1, 1)))),
+    "V2_01": (split_bundle(2, (0, 1)), (4, 2, "split_bundle", (0, 1), 6, True,
+                                        ((1, 0), (1, 0), (1, 0), (0, 1), (0, 1), (-1, 1)))),
+    "V2_12": (split_bundle(2, (1, 2)), (4, 2, "split_bundle", (1, 2), 6, True,
+                                        ((1, 0), (1, 0), (1, 0), (0, 1), (-1, 1), (-2, 1)))),
+    "V3_1": (split_bundle(3, (1,)), (4, 2, "split_bundle", (1,), 6, True,
+                                     ((1, 0), (1, 0), (1, 0), (1, 0), (0, 1), (-1, 1)))),
+    "V1_012": (split_bundle(1, (0, 1, 2)), (4, 2, "split_bundle", (0, 1, 2), 6, True,
+                                            ((1, 0), (1, 0), (0, 1), (0, 1), (-1, 1), (-2, 1)))),
+}
 
 
 def test_hirzebruch_3_rays_and_degrees():
@@ -78,23 +108,23 @@ def test_pairing_linear():
     assert combined == tuple(a + 2 * b for a, b in zip(e1, e2))
 
 
-def test_exactness_of_degree_map():
+@pytest.mark.parametrize("name", DERIVED)
+def test_exactness_of_degree_map(name):
     """sum over rays of <m, n(ray)> * [D_ray] vanishes in the class group,
     and divisor_class agrees: principal divisors have class 0, and the fixed
     representative of a class has that class."""
-    for v in (projective_space(2), hirzebruch(3), split_bundle(2, (1, 2))):
-        for m in ((1,) + (0,) * (v.dim - 1), (0,) * (v.dim - 1) + (1,), (1,) * v.dim):
-            total = [0] * v.class_rank
-            for k in range(v.ray_count):
-                pairing = v.pairing(m, k)
-                for i, d in enumerate(v.degrees[k]):
-                    total[i] += pairing * d
-            assert total == [0] * v.class_rank
-            assert v.divisor_class(v.character_embedding(m)) == (0,) * v.class_rank
-    for v in (projective_space(1), projective_space(3), hirzebruch(0), hirzebruch(3),
-              split_bundle(1, (1, 2)), split_bundle(2, (1,)), split_bundle(2, (0, 1))):
-        for c in product(range(-2, 3), repeat=v.class_rank):
-            assert v.divisor_class(v.twist_divisor(c)) == c
+    v = DERIVED[name][0]
+    units = [tuple(int(i == j) for i in range(v.dim)) for j in range(v.dim)]
+    for m in units + [(1,) * v.dim, tuple(range(-1, v.dim - 1))]:
+        total = [0] * v.class_rank
+        for k in range(v.ray_count):
+            pairing = v.pairing(m, k)
+            for i, d in enumerate(v.degrees[k]):
+                total[i] += pairing * d
+        assert total == [0] * v.class_rank
+        assert v.divisor_class(v.character_embedding(m)) == (0,) * v.class_rank
+    for c in product(range(-2, 3), repeat=v.class_rank):
+        assert v.divisor_class(v.twist_divisor(c)) == c
 
 
 def test_divisor_class_reads_the_ray_degrees():
@@ -204,37 +234,50 @@ def test_seven_of_49_cones_outside_each_closed_star_on_v2_12():
             assert list(terms) == [c.ray_indices for c in expected if c.codim == k]
 
 
-def test_a_variety_is_its_rays_names_degrees_and_split_s():
-    """The dimension, class rank, family and twist weights are no longer
-    given, so no family string other than the two is taken."""
-    assert [f.name for f in fields(ToricVariety)] == ["rays", "ray_names", "degrees", "split_s"]
+def test_a_variety_is_its_rays_names_and_split_s():
+    """The dimension, class rank, ray classes, family and twist weights are
+    no longer given, so no family string other than the two is taken, and
+    no degrees that are not the class map of the rays; a sheaf's rank is
+    read from its filtrations."""
+    assert [f.name for f in fields(ToricVariety)] == ["rays", "ray_names", "split_s"]
+    assert [f.name for f in fields(EquivariantReflexiveSheaf)] == ["variety", "filtrations"]
     assert [f.name for f in fields(JobConfig)] == ["sheaf"]
     sheaf = structure_sheaf(hirzebruch(3))
     assert JobConfig(sheaf).variety is sheaf.variety
 
 
-# (dim, class_rank, family, split_a, ray_count, is_split_bundle) per variety
-DERIVED = {
-    "P1": (projective_space(1), (1, 1, "projective", None, 2, False)),
-    "P2": (projective_space(2), (2, 1, "projective", None, 3, False)),
-    "P3": (projective_space(3), (3, 1, "projective", None, 4, False)),
-    "P4": (projective_space(4), (4, 1, "projective", None, 5, False)),
-    "H0": (hirzebruch(0), (2, 2, "split_bundle", (0,), 4, True)),
-    "H1": (hirzebruch(1), (2, 2, "split_bundle", (1,), 4, True)),
-    "H2": (hirzebruch(2), (2, 2, "split_bundle", (2,), 4, True)),
-    "H3": (hirzebruch(3), (2, 2, "split_bundle", (3,), 4, True)),
-    "H4": (hirzebruch(4), (2, 2, "split_bundle", (4,), 4, True)),
-    "V1_12": (split_bundle(1, (1, 2)), (3, 2, "split_bundle", (1, 2), 5, True)),
-    "V2_1": (split_bundle(2, (1,)), (3, 2, "split_bundle", (1,), 5, True)),
-    "V2_12": (split_bundle(2, (1, 2)), (4, 2, "split_bundle", (1, 2), 6, True)),
-    "V1_012": (split_bundle(1, (0, 1, 2)), (4, 2, "split_bundle", (0, 1, 2), 6, True)),
-}
+@pytest.mark.parametrize("value, name", [
+    (hirzebruch(3), "degrees"), (hirzebruch(3), "class_rank"),
+    (structure_sheaf(hirzebruch(3)), "rank"),
+])
+def test_the_derived_values_are_read_only(value, name):
+    with pytest.raises(FrozenInstanceError):
+        setattr(value, name, getattr(value, name))
+
+
+P2 = projective_space(2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ToricVariety(P2.rays, P2.ray_names, degrees=P2.degrees),
+     TypeError, "unexpected keyword argument 'degrees'"),
+    (lambda: ToricVariety(P2.rays, P2.ray_names, P2.degrees),
+     ValueError, r"^split bundle s must be an integer, got \(\(1,\), \(1,\), \(1,\)\)$"),
+    (lambda: EquivariantReflexiveSheaf(P2, structure_sheaf(P2).filtrations, rank=1),
+     TypeError, "unexpected keyword argument 'rank'"),
+    (lambda: EquivariantReflexiveSheaf(P2, 1, structure_sheaf(P2).filtrations),
+     TypeError, "takes 3 positional arguments but 4 were given"),
+], ids=["degrees keyword", "degrees position", "rank keyword", "rank position"])
+def test_the_derived_values_are_no_arguments(call, error, message):
+    """A caller of the old signatures is refused, not read another way."""
+    with pytest.raises(error, match=message):
+        call()
 
 
 @pytest.mark.parametrize("name", DERIVED)
 def test_derived_attributes_of_each_family(name):
     v, expected = DERIVED[name]
-    got = (v.dim, v.class_rank, v.family, v.split_a, v.ray_count, v.is_split_bundle)
+    got = (v.dim, v.class_rank, v.family, v.split_a, v.ray_count, v.is_split_bundle, v.degrees)
     assert got == expected
 
 
@@ -261,25 +304,6 @@ def test_repeated_ray_names_are_refused(names):
         replace(projective_space(2), ray_names=names)
 
 
-def test_a_degree_missing_for_a_ray_is_refused():
-    """With one degree short, ``divisor_class((1, 1, 1))`` read (2,)."""
-    with pytest.raises(ValueError, match=r"^degrees must have length 3$"):
-        replace(projective_space(2), degrees=((1,), (1,)))
-
-
-def test_the_degree_width_follows_the_split_s():
-    """Two-entry degrees on P^2 made ``twist_divisor((1, 5))`` drop the 5,
-    and a split bundle without its s failed in ``cones()`` with a
-    TypeError.  The class rank and the family are no longer given."""
-    p2, h3 = projective_space(2), hirzebruch(3)
-    with pytest.raises(ValueError, match=r"^degree must have length 1$"):
-        ToricVariety(p2.rays, p2.ray_names, ((1, 0),) * 3)
-    with pytest.raises(ValueError, match=r"^degree must have length 1$"):
-        replace(h3, split_s=None)
-    with pytest.raises(ValueError, match=r"^degree must have length 2$"):
-        replace(p2, split_s=1)
-
-
 V12 = split_bundle(1, (1, 2))
 
 
@@ -289,14 +313,18 @@ TWO_RAYS = ((1, 0), (0, 1))
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: ToricVariety((), (), ()), "a variety needs at least one ray"),
-    (lambda: ToricVariety(SQUARE, ("a", "b", "c", "d"), ((1,),) * 4),
+    (lambda: ToricVariety((), ()), "a variety needs at least one ray"),
+    (lambda: ToricVariety(SQUARE, ("a", "b", "c", "d")),
      "a variety without split s of dimension 2 needs 3 rays, got 4"),
-    (lambda: ToricVariety(TWO_RAYS, ("a", "b"), ((1,),) * 2),
+    (lambda: ToricVariety(TWO_RAYS, ("a", "b")),
      "a variety without split s of dimension 2 needs 3 rays, got 2"),
-    (lambda: replace(V12, rays=V12.rays[:-1], ray_names=V12.ray_names[:-1],
-                     degrees=V12.degrees[:-1]),
+    (lambda: replace(V12, rays=V12.rays[:-1], ray_names=V12.ray_names[:-1]),
      "a split bundle of dimension 3 needs 5 rays, got 4"),
+    # a split bundle without its s failed in ``cones()`` with a TypeError
+    (lambda: replace(hirzebruch(3), split_s=None),
+     "a variety without split s of dimension 2 needs 3 rays, got 4"),
+    (lambda: replace(projective_space(2), split_s=1),
+     "a split bundle of dimension 2 needs 4 rays, got 3"),
     (lambda: replace(V12, rays=((-1, 2, 1),) + V12.rays[1:]),
      "twist weights must satisfy 0 <= a1 <= ... <= ar"),
     (lambda: replace(V12, split_s=0), "split bundle needs s >= 1"),

@@ -158,3 +158,8 @@ def widened(box: CharacterBox, margin: int) -> CharacterBox:
     return CharacterBox(
         tuple(lo - margin for lo in box.lower), tuple(hi + margin for hi in box.upper)
     )
+
+
+def box_points(box: CharacterBox):
+    """Every character of the box, in product order."""
+    return product(*(range(lo, hi + 1) for lo, hi in zip(box.lower, box.upper)))
