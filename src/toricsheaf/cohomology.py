@@ -127,11 +127,16 @@ def enumeration_box(
 
 
 def _cached_by_levels(local):
-    """Cache a local number of the engine per level tuple."""
+    """Cache a local number of the engine per level tuple.  A tuple is
+    checked when it misses the cache, so a bad one is never stored."""
     @wraps(local)
     def cached(self, levels: tuple[int, ...]):
         cache = self._local.setdefault(local.__name__, {})
         if levels not in cache:
+            if len(levels) != len(self._jumps):
+                raise ValueError(f"level tuple must have length {len(self._jumps)}")
+            if min(levels) < 0 or max(levels) > self.rank:
+                raise ValueError(f"level tuple entries must lie in 0..{self.rank}")
             cache[levels] = local(self, levels)
         return cache[levels]
     return cached

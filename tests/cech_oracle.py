@@ -54,6 +54,12 @@ def full_complex_chi(engine, levels: tuple[int, ...]) -> int:
     )
 
 
+def assert_full_complex(engine, levels: tuple[int, ...]) -> None:
+    """cech and chi at one level tuple equal those of the complex of every cone."""
+    assert engine.cech(levels) == full_complex_cech(engine, levels), ("cech", levels)
+    assert engine.chi(levels) == full_complex_chi(engine, levels), ("chi", levels)
+
+
 def cover_subsets(engine) -> list[list[tuple[int, ...]]]:
     """Per chain degree k, the common rays of each (k+1)-subset of maximal cones."""
     max_cones = [c.ray_indices for c in engine.variety.cones() if c.codim == 0]

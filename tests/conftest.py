@@ -5,7 +5,7 @@ import os
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from pathlib import Path
 
@@ -17,6 +17,7 @@ from toricsheaf import (
     KlyachkoFiltration,
     Subspace,
     hirzebruch,
+    load_config,
     psi_points,
     span,
 )
@@ -29,6 +30,22 @@ from vertex_oracle import support_polytopes
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, (str(Path(toricsheaf.__file__).parents[1]), os.environ.get("PYTHONPATH")))
 )
+
+# every config in configs/, found at collection: a file added there gets
+# every shipped-config case of the suite with no test edit
+SHIPPED_CONFIGS = {
+    path.stem: path
+    for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+}
+
+
+def shipped_sheaf(name: str) -> EquivariantReflexiveSheaf:
+    return load_config(SHIPPED_CONFIGS[name]).sheaf
+
+
+def shipped_twists(variety) -> list[tuple[int, ...]]:
+    """The twists of the shipped-config cases: every class in [-6, 6]^class_rank."""
+    return list(product(range(-6, 7), repeat=variety.class_rank))
 
 
 def chain_filtration(jumps, generator_chain, rank):

@@ -225,6 +225,24 @@ def test_shapes_that_do_not_fit_are_refused_in_one_form(call, message):
         call()
 
 
+@pytest.mark.parametrize("method", ["h0", "hn", "chi", "cech"])
+@pytest.mark.parametrize("levels, message", [
+    ((3, 3, 3), "level tuple must have length 4"),
+    ((3, 3, 3, 3, 9), "level tuple must have length 4"),
+    ((3, 3, 3, 4), "level tuple entries must lie in 0..3"),
+    ((-1, 3, 3, 3), "level tuple entries must lie in 0..3"),
+])
+def test_level_tuples_that_do_not_fit_are_refused_and_never_cached(method, levels, message):
+    """A level tuple is checked when it misses the cache: a wrong length
+    is not cut by ``zip`` or read past its end, and a second call meets the
+    same refusal."""
+    engine = SheafCohomology(SHEAF)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(engine, method)(levels)
+    assert levels not in engine._local.get(method, {})
+
+
 # the integer positions where None is documented: an unbounded side of a
 # constraint row, a region without an index, a variety that is no split
 # bundle; the value is the refusal that None then meets, if any (H_0 has

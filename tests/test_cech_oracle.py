@@ -22,7 +22,7 @@ from toricsheaf import (
     split_bundle,
 )
 
-from cech_oracle import full_complex_cech, full_complex_chi, maximal_cone_cech_twisted
+from cech_oracle import assert_full_complex, maximal_cone_cech_twisted
 from conftest import random_sheaf, tangent_sheaf_h3
 
 # (name, variety, [(sheaf rank, lowest jump, twists drawn)]); the rank-3 cases
@@ -115,8 +115,7 @@ def test_quotient_complex_matches_full_complex(variety, top_rank, data):
     engine = SheafCohomology(random_sheaf(random.Random(seed), variety, rank, -2, 1))
     full_rays = set()
     for lv in product(*(range(len(f.jumps) + 1) for f in engine.sheaf.filtrations)):
-        assert engine.cech(lv) == full_complex_cech(engine, lv), lv
-        assert engine.chi(lv) == full_complex_chi(engine, lv), lv
+        assert_full_complex(engine, lv)
         full_rays.add(sum(engine.piece((k,), lv).dim == rank for k in range(len(lv))))
     # level 0 is the zero space and the top level the whole fibre
     assert {0, variety.ray_count} <= full_rays

@@ -26,7 +26,8 @@ from toricsheaf import (
 )
 from toricsheaf.polytopes import _box_plan
 
-from conftest import h0_supported, random_sheaf
+from cech_oracle import assert_full_complex
+from conftest import SHIPPED_CONFIGS, h0_supported, random_sheaf, shipped_sheaf, shipped_twists
 from vertex_oracle import box_points, widened
 
 
@@ -155,6 +156,15 @@ def chi_and_cech(engine: SheafCohomology, counts: dict) -> tuple[int, list[int]]
     return chi, cech
 
 
+def assert_box_margin_invariance(engine: SheafCohomology, c) -> dict:
+    """Chi and Cech at the twist, over the engine's box, equal their sums
+    over the box widened by 1; the level-tuple histogram of the wide box."""
+    box, shifts = engine._twist_setup(c)
+    wide = engine._walk(_box_plan(widened(box, 1)), shifts)
+    assert chi_and_cech(engine, wide) == (engine.chi_twisted(c), list(engine.cech_twisted(c))), c
+    return wide
+
+
 @settings(max_examples=60, deadline=None)
 @given(SMALL_VARIETIES, st.integers(1, 3), st.integers(0, 2**32), st.data())
 def test_box_margin_invariance_on_random_sheaves(variety, rank, seed, data):
@@ -163,10 +173,19 @@ def test_box_margin_invariance_on_random_sheaves(variety, rank, seed, data):
     vertices is unbounded, so its local numbers are 0."""
     engine = SheafCohomology(random_sheaf(random.Random(seed), variety, rank, -4, 0))
     c = data.draw(st.tuples(*[st.integers(-4, 4)] * variety.class_rank))
-    box, shifts = engine._twist_setup(c)
-    tight = chi_and_cech(engine, engine._walk(_box_plan(box), shifts))
-    assert tight == chi_and_cech(engine, engine._walk(_box_plan(widened(box, 1)), shifts))
-    assert tight == (engine.chi_twisted(c), list(engine.cech_twisted(c)))
+    assert_box_margin_invariance(engine, c)
+
+
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+def test_box_margin_invariance_on_shipped_configs(name):
+    """The margin check at every shipped twist, then chi and Cech against
+    the complex of every cone at every level tuple the wide boxes meet."""
+    engine = SheafCohomology(shipped_sheaf(name))
+    met = set()
+    for c in shipped_twists(engine.variety):
+        met.update(assert_box_margin_invariance(engine, c))
+    for lv in met:
+        assert_full_complex(engine, lv)
 
 
 def test_h0_dim_binomials():

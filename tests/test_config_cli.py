@@ -18,7 +18,7 @@ from toricsheaf.cli import build_parser, main
 from toricsheaf.errors import ConfigError
 from toricsheaf.filtration import validate as validate_sheaf
 
-from conftest import rank3_example_sheaf, tangent_sheaf_h3
+from conftest import SHIPPED_CONFIGS, rank3_example_sheaf, tangent_sheaf_h3
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -494,7 +494,7 @@ def test_config_refuses_unknown_keys(config, message, tmp_path, capsys):
 
 
 def test_bundled_configs_use_only_known_keys():
-    for path in sorted(CONFIGS.glob("*.json")):
+    for path in SHIPPED_CONFIGS.values():
         load_config(path)
 
 
@@ -512,7 +512,7 @@ _VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=2),
     max_leaves=6,
 )
-_BUNDLED = {path.name: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))}
+_BUNDLED = {path.name: json.loads(path.read_text()) for path in SHIPPED_CONFIGS.values()}
 
 
 def _paths(node, prefix=()):

@@ -58,7 +58,8 @@ from toricsheaf.polytopes import psi_points
 from toricsheaf.toric import split_data
 
 from conftest import (
-    counted_fractions, forms_sheaf, random_sheaf, rank3_example_sheaf, tangent_sheaf_h3,
+    SHIPPED_CONFIGS, counted_fractions, forms_sheaf, random_sheaf, rank3_example_sheaf,
+    shipped_sheaf, tangent_sheaf_h3,
 )
 
 
@@ -324,21 +325,36 @@ def mobius_window(sheaf) -> list[tuple[int, ...]]:
     return window + [(first[0] - 1, first[1]), (first[0], first[1] - 1)]
 
 
+def assert_hilbert_function_on(sheaf, window) -> dict[tuple[int, ...], int]:
+    """The Hilbert function at each class of the window, checked against
+    the Psi-polytope count and the engine's h^0."""
+    engine = SheafCohomology(sheaf)
+    values = {}
+    for c in window:
+        values[c] = hilbert_function(sheaf, c)
+        assert values[c] == hilbert._psi_count(sheaf, c) == engine.h0_twisted(c), c
+    return values
+
+
 @pytest.mark.parametrize("name", MOBIUS_SHEAVES)
 def test_hilbert_function_is_the_psi_count_and_h0_on_a_window(mobius_sheaves, name):
     """The weighted section counts equal the paper's Psi-polytope count and
     the engine's h^0 on a window reaching classes with no section and, on
     V_s(a), classes with sections outside the corner region."""
     sheaf = mobius_sheaves[name]
-    engine = SheafCohomology(sheaf)
-    values = {}
-    for c in mobius_window(sheaf):
-        values[c] = hilbert_function(sheaf, c)
-        assert values[c] == hilbert._psi_count(sheaf, c) == engine.h0_twisted(c), c
+    values = assert_hilbert_function_on(sheaf, mobius_window(sheaf))
     assert 0 in values.values()
     if sheaf.variety.is_split_bundle:
         omega = regularity_region(sheaf)
         assert any(h and not omega.contains(*c) for c, h in values.items())
+
+
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+def test_hilbert_function_is_the_psi_count_and_h0_on_shipped_configs(name):
+    """On [-2, 12] x [-6, 6] over V_s(a), on [-2, 12] over P^n."""
+    sheaf = shipped_sheaf(name)
+    window = product(range(-2, 13), *[range(-6, 7)] * (sheaf.variety.class_rank - 1))
+    assert_hilbert_function_on(sheaf, window)
 
 
 @settings(max_examples=40, deadline=None)
@@ -424,19 +440,26 @@ def test_mobius_weights_on_the_valid_grid_equal_the_full_grid_inversion(name):
     assert mobius_weights(sheaf) == full_grid_weights(sheaf)
 
 
-def test_mobius_weights_read_h0_only_on_the_valid_grid(monkeypatch):
-    """On a fresh engine the weights of Omega^2 on V_2(1,2) read h0 at the
-    2^6 = 64 valid level tuples, one per jump 0 or 1 on each of the six
-    rays, not at the 6^6 = 46,656 of [1..rank]^rays."""
-    sheaf = forms_sheaf(split_bundle(2, (1, 2)), 2)
+@pytest.mark.parametrize(
+    "variety", [split_bundle(2, (1, 2)), projective_space(4)], ids=["V2(1,2)", "P4"]
+)
+@pytest.mark.parametrize("p", [1, 2])
+def test_mobius_weights_read_h0_only_on_the_valid_grid(monkeypatch, variety, p):
+    """On a fresh engine the weights of Omega^p read h0 at the 2^rays valid
+    level tuples, one per jump 0 or 1 on each ray, not on all of
+    [1..rank]^rays (6^6 = 46,656 tuples for Omega^2 on V_2(1,2)); the
+    Hilbert function they give is the Psi-polytope count at the corner."""
+    sheaf = forms_sheaf(variety, p)
     monkeypatch.setattr(cohomology, "_engine", lru_cache(maxsize=64)(SheafCohomology))
     monkeypatch.setattr(hilbert, "_level_table", lru_cache(maxsize=64)(hilbert._level_table.__wrapped__))
     weights = hilbert.mobius_weights.__wrapped__(sheaf)
-    assert sum(w for _, w in weights) == sheaf.rank == 6
+    assert sum(w for _, w in weights) == sheaf.rank
     grid = [len(hilbert._valid_levels(js)) for js in sheaf.jumps]
-    assert grid == [2] * 6
-    assert len(cohomology._engine(sheaf)._local["h0"]) == prod(grid) == 64
+    assert grid == [2] * variety.ray_count
+    assert len(cohomology._engine(sheaf)._local["h0"]) == prod(grid)
     assert [lv for lv, _ in hilbert._level_table(sheaf)] == list(product(*map(hilbert._valid_levels, sheaf.jumps)))
+    c = regularity_thresholds(sheaf) if variety.is_split_bundle else (3,)
+    assert hilbert_function(sheaf, c) == hilbert._psi_count(sheaf, c)
 
 
 # (variety, rank, seed) of the random sheaves, jumps in [-3, 0], whose
@@ -455,13 +478,11 @@ K_POLYNOMIAL_SHEAVES = {
 }
 
 
-@pytest.mark.parametrize("name", K_POLYNOMIAL_SHEAVES)
-def test_mobius_weights_are_the_k_polynomial_of_the_engine_h0(name):
+def assert_k_polynomial(sheaf) -> None:
     """The section module has the Hilbert series K(t) / prod_rho (1 - t^deg rho)
     with K = sum w t^class, so prod_rho (1 - shift by deg rho) applied to the
     engine's h^0 gives the weights at their classes and 0 at every other
     class of the box reaching 2 past them: no interpolation, no inversion."""
-    sheaf = K_POLYNOMIAL_SHEAVES[name]()
     engine = SheafCohomology(sheaf)
     weights = dict(mobius_weights(sheaf))
     shifts = {(0,) * sheaf.variety.class_rank: 1}
@@ -473,6 +494,21 @@ def test_mobius_weights_are_the_k_polynomial_of_the_engine_h0(name):
     for c in product(*box):
         k = sum(sign * engine.h0_twisted(tuple(map(sub, c, shift))) for shift, sign in shifts.items())
         assert k == weights.get(c, 0), c
+
+
+@pytest.mark.parametrize("name", K_POLYNOMIAL_SHEAVES)
+def test_mobius_weights_are_the_k_polynomial_of_the_engine_h0(name):
+    assert_k_polynomial(K_POLYNOMIAL_SHEAVES[name]())
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([hirzebruch(1), split_bundle(1, (1, 2)), projective_space(2)]),
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+)
+def test_mobius_weights_are_the_k_polynomial_on_random_sheaves(variety, rank, seed):
+    assert_k_polynomial(random_sheaf(random.Random(seed), variety, rank, -3, 0))
 
 
 @settings(max_examples=40, deadline=None)

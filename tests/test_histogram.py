@@ -30,6 +30,7 @@ from toricsheaf import (
     sigma_piece,
     span,
     split_bundle,
+    structure_sheaf,
 )
 from toricsheaf.cohomology import _engine
 from toricsheaf.errors import UnboundedSystemError
@@ -47,10 +48,12 @@ from toricsheaf.polytopes import (
 from toricsheaf.toric import ToricVariety
 
 from conftest import (
-    chain_filtration,
+    SHIPPED_CONFIGS,
     random_invertible_rows,
     random_sheaf,
     rank3_example_sheaf,
+    shipped_sheaf,
+    shipped_twists,
 )
 from vertex_oracle import (
     box_points,
@@ -423,12 +426,6 @@ SUPPORT_VARIETIES = {
 }
 
 
-def structure_sheaf(variety) -> EquivariantReflexiveSheaf:
-    return EquivariantReflexiveSheaf(
-        variety, tuple(chain_filtration((0,), [], 1) for _ in variety.rays)
-    )
-
-
 def support_cases():
     """(engine, twist) for seeded sheaves of ranks 1-3 on every support
     variety, and O on P^2 at twist 0, whose h^0 polytope is one point."""
@@ -457,13 +454,18 @@ def full_box_total(engine: SheafCohomology, c, local) -> int:
     return sum(n * local(lv) for lv, n in engine.histogram(c).items())
 
 
+def assert_support_totals(engine: SheafCohomology, c) -> None:
+    """h^0 and h^n over their support polytopes equal their totals over the
+    box of the whole jump arrangement and Cech's first and last numbers."""
+    counts, cech = engine.histogram(c), engine.cech_twisted(c)
+    assert engine.h0_twisted(c) == engine._total(counts, engine.h0) == cech[0], c
+    assert engine.hn_twisted(c) == engine._total(counts, engine.hn) == cech[-1], c
+
+
 def test_support_totals_match_full_box_totals():
     kinds = set()
     for engine, c in support_cases():
-        h0, hn = engine.h0_twisted(c), engine.hn_twisted(c)
-        cech = engine.cech_twisted(c)
-        assert h0 == full_box_total(engine, c, engine.h0) == cech[0]
-        assert hn == full_box_total(engine, c, engine.hn) == cech[-1]
+        assert_support_totals(engine, c)
         for system, _, _ in support_systems(engine, c):
             vertices = set(fraction_vertices(system))
             if not vertices:
@@ -709,6 +711,24 @@ def in_order(bounds, order, forms=1):
     return [h[:forms] + tuple(h[forms + i] for i in order) for h in bounds]
 
 
+def assert_compiled_support_bounds(engine: SheafCohomology, c) -> None:
+    """At the twist, the box of each numeric support polytope is its
+    Fraction vertex box, and the compiled bounds give that box, the
+    emptiness and the lines of the numeric bounds."""
+    dim, params = engine.variety.dim, (1,) + c
+    for compiled, system in zip(engine._support_bounds, support_polytopes(engine.sheaf, c)):
+        numeric = homogeneous_bounds(system)
+        box = _polytope_box(numeric, (1,))
+        assert box == fraction_box(system), c
+        assert _polytope_box(compiled, params) == box, c
+        order = _walk_order(box) if box else list(range(dim))
+        cuts = _cuts(_chain(in_order(compiled, order, len(params)), dim), params)
+        expected = _cuts(_chain(in_order(numeric, order), dim), (1,))
+        assert (cuts is None) == (expected is None), c
+        if expected is not None:
+            assert list(_planes(cuts)) == list(_planes(expected)), c
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(sorted(WALK_VARIETIES)),
@@ -723,18 +743,17 @@ def test_compiled_support_bounds_match_the_numeric_bounds_at_the_twist(name, ran
     variety = WALK_VARIETIES[name][0]
     top = 2 if variety.dim == 4 else 4
     c = data.draw(st.tuples(*[st.integers(-10, top)] * variety.class_rank))
-    engine = SheafCohomology(random_sheaf(random.Random(seed), variety, rank, -3, 0))
-    params = (1,) + c
-    for compiled, system in zip(engine._support_bounds, support_polytopes(engine.sheaf, c)):
-        numeric = homogeneous_bounds(system)
-        box = _polytope_box(numeric, (1,))
-        assert _polytope_box(compiled, params) == box
-        order = _walk_order(box) if box else list(range(variety.dim))
-        cuts = _cuts(_chain(in_order(compiled, order, len(params)), variety.dim), params)
-        expected = _cuts(_chain(in_order(numeric, order), variety.dim), (1,))
-        assert (cuts is None) == (expected is None)
-        if expected is not None:
-            assert list(_planes(cuts)) == list(_planes(expected))
+    assert_compiled_support_bounds(
+        SheafCohomology(random_sheaf(random.Random(seed), variety, rank, -3, 0)), c
+    )
+
+
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+def test_support_bounds_and_totals_on_shipped_configs(name):
+    engine = SheafCohomology(shipped_sheaf(name))
+    for c in shipped_twists(engine.variety):
+        assert_compiled_support_bounds(engine, c)
+        assert_support_totals(engine, c)
 
 
 def test_a_repeat_twist_eliminates_nothing(monkeypatch):

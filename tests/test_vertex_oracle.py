@@ -24,7 +24,10 @@ from toricsheaf.errors import UnboundedSystemError
 from toricsheaf import polytopes, rational_linalg
 from toricsheaf.polytopes import _polytope_box, _rowset_extremes, _rowset_inverses
 
-from conftest import counted_fractions, random_sheaf, rank3_example_sheaf
+from conftest import (
+    SHIPPED_CONFIGS, counted_fractions, random_sheaf, rank3_example_sheaf, shipped_sheaf,
+    shipped_twists,
+)
 from vertex_oracle import (
     box_filtered_points,
     fraction_box,
@@ -49,18 +52,27 @@ VARIETIES = {
 }
 
 
+def assert_boxes_match_oracle(sheaf, twists) -> None:
+    assert enumeration_box(sheaf) == fraction_enumeration_box(sheaf)
+    engine = SheafCohomology(sheaf)
+    for c in twists:
+        box, _ = engine._twist_setup(c)
+        assert box == fraction_enumeration_box(twist(sheaf, c)), c
+
+
 @pytest.mark.parametrize("name", sorted(VARIETIES))
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_boxes_match_fraction_oracle(name, rank):
     variety, twists = VARIETIES[name]
     rng = random.Random(f"box-{name}-{rank}")
     for _ in range(3):
-        sheaf = random_sheaf(rng, variety, rank, -6, 0)
-        assert enumeration_box(sheaf) == fraction_enumeration_box(sheaf)
-        engine = SheafCohomology(sheaf)
-        for c in twists:
-            box, _ = engine._twist_setup(c)
-            assert box == fraction_enumeration_box(twist(sheaf, c))
+        assert_boxes_match_oracle(random_sheaf(rng, variety, rank, -6, 0), twists)
+
+
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+def test_boxes_match_fraction_oracle_on_shipped_configs(name):
+    sheaf = shipped_sheaf(name)
+    assert_boxes_match_oracle(sheaf, shipped_twists(sheaf.variety))
 
 
 # P^n (n <= 3), H_a and V_s(a) with s + r <= 4
@@ -148,7 +160,8 @@ def test_rowset_inverses_drop_singular_and_keep_denominators():
     assert (0, 1) not in h0 and (2, 3) not in h0 and len(h0) == 4
 
 
-# every fan of the test suite: P^1-P^4, H_0-H_4 and the split bundles V_s(a)
+# every fan of the test suite: P^1-P^4, H_0-H_4 and the split bundles V_s(a),
+# and the fan of any shipped config that is none of these
 FANS = {
     **{f"P{n}": projective_space(n) for n in range(1, 5)},
     **{f"H{a}": hirzebruch(a) for a in range(5)},
@@ -156,6 +169,10 @@ FANS = {
        for s, a in [(1, (1, 2)), (1, (0, 1)), (2, (1,)), (1, (1, 3)), (2, (1, 2)),
                     (3, (1,)), (1, (0, 1, 2))]},
 }
+for _name in SHIPPED_CONFIGS:
+    _variety = shipped_sheaf(_name).variety
+    if _variety.rays not in {v.rays for v in FANS.values()}:
+        FANS[_name] = _variety
 
 
 def assert_inverses_match_oracle(rows) -> int:
@@ -177,7 +194,7 @@ def test_rowset_inverses_match_fraction_solves_on_every_fan(name):
     rays = FANS[name].rays
     singular = assert_inverses_match_oracle(rays)
     # opposite rays make singular rowsets on every fan but P^n
-    assert singular == 0 if name.startswith("P") else singular > 0
+    assert singular == 0 if FANS[name].split_s is None else singular > 0
 
 
 def test_rowset_inverses_match_fraction_solves_on_singular_rows():
