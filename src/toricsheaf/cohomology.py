@@ -63,25 +63,32 @@ its top level, whose space is the whole fibre, so h^n lives in
 positively span, so each polytope is bounded.  Its rows are the rays and
 the shifts are linear in the class c, so each bound keeps its constant as a
 form over (1, c), and ``polytopes._walk_plan`` gives the lines of the
-polytope at c; with no plan, the number is 0.
+polytope at c; with no plan, the number is 0.  A line of the h^0 polytope
+crosses no jump <= i_1, and one of the h^n polytope none >= i_top; where
+no ray has another jump (every rank-1 sheaf), no level moves.
 
 Every walk follows a plan from ``polytopes``, for the box or for a support
 polytope: planes of lines along the plan's line axis, each plane's lines
 one step apart along its stepping axis.  On a line every pairing is affine
 in the line axis, so a ray's level changes only at the cut points where its
 pairing crosses one of its jumps, by +1 or -1 with the sign of the slope (a
-repeated jump gives two steps at one cut).  A plane's first line takes each
-ray's pairing from one dot product; each later line moves those pairings
-by the rays' coordinates, one step along the stepping axis and, in a
-polytope, along the line axis to its own start.  The walk's first line
-takes its start tuple from one checked levels call, and every other line
-bisects the jumps at its pairings.
-Sorting a line's cut points and applying their steps then gives each run
-of constant level tuple and its length.  Local numbers are cached.
+repeated jump gives two steps at one cut); a polytope walk cuts only at
+the jumps its lines can cross.  A plane's first line takes each ray's
+pairing from one dot product; each later line moves those pairings by the
+rays' coordinates, one step along the stepping axis and, in a polytope,
+along the line axis to its own start.  The walk's first line takes its
+start tuple from one checked levels call, and every other line bisects the
+jumps at its pairings.  Sorting a line's cut points and applying their
+steps then gives each run of constant level tuple and its length.  Where
+no level moves, the walk only sums each plane's line lengths.
+
+Local numbers are cached per level tuple.  The public methods check a
+level tuple on every call, as a cache hit cannot tell False from 0; the
+walk totals read the caches through unchecked private names.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache, wraps
 from itertools import repeat
 from operator import add, mul
@@ -127,16 +134,12 @@ def enumeration_box(
 
 
 def _cached_by_levels(local):
-    """Cache a local number of the engine per level tuple.  A tuple is
-    checked when it misses the cache, so a bad one is never stored."""
+    """Cache a local number of the engine per level tuple, with no check:
+    the walks and ``levels`` make valid tuples."""
     @wraps(local)
     def cached(self, levels: tuple[int, ...]):
         cache = self._local.setdefault(local.__name__, {})
         if levels not in cache:
-            if len(levels) != len(self._jumps):
-                raise ValueError(f"level tuple must have length {len(self._jumps)}")
-            if min(levels) < 0 or max(levels) > self.rank:
-                raise ValueError(f"level tuple entries must lie in 0..{self.rank}")
             cache[levels] = local(self, levels)
         return cache[levels]
     return cached
@@ -177,20 +180,26 @@ class SheafCohomology:
         box, shifts = self._twist_setup(c)
         return self._walk(_box_plan(box), shifts)
 
-    def _walk(self, plan, shifts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    def _walk(self, plan, shifts: tuple[int, ...], crossable=None) -> dict[tuple[int, ...], int]:
         """The level-tuple histogram at these shifts of the characters of a
-        walk plan (order, planes) from ``polytopes``."""
+        walk plan (order, planes) from ``polytopes``.  ``crossable`` holds
+        per ray the jumps a line of the plan can cross, every jump when None;
+        when it holds none, no level moves on the plan."""
         order, planes = plan
+        if crossable is None:
+            crossable = self._jumps
+        elif not any(crossable):
+            return self._constant_walk(order, planes, shifts)
         rays = self.variety.rays
         axis = order[-1]
         along = [ray[axis] for ray in rays]
         advance = [ray[order[-2]] for ray in rays] if len(order) > 1 else None
         # rays whose pairing moves along the line: index, slope, the level step
-        # at each jump crossed, jumps
+        # at each jump crossed, the jumps it can cross
         sloped = [
             (k, ray[axis], 1 if ray[axis] > 0 else -1, jumps)
-            for k, (ray, jumps) in enumerate(zip(rays, self._jumps))
-            if ray[axis]
+            for k, (ray, jumps) in enumerate(zip(rays, crossable))
+            if ray[axis] and jumps
         ]
         m = [0] * len(order)
         counts: dict[tuple[int, ...], int] = {}
@@ -236,6 +245,25 @@ class SheafCohomology:
                     lv[k] += step
         return counts
 
+    def _constant_walk(self, order, planes, shifts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """``_walk`` where no level moves: one tuple, read at the first point
+        walked, counts each plane's line lengths."""
+        lv, total = None, 0
+        for start, ends in planes:
+            n = sum(hi - lo + 1 for lo, hi in ends if lo <= hi)
+            if n and lv is None:
+                # an empty line before it can start off the polytope
+                line, lo = next((line, lo) for line, (lo, hi) in enumerate(ends) if lo <= hi)
+                m = [0] * len(order)
+                for i, x in zip(order, start):
+                    m[i] = x
+                if line:
+                    m[order[-2]] += line
+                m[order[-1]] = lo
+                lv = self.levels(tuple(m), shifts)
+            total += n
+        return {lv: total} if total else {}
+
     def _twist_setup(self, c: Sequence[int]) -> tuple[CharacterBox, tuple[int, ...]]:
         shifts = self.variety.twist_divisor(c)
         return enumeration_box(self.sheaf, shifts), shifts
@@ -258,36 +286,72 @@ class SheafCohomology:
             hn.append((js[-1] - 1,) + tuple(-x for x in u + ray))
         return tuple(h0), tuple(hn)
 
+    @cached_property
+    def _crossable(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per ray, the jumps a line can cross in the h^0 support polytope,
+        those > i_1, and in the h^n one, those < i_top."""
+        return (
+            tuple(js[bisect_right(js, js[0]):] for js in self._jumps),
+            tuple(js[:bisect_left(js, js[-1])] for js in self._jumps),
+        )
+
     def _support_total(self, which: int, c: Sequence[int], local) -> int:
         c = self.variety.check_class(c)
         plan = _walk_plan(self._support_bounds[which], (1,) + c)
         if plan is None:
             return 0
-        return self._total(self._walk(plan, self.variety.twist_divisor(c)), local)
+        counts = self._walk(plan, self.variety.twist_divisor(c), self._crossable[which])
+        return self._total(counts, local)
 
     def h0_twisted(self, c: Sequence[int]) -> int:
-        return self._support_total(0, c, self.h0)
+        return self._support_total(0, c, self._h0)
 
     def hn_twisted(self, c: Sequence[int]) -> int:
-        return self._support_total(1, c, self.hn)
+        return self._support_total(1, c, self._hn)
 
     def chi_twisted(self, c: Sequence[int]) -> int:
-        return self._total(self.histogram(c), self.chi)
+        return self._total(self.histogram(c), self._chi)
 
     def cech_twisted(self, c: Sequence[int]) -> tuple[int, ...]:
         totals = [0] * (self.variety.dim + 1)
         for lv, n in self.histogram(c).items():
-            for i, hi in enumerate(self.cech(lv)):
+            for i, hi in enumerate(self._cech(lv)):
                 totals[i] += n * hi
         return tuple(totals)
 
     def h1_identity_twisted(self, c: Sequence[int]) -> int:
         """h^0 + h^n - chi, which is h^1 on a surface."""
         return self._total(
-            self.histogram(c), lambda lv: self.h0(lv) + self.hn(lv) - self.chi(lv)
+            self.histogram(c), lambda lv: self._h0(lv) + self._hn(lv) - self._chi(lv)
         )
 
-    def piece(self, rayset: tuple[int, ...], levels: tuple[int, ...]) -> Subspace:
+    def _check_levels(self, levels: Sequence[int]) -> tuple[int, ...]:
+        """The level tuple of a public call, one int per ray in 0..rank."""
+        levels = strict_ints(levels, "level tuple entry", len(self._jumps), "level tuple")
+        if min(levels) < 0 or max(levels) > self.rank:
+            raise ValueError(f"level tuple entries must lie in 0..{self.rank}")
+        return levels
+
+    def piece(self, rayset: Sequence[int], levels: Sequence[int]) -> Subspace:
+        rayset = strict_ints(rayset, "ray index")
+        for k in rayset:
+            if not 0 <= k < len(self._jumps):
+                raise ValueError(f"ray index must lie in 0..{len(self._jumps) - 1}, got {k}")
+        return self._piece(rayset, self._check_levels(levels))
+
+    def h0(self, levels: Sequence[int]) -> int:
+        return self._h0(self._check_levels(levels))
+
+    def hn(self, levels: Sequence[int]) -> int:
+        return self._hn(self._check_levels(levels))
+
+    def chi(self, levels: Sequence[int]) -> int:
+        return self._chi(self._check_levels(levels))
+
+    def cech(self, levels: Sequence[int]) -> tuple[int, ...]:
+        return self._cech(self._check_levels(levels))
+
+    def _piece(self, rayset: tuple[int, ...], levels: tuple[int, ...]) -> Subspace:
         if not rayset:
             return Subspace.full(self.rank)
         key = (rayset, tuple(levels[k] for k in rayset))
@@ -304,18 +368,18 @@ class SheafCohomology:
         return result
 
     @_cached_by_levels
-    def h0(self, levels: tuple[int, ...]) -> int:
-        return self.piece(tuple(range(self.variety.ray_count)), levels).dim
+    def _h0(self, levels: tuple[int, ...]) -> int:
+        return self._piece(tuple(range(self.variety.ray_count)), levels).dim
 
     @_cached_by_levels
-    def hn(self, levels: tuple[int, ...]) -> int:
+    def _hn(self, levels: tuple[int, ...]) -> int:
         spaces = [f.space_at_level(lv) for f, lv in zip(self.sheaf.filtrations, levels)]
         return self.rank - subspace_sum(spaces).dim
 
     @_cached_by_levels
-    def chi(self, levels: tuple[int, ...]) -> int:
+    def _chi(self, levels: tuple[int, ...]) -> int:
         return sum(
-            (-1) ** k * self.piece(rs, levels).dim
+            (-1) ** k * self._piece(rs, levels).dim
             for k, cones in enumerate(self._quotient_chain(levels))
             for rs in cones
         )
@@ -328,14 +392,14 @@ class SheafCohomology:
         full = [
             self.variety._fan.outside_stars[k]
             for k in range(self.variety.ray_count)
-            if self.piece((k,), levels).dim == self.rank
+            if self._piece((k,), levels).dim == self.rank
         ]
         return min(full, key=lambda chain: sum(map(len, chain)), default=self._chain_cones)
 
     @_cached_by_levels
-    def cech(self, levels: tuple[int, ...]) -> tuple[int, ...]:
+    def _cech(self, levels: tuple[int, ...]) -> tuple[int, ...]:
         chain = self._quotient_chain(levels)
-        spaces = [[self.piece(rs, levels) for rs in cones] for cones in chain]
+        spaces = [[self._piece(rs, levels) for rs in cones] for cones in chain]
         # ranks[k + 1] is the rank of d: C^k -> C^{k+1}; C^{-1} = C^{dim+1} = 0
         ranks = [0] * (len(chain) + 1)
         for k in range(len(chain) - 1):
@@ -401,7 +465,7 @@ def sigma_piece(sheaf: EquivariantReflexiveSheaf, cone: Cone, m: Sequence[int]) 
     """Sections over the cone's affine piece in degree m; full for the zero cone."""
     rays = sheaf.variety.check_cone(cone).ray_indices
     engine = _engine(sheaf)
-    return engine.piece(rays, engine.levels(m))
+    return engine._piece(rays, engine.levels(m))
 
 
 def euler_characteristic(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:

@@ -51,8 +51,8 @@ def _valid_levels(jumps: tuple[int, ...]) -> list[int]:
 @lru_cache(maxsize=64)
 def _level_table(sheaf: EquivariantReflexiveSheaf) -> tuple[tuple[MultiIndex, int], ...]:
     """(l, f(l)) for every l in the product of the rays' valid levels, in
-    product order, with f read from the shared engine's h0."""
-    h0 = cohomology._engine(sheaf).h0
+    product order, with f read from the shared engine's unchecked ``_h0``."""
+    h0 = cohomology._engine(sheaf)._h0
     return tuple((lv, h0(lv)) for lv in product(*map(_valid_levels, sheaf.jumps)))
 
 

@@ -62,6 +62,7 @@ P2 = projective_space(2)
 H0 = hirzebruch(0)
 SHEAF = rank3_example_sheaf()     # rank 3 on H_3: four rays, characters and classes in Z^2
 ENGINE = SheafCohomology(SHEAF)
+LEVELS = (3, 1, 3, 3)             # a level tuple of SHEAF: one level in 0..3 per ray
 FILTRATION = KlyachkoFiltration((0, 2), (span([(1, 0)], 2), Subspace.full(2)))
 HALF = HalfPlane(1, 0, 0)
 X = RationalPolynomial.variable(0, 2)
@@ -95,6 +96,12 @@ CALLS = {
     "RationalPolynomial.degree_in": (X.degree_in, (0,), {0: "variable index"}),
     "RationalPolynomial.__pow__": (X.__pow__, (2,), {0: "power"}),
     "SheafCohomology.levels": (ENGINE.levels, ((1, 0), (0, 0, 0, 0)), {0: "character entry", 1: "shift"}),
+    **{
+        f"SheafCohomology.{method}": (getattr(ENGINE, method), (LEVELS,), {0: "level tuple entry"})
+        for method in ("h0", "hn", "chi", "cech")
+    },
+    "SheafCohomology.piece": (
+        ENGINE.piece, ((0, 2), LEVELS), {0: "ray index", 1: "level tuple entry"}),
     **{
         f"SheafCohomology.{method}": (getattr(ENGINE, method), ((1, 0),), {0: "class element entry"})
         for method in ("histogram", "h0_twisted", "hn_twisted", "chi_twisted", "cech_twisted",
@@ -213,6 +220,9 @@ def test_each_integer_argument_refuses_a_float_a_bool_and_a_string(key, position
      "twist weights must satisfy 0 <= a1 <= ... <= ar"),
     (lambda: split_bundle(1, ()), "need at least one twist weight"),
     (lambda: split_bundle(0, (1,)), "split bundle needs s >= 1"),
+    (lambda: ENGINE.piece((0, -1), LEVELS), "ray index must lie in 0..3, got -1"),
+    (lambda: ENGINE.piece((4,), LEVELS), "ray index must lie in 0..3, got 4"),
+    (lambda: ENGINE.piece((), (3, 1, 3, 4)), "level tuple entries must lie in 0..3"),
 ])
 def test_shapes_that_do_not_fit_are_refused_in_one_form(call, message):
     """A negative or too large ray or variable index reads no other ray or
@@ -233,14 +243,29 @@ def test_shapes_that_do_not_fit_are_refused_in_one_form(call, message):
     ((-1, 3, 3, 3), "level tuple entries must lie in 0..3"),
 ])
 def test_level_tuples_that_do_not_fit_are_refused_and_never_cached(method, levels, message):
-    """A level tuple is checked when it misses the cache: a wrong length
-    is not cut by ``zip`` or read past its end, and a second call meets the
-    same refusal."""
+    """A level tuple is checked on every call: a wrong length is not cut
+    by ``zip`` or read past its end, and a second call meets the same
+    refusal."""
     engine = SheafCohomology(SHEAF)
     for _ in range(2):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             getattr(engine, method)(levels)
-    assert levels not in engine._local.get(method, {})
+    assert levels not in engine._local.get(f"_{method}", {})
+
+
+@pytest.mark.parametrize("method, args, bad", [
+    *[(method, ((0, 1, 3, 3),), ((False, 1, 3, 3),)) for method in ("h0", "hn", "chi", "cech")],
+    ("piece", ((1,), LEVELS), ((True,), LEVELS)),
+])
+def test_a_bool_is_refused_also_where_its_int_twin_is_cached(method, args, bad):
+    """False == 0 and True == 1, with equal hashes, so a cache hit alone
+    would answer a bool level for level 0 and a bool ray index for ray 1."""
+    engine = SheafCohomology(SHEAF)
+    getattr(engine, method)(*args)
+    where = "ray index" if method == "piece" else "level tuple entry"
+    message = f"{where} must be an integer, got {bad[0][0]!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        getattr(engine, method)(*bad)
 
 
 # the integer positions where None is documented: an unbounded side of a
@@ -283,6 +308,8 @@ FIXED_LENGTH = {
     ("IntervalConstraintSystem.satisfied_by", 0): ("point", 2),
     ("SheafCohomology.levels", 0): ("character", 2),
     ("SheafCohomology.levels", 1): ("shifts", 4),
+    **{(f"SheafCohomology.{method}", 0): ("level tuple", 4) for method in ("h0", "hn", "chi", "cech")},
+    ("SheafCohomology.piece", 1): ("level tuple", 4),
     **{(f"SheafCohomology.{method}", 0): ("class element", 2)
        for method in ("histogram", "h0_twisted", "hn_twisted", "chi_twisted", "cech_twisted",
                       "h1_identity_twisted")},
@@ -319,10 +346,10 @@ TIED = {
     ("PresentationDegrees", 1): "all degree vectors must have the same length",
     ("ToricVariety", 0): "ray must have length {n}",    # the first ray gives the dimension
 }
-# ... or any length: a cone's rays, twist weights and lambdas
+# ... or any length: a cone's rays, a piece's rays, twist weights and lambdas
 FREE_LENGTH = {
-    ("Cone", 0), ("feasible_metasystem", 0), ("feasible_metasystem", 1),
-    ("feasible_system1", 0), ("split_bundle", 1),
+    ("Cone", 0), ("SheafCohomology.piece", 0), ("feasible_metasystem", 0),
+    ("feasible_metasystem", 1), ("feasible_system1", 0), ("split_bundle", 1),
 }
 
 

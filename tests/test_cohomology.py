@@ -24,6 +24,7 @@ from toricsheaf import (
     twist,
     validate,
 )
+from toricsheaf.hilbert import _section_count
 from toricsheaf.polytopes import _box_plan
 
 from cech_oracle import assert_full_complex
@@ -442,3 +443,38 @@ def test_public_surface_is_pinned():
         "upper_support_regions", "validate",
     ]
     assert all(hasattr(toricsheaf, name) for name in toricsheaf.__all__)
+
+
+# each variety with the window of twists where its line bundles are checked
+LINE_BUNDLE_WINDOWS = {
+    "P2": (projective_space(2), [(t,) for t in range(-8, 5)]),
+    "P3": (projective_space(3), [(t,) for t in range(-9, 4)]),
+    **{f"H{a}": (hirzebruch(a), [(p, q) for p in range(-6, 4) for q in range(-4, 3)])
+       for a in range(4)},
+    "V1_12": (split_bundle(1, (1, 2)), [(p, q) for p in range(-7, 3) for q in range(-4, 3)]),
+    "V2_12": (split_bundle(2, (1, 2)), [(p, q) for p in range(-8, 4) for q in range(-4, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", LINE_BUNDLE_WINDOWS)
+def test_line_bundle_h0_and_hn_are_section_counts(name):
+    """h^0(O(D)(c)) is the binomial section count of the class [D] + c,
+    and by Serre duality h^n(O(D)(c)) is that of [K] - [D] - c, with
+    [K] = -sum [D_rho]: polytope walks on one side, binomials on the other."""
+    variety, window = LINE_BUNDLE_WINDOWS[name]
+    rng = random.Random(f"line-bundle-{name}")
+    canonical = variety.divisor_class((-1,) * variety.ray_count)
+    seen = set()
+    for _ in range(3):
+        coeffs = [rng.randint(-2, 2) for _ in range(variety.ray_count)]
+        d = variety.divisor_class(coeffs)
+        engine = SheafCohomology(line_bundle(variety, coeffs))
+        for c in window:
+            h0 = engine.h0_twisted(c)
+            hn = engine.hn_twisted(c)
+            assert h0 == _section_count(variety, tuple(x + y for x, y in zip(d, c))), (coeffs, c)
+            assert hn == _section_count(
+                variety, tuple(k - x - y for k, x, y in zip(canonical, d, c))), (coeffs, c)
+            seen.add((h0 > 0, hn > 0))
+    # the window reaches sections, top cohomology and neither
+    assert {(True, False), (False, True), (False, False)} <= seen

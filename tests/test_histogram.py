@@ -21,6 +21,7 @@ from toricsheaf import (
     IntervalConstraintSystem,
     KlyachkoFiltration,
     SheafCohomology,
+    Subspace,
     euler_characteristic,
     hirzebruch,
     line_bundle,
@@ -642,19 +643,41 @@ def walk_kinds(bounds, system) -> set[str]:
     return kinds
 
 
+def jump_kinds(engine: SheafCohomology, crossable, bounds) -> set[str]:
+    """What a non-empty support polytope's crossable jumps show the walk: no
+    level that moves, a repeated first or top jump left out (more than one
+    jump of a ray that no line crosses), and whether the walk's first line
+    holds no point."""
+    kinds = set()
+    if not any(crossable):
+        kinds.add("levels fixed")
+    if any(len(js) - len(kept) > 1 for js, kept in zip(engine._jumps, crossable)):
+        kinds.add("repeated end jump")
+    _, planes = _walk_plan(bounds, (1,))
+    lo, hi = next(planes)[1][0]
+    if lo > hi:
+        kinds.add("empty first line")
+        if not any(crossable):
+            kinds.add("empty first line, levels fixed")
+    return kinds
+
+
 def check_support_walk(engine: SheafCohomology, c) -> set[str]:
-    """The engine's polytope-walk histograms of h^0 and h^n at the twist
+    """The engine's polytope-walk histograms of h^0 and h^n at the twist,
+    cut only at the jumps that ``_support_total`` passes as crossable,
     against a count of each character psi_points lists; what the two
     polytopes showed the walk."""
     shifts = engine.variety.twist_divisor(c)
     kinds = set()
-    for system in support_polytopes(engine.sheaf, c):
+    for system, crossable in zip(support_polytopes(engine.sheaf, c), engine._crossable):
         bounds = homogeneous_bounds(system)
         points = psi_points(as_lower_bounds(bounds))
         plan = _walk_plan(bounds, (1,))
-        hist = {} if plan is None else engine._walk(plan, shifts)
+        hist = {} if plan is None else engine._walk(plan, shifts, crossable)
         assert hist == Counter(engine.levels(m, shifts) for m in points)
         kinds |= walk_kinds(bounds, system)
+        if points:
+            kinds |= jump_kinds(engine, crossable, bounds)
     return kinds
 
 
@@ -684,9 +707,17 @@ def test_support_walk_cases_cover_every_kind():
         engine = SheafCohomology(line_bundle(SINGULAR_FAN, coeffs))
         for c in [(-2,), (0,), (1,), (3,)]:
             kinds |= check_support_walk(engine, c)
+    # rank 2 with equal jumps on every ray: O(D) + O(D), no level moves
+    full = Subspace.full(2)
+    doubled = EquivariantReflexiveSheaf(hirzebruch(1), tuple(
+        KlyachkoFiltration((j, j), (full, full)) for j in (-1, 0, -2, 1)
+    ))
+    for c in [(0, 0), (2, 1), (-1, 3)]:
+        kinds |= check_support_walk(SheafCohomology(doubled), c)
     assert kinds == {
         "empty", "point", "non-integral", "integer-free", "integer-free line",
-        "rounded non-unit end",
+        "rounded non-unit end", "levels fixed", "repeated end jump", "empty first line",
+        "empty first line, levels fixed",
     }
 
 
