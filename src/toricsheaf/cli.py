@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -29,7 +28,7 @@ from .errors import ConfigError, InternalConsistencyError, UnsupportedVarietyErr
 from .filtration import validate as validate_sheaf
 from .polynomials import format_polynomial, graded_exponents
 from .monomial import MonomialIdeal, sigma_piece_dim
-from .toric import Cone, projective_space
+from .toric import Cone, FrozenValue, projective_space
 
 
 def _int(text: str) -> int:
@@ -215,8 +214,7 @@ _WINDOW = (
 )
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(FrozenValue):
     """A subcommand: ``run`` handles its arguments, or, for a table, ``cell``
     makes the cell function from the config and the arguments and
     ``in_omega`` adds the regularity-corner mask.  Its options are

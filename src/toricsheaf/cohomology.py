@@ -89,10 +89,10 @@ walk totals read the caches through unchecked private names.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from functools import cached_property, lru_cache, wraps
 from itertools import repeat
 from operator import add, mul
-from typing import Sequence
 
 from .filtration import EquivariantReflexiveSheaf
 from .polytopes import CharacterBox, _box_plan, _rowset_extremes, _walk_plan

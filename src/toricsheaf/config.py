@@ -24,13 +24,14 @@ refused.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
 from .filtration import EquivariantReflexiveSheaf, KlyachkoFiltration
 from .rational_linalg import Subspace
-from .toric import ToricVariety, hirzebruch, projective_space, split_bundle, strict_int, strict_ints
+from .toric import (
+    FrozenValue, ToricVariety, hirzebruch, projective_space, split_bundle, strict_int, strict_ints,
+)
 
 
 def config_keys(data: dict, known: tuple[str, ...], where: str) -> None:
@@ -79,8 +80,7 @@ def build_variety(descriptor: dict) -> ToricVariety:
         raise ConfigError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class JobConfig:
+class JobConfig(FrozenValue):
     sheaf: EquivariantReflexiveSheaf
 
     @property

@@ -14,16 +14,14 @@ other reader of their order, refuses a sheaf that ``validate`` faults.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Sequence
 
 from .rational_linalg import Subspace
-from .toric import ToricVariety, split_data, strict_int, strict_ints
+from .toric import FrozenValue, ToricVariety, split_data, strict_int, strict_ints
 
 
-@dataclass(frozen=True)
-class KlyachkoFiltration:
+class KlyachkoFiltration(FrozenValue):
     jumps: tuple[int, ...]
     spaces: tuple[Subspace, ...]
 
@@ -93,8 +91,7 @@ class KlyachkoFiltration:
         return KlyachkoFiltration(tuple(j - offset for j in self.jumps), self.spaces)
 
 
-@dataclass(frozen=True)
-class EquivariantReflexiveSheaf:
+class EquivariantReflexiveSheaf(FrozenValue):
     variety: ToricVariety
     filtrations: tuple[KlyachkoFiltration, ...]
 
@@ -163,8 +160,7 @@ def delta_normalization(
     return delta, EquivariantReflexiveSheaf(v, filts)
 
 
-@dataclass(frozen=True)
-class PresentationDegrees:
+class PresentationDegrees(FrozenValue):
     """Multidegrees of a presentation: generators mu^j, relations m^i."""
 
     generator_degrees: tuple[tuple[int, ...], ...]

@@ -26,13 +26,12 @@ support polytope) and against the Euler characteristic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 from operator import sub
-from typing import Sequence
 
 from . import cohomology
 from .errors import InternalConsistencyError
@@ -40,7 +39,7 @@ from .filtration import EquivariantReflexiveSheaf
 from .polynomials import RationalPolynomial, simplex_sum
 from .polytopes import MultiIndex, omega_system, psi_points
 from .rational_linalg import solve_square
-from .toric import split_data, strict_int
+from .toric import FrozenValue, split_data, strict_int
 
 
 def _valid_levels(jumps: tuple[int, ...]) -> list[int]:
@@ -134,8 +133,7 @@ def _psi_count(sheaf: EquivariantReflexiveSheaf, c: Sequence[int]) -> int:
                for idx, d in _level_table(sheaf) if d)
 
 
-@dataclass(frozen=True)
-class HalfPlane:
+class HalfPlane(FrozenValue):
     """The set of (p, q) with p_coeff * p + q_coeff * q >= bound."""
 
     p_coeff: int
@@ -159,8 +157,7 @@ class HalfPlane:
         return f"{left} >= {self.bound}"
 
 
-@dataclass(frozen=True)
-class SupportRegion:
+class SupportRegion(FrozenValue):
     """Intersection of two half-planes in the (p, q) class plane."""
 
     kind: str            # "L", "I", "J" or "omega"

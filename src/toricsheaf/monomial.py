@@ -9,15 +9,13 @@ general machinery.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Sequence
 
-from .toric import Cone, ToricVariety, projective_space, strict_int, strict_ints
+from .toric import Cone, FrozenValue, ToricVariety, projective_space, strict_int, strict_ints
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(FrozenValue):
     n: int
     generators: tuple[tuple[int, ...], ...]
 

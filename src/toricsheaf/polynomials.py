@@ -3,10 +3,10 @@ closed-form Hilbert polynomial: Bernoulli numbers and polynomials,
 Faulhaber's sums and sums over a simplex of summation variables."""
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Sequence
 
 from .rational_linalg import _over_lcm, _scalar
 from .toric import strict_int, strict_ints

@@ -59,25 +59,23 @@ bounds tuple, and new params evaluate only their constants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, product, repeat
 from math import gcd
 from operator import le, mul
-from typing import Sequence
 
 from .errors import UnboundedSystemError
 from .filtration import EquivariantReflexiveSheaf
 from .rational_linalg import _integer_inverse
-from .toric import _checked_weights, split_data, strict_int, strict_ints
+from .toric import FrozenValue, _checked_weights, split_data, strict_int, strict_ints
 # not called here; bench/selftest.py checks that the tracer patches this binding
 from .rational_linalg import solve_square
 
 MultiIndex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CharacterBox:
+class CharacterBox(FrozenValue):
     """An axis-aligned box of lattice characters, bounds inclusive."""
 
     lower: tuple[int, ...]
@@ -96,8 +94,7 @@ class CharacterBox:
         return all(lo <= x <= hi for x, lo, hi in zip(m, self.lower, self.upper))
 
 
-@dataclass(frozen=True)
-class IntervalConstraintSystem:
+class IntervalConstraintSystem(FrozenValue):
     rows: tuple[tuple[int, ...], ...]
     lower: tuple[int | None, ...]   # None = -infinity
     upper: tuple[int | None, ...]   # exclusive; None = +infinity

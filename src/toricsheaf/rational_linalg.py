@@ -26,9 +26,9 @@ floats, booleans, 'p/0' and anything else are refused with a ValueError.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 from .toric import strict_int
 

@@ -19,17 +19,100 @@ over the basis rays b.  The fixed divisor of a class sits on the basis rays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import combinations, product
-from operator import gt, mul
-from typing import Iterable, Sequence
+from operator import attrgetter, gt, mul
 
 from .errors import UnsupportedVarietyError
 
 
-@dataclass(frozen=True)
-class Cone:
+class FrozenValue:
+    """Base of the record classes: an immutable value made of its fields.
+
+    A subclass lists its fields as annotations, in order, and gives a
+    default as a class attribute.  It is built as a frozen dataclass is:
+    by position or by keyword, refused with Python's own ``TypeError``
+    wording, and then ``__post_init__`` may check and normalise the fields
+    through ``object.__setattr__``.  After that every assignment and
+    deletion raises ``AttributeError`` ("cannot assign to field 'x'");
+    ``cached_property`` writes to the instance dictionary and still works.
+    Values are equal when their classes are the same and their field tuples
+    equal, the hash is that of the field tuple unless the class defines its
+    own ``__hash__``, and the repr reads ``Name(field=value, ...)``.
+
+    It is not a dataclass because every process that imports this package
+    starts cold: each command-line call and each benchmark repetition, and
+    where ``PYTHONDONTWRITEBYTECODE`` is set, each also compiles every
+    module from source.  ``dataclasses`` costs such a process its own
+    import, which pulls in ``inspect``, ``ast`` and ``tokenize``, and one
+    ``exec`` of generated methods per class; this base costs neither.
+    """
+
+    def __init_subclass__(cls):
+        names = cls.__match_args__ = tuple(cls.__dict__["__annotations__"])
+        cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        get = attrgetter(*names)
+        cls._values = staticmethod(get if len(names) > 1 else lambda value: (get(value),))
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        # not through self.__dict__: from Python 3.11 on, reading it turns the
+        # instance's inline values into a dictionary, slower for every read
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call that does not give every field by
+        position, or Python's ``TypeError`` for the call."""
+        names, call = cls.__match_args__, f"{cls.__qualname__}.__init__()"
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
+            if names.index(name) < len(args):
+                raise TypeError(f"{call} got multiple values for argument {name!r}")
+        most = len(names) + 1                      # self counts, as in Python's wording
+        if len(args) >= most:
+            least = most - len(cls._defaults)
+            takes = f"{most}" if least == most else f"from {least} to {most}"
+            raise TypeError(f"{call} takes {takes} positional arguments but {len(args) + 1} were given")
+        missing = [repr(n) for n in names[len(args):]
+                   if n not in kwargs and n not in cls._defaults]
+        if missing:
+            *head, last = missing
+            listed = f"{', '.join(head)}{',' * (len(head) > 1)} and {last}" if head else last
+            raise TypeError(f"{call} missing {len(missing)} required positional "
+                            f"argument{'s' * bool(head)}: {listed}")
+        return [*args, *(kwargs.get(n, cls._defaults.get(n)) for n in names[len(args):])]
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Cone(FrozenValue):
     """A cone of the fan, identified by the indices of its rays."""
 
     ray_indices: tuple[int, ...]
@@ -43,8 +126,7 @@ class Cone:
         object.__setattr__(self, "ray_indices", rays)
 
 
-@dataclass(frozen=True)
-class ToricVariety:
+class ToricVariety(FrozenValue):
     """A fan with its class group, given by its rays, their names and, on
     V_s(a), the split s.  The dimension, the class rank, the class [D_ray]
     of each ray (``degrees``), the family and the twist weights are read

@@ -1,6 +1,5 @@
 """Unit tests for the fan and class-group data."""
 import re
-from dataclasses import FrozenInstanceError, fields, replace
 from itertools import product
 
 import pytest
@@ -239,9 +238,9 @@ def test_a_variety_is_its_rays_names_and_split_s():
     no longer given, so no family string other than the two is taken, and
     no degrees that are not the class map of the rays; a sheaf's rank is
     read from its filtrations."""
-    assert [f.name for f in fields(ToricVariety)] == ["rays", "ray_names", "split_s"]
-    assert [f.name for f in fields(EquivariantReflexiveSheaf)] == ["variety", "filtrations"]
-    assert [f.name for f in fields(JobConfig)] == ["sheaf"]
+    assert ToricVariety.__match_args__ == ("rays", "ray_names", "split_s")
+    assert EquivariantReflexiveSheaf.__match_args__ == ("variety", "filtrations")
+    assert JobConfig.__match_args__ == ("sheaf",)
     sheaf = structure_sheaf(hirzebruch(3))
     assert JobConfig(sheaf).variety is sheaf.variety
 
@@ -251,11 +250,18 @@ def test_a_variety_is_its_rays_names_and_split_s():
     (structure_sheaf(hirzebruch(3)), "rank"),
 ])
 def test_the_derived_values_are_read_only(value, name):
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
         setattr(value, name, getattr(value, name))
 
 
 P2 = projective_space(2)
+
+
+def rebuild(value, **changes):
+    """A new value of the same class from the fields of ``value``, some of
+    them changed; the constructor checks them afresh."""
+    fields = {name: getattr(value, name) for name in type(value).__match_args__}
+    return type(value)(**{**fields, **changes})
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -286,14 +292,14 @@ def test_a_name_missing_for_a_ray_is_refused():
     unsorted jumps (1, 0) on its third ray passed, and h^0 at twist 2 read 3
     where the Hilbert function read 7."""
     with pytest.raises(ValueError, match=r"^ray names must have length 3$"):
-        replace(projective_space(2), ray_names=("rho0", "rho1"))
+        rebuild(projective_space(2), ray_names=("rho0", "rho1"))
 
 
 @pytest.mark.parametrize("names", ["abc", (0, 1, 2), ("rho0", "rho1", None)])
 def test_ray_names_that_are_not_strings_are_refused(names):
     """A string was split into its letters, and integers were taken as names."""
     with pytest.raises(ValueError, match=r"^ray names must be a sequence of strings, got "):
-        replace(projective_space(2), ray_names=names)
+        rebuild(projective_space(2), ray_names=names)
 
 
 @pytest.mark.parametrize("names", [("r", "r", "s"), ("rho0", "rho1", "rho0")])
@@ -301,7 +307,7 @@ def test_repeated_ray_names_are_refused(names):
     """``ray_index`` answered the first of two rays of one name, and
     ``validate``'s "ray r: ..." messages could not tell them apart."""
     with pytest.raises(ValueError, match=re.escape(f"ray names must be distinct, got {names!r}")):
-        replace(projective_space(2), ray_names=names)
+        rebuild(projective_space(2), ray_names=names)
 
 
 V12 = split_bundle(1, (1, 2))
@@ -318,17 +324,17 @@ TWO_RAYS = ((1, 0), (0, 1))
      "a variety without split s of dimension 2 needs 3 rays, got 4"),
     (lambda: ToricVariety(TWO_RAYS, ("a", "b")),
      "a variety without split s of dimension 2 needs 3 rays, got 2"),
-    (lambda: replace(V12, rays=V12.rays[:-1], ray_names=V12.ray_names[:-1]),
+    (lambda: rebuild(V12, rays=V12.rays[:-1], ray_names=V12.ray_names[:-1]),
      "a split bundle of dimension 3 needs 5 rays, got 4"),
     # a split bundle without its s failed in ``cones()`` with a TypeError
-    (lambda: replace(hirzebruch(3), split_s=None),
+    (lambda: rebuild(hirzebruch(3), split_s=None),
      "a variety without split s of dimension 2 needs 3 rays, got 4"),
-    (lambda: replace(projective_space(2), split_s=1),
+    (lambda: rebuild(projective_space(2), split_s=1),
      "a split bundle of dimension 2 needs 4 rays, got 3"),
-    (lambda: replace(V12, rays=((-1, 2, 1),) + V12.rays[1:]),
+    (lambda: rebuild(V12, rays=((-1, 2, 1),) + V12.rays[1:]),
      "twist weights must satisfy 0 <= a1 <= ... <= ar"),
-    (lambda: replace(V12, split_s=0), "split bundle needs s >= 1"),
-    (lambda: replace(V12, split_s=3), "need at least one twist weight"),
+    (lambda: rebuild(V12, split_s=0), "split bundle needs s >= 1"),
+    (lambda: rebuild(V12, split_s=3), "need at least one twist weight"),
 ])
 def test_a_variety_whose_parts_disagree_is_refused(call, message):
     """Without split s a variety has dim + 1 rays (with 4 rays in dimension
