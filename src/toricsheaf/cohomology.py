@@ -78,13 +78,15 @@ pairing from one dot product; each later line moves those pairings by the
 rays' coordinates, one step along the stepping axis and, in a polytope,
 along the line axis to its own start.  The walk's first line takes its
 start tuple from one checked levels call, and every other line bisects the
-jumps at its pairings.  Sorting a line's cut points and applying their
-steps then gives each run of constant level tuple and its length.  Where
-no level moves, the walk only sums each plane's line lengths.
+jumps at its pairings.  A level tuple is one int, its key sum_k l_k
+(rank + 1)^k: each level lies in 0..rank, so the levels are the key's
+digits in base rank + 1 and distinct tuples have distinct keys.  A cut
+moves the key by +-(rank + 1)^k, so sorting a line's cut points and
+applying their steps gives each run of constant key and its length.
+Where no level moves, the walk only sums each plane's line lengths.
 
-Local numbers are cached per level tuple.  The public methods check a
-level tuple on every call, as a cache hit cannot tell False from 0; the
-walk totals read the caches through unchecked private names.
+Local numbers are cached per key.  The public methods check a level
+tuple on every call, before packing it, as False packs as 0 does.
 """
 from __future__ import annotations
 
@@ -133,15 +135,16 @@ def enumeration_box(
     return CharacterBox(tuple(map(min, zip(*floors))), tuple(map(max, zip(*ceilings))))
 
 
-def _cached_by_levels(local):
-    """Cache a local number of the engine per level tuple, with no check:
-    the walks and ``levels`` make valid tuples."""
+def _cached_by_key(local):
+    """Cache a local number of the engine per key, with no check: the walks
+    and ``levels`` make valid tuples.  A miss unpacks the key, if not given
+    its tuple."""
     @wraps(local)
-    def cached(self, levels: tuple[int, ...]):
-        cache = self._local.setdefault(local.__name__, {})
-        if levels not in cache:
-            cache[levels] = local(self, levels)
-        return cache[levels]
+    def cached(self, key: int, levels=None):
+        cache = self._local[local.__name__]
+        if key not in cache:
+            cache[key] = local(self, levels or self._unpack(key))
+        return cache[key]
     return cached
 
 
@@ -163,7 +166,15 @@ class SheafCohomology:
         # ray sets of the cones by codimension: the terms C^k of the complex
         self._chain_cones = self.variety._fan.chain
         self._pieces: dict[tuple, Subspace] = {}
-        self._local: dict[str, dict[tuple[int, ...], object]] = {}
+        self._powers = tuple((self.rank + 1) ** k for k in range(len(self._jumps)))
+        self._local = {"_h0": {}, "_hn": {}, "_chi": {}, "_cech": {}}
+        self._tables = {}
+
+    def _pack(self, levels: Sequence[int]) -> int:
+        return sum(map(mul, levels, self._powers))
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        return tuple(key // p % (self.rank + 1) for p in self._powers)
 
     def levels(self, m: Sequence[int], shifts: Sequence[int] | None = None) -> tuple[int, ...]:
         """Per ray, the number of jumps <= <m, n(ray)> + shift; 0 is the zero space."""
@@ -177,33 +188,37 @@ class SheafCohomology:
 
     def histogram(self, c: Sequence[int]) -> dict[tuple[int, ...], int]:
         """How many characters of the twisted box have each level tuple."""
+        return {self._unpack(key): n for key, n in self._box_counts(c).items()}
+
+    def _box_counts(self, c: Sequence[int]) -> dict[int, int]:
         box, shifts = self._twist_setup(c)
         return self._walk(_box_plan(box), shifts)
 
-    def _walk(self, plan, shifts: tuple[int, ...], crossable=None) -> dict[tuple[int, ...], int]:
-        """The level-tuple histogram at these shifts of the characters of a
-        walk plan (order, planes) from ``polytopes``.  ``crossable`` holds
-        per ray the jumps a line of the plan can cross, every jump when None;
-        when it holds none, no level moves on the plan."""
+    def _walk(self, plan, shifts: tuple[int, ...], which: int | None = None) -> dict[int, int]:
+        """The key histogram at these shifts of the characters of a walk
+        plan (order, planes) from ``polytopes``; a support polytope's lines
+        cross only its ``_crossable[which]``, and where none, no level moves."""
         order, planes = plan
-        if crossable is None:
-            crossable = self._jumps
-        elif not any(crossable):
+        if which is not None and not any(self._crossable[which]):
             return self._constant_walk(order, planes, shifts)
-        rays = self.variety.rays
-        axis = order[-1]
-        along = [ray[axis] for ray in rays]
-        advance = [ray[order[-2]] for ray in rays] if len(order) > 1 else None
-        # rays whose pairing moves along the line: index, slope, the level step
-        # at each jump crossed, the jumps it can cross
-        sloped = [
-            (k, ray[axis], 1 if ray[axis] > 0 else -1, jumps)
-            for k, (ray, jumps) in enumerate(zip(rays, crossable))
-            if ray[axis] and jumps
-        ]
+        rays, jumps, powers, axis = self.variety.rays, self._jumps, self._powers, order[-1]
+        kind = (*order[-2:], which)
+        if kind not in self._tables:
+            # (ray, s, key step, t) per crossable jump j of a ray of slope s
+            # along the line: the pairing s*u + b at its u-th point passes j
+            # (>= j if s > 0, < j if s < 0) at u = (t - b) // s + 1, t = j - 1 or j
+            crossable = jumps if which is None else self._crossable[which]
+            self._tables[kind] = (
+                [ray[axis] for ray in rays],
+                [ray[order[-2]] for ray in rays] if len(order) > 1 else None,
+                [(k, ray[axis], p if ray[axis] > 0 else -p, j - (ray[axis] > 0))
+                 for k, (ray, js, p) in enumerate(zip(rays, crossable, powers)) if ray[axis] for j in js],
+            )
+        along, advance, sloped = self._tables[kind]
         m = [0] * len(order)
-        counts: dict[tuple[int, ...], int] = {}
-        lv = None
+        counts: dict[int, int] = {}
+        get = counts.get
+        key = None
         for start, ends in planes:
             for i, x in zip(order, start):
                 m[i] = x
@@ -211,42 +226,36 @@ class SheafCohomology:
             # each ray's pairing at the start of the plane's first line
             pairings = [sum(map(mul, m, ray)) + shift for ray, shift in zip(rays, shifts)]
             # one checked levels call per walk; later planes bisect, as lines do
-            if lv is None:
-                lv = list(self.levels(tuple(m), shifts))
-            else:
-                lv = list(map(bisect_right, self._jumps, pairings))
+            lv = self.levels(tuple(m), shifts) if key is None else map(bisect_right, jumps, pairings)
+            key = sum(map(mul, lv, powers))
             for line, (lo, hi) in enumerate(ends):
                 if line:
                     pairings = list(map(add, pairings, advance))
                     if lo != last_lo:
                         pairings = [b + (lo - last_lo) * a for b, a in zip(pairings, along)]
-                    lv = list(map(bisect_right, self._jumps, pairings))
+                    key = sum(map(mul, map(bisect_right, jumps, pairings), powers))
                 last_lo = lo
                 if lo > hi:
                     continue
-                # u steps into the line, the pairing is slope*u + b; a level
-                # moves by step at the first u with slope*u + b >= j (slope
-                # > 0) or < j (slope < 0); cuts at u = 0 are in the start
-                # tuple, and u = length ends the line
+                # cuts at u = 0 are in the start key, and u = length ends the line
                 length = hi - lo + 1
-                cuts = [(length, 0, 0)]
-                for k, slope, step, js in sloped:
-                    b = pairings[k]
-                    for j in js:
-                        u = -((b - j) // slope) if slope > 0 else (j - b) // slope + 1
-                        if 0 < u < length:
-                            cuts.append((u, k, step))
+                cuts = []
+                for k, slope, step, t in sloped:
+                    u = (t - pairings[k]) // slope + 1
+                    if 0 < u < length:
+                        cuts.append((u, step))
+                cuts.sort()
                 prev = 0
-                for u, k, step in sorted(cuts):
+                for u, step in cuts:
                     if u > prev:
-                        key = tuple(lv)
-                        counts[key] = counts.get(key, 0) + u - prev
+                        counts[key] = get(key, 0) + u - prev
                         prev = u
-                    lv[k] += step
+                    key += step
+                counts[key] = get(key, 0) + length - prev
         return counts
 
-    def _constant_walk(self, order, planes, shifts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        """``_walk`` where no level moves: one tuple, read at the first point
+    def _constant_walk(self, order, planes, shifts: tuple[int, ...]) -> dict[int, int]:
+        """``_walk`` where no level moves: one key, read at the first point
         walked, counts each plane's line lengths."""
         lv, total = None, 0
         for start, ends in planes:
@@ -262,15 +271,21 @@ class SheafCohomology:
                 m[order[-1]] = lo
                 lv = self.levels(tuple(m), shifts)
             total += n
-        return {lv: total} if total else {}
+        return {self._pack(lv): total} if total else {}
 
     def _twist_setup(self, c: Sequence[int]) -> tuple[CharacterBox, tuple[int, ...]]:
         shifts = self.variety.twist_divisor(c)
         return enumeration_box(self.sheaf, shifts), shifts
 
-    @staticmethod
-    def _total(counts: dict[tuple[int, ...], int], local) -> int:
-        return sum(n * local(lv) for lv, n in counts.items())
+    def _at(self, counts, local):
+        """``local`` at each key of ``counts``, one cache lookup each."""
+        cache = self._local[local.__name__]
+        for key in counts.keys() - cache.keys():
+            local(key)
+        return map(cache.__getitem__, counts)
+
+    def _total(self, counts: dict[int, int], local) -> int:
+        return sum(map(mul, counts.values(), self._at(counts, local)))
 
     @cached_property
     def _support_bounds(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -296,12 +311,11 @@ class SheafCohomology:
         )
 
     def _support_total(self, which: int, c: Sequence[int], local) -> int:
-        c = self.variety.check_class(c)
-        plan = _walk_plan(self._support_bounds[which], (1,) + c)
+        shifts = self.variety.twist_divisor(c)  # checks c, held at the class basis
+        plan = _walk_plan(self._support_bounds[which], (1, *map(shifts.__getitem__, self.variety._class_basis)))
         if plan is None:
             return 0
-        counts = self._walk(plan, self.variety.twist_divisor(c), self._crossable[which])
-        return self._total(counts, local)
+        return self._total(self._walk(plan, shifts, which), local)
 
     def h0_twisted(self, c: Sequence[int]) -> int:
         return self._support_total(0, c, self._h0)
@@ -310,20 +324,17 @@ class SheafCohomology:
         return self._support_total(1, c, self._hn)
 
     def chi_twisted(self, c: Sequence[int]) -> int:
-        return self._total(self.histogram(c), self._chi)
+        return self._total(self._box_counts(c), self._chi)
 
     def cech_twisted(self, c: Sequence[int]) -> tuple[int, ...]:
-        totals = [0] * (self.variety.dim + 1)
-        for lv, n in self.histogram(c).items():
-            for i, hi in enumerate(self._cech(lv)):
-                totals[i] += n * hi
-        return tuple(totals)
+        counts = self._box_counts(c)
+        # a box is never empty, so zip gives all dim + 1 columns
+        return tuple(sum(map(mul, counts.values(), h)) for h in zip(*self._at(counts, self._cech)))
 
     def h1_identity_twisted(self, c: Sequence[int]) -> int:
         """h^0 + h^n - chi, which is h^1 on a surface."""
-        return self._total(
-            self.histogram(c), lambda lv: self._h0(lv) + self._hn(lv) - self._chi(lv)
-        )
+        counts = self._box_counts(c)
+        return self._total(counts, self._h0) + self._total(counts, self._hn) - self._total(counts, self._chi)
 
     def _check_levels(self, levels: Sequence[int]) -> tuple[int, ...]:
         """The level tuple of a public call, one int per ray in 0..rank."""
@@ -340,16 +351,16 @@ class SheafCohomology:
         return self._piece(rayset, self._check_levels(levels))
 
     def h0(self, levels: Sequence[int]) -> int:
-        return self._h0(self._check_levels(levels))
+        return self._h0(self._pack(self._check_levels(levels)))
 
     def hn(self, levels: Sequence[int]) -> int:
-        return self._hn(self._check_levels(levels))
+        return self._hn(self._pack(self._check_levels(levels)))
 
     def chi(self, levels: Sequence[int]) -> int:
-        return self._chi(self._check_levels(levels))
+        return self._chi(self._pack(self._check_levels(levels)))
 
     def cech(self, levels: Sequence[int]) -> tuple[int, ...]:
-        return self._cech(self._check_levels(levels))
+        return self._cech(self._pack(self._check_levels(levels)))
 
     def _piece(self, rayset: tuple[int, ...], levels: tuple[int, ...]) -> Subspace:
         if not rayset:
@@ -367,16 +378,16 @@ class SheafCohomology:
         self._pieces[key] = result
         return result
 
-    @_cached_by_levels
+    @_cached_by_key
     def _h0(self, levels: tuple[int, ...]) -> int:
         return self._piece(tuple(range(self.variety.ray_count)), levels).dim
 
-    @_cached_by_levels
+    @_cached_by_key
     def _hn(self, levels: tuple[int, ...]) -> int:
         spaces = [f.space_at_level(lv) for f, lv in zip(self.sheaf.filtrations, levels)]
         return self.rank - subspace_sum(spaces).dim
 
-    @_cached_by_levels
+    @_cached_by_key
     def _chi(self, levels: tuple[int, ...]) -> int:
         return sum(
             (-1) ** k * self._piece(rs, levels).dim
@@ -396,7 +407,7 @@ class SheafCohomology:
         ]
         return min(full, key=lambda chain: sum(map(len, chain)), default=self._chain_cones)
 
-    @_cached_by_levels
+    @_cached_by_key
     def _cech(self, levels: tuple[int, ...]) -> tuple[int, ...]:
         chain = self._quotient_chain(levels)
         spaces = [[self._piece(rs, levels) for rs in cones] for cones in chain]

@@ -51,8 +51,8 @@ def _valid_levels(jumps: tuple[int, ...]) -> list[int]:
 def _level_table(sheaf: EquivariantReflexiveSheaf) -> tuple[tuple[MultiIndex, int], ...]:
     """(l, f(l)) for every l in the product of the rays' valid levels, in
     product order, with f read from the shared engine's unchecked ``_h0``."""
-    h0 = cohomology._engine(sheaf)._h0
-    return tuple((lv, h0(lv)) for lv in product(*map(_valid_levels, sheaf.jumps)))
+    engine = cohomology._engine(sheaf)
+    return tuple((lv, engine._h0(engine._pack(lv), lv)) for lv in product(*map(_valid_levels, sheaf.jumps)))
 
 
 @lru_cache(maxsize=64)

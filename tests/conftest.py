@@ -120,6 +120,12 @@ def random_sheaf(rng: random.Random, variety, rank: int, jump_lo=-6, jump_hi=0):
     return EquivariantReflexiveSheaf(variety, filts)
 
 
+def walked(engine, plan, shifts, which=None) -> dict[tuple[int, ...], int]:
+    """The engine's walk histogram of the plan, its packed keys unpacked to
+    level tuples."""
+    return {engine._unpack(key): n for key, n in engine._walk(plan, shifts, which).items()}
+
+
 def h0_supported(engine, c) -> int:
     """The engine's h0_twisted(c), counted point by point: psi_points lists
     the characters of the support polytope <m, n(ray)> >= i_1(ray) - shift

@@ -245,12 +245,14 @@ def test_shapes_that_do_not_fit_are_refused_in_one_form(call, message):
 def test_level_tuples_that_do_not_fit_are_refused_and_never_cached(method, levels, message):
     """A level tuple is checked on every call: a wrong length is not cut
     by ``zip`` or read past its end, and a second call meets the same
-    refusal."""
+    refusal.  The check comes before any cache is read or written, so the
+    fresh engine's caches, of local numbers and of cone pieces, stay empty
+    whatever the form of their keys."""
     engine = SheafCohomology(SHEAF)
     for _ in range(2):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             getattr(engine, method)(levels)
-    assert levels not in engine._local.get(f"_{method}", {})
+    assert not any(engine._local.values()) and not engine._pieces
 
 
 @pytest.mark.parametrize("method, args, bad", [

@@ -28,7 +28,7 @@ from toricsheaf.hilbert import _section_count
 from toricsheaf.polytopes import _box_plan
 
 from cech_oracle import assert_full_complex
-from conftest import SHIPPED_CONFIGS, h0_supported, random_sheaf, shipped_sheaf, shipped_twists
+from conftest import SHIPPED_CONFIGS, h0_supported, random_sheaf, shipped_sheaf, shipped_twists, walked
 from vertex_oracle import box_points, widened
 
 
@@ -161,7 +161,7 @@ def assert_box_margin_invariance(engine: SheafCohomology, c) -> dict:
     """Chi and Cech at the twist, over the engine's box, equal their sums
     over the box widened by 1; the level-tuple histogram of the wide box."""
     box, shifts = engine._twist_setup(c)
-    wide = engine._walk(_box_plan(widened(box, 1)), shifts)
+    wide = walked(engine, _box_plan(widened(box, 1)), shifts)
     assert chi_and_cech(engine, wide) == (engine.chi_twisted(c), list(engine.cech_twisted(c))), c
     return wide
 
@@ -388,7 +388,7 @@ def assert_rank_nullity_at_ends(sheaf, twists) -> int:
     tuples = set()
     for c in twists:
         box, shifts = engine._twist_setup(c)
-        tuples.update(engine._walk(_box_plan(widened(box, 1)), shifts))
+        tuples.update(walked(engine, _box_plan(widened(box, 1)), shifts))
     nonzero = [0, 0]
     for lv in tuples:
         spaces = [[engine.piece(rs, lv) for rs in cones] for cones in chain]

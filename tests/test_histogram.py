@@ -55,6 +55,7 @@ from conftest import (
     rank3_example_sheaf,
     shipped_sheaf,
     shipped_twists,
+    walked,
 )
 from vertex_oracle import (
     box_points,
@@ -228,7 +229,7 @@ def shaped_box(shape: str, axis: int, lower: list[int], sizes: list[int]) -> Cha
 
 
 def check_walk(engine: SheafCohomology, box: CharacterBox, shifts: tuple[int, ...]) -> None:
-    assert engine._walk(_box_plan(box), shifts) == Counter(engine.levels(m, shifts) for m in box_points(box))
+    assert walked(engine, _box_plan(box), shifts) == Counter(engine.levels(m, shifts) for m in box_points(box))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -317,7 +318,7 @@ def test_box_plan_and_polytope_plan_walk_a_box_alike(name, rank, shape, seed, da
         return order, [(tuple(start), list(ends)) for start, ends in planes]
 
     assert listed(_walk_plan(bounds, (1,))) == listed(_box_plan(box))
-    assert engine._walk(_box_plan(box), shifts) == engine._walk(_walk_plan(bounds, (1,)), shifts)
+    assert walked(engine, _box_plan(box), shifts) == walked(engine, _walk_plan(bounds, (1,)), shifts)
 
 
 def box_of_extents(extents) -> CharacterBox:
@@ -451,16 +452,20 @@ def support_systems(engine: SheafCohomology, c):
     ]
 
 
+def histogram_total(counts: dict, local) -> int:
+    return sum(n * local(lv) for lv, n in counts.items())
+
+
 def full_box_total(engine: SheafCohomology, c, local) -> int:
-    return sum(n * local(lv) for lv, n in engine.histogram(c).items())
+    return histogram_total(engine.histogram(c), local)
 
 
 def assert_support_totals(engine: SheafCohomology, c) -> None:
     """h^0 and h^n over their support polytopes equal their totals over the
     box of the whole jump arrangement and Cech's first and last numbers."""
     counts, cech = engine.histogram(c), engine.cech_twisted(c)
-    assert engine.h0_twisted(c) == engine._total(counts, engine.h0) == cech[0], c
-    assert engine.hn_twisted(c) == engine._total(counts, engine.hn) == cech[-1], c
+    assert engine.h0_twisted(c) == histogram_total(counts, engine.h0) == cech[0], c
+    assert engine.hn_twisted(c) == histogram_total(counts, engine.hn) == cech[-1], c
 
 
 def test_support_totals_match_full_box_totals():
@@ -501,6 +506,67 @@ def test_support_totals_match_full_box_totals_on_any_twist(which, c):
     engine = _engine(SURFACE_SHEAVES[which])
     assert engine.h0_twisted(c) == full_box_total(engine, c, engine.h0)
     assert engine.hn_twisted(c) == full_box_total(engine, c, engine.hn)
+
+
+def test_a_support_total_checks_its_class_once(monkeypatch):
+    """h^0 and h^n check the class once, in ``twist_divisor``, and read the
+    class coordinates of the support bounds back from its divisor."""
+    engine = SheafCohomology(rank3_example_sheaf())
+    engine._support_bounds  # built once per engine, from the unit classes
+    checks = []
+    check = ToricVariety.check_class
+    monkeypatch.setattr(ToricVariety, "check_class", lambda v, c: checks.append(c) or check(v, c))
+    for total, c in [(engine.h0_twisted, [2, 1]), (engine.hn_twisted, [-12, -9])]:
+        checks.clear()
+        assert total(c) > 0
+        assert checks == [c]
+
+
+# the packed keys: varieties with 3 to 6 rays, one of them with a slope-3 ray
+PACKING_VARIETIES = {
+    "P2": projective_space(2),
+    "H3": hirzebruch(3),
+    "V1_12": split_bundle(1, (1, 2)),
+    "V2_12": split_bundle(2, (1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACKING_VARIETIES))
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_packed_keys_number_the_level_tuples_once_each(name, rank):
+    """The (rank + 1)^rays level tuples in [0..rank]^rays pack to the keys
+    0 .. (rank + 1)^rays - 1, one each, and unpack to themselves: 5^6 =
+    15,625 of them for rank 4 on V_2(1, 2)."""
+    variety = PACKING_VARIETIES[name]
+    engine = SheafCohomology(random_sheaf(random.Random(f"pack-{name}-{rank}"), variety, rank, -3, 0))
+    grid = list(product(range(rank + 1), repeat=variety.ray_count))
+    keys = [engine._pack(lv) for lv in grid]
+    assert sorted(keys) == list(range(len(grid)))
+    assert [engine._unpack(key) for key in keys] == grid
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["P2", "H3", "V1_12"]),
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_twisted_totals_are_public_local_sums_over_the_public_histogram(name, rank, seed, data):
+    """Every total read from the caches by key equals the public local
+    number, which packs its own tuple on a fresh engine, summed over the
+    public histogram, which unpacks the walk's keys."""
+    variety = PACKING_VARIETIES[name]
+    c = data.draw(st.tuples(*[st.integers(-5, 5)] * variety.class_rank))
+    sheaf = random_sheaf(random.Random(seed), variety, rank, -3, 0)
+    engine, fresh = SheafCohomology(sheaf), SheafCohomology(sheaf)
+    hist = engine.histogram(c)
+    assert engine.chi_twisted(c) == histogram_total(hist, fresh.chi)
+    assert engine.h0_twisted(c) == histogram_total(hist, fresh.h0)
+    assert engine.hn_twisted(c) == histogram_total(hist, fresh.hn)
+    assert engine.cech_twisted(c) == tuple(
+        histogram_total(hist, lambda lv: fresh.cech(lv)[i]) for i in range(variety.dim + 1)
+    )
 
 
 def test_polytope_box_is_the_inward_box_of_the_polytope_vertices():
@@ -669,11 +735,11 @@ def check_support_walk(engine: SheafCohomology, c) -> set[str]:
     polytopes showed the walk."""
     shifts = engine.variety.twist_divisor(c)
     kinds = set()
-    for system, crossable in zip(support_polytopes(engine.sheaf, c), engine._crossable):
+    for which, (system, crossable) in enumerate(zip(support_polytopes(engine.sheaf, c), engine._crossable)):
         bounds = homogeneous_bounds(system)
         points = psi_points(as_lower_bounds(bounds))
         plan = _walk_plan(bounds, (1,))
-        hist = {} if plan is None else engine._walk(plan, shifts, crossable)
+        hist = {} if plan is None else walked(engine, plan, shifts, which)
         assert hist == Counter(engine.levels(m, shifts) for m in points)
         kinds |= walk_kinds(bounds, system)
         if points:
@@ -719,6 +785,35 @@ def test_support_walk_cases_cover_every_kind():
         "rounded non-unit end", "levels fixed", "repeated end jump", "empty first line",
         "empty first line, levels fixed",
     }
+
+
+def test_support_and_constant_walks_make_one_levels_call_per_walk(monkeypatch):
+    """Like the box walk, a support polytope's walk, cut at its crossable
+    jumps, and the constant walk of a rank-1 sheaf, where no level moves,
+    each make one checked levels call when the polytope holds a character,
+    and none or one when it holds none."""
+    cases = [
+        SheafCohomology(random_sheaf(random.Random(f"one-call-{name}-{rank}"), variety, rank, -3, 0))
+        for name, variety in PACKING_VARIETIES.items() for rank in (1, 2, 3)
+    ] + [SheafCohomology(line_bundle(hirzebruch(3), (1, 0, 2, 1)))]
+    kinds = set()
+    for engine in cases:
+        calls = []
+        levels = engine.levels
+        monkeypatch.setattr(engine, "levels", lambda m, shifts=None: calls.append(m) or levels(m, shifts))
+        variety = engine.variety
+        for c in product(range(-3, 3), repeat=variety.class_rank):
+            for which, (total, system) in enumerate(zip(
+                (engine.h0_twisted, engine.hn_twisted), support_polytopes(engine.sheaf, c)
+            )):
+                calls.clear()
+                total(c)
+                if not psi_points(as_lower_bounds(homogeneous_bounds(system))):
+                    assert len(calls) <= 1
+                    continue
+                assert len(calls) == 1, (c, which)
+                kinds.add("cut" if any(engine._crossable[which]) else "constant")
+    assert kinds == {"cut", "constant"}
 
 
 @settings(max_examples=60, deadline=None)
