@@ -85,8 +85,15 @@ moves the key by +-(rank + 1)^k, so sorting a line's cut points and
 applying their steps gives each run of constant key and its length.
 Where no level moves, the walk only sums each plane's line lengths.
 
-Local numbers are cached per key.  The public methods check a level
-tuple on every call, before packing it, as False packs as 0 does.
+Each local number is one method: it checks its level tuple, before
+packing it, as False packs as 0 does, and caches the result per key.  The
+walk totals call these methods by name, once per key not cached yet.
+
+``_complex`` gives the cohomology of every complex of this shape: a term
+per degree, summing subspaces of Q^rank indexed by ray sets, and signed
+inclusions into the facets in the next term.  ``cech`` calls it on the
+quotient chain.  A Koszul complex, S -> S minus rho with inclusions
+M_(u - e_S) in M_(u - e_(S minus rho)), has the same shape.
 """
 from __future__ import annotations
 
@@ -135,17 +142,52 @@ def enumeration_box(
     return CharacterBox(tuple(map(min, zip(*floors))), tuple(map(max, zip(*ceilings))))
 
 
-def _cached_by_key(local):
-    """Cache a local number of the engine per key, with no check: the walks
-    and ``levels`` make valid tuples.  A miss unpacks the key, if not given
-    its tuple."""
-    @wraps(local)
-    def cached(self, key: int, levels=None):
-        cache = self._local[local.__name__]
+def _complex(chain: Sequence[Sequence[tuple[int, ...]]],
+             spaces: Sequence[Sequence[Subspace]]) -> tuple[int, ...]:
+    """(h^0, ..., h^k) of a complex of subspaces of Q^rank: term i sums
+    ``spaces[i]``, one per ray set of ``chain[i]``, and d sends E^sigma into
+    E^tau, each facet tau of sigma in the next term, by (-1)^pos for the
+    position of the dropped ray.  Each row of d is a stored row of a source
+    space, its coordinates in each target read off the target's pivots."""
+    # ranks[i] is the rank of d: C^(i-1) -> C^i; C^-1 = C^(k+1) = 0
+    ranks = [0]
+    for sources, source_spaces, targets, target_spaces in zip(chain, spaces, chain[1:], spaces[1:]):
+        blocks, width = {}, 0
+        for rays, space in zip(targets, target_spaces):
+            blocks[rays] = width, space.pivots
+            width += space.dim
+        rows = []
+        for sigma, space in zip(sources, source_spaces):
+            if not space.rows:
+                continue
+            # a facet outside the next term was divided out of the complex
+            facets = []
+            for pos in range(len(sigma)):
+                block = blocks.get(sigma[:pos] + sigma[pos + 1:])
+                if block is not None:
+                    facets.append((-1 if pos % 2 else 1, *block))
+            for vec in space.rows:
+                row = [0] * width
+                for sign, start, pivots in facets:
+                    row[start:start + len(pivots)] = [sign * vec[p] for p in pivots]
+                rows.append(row)
+        ranks.append(matrix_rank(rows, width) if rows and width else 0)
+    ranks.append(0)
+    return tuple(sum(s.dim for s in term) - ranks[i] - ranks[i + 1] for i, term in enumerate(spaces))
+
+
+def _local_number(compute):
+    """A local number of the engine as one method: it checks the level
+    tuple, packs it and caches the result per key."""
+    @wraps(compute)
+    def local(self, levels):
+        levels = self._check_levels(levels)
+        cache = self._local[compute.__name__]
+        key = self._pack(levels)
         if key not in cache:
-            cache[key] = local(self, levels or self._unpack(key))
+            cache[key] = compute(self, levels)
         return cache[key]
-    return cached
+    return local
 
 
 class SheafCohomology:
@@ -167,14 +209,14 @@ class SheafCohomology:
         self._chain_cones = self.variety._fan.chain
         self._pieces: dict[tuple, Subspace] = {}
         self._powers = tuple((self.rank + 1) ** k for k in range(len(self._jumps)))
-        self._local = {"_h0": {}, "_hn": {}, "_chi": {}, "_cech": {}}
+        self._local = {"h0": {}, "hn": {}, "chi": {}, "cech": {}}
         self._tables = {}
 
     def _pack(self, levels: Sequence[int]) -> int:
         return sum(map(mul, levels, self._powers))
 
     def _unpack(self, key: int) -> tuple[int, ...]:
-        return tuple(key // p % (self.rank + 1) for p in self._powers)
+        return tuple([key // p % (self.rank + 1) for p in self._powers])
 
     def levels(self, m: Sequence[int], shifts: Sequence[int] | None = None) -> tuple[int, ...]:
         """Per ray, the number of jumps <= <m, n(ray)> + shift; 0 is the zero space."""
@@ -277,15 +319,18 @@ class SheafCohomology:
         shifts = self.variety.twist_divisor(c)
         return enumeration_box(self.sheaf, shifts), shifts
 
-    def _at(self, counts, local):
-        """``local`` at each key of ``counts``, one cache lookup each."""
-        cache = self._local[local.__name__]
+    def _at(self, counts, name: str):
+        """The local number ``name`` at each key of ``counts``, one cache
+        lookup each.  A key not cached yet goes through the method looked up
+        by name, so a wrapper put on the class attribute sees the call."""
+        cache = self._local[name]
+        local = getattr(self, name)
         for key in counts.keys() - cache.keys():
-            local(key)
+            local(self._unpack(key))
         return map(cache.__getitem__, counts)
 
-    def _total(self, counts: dict[int, int], local) -> int:
-        return sum(map(mul, counts.values(), self._at(counts, local)))
+    def _total(self, counts: dict[int, int], name: str) -> int:
+        return sum(map(mul, counts.values(), self._at(counts, name)))
 
     @cached_property
     def _support_bounds(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -310,31 +355,31 @@ class SheafCohomology:
             tuple(js[:bisect_left(js, js[-1])] for js in self._jumps),
         )
 
-    def _support_total(self, which: int, c: Sequence[int], local) -> int:
+    def _support_total(self, which: int, c: Sequence[int], name: str) -> int:
         shifts = self.variety.twist_divisor(c)  # checks c, held at the class basis
         plan = _walk_plan(self._support_bounds[which], (1, *map(shifts.__getitem__, self.variety._class_basis)))
         if plan is None:
             return 0
-        return self._total(self._walk(plan, shifts, which), local)
+        return self._total(self._walk(plan, shifts, which), name)
 
     def h0_twisted(self, c: Sequence[int]) -> int:
-        return self._support_total(0, c, self._h0)
+        return self._support_total(0, c, "h0")
 
     def hn_twisted(self, c: Sequence[int]) -> int:
-        return self._support_total(1, c, self._hn)
+        return self._support_total(1, c, "hn")
 
     def chi_twisted(self, c: Sequence[int]) -> int:
-        return self._total(self._box_counts(c), self._chi)
+        return self._total(self._box_counts(c), "chi")
 
     def cech_twisted(self, c: Sequence[int]) -> tuple[int, ...]:
         counts = self._box_counts(c)
         # a box is never empty, so zip gives all dim + 1 columns
-        return tuple(sum(map(mul, counts.values(), h)) for h in zip(*self._at(counts, self._cech)))
+        return tuple(sum(map(mul, counts.values(), h)) for h in zip(*self._at(counts, "cech")))
 
     def h1_identity_twisted(self, c: Sequence[int]) -> int:
         """h^0 + h^n - chi, which is h^1 on a surface."""
         counts = self._box_counts(c)
-        return self._total(counts, self._h0) + self._total(counts, self._hn) - self._total(counts, self._chi)
+        return self._total(counts, "h0") + self._total(counts, "hn") - self._total(counts, "chi")
 
     def _check_levels(self, levels: Sequence[int]) -> tuple[int, ...]:
         """The level tuple of a public call, one int per ray in 0..rank."""
@@ -349,18 +394,6 @@ class SheafCohomology:
             if not 0 <= k < len(self._jumps):
                 raise ValueError(f"ray index must lie in 0..{len(self._jumps) - 1}, got {k}")
         return self._piece(rayset, self._check_levels(levels))
-
-    def h0(self, levels: Sequence[int]) -> int:
-        return self._h0(self._pack(self._check_levels(levels)))
-
-    def hn(self, levels: Sequence[int]) -> int:
-        return self._hn(self._pack(self._check_levels(levels)))
-
-    def chi(self, levels: Sequence[int]) -> int:
-        return self._chi(self._pack(self._check_levels(levels)))
-
-    def cech(self, levels: Sequence[int]) -> tuple[int, ...]:
-        return self._cech(self._pack(self._check_levels(levels)))
 
     def _piece(self, rayset: tuple[int, ...], levels: tuple[int, ...]) -> Subspace:
         if not rayset:
@@ -378,91 +411,33 @@ class SheafCohomology:
         self._pieces[key] = result
         return result
 
-    @_cached_by_key
-    def _h0(self, levels: tuple[int, ...]) -> int:
+    @_local_number
+    def h0(self, levels: Sequence[int]) -> int:
         return self._piece(tuple(range(self.variety.ray_count)), levels).dim
 
-    @_cached_by_key
-    def _hn(self, levels: tuple[int, ...]) -> int:
+    @_local_number
+    def hn(self, levels: Sequence[int]) -> int:
         spaces = [f.space_at_level(lv) for f, lv in zip(self.sheaf.filtrations, levels)]
         return self.rank - subspace_sum(spaces).dim
 
-    @_cached_by_key
-    def _chi(self, levels: tuple[int, ...]) -> int:
-        return sum(
-            (-1) ** k * self._piece(rs, levels).dim
-            for k, cones in enumerate(self._quotient_chain(levels))
-            for rs in cones
-        )
+    @_local_number
+    def chi(self, levels: Sequence[int]) -> int:
+        return sum((-1) ** k * self._piece(rs, levels).dim
+                   for k, cones in enumerate(self._quotient_chain(levels)) for rs in cones)
 
     def _quotient_chain(self, levels: tuple[int, ...]):
         """The terms of the complex that ``cech`` ranks and ``chi`` sums at
         these levels: the cones outside the closed star of the ray whose
         space is the whole fibre and which leaves the fewest, or every cone
         when no ray's is."""
-        full = [
-            self.variety._fan.outside_stars[k]
-            for k in range(self.variety.ray_count)
-            if self._piece((k,), levels).dim == self.rank
-        ]
+        full = [chain for k, chain in enumerate(self.variety._fan.outside_stars)
+                if self._piece((k,), levels).dim == self.rank]
         return min(full, key=lambda chain: sum(map(len, chain)), default=self._chain_cones)
 
-    @_cached_by_key
-    def _cech(self, levels: tuple[int, ...]) -> tuple[int, ...]:
+    @_local_number
+    def cech(self, levels: Sequence[int]) -> tuple[int, ...]:
         chain = self._quotient_chain(levels)
-        spaces = [[self._piece(rs, levels) for rs in cones] for cones in chain]
-        # ranks[k + 1] is the rank of d: C^k -> C^{k+1}; C^{-1} = C^{dim+1} = 0
-        ranks = [0] * (len(chain) + 1)
-        for k in range(len(chain) - 1):
-            ranks[k + 1] = self._differential_rank(
-                chain[k], spaces[k], chain[k + 1], spaces[k + 1]
-            )
-        return tuple(
-            sum(s.dim for s in spaces[i]) - ranks[i] - ranks[i + 1]
-            for i in range(len(chain))
-        )
-
-    def _differential_rank(
-        self,
-        sources: Sequence[tuple[int, ...]],
-        src_spaces: list[Subspace],
-        targets: Sequence[tuple[int, ...]],
-        tgt_spaces: list[Subspace],
-    ) -> int:
-        """Rank of d: C^k -> C^{k+1}, whose blocks are the inclusions of
-        E^sigma into E^tau for the facets tau of sigma among the targets,
-        each signed by (-1)^pos for the position of the dropped ray in
-        sigma.  The matrix has one row per stored integer row of a source
-        space."""
-        src_offset = [0]
-        for s in src_spaces:
-            src_offset.append(src_offset[-1] + s.dim)
-        tgt_offset = [0]
-        for s in tgt_spaces:
-            tgt_offset.append(tgt_offset[-1] + s.dim)
-        nrows = src_offset[-1]
-        ncols = tgt_offset[-1]
-        if nrows == 0 or ncols == 0:
-            return 0
-        tgt_index = {rays: j for j, rays in enumerate(targets)}
-        # one row per source row, expressed in the target coordinates
-        rows = [[0] * ncols for _ in range(nrows)]
-        for i_src, source in enumerate(sources):
-            vectors = src_spaces[i_src].rows
-            for pos in range(len(source)):
-                # a facet outside the targets was divided out of the complex
-                j_tgt = tgt_index.get(source[:pos] + source[pos + 1:])
-                if j_tgt is None:
-                    continue
-                pivots = tgt_spaces[j_tgt].pivots
-                sign = -1 if pos % 2 else 1
-                # the source space lies in the target; coordinates come off pivots
-                for bi, vec in enumerate(vectors):
-                    row = rows[src_offset[i_src] + bi]
-                    for ci, p in enumerate(pivots):
-                        if vec[p]:
-                            row[tgt_offset[j_tgt] + ci] += sign * vec[p]
-        return matrix_rank(rows, ncols)
+        return _complex(chain, [[self._piece(rs, levels) for rs in cones] for cones in chain])
 
 
 @lru_cache(maxsize=64)

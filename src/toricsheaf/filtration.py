@@ -85,10 +85,16 @@ class KlyachkoFiltration(FrozenValue):
         return self.space_at_level(self.level(i))
 
     def shifted(self, offset: int) -> "KlyachkoFiltration":
-        """Same spaces with every jump moved by -offset (twist by a_ray = offset)."""
+        """Same spaces with every jump moved by -offset (twist by a_ray = offset).
+        A shift keeps every rule, so the shift of a filtration with no
+        problems starts with none; one with problems finds its own afresh,
+        whose messages name its jumps."""
         if strict_int(offset, "offset") == 0:
             return self
-        return KlyachkoFiltration(tuple(j - offset for j in self.jumps), self.spaces)
+        moved = KlyachkoFiltration(tuple(j - offset for j in self.jumps), self.spaces)
+        if not self._problems:
+            object.__setattr__(moved, "_problems", ())
+        return moved
 
 
 class EquivariantReflexiveSheaf(FrozenValue):

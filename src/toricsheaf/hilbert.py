@@ -50,9 +50,9 @@ def _valid_levels(jumps: tuple[int, ...]) -> list[int]:
 @lru_cache(maxsize=64)
 def _level_table(sheaf: EquivariantReflexiveSheaf) -> tuple[tuple[MultiIndex, int], ...]:
     """(l, f(l)) for every l in the product of the rays' valid levels, in
-    product order, with f read from the shared engine's unchecked ``_h0``."""
+    product order, with f read from the shared engine's ``h0``."""
     engine = cohomology._engine(sheaf)
-    return tuple((lv, engine._h0(engine._pack(lv), lv)) for lv in product(*map(_valid_levels, sheaf.jumps)))
+    return tuple((lv, engine.h0(lv)) for lv in product(*map(_valid_levels, sheaf.jumps)))
 
 
 @lru_cache(maxsize=64)

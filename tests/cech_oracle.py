@@ -5,8 +5,8 @@ of the fan, where ``cech`` first divides out the acyclic closed star of a
 ray whose space is the whole fibre.  ``full_complex_chi`` is the signed sum
 of the piece dimensions over every cone, where ``chi`` sums the same
 quotient chain that ``cech`` ranks.  Both share the engine's cone pieces
-(and ``full_complex_cech`` its differential), so they check only that
-division.
+(and ``full_complex_cech`` its complex routine, ``cohomology._complex``), so
+they check only that division.
 
 ``maximal_cone_cech`` is the Cech complex of the cover by maximal-cone
 affine charts, an independent check on the cone complex itself.  There the
@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from toricsheaf import twist
+from toricsheaf.cohomology import _complex
 
 from linalg_oracle import matrix_rank
 from vertex_oracle import box_points, fraction_enumeration_box, widened
@@ -34,14 +35,7 @@ def full_complex_cech(engine, levels: tuple[int, ...]) -> tuple[int, ...]:
     """(h^0, ..., h^dim) of the complex of every cone of the fan at one
     level tuple, with no star divided out."""
     chain = engine._chain_cones
-    spaces = [[engine.piece(rs, levels) for rs in cones] for cones in chain]
-    # ranks[k + 1] is the rank of d: C^k -> C^{k+1}; C^{-1} = C^{dim+1} = 0
-    ranks = [0] * (len(chain) + 1)
-    for k in range(len(chain) - 1):
-        ranks[k + 1] = engine._differential_rank(chain[k], spaces[k], chain[k + 1], spaces[k + 1])
-    return tuple(
-        sum(s.dim for s in spaces[i]) - ranks[i] - ranks[i + 1] for i in range(len(chain))
-    )
+    return _complex(chain, [[engine.piece(rs, levels) for rs in cones] for cones in chain])
 
 
 def full_complex_chi(engine, levels: tuple[int, ...]) -> int:

@@ -1,6 +1,8 @@
 """Unit tests for character-level and global cohomology."""
 import random
 import re
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,8 @@ from toricsheaf import (
     twist,
     validate,
 )
+from toricsheaf import cohomology, hilbert
+from toricsheaf.cohomology import _complex
 from toricsheaf.hilbert import _section_count
 from toricsheaf.polytopes import _box_plan
 
@@ -392,8 +396,10 @@ def assert_rank_nullity_at_ends(sheaf, twists) -> int:
     nonzero = [0, 0]
     for lv in tuples:
         spaces = [[engine.piece(rs, lv) for rs in cones] for cones in chain]
-        first = engine._differential_rank(chain[0], spaces[0], chain[1], spaces[1])
-        last = engine._differential_rank(chain[-2], spaces[-2], chain[-1], spaces[-1])
+        h = _complex(chain, spaces)
+        # the ranks of d_0 and d_(n-1), as C^(-1) = C^(n+1) = 0 and C^n = E
+        first = sum(s.dim for s in spaces[0]) - h[0]
+        last = engine.rank - h[-1]
         assert first == sum(s.dim for s in spaces[0]) - engine.h0(lv)
         assert last == engine.rank - engine.hn(lv)
         nonzero[0] += first > 0
@@ -417,6 +423,68 @@ def test_rank_nullity_at_the_ends_of_the_cone_complex(variety, twists, rank):
 def test_rank_nullity_at_the_ends_for_the_example_sheaves(rank3_sheaf, tangent_sheaf):
     assert assert_rank_nullity_at_ends(rank3_sheaf, ((0, 0), (2, -1), (-3, 1))) >= 20
     assert assert_rank_nullity_at_ends(tangent_sheaf, ((0, 0), (-1, 2))) >= 5
+
+
+def simplex_chain(k: int) -> list[list[tuple[int, ...]]]:
+    """Every subset of k vertices, the empty one included, by falling size."""
+    return [list(combinations(range(k), size)) for size in range(k, -1, -1)]
+
+
+@pytest.mark.parametrize("space", [Subspace.full(1), span([(1, 2)], 2)], ids=["Q1", "line"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_complex_of_the_simplex_and_of_its_boundary(k, space):
+    """With one space E on every face, the augmented complex of the full
+    simplex is acyclic, and that of its boundary, a (k - 2)-sphere, has
+    cohomology E at its top faces only.  The line (1, 2) has its pivot
+    coordinate 1 off the axis (1, 0)."""
+    simplex = simplex_chain(k)
+    boundary = simplex[1:]
+    assert _complex(simplex, [[space] * len(term) for term in simplex]) == (0,) * (k + 1)
+    assert _complex(boundary, [[space] * len(term) for term in boundary]) == (space.dim,) + (0,) * (k - 1)
+
+
+LOCAL_NUMBERS = ("h0", "hn", "chi", "cech")
+
+
+def assert_one_call_per_tuple(calls: dict, engine) -> None:
+    """Each local number was asked once per level tuple it caches, as a
+    tuple; the calls seen are then forgotten."""
+    assert any(calls.values())
+    for name, seen in calls.items():
+        assert all(type(lv) is tuple for lv in seen), name
+        assert len(seen) == len(set(seen)) == len(engine._local[name]), name
+        assert set(map(engine._pack, seen)) == engine._local[name].keys(), name
+        seen.clear()
+
+
+def test_each_local_number_has_one_entry(rank3_sheaf, monkeypatch):
+    """The walk totals and ``mobius_weights`` reach every local number
+    through its one method, once per level tuple not cached yet.  So a
+    plain wrapper on the class attribute, without ``functools.wraps``, as
+    a profiler installs it, sees each distinct level tuple once, and the
+    numbers do not change under it."""
+    twists = ((0, 0), (2, -1), (-6, -4))  # h^n is 0 on the first two
+    totals = ("cech_twisted", "chi_twisted", "h0_twisted", "hn_twisted", "h1_identity_twisted")
+    expected = {total: [getattr(SheafCohomology(rank3_sheaf), total)(c) for c in twists] for total in totals}
+    weights = hilbert.mobius_weights(rank3_sheaf)
+    calls = {name: [] for name in LOCAL_NUMBERS}
+
+    def counting(method, seen):
+        def wrapper(self, levels):
+            seen.append(levels)
+            return method(self, levels)
+        return wrapper
+
+    for name in LOCAL_NUMBERS:
+        monkeypatch.setattr(SheafCohomology, name, counting(getattr(SheafCohomology, name), calls[name]))
+    for total in totals:
+        engine = SheafCohomology(rank3_sheaf)
+        assert [getattr(engine, total)(c) for c in twists] == expected[total], total
+        assert_one_call_per_tuple(calls, engine)
+    monkeypatch.setattr(cohomology, "_engine", lru_cache(maxsize=64)(SheafCohomology))
+    monkeypatch.setattr(hilbert, "_level_table", lru_cache(maxsize=64)(hilbert._level_table.__wrapped__))
+    assert hilbert.mobius_weights.__wrapped__(rank3_sheaf) == weights
+    assert_one_call_per_tuple(calls, cohomology._engine(rank3_sheaf))
 
 
 def test_public_surface_is_pinned():

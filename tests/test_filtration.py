@@ -430,3 +430,31 @@ def test_each_filtration_is_checked_once(monkeypatch):
     SheafCohomology(sheaf)
     assert validate(sheaf) == [] and sheaf.jumps
     assert len(calls) == checked
+
+
+def test_a_shift_of_a_valid_filtration_is_not_checked_again(monkeypatch):
+    """A shift keeps every filtration rule: the twists of a validated sheaf
+    rank no pair of spaces (4 ranks for the twist by (1, 1) once did)."""
+    calls = []
+    original = rational_linalg.matrix_rank
+
+    def counted(rows, width):
+        calls.append(width)
+        return original(rows, width)
+
+    monkeypatch.setattr(rational_linalg, "matrix_rank", counted)
+    sheaf = rank3_example_sheaf()
+    assert validate(sheaf) == []
+    assert calls
+    calls.clear()
+    assert validate(twist(sheaf, (1, 1))) == []
+    assert validate(twist(sheaf, (-2, 3))) == []
+    assert validate(delta_normalization(sheaf)[1]) == []
+    assert calls == []
+
+
+def test_a_shift_of_a_faulty_filtration_names_its_own_jumps():
+    f = KlyachkoFiltration((0, -1), (span([(1, 0)], 2), Subspace.full(2)))
+    assert validate(EquivariantReflexiveSheaf(projective_space(1), (f, f))) != []
+    with pytest.raises(ValueError, match=re.escape("jumps not weakly increasing: (-2, -3)")):
+        f.shifted(2).level(0)

@@ -456,7 +456,7 @@ def test_mobius_weights_read_h0_only_on_the_valid_grid(monkeypatch, variety, p):
     assert sum(w for _, w in weights) == sheaf.rank
     grid = [len(hilbert._valid_levels(js)) for js in sheaf.jumps]
     assert grid == [2] * variety.ray_count
-    assert len(cohomology._engine(sheaf)._local["_h0"]) == prod(grid)
+    assert len(cohomology._engine(sheaf)._local["h0"]) == prod(grid)
     assert [lv for lv, _ in hilbert._level_table(sheaf)] == list(product(*map(hilbert._valid_levels, sheaf.jumps)))
     c = regularity_thresholds(sheaf) if variety.is_split_bundle else (3,)
     assert hilbert_function(sheaf, c) == hilbert._psi_count(sheaf, c)
