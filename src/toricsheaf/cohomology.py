@@ -64,8 +64,11 @@ positively span, so each polytope is bounded.  Its rows are the rays and
 the shifts are linear in the class c, so each bound keeps its constant as a
 form over (1, c), and ``polytopes._walk_plan`` gives the lines of the
 polytope at c; with no plan, the number is 0.  A line of the h^0 polytope
-crosses no jump <= i_1, and one of the h^n polytope none >= i_top; where
-no ray has another jump (every rank-1 sheaf), no level moves.
+crosses no jump <= i_1, and one of the h^n polytope none >= i_top.  Where
+no ray has another jump (every rank-1 sheaf), no level moves, and the
+bounds fix the one level tuple: every ray is at its top level in the h^0
+polytope and at level 0 in the h^n one.  That walk only sums its line
+lengths, under the key (rank + 1)^rays - 1 or 0.
 
 Every walk follows a plan from ``polytopes``, for the box or for a support
 polytope: planes of lines along the plan's line axis, each plane's lines
@@ -83,7 +86,6 @@ jumps at its pairings.  A level tuple is one int, its key sum_k l_k
 digits in base rank + 1 and distinct tuples have distinct keys.  A cut
 moves the key by +-(rank + 1)^k, so sorting a line's cut points and
 applying their steps gives each run of constant key and its length.
-Where no level moves, the walk only sums each plane's line lengths.
 
 Each local number is one method: it checks its level tuple, before
 packing it, as False packs as 0 does, and caches the result per key.  The
@@ -230,19 +232,31 @@ class SheafCohomology:
 
     def histogram(self, c: Sequence[int]) -> dict[tuple[int, ...], int]:
         """How many characters of the twisted box have each level tuple."""
-        return {self._unpack(key): n for key, n in self._box_counts(c).items()}
+        return {self._unpack(key): n for key, n in self._counts(c).items()}
 
-    def _box_counts(self, c: Sequence[int]) -> dict[int, int]:
-        box, shifts = self._twist_setup(c)
-        return self._walk(_box_plan(box), shifts)
+    def _counts(self, c: Sequence[int], which: int | None = None) -> dict[int, int]:
+        """The key histogram of the twist by c: of its box, or of its h^0
+        (``which`` 0) or h^n (1) support polytope, empty with no plan."""
+        shifts = self.variety.twist_divisor(c)  # checks c, held at the class basis
+        if which is None:
+            plan = _box_plan(enumeration_box(self.sheaf, shifts))
+        else:
+            plan = _walk_plan(self._support_bounds[which], (1, *map(shifts.__getitem__, self.variety._class_basis)))
+            if plan is None:
+                return {}
+        return self._walk(plan, shifts, which)
 
     def _walk(self, plan, shifts: tuple[int, ...], which: int | None = None) -> dict[int, int]:
         """The key histogram at these shifts of the characters of a walk
         plan (order, planes) from ``polytopes``; a support polytope's lines
-        cross only its ``_crossable[which]``, and where none, no level moves."""
+        cross only its ``_crossable[which]``, and where none, its bounds fix
+        the key."""
         order, planes = plan
         if which is not None and not any(self._crossable[which]):
-            return self._constant_walk(order, planes, shifts)
+            # each ray's jumps are one value, which the h^0 polytope puts
+            # every ray at or above and the h^n one below
+            n = sum(hi - lo + 1 for _, ends in planes for lo, hi in ends if lo <= hi)
+            return {0 if which else (self.rank + 1) ** len(self._jumps) - 1: n} if n else {}
         rays, jumps, powers, axis = self.variety.rays, self._jumps, self._powers, order[-1]
         kind = (*order[-2:], which)
         if kind not in self._tables:
@@ -296,29 +310,6 @@ class SheafCohomology:
                 counts[key] = get(key, 0) + length - prev
         return counts
 
-    def _constant_walk(self, order, planes, shifts: tuple[int, ...]) -> dict[int, int]:
-        """``_walk`` where no level moves: one key, read at the first point
-        walked, counts each plane's line lengths."""
-        lv, total = None, 0
-        for start, ends in planes:
-            n = sum(hi - lo + 1 for lo, hi in ends if lo <= hi)
-            if n and lv is None:
-                # an empty line before it can start off the polytope
-                line, lo = next((line, lo) for line, (lo, hi) in enumerate(ends) if lo <= hi)
-                m = [0] * len(order)
-                for i, x in zip(order, start):
-                    m[i] = x
-                if line:
-                    m[order[-2]] += line
-                m[order[-1]] = lo
-                lv = self.levels(tuple(m), shifts)
-            total += n
-        return {self._pack(lv): total} if total else {}
-
-    def _twist_setup(self, c: Sequence[int]) -> tuple[CharacterBox, tuple[int, ...]]:
-        shifts = self.variety.twist_divisor(c)
-        return enumeration_box(self.sheaf, shifts), shifts
-
     def _at(self, counts, name: str):
         """The local number ``name`` at each key of ``counts``, one cache
         lookup each.  A key not cached yet goes through the method looked up
@@ -355,30 +346,23 @@ class SheafCohomology:
             tuple(js[:bisect_left(js, js[-1])] for js in self._jumps),
         )
 
-    def _support_total(self, which: int, c: Sequence[int], name: str) -> int:
-        shifts = self.variety.twist_divisor(c)  # checks c, held at the class basis
-        plan = _walk_plan(self._support_bounds[which], (1, *map(shifts.__getitem__, self.variety._class_basis)))
-        if plan is None:
-            return 0
-        return self._total(self._walk(plan, shifts, which), name)
-
     def h0_twisted(self, c: Sequence[int]) -> int:
-        return self._support_total(0, c, "h0")
+        return self._total(self._counts(c, 0), "h0")
 
     def hn_twisted(self, c: Sequence[int]) -> int:
-        return self._support_total(1, c, "hn")
+        return self._total(self._counts(c, 1), "hn")
 
     def chi_twisted(self, c: Sequence[int]) -> int:
-        return self._total(self._box_counts(c), "chi")
+        return self._total(self._counts(c), "chi")
 
     def cech_twisted(self, c: Sequence[int]) -> tuple[int, ...]:
-        counts = self._box_counts(c)
+        counts = self._counts(c)
         # a box is never empty, so zip gives all dim + 1 columns
         return tuple(sum(map(mul, counts.values(), h)) for h in zip(*self._at(counts, "cech")))
 
     def h1_identity_twisted(self, c: Sequence[int]) -> int:
         """h^0 + h^n - chi, which is h^1 on a surface."""
-        counts = self._box_counts(c)
+        counts = self._counts(c)
         return self._total(counts, "h0") + self._total(counts, "hn") - self._total(counts, "chi")
 
     def _check_levels(self, levels: Sequence[int]) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from functools import cached_property
 
 from .rational_linalg import Subspace
-from .toric import FrozenValue, ToricVariety, split_data, strict_int, strict_ints
+from .toric import FrozenValue, ToricVariety, ordered, split_data, strict_int, strict_ints
 
 
 class KlyachkoFiltration(FrozenValue):
@@ -27,7 +27,7 @@ class KlyachkoFiltration(FrozenValue):
 
     def __post_init__(self):
         object.__setattr__(self, "jumps", strict_ints(self.jumps, "jump"))
-        object.__setattr__(self, "spaces", tuple(self.spaces))
+        object.__setattr__(self, "spaces", ordered(self.spaces, "filtration spaces"))
         if len(self.jumps) != len(self.spaces):
             raise ValueError("need one subspace per jump")
         if not self.jumps:
@@ -102,7 +102,7 @@ class EquivariantReflexiveSheaf(FrozenValue):
     filtrations: tuple[KlyachkoFiltration, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "filtrations", tuple(self.filtrations))
+        object.__setattr__(self, "filtrations", ordered(self.filtrations, "filtrations"))
         if len(self.filtrations) != self.variety.ray_count:
             raise ValueError("need exactly one filtration per ray")
         for f in self.filtrations:

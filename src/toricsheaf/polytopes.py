@@ -68,7 +68,7 @@ from operator import le, mul
 from .errors import UnboundedSystemError
 from .filtration import EquivariantReflexiveSheaf
 from .rational_linalg import _integer_inverse
-from .toric import FrozenValue, _checked_weights, split_data, strict_int, strict_ints
+from .toric import FrozenValue, _checked_weights, ordered, split_data, strict_int, strict_ints
 # not called here; bench/selftest.py checks that the tracer patches this binding
 from .rational_linalg import solve_square
 
@@ -101,11 +101,11 @@ class IntervalConstraintSystem(FrozenValue):
 
     def __post_init__(self):
         def checked(values, where):
-            return tuple(None if x is None else strict_int(x, where) for x in values)
+            return tuple(None if x is None else strict_int(x, where) for x in ordered(values, f"{where} values"))
 
-        width = len(self.rows[0]) if self.rows else 0
-        rows = tuple(strict_ints(r, "constraint row entry", width, "constraint row")
-                     for r in self.rows)
+        rows = ordered(self.rows, "constraint rows")
+        width = len(ordered(rows[0], "constraint row")) if rows else 0
+        rows = tuple(strict_ints(r, "constraint row entry", width, "constraint row") for r in rows)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "lower", checked(self.lower, "lower bound"))
         object.__setattr__(self, "upper", checked(self.upper, "upper bound"))

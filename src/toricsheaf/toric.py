@@ -19,7 +19,7 @@ over the basis rays b.  The fixed divisor of a class sits on the basis rays.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import combinations, product
 from operator import attrgetter, gt, mul
@@ -138,12 +138,12 @@ class ToricVariety(FrozenValue):
     split_s: int | None = None            # s of V_s(a); None on P^n
 
     def __post_init__(self):
-        rays = tuple(self.rays)
+        rays = ordered(self.rays, "rays")
         if not rays:
             raise ValueError("a variety needs at least one ray")
-        dim = len(rays[0])
+        dim = len(ordered(rays[0], "ray"))
         rays = tuple(strict_ints(r, "ray entry", dim, "ray") for r in rays)
-        names = tuple(self.ray_names)
+        names = ordered(self.ray_names, "ray names")
         if isinstance(self.ray_names, str) or not all(isinstance(n, str) for n in names):
             raise ValueError(f"ray names must be a sequence of strings, got {self.ray_names!r}")
         if len(set(names)) != len(names):
@@ -349,14 +349,23 @@ def strict_int(value, where: str) -> int:
     return value
 
 
+def ordered(values, name: str) -> tuple:
+    """A sequence as a tuple.  A mapping, a set, an iterator or bytes is
+    refused, as "<name> must be a sequence": its order is not one the
+    caller wrote, or its items are not the caller's values."""
+    if type(values) in (tuple, list) or isinstance(values, Sequence) and not isinstance(values, (bytes, bytearray)):
+        return tuple(values)
+    raise ValueError(f"{name} must be a sequence, got {type(values).__name__}")
+
+
 def strict_ints(
-    values: Iterable, where: str, length: int | None = None, name: str | None = None
+    values: Sequence, where: str, length: int | None = None, name: str | None = None
 ) -> tuple[int, ...]:
     """The values as a tuple, each checked by ``strict_int`` with ``where``.
-    Given a ``length``, a tuple of another length is refused first, as
-    "<name> must have length <length>".  A sequence of plain ints costs one
-    scan of the entry types."""
-    values = tuple(values)
+    They must come in a sequence (``ordered``).  Given a ``length``, a tuple
+    of another length is refused first, as "<name> must have length
+    <length>".  A sequence of plain ints costs one scan of the entry types."""
+    values = ordered(values, name or f"{where} values")
     if length is not None and len(values) != length:
         raise ValueError(f"{name} must have length {length}")
     if not {int}.issuperset(map(type, values)):
@@ -365,7 +374,7 @@ def strict_ints(
     return values
 
 
-def _checked_weights(a_list: Iterable) -> tuple[int, ...]:
+def _checked_weights(a_list: Sequence[int]) -> tuple[int, ...]:
     """The twist weights a_1, ..., a_r of V_s(a): at least one, with
     0 <= a1 <= ... <= ar."""
     a = strict_ints(a_list, "twist weight")

@@ -16,6 +16,7 @@ from toricsheaf import (
     EquivariantReflexiveSheaf,
     KlyachkoFiltration,
     Subspace,
+    enumeration_box,
     hirzebruch,
     load_config,
     psi_points,
@@ -118,6 +119,13 @@ def random_sheaf(rng: random.Random, variety, rank: int, jump_lo=-6, jump_hi=0):
         for _ in range(variety.ray_count)
     )
     return EquivariantReflexiveSheaf(variety, filts)
+
+
+def twisted_box(sheaf, c):
+    """The box the engine walks for the twist of the sheaf by class c, and
+    the twist's shifts."""
+    shifts = sheaf.variety.twist_divisor(c)
+    return enumeration_box(sheaf, shifts), shifts
 
 
 def walked(engine, plan, shifts, which=None) -> dict[tuple[int, ...], int]:

@@ -21,6 +21,7 @@ import toricsheaf
 from toricsheaf import (
     CharacterBox,
     Cone,
+    EquivariantReflexiveSheaf,
     HalfPlane,
     IntervalConstraintSystem,
     KlyachkoFiltration,
@@ -355,12 +356,12 @@ FREE_LENGTH = {
 }
 
 
-def with_first_sequence_resized(value, step):
-    """The value with its first integer sequence, depth first, one entry
-    longer (its last repeated) or one shorter."""
+def with_first_sequence(value, change):
+    """The value with its first integer sequence, depth first, replaced by
+    ``change`` of it."""
     if isinstance(value[0], int):
-        return tuple(value) + (value[-1],) if step > 0 else tuple(value)[:-1]
-    return (with_first_sequence_resized(value[0], step), *value[1:])
+        return change(value)
+    return (with_first_sequence(value[0], change), *value[1:])
 
 
 SEQUENCES = [
@@ -382,7 +383,9 @@ def test_every_integer_sequence_has_its_length_class():
 def test_each_sequence_of_a_fixed_or_tied_length_refuses_another(key, position, step):
     call, args, _ = CALLS[key]
     args = list(args)
-    args[position] = with_first_sequence_resized(args[position], step)
+    # one entry longer, its last repeated, or one shorter
+    args[position] = with_first_sequence(
+        args[position], lambda value: value + (value[-1],) if step > 0 else value[:-1])
     if (key, position) in FIXED_LENGTH:
         name, n = FIXED_LENGTH[key, position]
         message = f"{name} must have length {n}"
@@ -393,3 +396,50 @@ def test_each_sequence_of_a_fixed_or_tied_length_refuses_another(key, position, 
         message = TIED[key, position].format(n=len(resized))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(*args)
+
+
+# every sequence must come in one: a mapping, a set and an iterator give an
+# order the caller did not write, and bytes give ints the caller did not
+UNORDERED = {
+    "dict": dict.fromkeys,
+    "set": set,
+    "generator": lambda values: (x for x in values),
+    "bytes": lambda values: bytes(len(values)),
+}
+# the integer sequences whose refusal names them otherwise than by the
+# length class or as "<where> values"
+NAMED = {("IntervalConstraintSystem", 0): "constraint row", ("ToricVariety", 0): "ray"}
+
+
+@pytest.mark.parametrize("kind", UNORDERED)
+@pytest.mark.parametrize("key, position", SEQUENCES)
+def test_each_integer_sequence_refuses_a_mapping_a_set_an_iterator_and_bytes(key, position, kind):
+    call, args, integers = CALLS[key]
+    args = list(args)
+    args[position] = with_first_sequence(args[position], UNORDERED[kind])
+    if (key, position) in FIXED_LENGTH:
+        name = FIXED_LENGTH[key, position][0]
+    else:
+        name = NAMED.get((key, position), f"{integers[position]} values")
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a sequence, got {kind}$"):
+        call(*args)
+
+
+# the sequences of other values that a variety, a filtration, a sheaf and a
+# constraint system are built from, by the name of their refusal
+CONTAINERS = {
+    "rays": (lambda rays: ToricVariety(rays, H0.ray_names, H0.split_s), H0.rays),
+    "ray names": (lambda names: ToricVariety(H0.rays, names, H0.split_s), H0.ray_names),
+    "filtration spaces": (lambda spaces: KlyachkoFiltration((0, 2), spaces), FILTRATION.spaces),
+    "filtrations": (lambda filts: EquivariantReflexiveSheaf(SHEAF.variety, filts), SHEAF.filtrations),
+    "constraint rows": (lambda rows: IntervalConstraintSystem(rows, (0, 0), (2, 2)), ((1, 0), (0, 1))),
+}
+
+
+@pytest.mark.parametrize("kind", ["dict", "set", "generator"])
+@pytest.mark.parametrize("name", CONTAINERS)
+def test_each_container_refuses_a_mapping_a_set_and_an_iterator(name, kind):
+    build, values = CONTAINERS[name]
+    build(values)
+    with pytest.raises(ValueError, match=f"^{name} must be a sequence, got {kind}$"):
+        build(UNORDERED[kind](values))

@@ -32,7 +32,8 @@ from toricsheaf.hilbert import _section_count
 from toricsheaf.polytopes import _box_plan
 
 from cech_oracle import assert_full_complex
-from conftest import SHIPPED_CONFIGS, h0_supported, random_sheaf, shipped_sheaf, shipped_twists, walked
+from conftest import (SHIPPED_CONFIGS, h0_supported, random_sheaf, shipped_sheaf, shipped_twists,
+                      twisted_box, walked)
 from vertex_oracle import box_points, widened
 
 
@@ -164,7 +165,7 @@ def chi_and_cech(engine: SheafCohomology, counts: dict) -> tuple[int, list[int]]
 def assert_box_margin_invariance(engine: SheafCohomology, c) -> dict:
     """Chi and Cech at the twist, over the engine's box, equal their sums
     over the box widened by 1; the level-tuple histogram of the wide box."""
-    box, shifts = engine._twist_setup(c)
+    box, shifts = twisted_box(engine.sheaf, c)
     wide = walked(engine, _box_plan(widened(box, 1)), shifts)
     assert chi_and_cech(engine, wide) == (engine.chi_twisted(c), list(engine.cech_twisted(c))), c
     return wide
@@ -391,7 +392,7 @@ def assert_rank_nullity_at_ends(sheaf, twists) -> int:
     chain = engine._chain_cones
     tuples = set()
     for c in twists:
-        box, shifts = engine._twist_setup(c)
+        box, shifts = twisted_box(engine.sheaf, c)
         tuples.update(walked(engine, _box_plan(widened(box, 1)), shifts))
     nonzero = [0, 0]
     for lv in tuples:

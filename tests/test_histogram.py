@@ -55,6 +55,7 @@ from conftest import (
     rank3_example_sheaf,
     shipped_sheaf,
     shipped_twists,
+    twisted_box,
     walked,
 )
 from vertex_oracle import (
@@ -80,7 +81,7 @@ VARIETIES = {
 
 
 def per_character_histogram(engine: SheafCohomology, c) -> Counter:
-    box, shifts = engine._twist_setup(c)
+    box, shifts = twisted_box(engine.sheaf, c)
     return Counter(engine.levels(m, shifts) for m in box_points(box))
 
 
@@ -94,7 +95,7 @@ def test_histogram_matches_per_character_count(name, rank):
         engine = SheafCohomology(random_sheaf(rng, variety, rank, -3, 0))
         hist = engine.histogram(c)
         assert hist == per_character_histogram(engine, c)
-        box, _ = engine._twist_setup(c)
+        box, _ = twisted_box(engine.sheaf, c)
         assert sum(hist.values()) == prod(hi - lo + 1 for lo, hi in zip(box.lower, box.upper))
 
 
@@ -111,7 +112,7 @@ def wide_setup(engine: SheafCohomology, c) -> tuple[CharacterBox, tuple[int, ...
     box holds every arrangement vertex and nothing more, so on some twists
     no level changes just past the ends of its lines; in the wider box the
     jump hyperplanes through the outermost vertices cross there."""
-    box, shifts = engine._twist_setup(c)
+    box, shifts = twisted_box(engine.sheaf, c)
     return widened(box, 1), shifts
 
 
@@ -787,11 +788,13 @@ def test_support_walk_cases_cover_every_kind():
     }
 
 
-def test_support_and_constant_walks_make_one_levels_call_per_walk(monkeypatch):
+def test_a_cut_support_walk_makes_one_levels_call_and_a_constant_one_none(monkeypatch):
     """Like the box walk, a support polytope's walk, cut at its crossable
-    jumps, and the constant walk of a rank-1 sheaf, where no level moves,
-    each make one checked levels call when the polytope holds a character,
-    and none or one when it holds none."""
+    jumps, makes one checked levels call when the polytope holds a
+    character, and none or one when it holds none.  Where no level moves,
+    as on a rank-1 sheaf, the walk makes none: the bound rule puts every
+    ray at its top level in the h^0 polytope and at level 0 in the h^n one,
+    so its one key is the top tuple or the zero tuple."""
     cases = [
         SheafCohomology(random_sheaf(random.Random(f"one-call-{name}-{rank}"), variety, rank, -3, 0))
         for name, variety in PACKING_VARIETIES.items() for rank in (1, 2, 3)
@@ -802,17 +805,27 @@ def test_support_and_constant_walks_make_one_levels_call_per_walk(monkeypatch):
         levels = engine.levels
         monkeypatch.setattr(engine, "levels", lambda m, shifts=None: calls.append(m) or levels(m, shifts))
         variety = engine.variety
+        fixed = ((engine.rank,) * variety.ray_count, (0,) * variety.ray_count)
         for c in product(range(-3, 3), repeat=variety.class_rank):
+            shifts = variety.twist_divisor(c)
             for which, (total, system) in enumerate(zip(
                 (engine.h0_twisted, engine.hn_twisted), support_polytopes(engine.sheaf, c)
             )):
                 calls.clear()
                 total(c)
-                if not psi_points(as_lower_bounds(homogeneous_bounds(system))):
+                bounds = homogeneous_bounds(system)
+                points = psi_points(as_lower_bounds(bounds))
+                if not any(engine._crossable[which]):
+                    assert calls == [], (c, which)
+                    if points:
+                        kinds.add("constant")
+                        plan = _walk_plan(bounds, (1,))
+                        assert walked(engine, plan, shifts, which) == {fixed[which]: len(points)}
+                elif points:
+                    assert len(calls) == 1, (c, which)
+                    kinds.add("cut")
+                else:
                     assert len(calls) <= 1
-                    continue
-                assert len(calls) == 1, (c, which)
-                kinds.add("cut" if any(engine._crossable[which]) else "constant")
     assert kinds == {"cut", "constant"}
 
 

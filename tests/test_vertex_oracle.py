@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from toricsheaf import (
     IntervalConstraintSystem,
-    SheafCohomology,
     enumeration_box,
     hirzebruch,
     projective_space,
@@ -26,7 +25,7 @@ from toricsheaf.polytopes import _polytope_box, _rowset_extremes, _rowset_invers
 
 from conftest import (
     SHIPPED_CONFIGS, counted_fractions, random_sheaf, rank3_example_sheaf, shipped_sheaf,
-    shipped_twists,
+    shipped_twists, twisted_box,
 )
 from vertex_oracle import (
     box_filtered_points,
@@ -54,9 +53,8 @@ VARIETIES = {
 
 def assert_boxes_match_oracle(sheaf, twists) -> None:
     assert enumeration_box(sheaf) == fraction_enumeration_box(sheaf)
-    engine = SheafCohomology(sheaf)
     for c in twists:
-        box, _ = engine._twist_setup(c)
+        box, _ = twisted_box(sheaf, c)
         assert box == fraction_enumeration_box(twist(sheaf, c)), c
 
 
