@@ -89,11 +89,6 @@ class JobConfig(FrozenValue):
 
 
 def _parse_space(generators, rank: int, where: str) -> Subspace:
-    if not isinstance(generators, list):
-        raise ConfigError(f"{where}: expected a list of generator vectors")
-    for gi, gen in enumerate(generators):
-        if not isinstance(gen, list):
-            raise ConfigError(f"{where}, generator {gi}: expected a vector")
     try:
         return Subspace(rank, generators)
     except ValueError as exc:

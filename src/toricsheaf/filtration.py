@@ -174,8 +174,8 @@ class PresentationDegrees(FrozenValue):
 
     def __post_init__(self):
         for name in ("generator_degrees", "relation_degrees"):
-            degrees = tuple(strict_ints(d, "presentation degree") for d in getattr(self, name))
-            object.__setattr__(self, name, degrees)
+            degrees = ordered(getattr(self, name), name.replace("_", " "))
+            object.__setattr__(self, name, tuple(strict_ints(d, "presentation degree") for d in degrees))
         if len({len(d) for d in self.generator_degrees + self.relation_degrees}) > 1:
             raise ValueError("all degree vectors must have the same length")
 

@@ -260,7 +260,7 @@ def hilbert_polynomial(sheaf: EquivariantReflexiveSheaf) -> RationalPolynomial:
         for beta in range(d + 1 - alpha)
     ]
     rows = [
-        [Fraction(p) ** alpha * Fraction(q) ** beta for alpha, beta in monomials]
+        [p ** alpha * q ** beta for alpha, beta in monomials]
         for (p, q) in fit_pts
     ]
     rhs = [hilbert_function(sheaf, (p, q)) for (p, q) in fit_pts]

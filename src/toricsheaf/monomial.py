@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import cached_property
 
-from .toric import Cone, FrozenValue, ToricVariety, projective_space, strict_int, strict_ints
+from .toric import Cone, FrozenValue, ToricVariety, ordered, projective_space, strict_int, strict_ints
 
 
 class MonomialIdeal(FrozenValue):
@@ -24,7 +24,7 @@ class MonomialIdeal(FrozenValue):
             raise ValueError("need projective dimension n >= 1")
         object.__setattr__(self, "generators", tuple(
             strict_ints(g, "generator exponent", self.n + 1, "generator exponents")
-            for g in self.generators
+            for g in ordered(self.generators, "generators")
         ))
         if not self.generators:
             raise ValueError("need at least one generator")

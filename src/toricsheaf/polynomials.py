@@ -8,8 +8,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .rational_linalg import _over_lcm, _scalar
-from .toric import strict_int, strict_ints
+from .rational_linalg import _integers, _scalar
+from .toric import ordered, strict_int, strict_ints
 
 
 class RationalPolynomial:
@@ -46,7 +46,8 @@ class RationalPolynomial:
         return max((sum(e) for e in self.coeffs), default=0)
 
     def degree_in(self, index: int) -> int:
-        strict_int(index, "variable index")
+        if not 0 <= strict_int(index, "variable index") < self.nvars:
+            raise ValueError(f"variable index must lie in 0..{self.nvars - 1}, got {index}")
         return max((e[index] for e in self.coeffs), default=0)
 
     def is_zero(self) -> bool:
@@ -117,9 +118,7 @@ class RationalPolynomial:
         coordinates N_i / L over the lcm L of their denominators, the
         coefficients a_e / s over theirs and T the total degree, it is
         sum_e a_e prod_i N_i^(e_i) L^(T - |e|) / (s L^T)."""
-        if len(point) != self.nvars:
-            raise ValueError(f"need {self.nvars} coordinates")
-        values, scale = _over_lcm(point)
+        values, scale = _integers(point, self.nvars, "point")
         s = lcm(*(c.denominator for c in self.coeffs.values()))
         top = self.total_degree
         total = 0
@@ -157,7 +156,7 @@ def graded_exponents(poly: RationalPolynomial) -> list[tuple[int, ...]]:
 
 def format_polynomial(poly: RationalPolynomial, names: Sequence[str]) -> str:
     """Degree-lexicographic rendering, earlier names first within a degree."""
-    if len(names) != poly.nvars:
+    if len(ordered(names, "names")) != poly.nvars:
         raise ValueError("need one name per variable")
     if poly.is_zero():
         return "0"

@@ -21,16 +21,17 @@ p_i e_i | r_i, so row i of A^-1 is r_i / p_i, returned over the least
 common denominator.  ``perp`` is computed once per ``Subspace``: the object
 is immutable and canonical, so it keeps its orthogonal complement in a slot
 filled on first use.  No floating point or modular arithmetic enters
-anywhere.  Input entries are ints, Fractions or 'p/q' strings;
+anywhere.  Inputs come in sequences (``toric.ordered``), and ``_integers``
+reads every vector: its entries are ints, Fractions or 'p/q' strings;
 floats, booleans, 'p/0' and anything else are refused with a ValueError.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .toric import strict_int
+from .toric import ordered, strict_int
 
 Scalar = int | Fraction
 Vector = tuple[Fraction, ...]
@@ -50,33 +51,24 @@ def _scalar(x: Scalar | str) -> Fraction:
     raise ValueError(f"exact numbers must be ints, Fractions or 'p/q' strings, got {x!r}")
 
 
-def as_vector(entries: Iterable[Scalar | str], length: int | None = None) -> Vector:
-    """Coerce entries (ints, Fractions or 'p/q' strings) to an exact vector."""
-    return _sized(tuple(map(_scalar, entries)), length)
-
-
-def _sized(v, length: int | None):
-    """The vector v, refused unless it has the given length, if any."""
-    if length is not None and len(v) != length:
-        raise ValueError(f"expected vector of length {length}, got {len(v)}")
-    return v
-
-
-def _over_lcm(entries: Iterable[Scalar | str]) -> tuple[list[int], int]:
+def _integers(entries: Sequence[Scalar | str], length: int | None = None, name: str = "vector") -> tuple[Row, int]:
     """Integers N and L > 0, the lcm of the entries' denominators, with
-    entries = N / L; entries ``_scalar`` refuses are refused."""
-    row = list(entries)
-    if all(type(x) is int for x in row):
+    entries = N / L; the entries come in a sequence of the given length, if
+    any, and an all-int sequence is its own N."""
+    row = ordered(entries, name)
+    if length is not None and len(row) != length:
+        raise ValueError(f"{name} must have length {length}, got {len(row)}")
+    if {int}.issuperset(map(type, row)):
         return row, 1
-    v = as_vector(row)
+    v = tuple(map(_scalar, row))
     scale = lcm(*(x.denominator for x in v))
-    return [x.numerator * (scale // x.denominator) for x in v], scale
+    return tuple(x.numerator * (scale // x.denominator) for x in v), scale
 
 
-def _integer_row(entries: Iterable[Scalar | str], length: int | None = None) -> list[int]:
-    """The entries scaled by the lcm of their denominators: integers with
-    the same span."""
-    return _sized(_over_lcm(entries)[0], length)
+def as_vector(entries: Sequence[Scalar | str], length: int | None = None) -> Vector:
+    """The entries (ints, Fractions or 'p/q' strings) as an exact vector."""
+    row, scale = _integers(entries, length)
+    return tuple(Fraction(a, scale) for a in row)
 
 
 def _cleared(row: list[int], lead: list[int], col: int) -> list[int]:
@@ -88,10 +80,10 @@ def _cleared(row: list[int], lead: list[int], col: int) -> list[int]:
     return [a // g for a in new] if g > 1 else new
 
 
-def _forward(rows: Sequence[Sequence[Scalar]], width: int) -> tuple[list[list[int]], list[int]]:
+def _forward(rows: Sequence[Sequence[Scalar]], width: int) -> tuple[list[Sequence[int]], list[int]]:
     """Integer row echelon form: the nonzero pivot rows and their pivot columns."""
-    rest = [r for r in (_integer_row(r, width) for r in rows) if any(r)]
-    done: list[list[int]] = []
+    rest = [r for r in (_integers(r, width, "row")[0] for r in ordered(rows, "rows")) if any(r)]
+    done: list[Sequence[int]] = []
     cols: list[int] = []
     for col in range(width):
         if not rest:
@@ -141,10 +133,12 @@ def matrix_rank(rows: Sequence[Sequence[Scalar]], width: int) -> int:
 
 def solve_square(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Vector | None:
     """Solve the square system rows . x = rhs exactly; None if singular."""
+    rows = ordered(rows, "rows")
     n = len(rows)
-    if len(rhs) != n:
-        raise ValueError(f"right-hand side must have length {n}, got {len(rhs)}")
-    aug = [as_vector(r, n) + (_scalar(b),) for r, b in zip(rows, rhs)]
+    rhs, d = _integers(rhs, n, "right-hand side")
+    # row i reads N_i / L_i . x = b_i / d, that is N_i d . x = b_i L_i
+    aug = [[*(a * d for a in row), b * scale]
+           for (row, scale), b in zip((_integers(r, n, "row") for r in rows), rhs)]
     done, cols = _forward(aug, n + 1)
     if cols != list(range(n)):
         return None
@@ -211,21 +205,21 @@ class Subspace:
     def is_full(self) -> bool:
         return len(self.rows) == self.ambient_dim
 
-    def contains(self, vector: Iterable[Scalar]) -> bool:
-        v = _integer_row(vector, self.ambient_dim)
-        return matrix_rank([*self.rows, v], self.ambient_dim) == self.dim
+    def contains(self, vector: Sequence[Scalar]) -> bool:
+        row = _integers(vector, self.ambient_dim)[0]
+        return matrix_rank([*self.rows, row], self.ambient_dim) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimensions differ")
         return matrix_rank([*self.rows, *other.rows], self.ambient_dim) == self.dim
 
-    def coordinates(self, vector: Iterable[Scalar]) -> Vector:
+    def coordinates(self, vector: Sequence[Scalar]) -> Vector:
         """Coordinates of a member vector in ``basis``, read off the pivots."""
-        v = as_vector(vector, self.ambient_dim)
-        if not self.contains(v):
+        row, scale = _integers(vector, self.ambient_dim)
+        if not self.contains(row):
             raise ValueError("vector does not lie in the subspace")
-        return tuple(v[p] for p in self.pivots)
+        return tuple(Fraction(row[p], scale) for p in self.pivots)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
@@ -278,19 +272,20 @@ def perp(s: Subspace) -> Subspace:
     return s._perp
 
 
-def _check_common_ambient(subspaces: Sequence[Subspace]) -> int:
+def _common_ambient(subspaces: Sequence[Subspace]) -> tuple[tuple[Subspace, ...], int]:
+    subspaces = ordered(subspaces, "subspaces")
     if not subspaces:
         raise ValueError("need at least one subspace")
     ambient = subspaces[0].ambient_dim
     for s in subspaces[1:]:
         if s.ambient_dim != ambient:
             raise ValueError("ambient dimensions differ")
-    return ambient
+    return subspaces, ambient
 
 
 def intersect(subspaces: Sequence[Subspace]) -> Subspace:
     """Intersection, via the nullspace of the stacked dual constraints."""
-    ambient = _check_common_ambient(subspaces)
+    subspaces, ambient = _common_ambient(subspaces)
     constraints: list[Row] = []
     for s in subspaces:
         if s.is_full:
@@ -303,6 +298,6 @@ def intersect(subspaces: Sequence[Subspace]) -> Subspace:
 
 def subspace_sum(subspaces: Sequence[Subspace]) -> Subspace:
     """Subspace spanned by the union of the bases."""
-    ambient = _check_common_ambient(subspaces)
+    subspaces, ambient = _common_ambient(subspaces)
     rows = [row for s in subspaces for row in s.rows]
     return Subspace(ambient, rows)

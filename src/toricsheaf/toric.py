@@ -144,7 +144,7 @@ class ToricVariety(FrozenValue):
         dim = len(ordered(rays[0], "ray"))
         rays = tuple(strict_ints(r, "ray entry", dim, "ray") for r in rays)
         names = ordered(self.ray_names, "ray names")
-        if isinstance(self.ray_names, str) or not all(isinstance(n, str) for n in names):
+        if not all(isinstance(n, str) for n in names):
             raise ValueError(f"ray names must be a sequence of strings, got {self.ray_names!r}")
         if len(set(names)) != len(names):
             raise ValueError(f"ray names must be distinct, got {names!r}")
@@ -350,10 +350,10 @@ def strict_int(value, where: str) -> int:
 
 
 def ordered(values, name: str) -> tuple:
-    """A sequence as a tuple.  A mapping, a set, an iterator or bytes is
-    refused, as "<name> must be a sequence": its order is not one the
-    caller wrote, or its items are not the caller's values."""
-    if type(values) in (tuple, list) or isinstance(values, Sequence) and not isinstance(values, (bytes, bytearray)):
+    """A sequence as a tuple.  A mapping, a set, an iterator, text or bytes
+    is refused, as "<name> must be a sequence": its order is not one the
+    caller wrote, or its characters or bytes are not the caller's values."""
+    if type(values) in (tuple, list) or isinstance(values, Sequence) and not isinstance(values, (str, bytes, bytearray)):
         return tuple(values)
     raise ValueError(f"{name} must be a sequence, got {type(values).__name__}")
 

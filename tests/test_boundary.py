@@ -40,10 +40,12 @@ from toricsheaf import (
     faulhaber_sum,
     feasible_metasystem,
     feasible_system1,
+    format_polynomial,
     hilbert_function,
     hirzebruch,
     in_support_lower_bound,
     in_support_upper_bound,
+    intersect,
     line_bundle,
     omega_system,
     projective_space,
@@ -54,8 +56,10 @@ from toricsheaf import (
     simplex_sum,
     span,
     split_bundle,
+    subspace_sum,
     twist,
 )
+from toricsheaf.rational_linalg import as_vector, matrix_rank, solve_square
 
 from conftest import rank3_example_sheaf
 
@@ -67,6 +71,7 @@ LEVELS = (3, 1, 3, 3)             # a level tuple of SHEAF: one level in 0..3 pe
 FILTRATION = KlyachkoFiltration((0, 2), (span([(1, 0)], 2), Subspace.full(2)))
 HALF = HalfPlane(1, 0, 0)
 X = RationalPolynomial.variable(0, 2)
+P2_PLUS_Q = X ** 2 + RationalPolynomial.variable(1, 2)
 
 CALLS = {
     "CharacterBox": (CharacterBox, ((0, 0), (2, 2)), {0: "box bound", 1: "box bound"}),
@@ -236,6 +241,16 @@ def test_shapes_that_do_not_fit_are_refused_in_one_form(call, message):
         call()
 
 
+@pytest.mark.parametrize("poly", [P2_PLUS_Q, RationalPolynomial(2)], ids=["p^2 + q", "zero"])
+@pytest.mark.parametrize("index", [-1, -2, 2])
+def test_degree_in_refuses_an_index_outside_its_variables(poly, index):
+    """On p^2 + q, degree_in(-1) answered 1 and degree_in(-2) answered 2,
+    counting from the end, and degree_in(2) raised IndexError; on the zero
+    polynomial every index answered 0.  It is refused as ``variable`` refuses it."""
+    with pytest.raises(ValueError, match=f"^variable index must lie in 0..1, got {index}$"):
+        poly.degree_in(index)
+
+
 @pytest.mark.parametrize("method", ["h0", "hn", "chi", "cech"])
 @pytest.mark.parametrize("levels, message", [
     ((3, 3, 3), "level tuple must have length 4"),
@@ -399,12 +414,14 @@ def test_each_sequence_of_a_fixed_or_tied_length_refuses_another(key, position, 
 
 
 # every sequence must come in one: a mapping, a set and an iterator give an
-# order the caller did not write, and bytes give ints the caller did not
+# order the caller did not write, and bytes and text give items, byte
+# values or characters, that the caller did not
 UNORDERED = {
     "dict": dict.fromkeys,
     "set": set,
     "generator": lambda values: (x for x in values),
     "bytes": lambda values: bytes(len(values)),
+    "str": lambda values: "12",
 }
 # the integer sequences whose refusal names them otherwise than by the
 # length class or as "<where> values"
@@ -443,3 +460,57 @@ def test_each_container_refuses_a_mapping_a_set_and_an_iterator(name, kind):
     build(values)
     with pytest.raises(ValueError, match=f"^{name} must be a sequence, got {kind}$"):
         build(UNORDERED[kind](values))
+
+
+LINE = span([(1, 2)], 2)
+# the readers of exact vectors, and the other containers read by the one
+# rule, by the name of their refusal: a call of one sequence, that
+# sequence, and the call's result on it
+READERS = {
+    "span: rows": (lambda rows: span(rows, 2).rows, ((2, 4), ("1/2", 0)), ((1, 0), (0, 1))),
+    "span: row": (lambda row: span([row], 2).rows, (2, "1/3"), ((6, 1),)),
+    "Subspace: rows": (lambda rows: Subspace(2, rows).rows, ((2, 4),), ((1, 2),)),
+    "Subspace: row": (lambda row: Subspace(2, [row]).rows, ("-1/2", 1), ((1, -2),)),
+    "Subspace.contains: vector": (LINE.contains, ("1/2", 1), True),
+    "Subspace.coordinates: vector": (LINE.coordinates, ("1/2", 1), (Fraction(1, 2),)),
+    "as_vector: vector": (as_vector, (2, "1/3"), (Fraction(2), Fraction(1, 3))),
+    "matrix_rank: rows": (lambda rows: matrix_rank(rows, 2), ((1, 2), (2, 4)), 1),
+    "matrix_rank: row": (lambda row: matrix_rank([row], 2), (0, "1/3"), 1),
+    "solve_square: rows": (
+        lambda rows: solve_square(rows, (5, 6)), ((1, 2), (3, 4)), (Fraction(-4), Fraction(9, 2))),
+    "solve_square: row": (
+        lambda row: solve_square([row, (3, 4)], (5, 6)), ("1/2", 1), (Fraction(-14), Fraction(12))),
+    "solve_square: right-hand side": (
+        lambda rhs: solve_square([(1, 2), (3, 4)], rhs), (5, "1/2"), (Fraction(-19, 2), Fraction(29, 4))),
+    "RationalPolynomial.evaluate: point": (P2_PLUS_Q.evaluate, ("1/2", 3), Fraction(13, 4)),
+    "intersect: subspaces": (intersect, (LINE, Subspace.full(2)), LINE),
+    "subspace_sum: subspaces": (subspace_sum, (LINE, span([(1, 0)], 2)), Subspace.full(2)),
+    "PresentationDegrees: generator degrees": (
+        lambda degrees: PresentationDegrees(degrees, ()).generator_degrees, ((0, 1), (2, 3)),
+        ((0, 1), (2, 3))),
+    "PresentationDegrees: relation degrees": (
+        lambda degrees: PresentationDegrees(((0, 1),), degrees).relation_degrees, ((2, 3),), ((2, 3),)),
+    "MonomialIdeal: generators": (
+        lambda generators: MonomialIdeal(2, generators).generators, ((0, 0, 2), (1, 0, 1)),
+        ((0, 0, 2), (1, 0, 1))),
+    "format_polynomial: names": (lambda names: format_polynomial(P2_PLUS_Q, names), ("p", "q"), "p^2 + q"),
+}
+
+
+@pytest.mark.parametrize("kind", UNORDERED)
+@pytest.mark.parametrize("key", READERS)
+def test_each_reader_refuses_a_mapping_a_set_an_iterator_bytes_and_text(key, kind):
+    """A dict's keys, a set's or a generator's order and a string's
+    characters were read as the caller's vector, and a set of subspaces or
+    names crashed; each now meets the one rule of ``ordered``."""
+    call, values, _ = READERS[key]
+    name = key.partition(": ")[2]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a sequence, got {kind}$"):
+        call(UNORDERED[kind](values))
+
+
+@pytest.mark.parametrize("container", [tuple, list])
+@pytest.mark.parametrize("key", READERS)
+def test_each_reader_reads_a_list_and_a_tuple_alike(key, container):
+    call, values, expected = READERS[key]
+    assert call(container(values)) == expected

@@ -2,6 +2,7 @@
 import argparse
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -105,6 +106,24 @@ def test_config_integers_are_strict(variety, rank, jump, tmp_path):
     path.write_text(json.dumps(cfg))
     code, out = run_cli(["validate", "--config", str(path)])
     assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize("spaces, message", [
+    ([{"a": 1}], "rows must be a sequence, got dict"),
+    (["12"], "rows must be a sequence, got str"),
+    ([None], "rows must be a sequence, got NoneType"),
+    ([[{"a": 1}]], "row must be a sequence, got dict"),
+    ([["12"]], "row must be a sequence, got str"),
+    ([[7]], "row must be a sequence, got int"),
+    ([[[1, 0]]], "row must have length 1, got 2"),
+])
+def test_config_generators_are_refused_by_the_library_rule(spaces, message):
+    """A generator list or vector that is no JSON list is refused by
+    ``Subspace``'s reader, under the name of the ray and the space."""
+    cfg = {"variety": P1, "sheaf": {"rank": 1, "filtrations": [
+        {"jumps": [0], "spaces": spaces}, {"jumps": [0]}]}}
+    with pytest.raises(ConfigError, match=f"^filtration for ray rho0, space 1: {re.escape(message)}$"):
+        parse_config(cfg)
 
 
 def test_cli_validate_ok():

@@ -297,8 +297,11 @@ def test_a_name_missing_for_a_ray_is_refused():
 
 @pytest.mark.parametrize("names", ["abc", (0, 1, 2), ("rho0", "rho1", None)])
 def test_ray_names_that_are_not_strings_are_refused(names):
-    """A string was split into its letters, and integers were taken as names."""
-    with pytest.raises(ValueError, match=r"^ray names must be a sequence of strings, got "):
+    """A string was split into its letters, and integers were taken as names.
+    A string is no sequence of names (``ordered``), whatever its letters."""
+    message = "^ray names must be a sequence, got str$" if isinstance(names, str) else \
+        r"^ray names must be a sequence of strings, got "
+    with pytest.raises(ValueError, match=message):
         rebuild(projective_space(2), ray_names=names)
 
 
