@@ -367,16 +367,10 @@ class SheafCohomology:
 
     def _check_levels(self, levels: Sequence[int]) -> tuple[int, ...]:
         """The level tuple of a public call, one int per ray in 0..rank."""
-        levels = strict_ints(levels, "level tuple entry", len(self._jumps), "level tuple")
-        if min(levels) < 0 or max(levels) > self.rank:
-            raise ValueError(f"level tuple entries must lie in 0..{self.rank}")
-        return levels
+        return strict_ints(levels, "level tuple entry", len(self._jumps), "level tuple", 0, self.rank)
 
     def piece(self, rayset: Sequence[int], levels: Sequence[int]) -> Subspace:
-        rayset = strict_ints(rayset, "ray index")
-        for k in rayset:
-            if not 0 <= k < len(self._jumps):
-                raise ValueError(f"ray index must lie in 0..{len(self._jumps) - 1}, got {k}")
+        rayset = strict_ints(rayset, "ray index", lo=0, hi=len(self._jumps) - 1)
         return self._piece(rayset, self._check_levels(levels))
 
     def _piece(self, rayset: tuple[int, ...], levels: tuple[int, ...]) -> Subspace:

@@ -113,9 +113,7 @@ def _sheaf_section(variety: ToricVariety, data: dict) -> EquivariantReflexiveShe
         entries = data["filtrations"]
     except KeyError as exc:
         raise ConfigError(f"sheaf section needs 'rank' and 'filtrations': {exc}") from None
-    rank = strict_int(rank, "sheaf 'rank'")
-    if rank < 1:
-        raise ConfigError("sheaf rank must be at least 1")
+    rank = strict_int(rank, "sheaf 'rank'", 1)
     if not isinstance(entries, list) or len(entries) != variety.ray_count:
         raise ConfigError(
             f"need one filtration per ray ({variety.ray_count}), got "

@@ -27,7 +27,7 @@ class KlyachkoFiltration(FrozenValue):
 
     def __post_init__(self):
         object.__setattr__(self, "jumps", strict_ints(self.jumps, "jump"))
-        object.__setattr__(self, "spaces", ordered(self.spaces, "filtration spaces"))
+        object.__setattr__(self, "spaces", ordered(self.spaces, "filtration spaces", Subspace))
         if len(self.jumps) != len(self.spaces):
             raise ValueError("need one subspace per jump")
         if not self.jumps:
@@ -74,9 +74,7 @@ class KlyachkoFiltration(FrozenValue):
 
     def space_at_level(self, level: int) -> Subspace:
         """E_level, the zero space at level 0; levels run over 0..rank."""
-        if not 0 <= strict_int(level, "filtration level") <= self.rank:
-            raise ValueError(f"filtration level must lie in 0..{self.rank}, got {level}")
-        if level == 0:
+        if strict_int(level, "filtration level", 0, self.rank) == 0:
             return Subspace.zero(self.ambient_dim)
         return self.spaces[level - 1]
 
@@ -102,7 +100,10 @@ class EquivariantReflexiveSheaf(FrozenValue):
     filtrations: tuple[KlyachkoFiltration, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "filtrations", ordered(self.filtrations, "filtrations"))
+        if not isinstance(self.variety, ToricVariety):
+            raise ValueError(f"variety must be a ToricVariety, got {type(self.variety).__name__}")
+        object.__setattr__(self, "filtrations",
+                           ordered(self.filtrations, "filtrations", KlyachkoFiltration))
         if len(self.filtrations) != self.variety.ray_count:
             raise ValueError("need exactly one filtration per ray")
         for f in self.filtrations:

@@ -20,16 +20,13 @@ class MonomialIdeal(FrozenValue):
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if strict_int(self.n, "projective dimension") < 1:
-            raise ValueError("need projective dimension n >= 1")
+        strict_int(self.n, "projective dimension", 1)
         object.__setattr__(self, "generators", tuple(
-            strict_ints(g, "generator exponent", self.n + 1, "generator exponents")
+            strict_ints(g, "generator exponent", self.n + 1, "generator exponents", 0)
             for g in ordered(self.generators, "generators")
         ))
         if not self.generators:
             raise ValueError("need at least one generator")
-        if any(e < 0 for g in self.generators for e in g):
-            raise ValueError("generator exponents must be non-negative")
 
     @cached_property
     def variety(self) -> ToricVariety:

@@ -18,15 +18,13 @@ class RationalPolynomial:
     __slots__ = ("nvars", "coeffs")
 
     def __init__(self, nvars: int, coeffs: dict[tuple[int, ...], Fraction] | None = None):
-        self.nvars = strict_int(nvars, "number of variables")
+        self.nvars = strict_int(nvars, "number of variables", 0)
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, c in (coeffs or {}).items():
             c = _scalar(c)
             if c == 0:
                 continue
-            exps = strict_ints(exps, "exponent")
-            if len(exps) != nvars or any(e < 0 for e in exps):
-                raise ValueError("exponent tuples must be non-negative and match nvars")
+            exps = strict_ints(exps, "exponent", nvars, "exponent tuple", 0)
             clean[exps] = clean.get(exps, Fraction(0)) + c
         self.coeffs = {e: c for e, c in clean.items() if c != 0}
 
@@ -36,8 +34,7 @@ class RationalPolynomial:
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "RationalPolynomial":
-        if not 0 <= strict_int(index, "variable index") < strict_int(nvars, "number of variables"):
-            raise ValueError(f"variable index must lie in 0..{nvars - 1}, got {index}")
+        strict_int(index, "variable index", 0, strict_int(nvars, "number of variables", 0) - 1)
         exps = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, {exps: Fraction(1)})
 
@@ -46,8 +43,7 @@ class RationalPolynomial:
         return max((sum(e) for e in self.coeffs), default=0)
 
     def degree_in(self, index: int) -> int:
-        if not 0 <= strict_int(index, "variable index") < self.nvars:
-            raise ValueError(f"variable index must lie in 0..{self.nvars - 1}, got {index}")
+        strict_int(index, "variable index", 0, self.nvars - 1)
         return max((e[index] for e in self.coeffs), default=0)
 
     def is_zero(self) -> bool:
@@ -94,8 +90,7 @@ class RationalPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if strict_int(n, "power") < 0:
-            raise ValueError("negative powers are not polynomials")
+        strict_int(n, "power", 0)
         result = RationalPolynomial.constant(1, self.nvars)
         base = self
         while n:
@@ -156,7 +151,7 @@ def graded_exponents(poly: RationalPolynomial) -> list[tuple[int, ...]]:
 
 def format_polynomial(poly: RationalPolynomial, names: Sequence[str]) -> str:
     """Degree-lexicographic rendering, earlier names first within a degree."""
-    if len(ordered(names, "names")) != poly.nvars:
+    if len(ordered(names, "names", str)) != poly.nvars:
         raise ValueError("need one name per variable")
     if poly.is_zero():
         return "0"
@@ -187,9 +182,7 @@ def format_polynomial(poly: RationalPolynomial, names: Sequence[str]) -> str:
 @lru_cache(maxsize=None, typed=True)
 def bernoulli_number(n: int) -> Fraction:
     """B_n with the convention B_1 = -1/2 (forced by the power-sum identity)."""
-    if strict_int(n, "index") < 0:
-        raise ValueError("index must be non-negative")
-    if n == 0:
+    if strict_int(n, "index", 0) == 0:
         return Fraction(1)
     total = Fraction(0)
     for k in range(n):
@@ -199,16 +192,14 @@ def bernoulli_number(n: int) -> Fraction:
 
 def bernoulli_polynomial(n: int) -> RationalPolynomial:
     """B_n(x) = sum_k C(n, k) B_{n-k} x^k."""
-    if strict_int(n, "index") < 0:
-        raise ValueError("index must be non-negative")
+    strict_int(n, "index", 0)
     coeffs = {(k,): comb(n, k) * bernoulli_number(n - k) for k in range(n + 1)}
     return RationalPolynomial(1, coeffs)
 
 
 def faulhaber_sum(t: int) -> RationalPolynomial:
     """The polynomial equal to sum_{k=0}^{q} k^t for all q >= 0 (0^0 = 1)."""
-    if strict_int(t, "exponent") < 0:
-        raise ValueError("exponent must be non-negative")
+    strict_int(t, "exponent", 0)
     b = bernoulli_polynomial(t + 1)
     q_plus_1 = RationalPolynomial(1, {(0,): Fraction(1), (1,): Fraction(1)})
     shifted = compose_univariate(b, q_plus_1)
@@ -226,8 +217,7 @@ def simplex_sum(poly: RationalPolynomial, k: int) -> RationalPolynomial:
     are replaced by power-sum polynomials evaluated at the remaining budget,
     eliminating one e-variable at a time.
     """
-    if strict_int(k, "number of summation variables") < 1:
-        raise ValueError("need at least one summation variable")
+    strict_int(k, "number of summation variables", 1)
     if poly.nvars < k + 1:
         raise ValueError("polynomial must contain q and the summation variables")
     n = poly.nvars

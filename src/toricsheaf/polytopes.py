@@ -139,10 +139,7 @@ def _multi_index(
 ) -> MultiIndex:
     """Levels in 1..rank, one per ray unless another ``length`` is given."""
     length = sheaf.variety.ray_count if length is None else length
-    idx = strict_ints(idx, f"{name} entry", length, name)
-    if any(i < 1 or i > sheaf.rank for i in idx):
-        raise ValueError(f"{name} entries must lie in 1..{sheaf.rank}")
-    return idx
+    return strict_ints(idx, f"{name} entry", length, name, 1, sheaf.rank)
 
 
 def _split_interval(jumps: tuple[int, ...], j: int, shift: int) -> tuple[int, int | None]:

@@ -170,9 +170,7 @@ class Subspace:
     __slots__ = ("ambient_dim", "rows", "pivots", "_hash", "_perp")
 
     def __init__(self, ambient_dim: int, rows: Sequence[Sequence[Scalar]] = ()):
-        if strict_int(ambient_dim, "ambient dimension") < 0:
-            raise ValueError("ambient dimension must be non-negative")
-        self.ambient_dim = ambient_dim
+        self.ambient_dim = strict_int(ambient_dim, "ambient dimension", 0)
         # the canonical integer rows and the pivot column of each
         self.rows, self.pivots = _canonical(rows, ambient_dim)
         self._hash = hash((self.ambient_dim, self.rows))
@@ -273,7 +271,7 @@ def perp(s: Subspace) -> Subspace:
 
 
 def _common_ambient(subspaces: Sequence[Subspace]) -> tuple[tuple[Subspace, ...], int]:
-    subspaces = ordered(subspaces, "subspaces")
+    subspaces = ordered(subspaces, "subspaces", Subspace)
     if not subspaces:
         raise ValueError("need at least one subspace")
     ambient = subspaces[0].ambient_dim

@@ -143,17 +143,15 @@ class ToricVariety(FrozenValue):
             raise ValueError("a variety needs at least one ray")
         dim = len(ordered(rays[0], "ray"))
         rays = tuple(strict_ints(r, "ray entry", dim, "ray") for r in rays)
-        names = ordered(self.ray_names, "ray names")
-        if not all(isinstance(n, str) for n in names):
-            raise ValueError(f"ray names must be a sequence of strings, got {self.ray_names!r}")
+        names = ordered(self.ray_names, "ray names", str)
         if len(set(names)) != len(names):
             raise ValueError(f"ray names must be distinct, got {names!r}")
         if len(names) != len(rays):
             raise ValueError(f"ray names must have length {len(rays)}")
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "ray_names", names)
-        if self.split_s is not None and strict_int(self.split_s, "split bundle s") < 1:
-            raise ValueError("split bundle needs s >= 1")
+        if self.split_s is not None:
+            strict_int(self.split_s, "split bundle s", 1)
         if len(rays) != dim + self.class_rank:   # a smooth complete fan has dim + class rank rays
             kind = "variety without split s" if self.split_s is None else "split bundle"
             raise ValueError(f"a {kind} of dimension {dim} needs {dim + self.class_rank} rays, "
@@ -209,9 +207,7 @@ class ToricVariety(FrozenValue):
 
     def pairing(self, m: Sequence[int], ray_index: int) -> int:
         """<m, n(rho)> for the indexed ray and an integer character m."""
-        if not 0 <= strict_int(ray_index, "ray index") < self.ray_count:
-            raise ValueError(f"ray index must lie in 0..{self.ray_count - 1}, got {ray_index}")
-        ray = self.rays[ray_index]
+        ray = self.rays[strict_int(ray_index, "ray index", 0, self.ray_count - 1)]
         return sum(map(mul, strict_ints(m, "character entry", self.dim, "character"), ray))
 
     def character_embedding(self, m: Sequence[int]) -> tuple[int, ...]:
@@ -298,8 +294,7 @@ class _Fan:
 
 
 def projective_space(n: int) -> ToricVariety:
-    if strict_int(n, "projective space n") < 1:
-        raise ValueError("projective space needs n >= 1")
+    strict_int(n, "projective space n", 1)
     rays = [tuple(-1 for _ in range(n))]
     rays += [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     names = tuple(f"rho{i}" for i in range(n + 1))
@@ -307,8 +302,7 @@ def projective_space(n: int) -> ToricVariety:
 
 
 def split_bundle(s: int, a_list: Sequence[int]) -> ToricVariety:
-    if strict_int(s, "split bundle s") < 1:
-        raise ValueError("split bundle needs s >= 1")
+    strict_int(s, "split bundle s", 1)
     a = _checked_weights(a_list)
     r = len(a)
     dim = s + r
@@ -327,9 +321,7 @@ def split_bundle(s: int, a_list: Sequence[int]) -> ToricVariety:
 
 def hirzebruch(a: int) -> ToricVariety:
     """The Hirzebruch surface H_a; identical data to split_bundle(1, (a,))."""
-    if strict_int(a, "Hirzebruch parameter") < 0:
-        raise ValueError("Hirzebruch parameter must be non-negative")
-    return split_bundle(1, (a,))
+    return split_bundle(1, (strict_int(a, "Hirzebruch parameter", 0),))
 
 
 def split_data(variety: ToricVariety) -> tuple[int, tuple[int, ...]]:
@@ -341,36 +333,54 @@ def split_data(variety: ToricVariety) -> tuple[int, tuple[int, ...]]:
     return variety.split_s, variety.split_a
 
 
-def strict_int(value, where: str) -> int:
+def strict_int(value, where: str, lo: int | None = None, hi: int | None = None) -> int:
     """A value that must be an integer; booleans, floats and strings are
-    refused rather than coerced."""
+    refused rather than coerced.  Given a range, ``lo`` alone or ``lo`` and
+    ``hi`` (both ends included), a value outside it is refused as "<where>
+    must be at least <lo>, got <value>" or "<where> must lie in <lo>..<hi>,
+    got <value>"."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{where} must be an integer, got {value!r}")
+    if lo is not None and (value < lo or hi is not None and value > hi):
+        bound = f"must be at least {lo}" if hi is None else f"must lie in {lo}..{hi}"
+        raise ValueError(f"{where} {bound}, got {value!r}")
     return value
 
 
-def ordered(values, name: str) -> tuple:
+def ordered(values, name: str, kind: type | None = None) -> tuple:
     """A sequence as a tuple.  A mapping, a set, an iterator, text or bytes
     is refused, as "<name> must be a sequence": its order is not one the
-    caller wrote, or its characters or bytes are not the caller's values."""
+    caller wrote, or its characters or bytes are not the caller's values.
+    Given a ``kind``, an item that is not one is refused, as "<name> must
+    hold <Kind> values, got <type>"; without one no item is looked at."""
     if type(values) in (tuple, list) or isinstance(values, Sequence) and not isinstance(values, (str, bytes, bytearray)):
-        return tuple(values)
+        values = tuple(values)
+        if kind is not None:
+            for x in values:
+                if not isinstance(x, kind):
+                    raise ValueError(f"{name} must hold {kind.__name__} values, got {type(x).__name__}")
+        return values
     raise ValueError(f"{name} must be a sequence, got {type(values).__name__}")
 
 
 def strict_ints(
-    values: Sequence, where: str, length: int | None = None, name: str | None = None
+    values: Sequence, where: str, length: int | None = None, name: str | None = None,
+    lo: int | None = None, hi: int | None = None,
 ) -> tuple[int, ...]:
-    """The values as a tuple, each checked by ``strict_int`` with ``where``.
-    They must come in a sequence (``ordered``).  Given a ``length``, a tuple
-    of another length is refused first, as "<name> must have length
-    <length>".  A sequence of plain ints costs one scan of the entry types."""
+    """The values as a tuple, each checked by ``strict_int`` with ``where``
+    and the range, if any.  They must come in a sequence (``ordered``).
+    Given a ``length``, a tuple of another length is refused first, as
+    "<name> must have length <length>"; then the first entry that is no
+    integer or lies outside the range.  A sequence of plain ints in range
+    costs one scan of the entry types, and with a range one ``min`` and
+    one ``max``."""
     values = ordered(values, name or f"{where} values")
     if length is not None and len(values) != length:
         raise ValueError(f"{name} must have length {length}")
-    if not {int}.issuperset(map(type, values)):
+    if not {int}.issuperset(map(type, values)) or lo is not None and values and (
+            min(values) < lo or hi is not None and max(values) > hi):
         for x in values:
-            strict_int(x, where)
+            strict_int(x, where, lo, hi)
     return values
 
 

@@ -48,6 +48,7 @@ from toricsheaf import (
     intersect,
     line_bundle,
     omega_system,
+    parse_config,
     projective_space,
     psi_m_sliced,
     psi_n,
@@ -56,10 +57,12 @@ from toricsheaf import (
     simplex_sum,
     span,
     split_bundle,
+    structure_sheaf,
     subspace_sum,
     twist,
 )
 from toricsheaf.rational_linalg import as_vector, matrix_rank, solve_square
+from toricsheaf.toric import strict_int, strict_ints
 
 from conftest import rank3_example_sheaf
 
@@ -214,29 +217,29 @@ def test_each_integer_argument_refuses_a_float_a_bool_and_a_string(key, position
     (lambda: IntervalConstraintSystem(((1, 0), (1,)), (0, 0), (1, 1)), "constraint row must have length 2"),
     (lambda: line_bundle(P2, (1, 0)), "divisor coefficients must have length 3"),
     (lambda: omega_system(SHEAF, (3, 1, 3), (0, 0)), "multi-index must have length 4"),
-    (lambda: omega_system(SHEAF, (3, 1, 3, 4), (0, 0)), "multi-index entries must lie in 1..3"),
+    (lambda: omega_system(SHEAF, (3, 1, 3, 4), (0, 0)), "multi-index entry must lie in 1..3, got 4"),
     (lambda: psi_n(SHEAF, (3,), 3), "eta multi-index must have length 2"),
-    (lambda: psi_n(SHEAF, (4, 3), 3), "eta multi-index entries must lie in 1..3"),
+    (lambda: psi_n(SHEAF, (4, 3), 3), "eta multi-index entry must lie in 1..3, got 4"),
     (lambda: psi_m_sliced(SHEAF, (3, 1, 1), 30, (0,)), "rho multi-index must have length 2"),
-    (lambda: psi_m_sliced(SHEAF, (0, 1), 30, (0,)), "rho multi-index entries must lie in 1..3"),
+    (lambda: psi_m_sliced(SHEAF, (0, 1), 30, (0,)), "rho multi-index entry must lie in 1..3, got 0"),
     (lambda: psi_m_sliced(SHEAF, (3, 1), 30, (0, 0)), "slice vector must have length 1"),
     (lambda: feasible_metasystem((1, 2), (0, 0), (0, 0)), "mus must have length 3"),
     (lambda: feasible_system1((), 1, 1), "need at least one twist weight"),
     (lambda: feasible_metasystem((2, 1), (0,), (0, 0, 0)),
      "twist weights must satisfy 0 <= a1 <= ... <= ar"),
     (lambda: split_bundle(1, ()), "need at least one twist weight"),
-    (lambda: split_bundle(0, (1,)), "split bundle needs s >= 1"),
+    (lambda: split_bundle(0, (1,)), "split bundle s must be at least 1, got 0"),
     (lambda: ENGINE.piece((0, -1), LEVELS), "ray index must lie in 0..3, got -1"),
     (lambda: ENGINE.piece((4,), LEVELS), "ray index must lie in 0..3, got 4"),
-    (lambda: ENGINE.piece((), (3, 1, 3, 4)), "level tuple entries must lie in 0..3"),
+    (lambda: ENGINE.piece((), (3, 1, 3, 4)), "level tuple entry must lie in 0..3, got 4"),
 ])
 def test_shapes_that_do_not_fit_are_refused_in_one_form(call, message):
     """A negative or too large ray or variable index reads no other ray or
     variable, and a point, ray or degree of the wrong length is not cut to
     fit by ``zip``.  Every sequence of the wrong length is refused as
     "<name> must have length <n>", every multi-index out of range as
-    "<name> entries must lie in 1..<rank>", and twist weights by one rule
-    wherever they are read."""
+    "<name> entry must lie in 1..<rank>, got <value>", and twist weights
+    by one rule wherever they are read."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
@@ -255,8 +258,8 @@ def test_degree_in_refuses_an_index_outside_its_variables(poly, index):
 @pytest.mark.parametrize("levels, message", [
     ((3, 3, 3), "level tuple must have length 4"),
     ((3, 3, 3, 3, 9), "level tuple must have length 4"),
-    ((3, 3, 3, 4), "level tuple entries must lie in 0..3"),
-    ((-1, 3, 3, 3), "level tuple entries must lie in 0..3"),
+    ((3, 3, 3, 4), "level tuple entry must lie in 0..3, got 4"),
+    ((-1, 3, 3, 3), "level tuple entry must lie in 0..3, got -1"),
 ])
 def test_level_tuples_that_do_not_fit_are_refused_and_never_cached(method, levels, message):
     """A level tuple is checked on every call: a wrong length is not cut
@@ -514,3 +517,162 @@ def test_each_reader_refuses_a_mapping_a_set_an_iterator_bytes_and_text(key, kin
 def test_each_reader_reads_a_list_and_a_tuple_alike(key, container):
     call, values, expected = READERS[key]
     assert call(container(values)) == expected
+
+
+P1 = projective_space(1)
+
+
+def p1_sheaf(rank):
+    """A sheaf of the given rank on P^1 from its configuration section."""
+    section = {"rank": rank, "filtrations": [{"jumps": [0] * rank}] * 2}
+    return parse_config({"variety": {"family": "projective", "n": 1}, "sheaf": section}).sheaf
+
+
+# every range an integer argument must lie in, one per site: a call of the
+# checked value, a value outside the range and its refusal, and a value at
+# an end of the range with the result the call has always given there
+RANGES = {
+    "ToricVariety: split s": (
+        lambda s: ToricVariety(H0.rays, H0.ray_names, s) == H0, 0,
+        "split bundle s must be at least 1, got 0", 1, True),
+    "ToricVariety.pairing": (
+        lambda k: P2.pairing((1, 2), k), 3, "ray index must lie in 0..2, got 3", 2, 2),
+    "projective_space": (
+        lambda n: projective_space(n).rays, 0, "projective space n must be at least 1, got 0",
+        1, ((-1,), (1,))),
+    "split_bundle": (
+        lambda s: split_bundle(s, (0,)) == H0, 0, "split bundle s must be at least 1, got 0", 1, True),
+    "hirzebruch": (
+        lambda a: hirzebruch(a).rays, -1, "Hirzebruch parameter must be at least 0, got -1",
+        0, ((-1, 0), (1, 0), (0, -1), (0, 1))),
+    "SheafCohomology: level tuple": (
+        ENGINE.cech, (0, 1, 3, 4), "level tuple entry must lie in 0..3, got 4", (0, 1, 3, 3), (0, 2, 0)),
+    "SheafCohomology.piece": (
+        lambda rays: ENGINE.piece(rays, LEVELS).rows, (1, 4), "ray index must lie in 0..3, got 4",
+        (1, 3), ((9, 4, 8),)),
+    "KlyachkoFiltration.space_at_level": (
+        FILTRATION.space_at_level, 3, "filtration level must lie in 0..2, got 3", 0, Subspace.zero(2)),
+    "omega_system: multi-index": (
+        lambda idx: omega_system(SHEAF, idx, (0, 0)), (1, 1, 0, 1),
+        "multi-index entry must lie in 1..3, got 0", (1, 1, 1, 1),
+        IntervalConstraintSystem(((-1, 3), (1, 0), (0, -1), (0, 1)), (-3, -9, -4, -2), (-1, -3, -1, -1))),
+    "Subspace": (
+        lambda n: Subspace(n).ambient_dim, -1, "ambient dimension must be at least 0, got -1", 0, 0),
+    "RationalPolynomial: nvars": (
+        lambda n: RationalPolynomial(n).coeffs, -1, "number of variables must be at least 0, got -1",
+        0, {}),
+    "RationalPolynomial: exponents": (
+        lambda exps: RationalPolynomial(2, {exps: 1}) == X, (1, -1),
+        "exponent must be at least 0, got -1", (1, 0), True),
+    "RationalPolynomial.variable": (
+        lambda index: RationalPolynomial.variable(index, 2).coeffs, 2,
+        "variable index must lie in 0..1, got 2", 1, {(0, 1): 1}),
+    "RationalPolynomial.degree_in": (
+        P2_PLUS_Q.degree_in, -1, "variable index must lie in 0..1, got -1", 0, 2),
+    "RationalPolynomial.__pow__": (
+        X.__pow__, -1, "power must be at least 0, got -1", 0, RationalPolynomial.constant(1, 2)),
+    "bernoulli_number": (bernoulli_number, -1, "index must be at least 0, got -1", 0, 1),
+    "bernoulli_polynomial": (
+        bernoulli_polynomial, -1, "index must be at least 0, got -1", 0, RationalPolynomial.constant(1)),
+    "faulhaber_sum": (
+        faulhaber_sum, -1, "exponent must be at least 0, got -1", 0,
+        RationalPolynomial(1, {(0,): 1, (1,): 1})),
+    "simplex_sum": (
+        lambda k: simplex_sum(RationalPolynomial.constant(1, 2), k), 0,
+        "number of summation variables must be at least 1, got 0", 1,
+        RationalPolynomial(1, {(0,): 1, (1,): 1})),
+    "MonomialIdeal: n": (
+        lambda n: MonomialIdeal(n, ((1,) * (n + 1),)).generators, 0,
+        "projective dimension must be at least 1, got 0", 1, ((1, 1),)),
+    "MonomialIdeal: generator": (
+        lambda g: MonomialIdeal(2, (g,)).generators, (0, -1, 2),
+        "generator exponent must be at least 0, got -1", (0, 0, 2), ((0, 0, 2),)),
+    "config: sheaf rank": (
+        lambda rank: p1_sheaf(rank) == structure_sheaf(P1), 0,
+        "sheaf 'rank' must be at least 1, got 0", 1, True),
+}
+
+# every sequence whose items must be of one type, one per site, in the same
+# form: a sequence with one item of another type, and a valid one
+ITEMS = {
+    "ToricVariety: ray names": (
+        lambda names: ToricVariety(H0.rays, names, 1) == H0, ("rho0", "rho1", 2, "eta1"),
+        "ray names must hold str values, got int", H0.ray_names, True),
+    "KlyachkoFiltration: spaces": (
+        lambda spaces: KlyachkoFiltration((0, 2), spaces) == FILTRATION,
+        (FILTRATION.spaces[0], [(1, 0), (0, 1)]),
+        "filtration spaces must hold Subspace values, got list", FILTRATION.spaces, True),
+    "EquivariantReflexiveSheaf: filtrations": (
+        lambda filtrations: EquivariantReflexiveSheaf(SHEAF.variety, filtrations) == SHEAF,
+        (*SHEAF.filtrations[:3], "x"),
+        "filtrations must hold KlyachkoFiltration values, got str", SHEAF.filtrations, True),
+    "intersect: subspaces": (
+        intersect, (LINE, (1, 0)), "subspaces must hold Subspace values, got tuple",
+        (LINE, Subspace.full(2)), LINE),
+    "subspace_sum: subspaces": (
+        subspace_sum, (LINE, None), "subspaces must hold Subspace values, got NoneType",
+        (LINE, Subspace.zero(2)), LINE),
+    "format_polynomial: names": (
+        lambda names: format_polynomial(P2_PLUS_Q, names), ("p", b"q"),
+        "names must hold str values, got bytes", ("p", "q"), "p^2 + q"),
+}
+
+
+@pytest.mark.parametrize("site", [*RANGES, *ITEMS])
+def test_each_range_and_item_type_is_refused_in_the_readers_wording(site):
+    """Each site words no refusal of its own: a range is refused by
+    ``strict_int`` or ``strict_ints`` and an item type by ``ordered``, in
+    one of their three forms, naming the value or type it met."""
+    call, bad, message, _, _ = RANGES[site] if site in RANGES else ITEMS[site]
+    forms = r"(must be at least -?\d+|must lie in -?\d+\.\.-?\d+), got -?\d+" if site in RANGES \
+        else r"must hold \w+ values, got \w+"
+    assert re.fullmatch(f".+ {forms}", message)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("site", [*RANGES, *ITEMS])
+def test_each_range_and_item_type_site_answers_a_valid_call_as_before(site):
+    call, _, _, good, expected = RANGES[site] if site in RANGES else ITEMS[site]
+    assert call(good) == expected
+
+
+@pytest.mark.parametrize("lo, hi, value, message", [
+    (0, None, -1, "x must be at least 0, got -1"),
+    (1, None, -5, "x must be at least 1, got -5"),
+    (1, 3, 0, "x must lie in 1..3, got 0"),
+    (1, 3, 4, "x must lie in 1..3, got 4"),
+    (0, -1, 0, "x must lie in 0..-1, got 0"),      # an empty range refuses everything
+])
+def test_the_range_rule_words_a_lower_end_alone_and_both_ends(lo, hi, value, message):
+    """A range is ``lo`` alone or ``lo`` and ``hi``, both included; a
+    sequence is refused at its first entry outside it."""
+    for call in (lambda: strict_int(value, "x", lo, hi),
+                 lambda: strict_ints((lo, value, value + 9), "x", lo=lo, hi=hi)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+    top = lo if hi is None else hi
+    if lo <= top:
+        assert strict_int(top, "x", lo, hi) == top
+        assert strict_ints((lo, top), "x", lo=lo, hi=hi) == (lo, top)
+
+
+# inputs the range and item-type rules refuse that got through before: the
+# first six raised AttributeError or TypeError, and the last was accepted
+# as a polynomial ring of -1 variables
+NEWLY_REFUSED = [
+    (lambda: intersect([(1, 0)]), "subspaces must hold Subspace values, got tuple"),
+    (lambda: subspace_sum([span([(1, 0)], 2), [(0, 1)]]), "subspaces must hold Subspace values, got list"),
+    (lambda: KlyachkoFiltration((0,), ([(1,)],)), "filtration spaces must hold Subspace values, got list"),
+    (lambda: EquivariantReflexiveSheaf(projective_space(1), ["x", "y"]),
+     "filtrations must hold KlyachkoFiltration values, got str"),
+    (lambda: EquivariantReflexiveSheaf("P1", []), "variety must be a ToricVariety, got str"),
+    (lambda: format_polynomial(RationalPolynomial.variable(0, 2), (1, None)), "names must hold str values, got int"),
+    (lambda: RationalPolynomial(-1), "number of variables must be at least 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("call, message", NEWLY_REFUSED)
+def test_items_of_the_wrong_type_and_a_negative_ring_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -403,8 +403,8 @@ def test_cli_monomial_sigma_ranges_joined_by_commas():
 
 @pytest.mark.parametrize("args, message", [
     (["--n", "2", "--generators", "1,2"], "generator exponents must have length 3"),
-    (["--n", "2", "--generators=-1,0,0"], "must be non-negative"),
-    (["--n", "0", "--generators", "1"], "projective dimension n >= 1"),
+    (["--n", "2", "--generators=-1,0,0"], "generator exponent must be at least 0, got -1"),
+    (["--n", "0", "--generators", "1"], "projective dimension must be at least 1, got 0"),
     (["--n", "2", "--generators", "1,0,0", "--cone", "rho0,rho0"], "cone rays must be distinct"),
     (["--n", "2", "--generators", "0,0,2", "--cone", "rho0,rho1,rho2"], "is not a cone of the fan"),
 ])

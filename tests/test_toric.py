@@ -300,7 +300,7 @@ def test_ray_names_that_are_not_strings_are_refused(names):
     """A string was split into its letters, and integers were taken as names.
     A string is no sequence of names (``ordered``), whatever its letters."""
     message = "^ray names must be a sequence, got str$" if isinstance(names, str) else \
-        r"^ray names must be a sequence of strings, got "
+        f"^ray names must hold str values, got {type(names[-1]).__name__}$"
     with pytest.raises(ValueError, match=message):
         rebuild(projective_space(2), ray_names=names)
 
@@ -336,7 +336,7 @@ TWO_RAYS = ((1, 0), (0, 1))
      "a split bundle of dimension 2 needs 4 rays, got 3"),
     (lambda: rebuild(V12, rays=((-1, 2, 1),) + V12.rays[1:]),
      "twist weights must satisfy 0 <= a1 <= ... <= ar"),
-    (lambda: rebuild(V12, split_s=0), "split bundle needs s >= 1"),
+    (lambda: rebuild(V12, split_s=0), "split bundle s must be at least 1, got 0"),
     (lambda: rebuild(V12, split_s=3), "need at least one twist weight"),
 ])
 def test_a_variety_whose_parts_disagree_is_refused(call, message):
